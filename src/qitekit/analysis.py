@@ -198,12 +198,12 @@ def qite_measurement_count(query: CostQuery) -> int:
     """
     if query.n_terms < 1 or query.n_time_steps < 1:
         raise ValueError("n_terms and n_time_steps must be positive")
-    pool = (
-        odd_y_count(query.domain_size)
-        if query.odd_y_only
-        else 4**query.domain_size
-    )
-    return (2 * query.n_terms - 1) * query.n_time_steps * pool
+    return (2 * query.n_terms - 1) * query.n_time_steps * _pool_size(query)
+
+
+def _pool_size(query: CostQuery) -> int:
+    """Pool strings per reconstruction: odd-Y count or all 4^D."""
+    return odd_y_count(query.domain_size) if query.odd_y_only else 4**query.domain_size
 
 
 #: Published reference totals for variational-eigensolver baselines, used in

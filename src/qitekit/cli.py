@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .analysis import (
     CostQuery,
+    _pool_size,
     exact_ite,
     exact_ite_energy,
     gibbs_average,
@@ -54,7 +55,6 @@ from .hamiltonians import (
     one_qubit_field,
     tfi_1d,
 )
-from .pauli import odd_y_count
 from .qite import QiteConfig, qite_evolve
 from .qlanczos import qlanczos_run
 from .qmetts import MettsConfig, metts_chain
@@ -380,19 +380,13 @@ def _run_count(config, hamiltonian, state0, rng, max_qubits):
         domain_size=block["domain_size"],
         odd_y_only=block.get("odd_y_only", False),
     )
-    total = qite_measurement_count(query)
-    pool = (
-        odd_y_count(query.domain_size)
-        if query.odd_y_only
-        else 4 ** query.domain_size
-    )
     summary = {
-        "p_total": total,
+        "p_total": qite_measurement_count(query),
         "n_terms": query.n_terms,
         "n_time_steps": query.n_time_steps,
         "domain_size": query.domain_size,
         "odd_y_only": query.odd_y_only,
-        "pool_size_per_term": pool,
+        "pool_size_per_term": _pool_size(query),
     }
     return {}, summary
 
@@ -436,7 +430,16 @@ def execute_run(
     _write_json(out_dir / "manifest.json", manifest)
 
     start = time.perf_counter()
-    tables, summary = _RUNNERS[algorithm](config, hamiltonian, state0, rng, max_qubits)
+    try:
+        tables, summary = _RUNNERS[algorithm](
+            config, hamiltonian, state0, rng, max_qubits
+        )
+    except (QitekitError, np.linalg.LinAlgError) as exc:
+        manifest["status"] = "failed"
+        manifest["finished_utc"] = _utc_now()
+        manifest["error"] = {"type": type(exc).__name__, "message": str(exc)}
+        _write_json(out_dir / "manifest.json", manifest)
+        raise
     for filename, (header, rows) in tables.items():
         _write_csv(out_dir / filename, header, rows)
     summary = {

@@ -13,9 +13,9 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, DimensionError
+from .errors import ConfigError, DataFormatError, DimensionError, ResourceError
 from .pauli import PauliString
-from .statevector import StateVector, expectation_sum
+from .statevector import StateVector, dense_on_support, expectation_sum
 
 PauliSum = Tuple[Tuple[float, PauliString], ...]
 
@@ -72,20 +72,10 @@ def to_dense(hamiltonian: Hamiltonian, max_qubits: int = 14) -> np.ndarray:
     """Full 2^n x 2^n matrix, offset included."""
     n = hamiltonian.n_qubits
     if n > max_qubits:
-        from .errors import ResourceError
-
         raise ResourceError(f"dense matrix on {n} qubits exceeds ceiling {max_qubits}")
-    from .statevector import _SINGLE
-
-    dim = 2**n
-    out = np.zeros((dim, dim), dtype=complex)
-    for term in hamiltonian.terms:
-        for coeff, string in term.pauli_sum:
-            mat = np.array([[1.0 + 0j]])
-            for q in range(n - 1, -1, -1):
-                mat = np.kron(mat, _SINGLE[string.letter(q)])
-            out += coeff * mat
-    out += hamiltonian.offset * np.eye(dim)
+    pauli_sum = [pair for term in hamiltonian.terms for pair in term.pauli_sum]
+    out = dense_on_support(pauli_sum, tuple(range(n)))
+    out += hamiltonian.offset * np.eye(2**n)
     return out
 
 

@@ -20,8 +20,9 @@ from .pauli import OperatorPool, PauliString, POOL_KINDS, enumerate_pool
 from .statevector import (
     StateVector,
     _apply_matrix_on_support,
-    _parity,
-    _string_masks,
+    _dense_from_masks,
+    _pauli_masks,
+    _pauli_rows,
     apply_pauli_sum,
     apply_term_exp,
 )
@@ -159,14 +160,9 @@ class _TermPlan:
     index: int
     term: LocalTerm
     domain: Tuple[int, ...]
-    strings: List[PauliString]
     unitary_support: Tuple[int, ...]
-    gather: np.ndarray  # (P, 2^n) source indices for sigma_I |psi>
-    signs: np.ndarray  # (P, 2^n) int8
-    iny: np.ndarray  # (P,) i**n_Y phases
-    local_gather: np.ndarray  # (P, 2^d) rows of sigma_I on the unitary support
-    local_phase: np.ndarray  # (P, 2^d) matrix entries sigma_I[row, col]
-    local_cols: np.ndarray  # (2^d,) column indices
+    masks: Tuple[np.ndarray, ...]  # (x, yz, i^nY) per string over the register
+    local_masks: Tuple[np.ndarray, ...]  # the same over the unitary support
 
 
 def _plan_for_term(
@@ -194,43 +190,19 @@ def _build_plan(
             f"term {index}: unitary support of {len(support)} qubits exceeds "
             f"ceiling {max_unitary_domain}"
         )
-
-    size = 2**n_qubits
-    idx = np.arange(size, dtype=np.int64)
-    p = len(strings)
-    gather = np.empty((p, size), dtype=np.int64)
-    signs = np.empty((p, size), dtype=np.int8)
-    iny = np.empty(p, dtype=complex)
-    for r, s in enumerate(strings):
-        xm, yz, ph = _string_masks(s.n_qubits, s.items)
-        src = idx ^ xm
-        gather[r] = src
-        signs[r] = 1 - 2 * _parity(src, yz)
-        iny[r] = ph
-
-    # local scatter arrays: dense generator on the unitary support
-    pos = {q: j for j, q in enumerate(support)}
-    dim = 2 ** len(support)
-    cols = np.arange(dim, dtype=np.int64)
-    local_gather = np.empty((p, dim), dtype=np.int64)
-    local_phase = np.empty((p, dim), dtype=complex)
-    for r, s in enumerate(strings):
-        local_items = tuple((pos[q], c) for q, c in s.items)
-        xm, yz, ph = _string_masks(len(support), local_items)
-        local_gather[r] = cols ^ xm
-        local_phase[r] = ph * (1 - 2 * _parity(cols, yz))
+    strings = tuple(strings)
     return _TermPlan(
-        index, term, domain, strings, support, gather, signs, iny,
-        local_gather, local_phase, cols,
+        index,
+        term,
+        domain,
+        support,
+        _pauli_masks(strings, tuple(range(n_qubits))),
+        _pauli_masks(strings, support),
     )
 
 
 # ---------------------------------------------------------------------------
 # linear system assembly and solves
-
-
-def _sigma_psi_matrix(plan: _TermPlan, amplitudes: np.ndarray) -> np.ndarray:
-    return plan.iny[:, None] * (plan.signs * amplitudes[plan.gather])
 
 
 def _assemble(
@@ -242,7 +214,7 @@ def _assemble(
 ):
     """Return (sigma_psi, bvec, c) for one step; noise perturbs raw values."""
     psi = state.amplitudes
-    c_rows = _sigma_psi_matrix(plan, psi)
+    c_rows = _pauli_rows(plan.masks, psi)
     noisy = config.noise_sigma > 0
     if noisy and rng is None:
         raise ConfigError("noise_sigma > 0 requires a random generator")
@@ -294,11 +266,18 @@ def build_linear_system(
         0, term, tuple(pool.domain), strings, state.n_qubits, config.max_unitary_domain
     )
     c_rows, bvec, c = _assemble(plan, state, dtau, config, rng)
+    return _overlap_matrix(c_rows, config.noise_sigma, rng), bvec, c
+
+
+def _overlap_matrix(
+    c_rows: np.ndarray, noise_sigma: float, rng: Optional[np.random.Generator]
+) -> np.ndarray:
+    """Smat = 2 Re(C* C^T), plus symmetric Gaussian noise when noise_sigma > 0."""
     smat = 2.0 * (c_rows.conj() @ c_rows.T).real
-    if config.noise_sigma > 0:
-        draws = rng.normal(0.0, config.noise_sigma, smat.shape)
+    if noise_sigma > 0:
+        draws = rng.normal(0.0, noise_sigma, smat.shape)
         smat = smat + np.triu(draws) + np.triu(draws, 1).T
-    return smat, bvec, c
+    return smat
 
 
 def solve_step(
@@ -357,9 +336,7 @@ def _run_step(
 ) -> Tuple[StateVector, StepRecord]:
     c_rows, bvec, c = _assemble(plan, state, dtau, config, rng)
     if config.noise_sigma > 0:
-        smat = 2.0 * (c_rows.conj() @ c_rows.T).real
-        draws = rng.normal(0.0, config.noise_sigma, smat.shape)
-        smat = smat + np.triu(draws) + np.triu(draws, 1).T
+        smat = _overlap_matrix(c_rows, config.noise_sigma, rng)
         coefficients, residual = solve_step(smat, bvec, config.delta, config.pinv_tol)
     else:
         coefficients, residual = _solve_factored(
@@ -368,12 +345,8 @@ def _run_step(
     if not np.all(np.isfinite(coefficients)):
         raise NumericalError(f"term {plan.index}: non-finite expansion coefficients")
 
-    dim = plan.local_cols.size
-    generator = np.zeros((dim, dim), dtype=complex)
-    np.add.at(
-        generator,
-        (plan.local_gather, np.broadcast_to(plan.local_cols, plan.local_gather.shape)),
-        coefficients[:, None] * plan.local_phase,
+    generator = _dense_from_masks(
+        coefficients, plan.local_masks, len(plan.unitary_support)
     )
     evals, evecs = np.linalg.eigh(generator)
     unitary = (evecs * np.exp(-1j * dtau * evals)) @ evecs.conj().T

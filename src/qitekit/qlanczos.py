@@ -179,14 +179,11 @@ def qlanczos_run(
     betas, e_raw, e_acc, retained = [], [], [], []
     for l in range(0, ledger.n_sweeps + 1, 2):
         selected = [i for i in accepted_all if i <= l]
-        smat, hmat = build_matrices(ledger, selected)
-        w = np.linalg.eigvalsh((smat + smat.T) / 2.0)
-        n_keep = int(np.sum(w >= eig_cutoff))
-        evals, _ = solve_gevp(smat, hmat, eig_cutoff)
+        evals, _ = solve_gevp(*build_matrices(ledger, selected), eig_cutoff)
         betas.append(l * ledger.dtau)
         e_raw.append(float(ledger.energies[l]))
         e_acc.append(float(evals[0]))
-        retained.append(n_keep)
+        retained.append(evals.size)  # one reduced eigenvalue per kept S direction
     return QLanczosResult(
         np.array(betas),
         np.array(e_raw),

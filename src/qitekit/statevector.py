@@ -19,13 +19,7 @@ DEFAULT_MAX_QUBITS = 14
 DEFAULT_MAX_UNITARY_DOMAIN = 12
 DEFAULT_MAX_RDM_QUBITS = 8
 
-_SINGLE = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
-}
+_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 _BASIS_VECTORS = {
     "0": np.array([1, 0], dtype=complex),
@@ -134,40 +128,61 @@ def from_amplitudes(amplitudes: Sequence[complex]) -> StateVector:
 # Pauli application and expectation values
 
 
-@lru_cache(maxsize=4096)
-def _string_masks(n_qubits: int, items: Tuple[Tuple[int, str], ...]):
-    xmask = 0
-    yzmask = 0
-    n_y = 0
-    for qubit, letter in items:
-        if letter in ("X", "Y"):
-            xmask |= 1 << qubit
-        if letter in ("Y", "Z"):
-            yzmask |= 1 << qubit
-        if letter == "Y":
-            n_y += 1
-    return xmask, yzmask, (1j) ** n_y
+@lru_cache(maxsize=1024)
+def _pauli_masks(strings: Tuple[PauliString, ...], support: Tuple[int, ...]):
+    """Per-string (x-mask, yz-mask, i^nY) arrays with support[j] as local bit j.
+
+    sigma |j> = i^nY (-1)^popcount(j & yzmask) |j ^ xmask>.
+    """
+    pos = {q: j for j, q in enumerate(support)}
+    xmask = np.zeros(len(strings), dtype=np.int64)
+    yzmask = np.zeros(len(strings), dtype=np.int64)
+    n_y = np.zeros(len(strings), dtype=np.int64)
+    for r, string in enumerate(strings):
+        for qubit, letter in string.items:
+            if qubit not in pos:
+                raise DimensionError(f"string acts outside support: qubit {qubit}")
+            bit = 1 << pos[qubit]
+            if letter in ("X", "Y"):
+                xmask[r] |= bit
+            if letter in ("Y", "Z"):
+                yzmask[r] |= bit
+            n_y[r] += letter == "Y"
+    masks = (xmask, yzmask, (1j) ** n_y)
+    for array in masks:  # shared through the cache
+        array.flags.writeable = False
+    return masks
 
 
-def _parity(indices: np.ndarray, mask: int) -> np.ndarray:
-    out = np.zeros(indices.shape, dtype=np.int64)
-    bit = 0
-    while mask >> bit:
-        if (mask >> bit) & 1:
-            out ^= (indices >> bit) & 1
-        bit += 1
-    return out
+@lru_cache(maxsize=32)
+def _indices(dim: int) -> np.ndarray:
+    idx = np.arange(dim, dtype=np.int64)
+    idx.flags.writeable = False
+    return idx
+
+
+def _signs(src: np.ndarray, yzmask: np.ndarray) -> np.ndarray:
+    return 1 - 2 * (np.bitwise_count(src & yzmask) & 1).astype(np.int8)
+
+
+def _pauli_rows(masks, amplitudes: np.ndarray) -> np.ndarray:
+    """(P, 2^n) rows sigma_r |psi> for register-wide masks."""
+    xmask, yzmask, phase = masks
+    src = _indices(amplitudes.size) ^ xmask[:, None]
+    return phase[:, None] * (_signs(src, yzmask[:, None]) * amplitudes[src])
+
+
+def _register_masks(strings, n_qubits: int):
+    for s in strings:
+        if s.n_qubits != n_qubits:
+            raise DimensionError("Pauli string and state widths differ")
+    return _pauli_masks(tuple(strings), tuple(range(n_qubits)))
 
 
 def apply_pauli(state: StateVector, string: PauliString) -> StateVector:
     """Return sigma |psi> (norm preserved, phase kept)."""
-    if string.n_qubits != state.n_qubits:
-        raise DimensionError("Pauli string and state widths differ")
-    xmask, yzmask, phase = _string_masks(string.n_qubits, string.items)
-    idx = np.arange(state.amplitudes.size)
-    src = idx ^ xmask
-    signs = 1 - 2 * _parity(src, yzmask)
-    return StateVector(phase * signs * state.amplitudes[src], state.n_qubits)
+    masks = _register_masks((string,), state.n_qubits)
+    return StateVector(_pauli_rows(masks, state.amplitudes)[0], state.n_qubits)
 
 
 def expectation(state: StateVector, string: PauliString) -> float:
@@ -178,9 +193,11 @@ def expectation(state: StateVector, string: PauliString) -> float:
 
 def apply_pauli_sum(state: StateVector, pauli_sum) -> np.ndarray:
     """Unnormalized amplitudes of (sum_i c_i sigma_i) |psi>."""
+    pauli_sum = tuple(pauli_sum)
+    masks = _register_masks([s for _, s in pauli_sum], state.n_qubits)
     out = np.zeros_like(state.amplitudes)
-    for coeff, string in pauli_sum:
-        out += coeff * apply_pauli(state, string).amplitudes
+    for (coeff, _), row in zip(pauli_sum, _pauli_rows(masks, state.amplitudes)):
+        out += coeff * row
     return out
 
 
@@ -208,17 +225,22 @@ def dense_on_support(pauli_sum, support: Tuple[int, ...]) -> np.ndarray:
     Local bit j of the matrix index corresponds to support[j], matching the
     global least-significant-bit-first convention.
     """
-    support = tuple(support)
-    dim = 2 ** len(support)
-    out = np.zeros((dim, dim), dtype=complex)
-    for coeff, string in pauli_sum:
-        missing = set(string.support) - set(support)
-        if missing:
-            raise DimensionError(f"string acts outside support: qubits {sorted(missing)}")
-        mat = np.array([[1.0 + 0j]])
-        for q in sorted(support, reverse=True):
-            mat = np.kron(mat, _SINGLE[string.letter(q)])
-        out += coeff * mat
+    support = tuple(sorted(support))
+    pauli_sum = tuple(pauli_sum)
+    masks = _pauli_masks(tuple(s for _, s in pauli_sum), support)
+    return _dense_from_masks([c for c, _ in pauli_sum], masks, len(support))
+
+
+def _dense_from_masks(coefficients, masks, k: int) -> np.ndarray:
+    """Scatter sum_r c_r sigma_r into a 2^k x 2^k matrix, strings in order."""
+    xmask, yzmask, phase = masks
+    cols = _indices(2**k)
+    values = np.asarray(coefficients)[:, None] * (
+        phase[:, None] * _signs(cols, yzmask[:, None])
+    )
+    rows = cols ^ xmask[:, None]
+    out = np.zeros((cols.size, cols.size), dtype=complex)
+    np.add.at(out, (rows, np.broadcast_to(cols, rows.shape)), values)
     return out
 
 
@@ -350,7 +372,7 @@ def measure_collapse(state: StateVector, bases: Sequence[str], rng: np.random.Ge
     amps = state.amplitudes
     for q, basis in enumerate(bases):
         if basis == "X":
-            amps = _apply_matrix_on_support(amps, _SINGLE["H"], (q,), state.n_qubits)
+            amps = _apply_matrix_on_support(amps, _HADAMARD, (q,), state.n_qubits)
         elif basis != "Z":
             raise ValueError(f"unsupported measurement basis {basis!r}")
     probs = np.abs(amps) ** 2

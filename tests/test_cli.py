@@ -169,6 +169,25 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert "cutoff" in capsys.readouterr().err
 
 
+def test_failed_run_manifest_records_error(tmp_path):
+    cfg = {
+        "algorithm": "qlanczos",
+        "model": {"name": "heisenberg_1d", "params": {"n_qubits": 4}},
+        "qlanczos": {
+            "qite": {"dtau": 0.1, "n_steps": 4, "domain_size": 2},
+            "eig_cutoff": 10.0,
+        },
+    }
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_NUMERICAL
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"]["type"] == "NumericalError"
+    assert "cutoff" in manifest["error"]["message"]
+    assert not (out / "summary.json").exists()
+
+
 def test_seed_override_changes_sampling(tmp_path):
     cfg = {
         "algorithm": "qmetts",

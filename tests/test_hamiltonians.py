@@ -41,6 +41,9 @@ def test_to_dense_matches_oracle():
         heisenberg_1d(3, 1.0, 0.2),
         tfi_1d(3, 1.0, -0.5),
         h2_bk([0.1, 0.2, 0.3, 0.4, 0.5, 0.6]),
+        hubbard_1d_jw(2, 4.0),
+        heisenberg_long_range(4),
+        maxcut_six_vertex_instance(),
     ]:
         assert np.allclose(to_dense(h), dense_hamiltonian(h))
     with pytest.raises(ResourceError):

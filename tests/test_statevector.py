@@ -260,11 +260,23 @@ def test_apply_domain_unitary_guards():
         )
 
 
-def test_dense_on_support_convention():
+def test_dense_on_support_convention(rng):
     # support bit 0 is the first listed qubit
     mat = dense_on_support([(1.0, PauliString.from_label("IZX"))], (1, 2))
     want = np.kron(dense_string({0: "X"}, 1), dense_string({0: "Z"}, 1))
     assert np.allclose(mat, want)
+    # weighted sums with Y letters and identities on a non-contiguous support
+    support = (0, 2, 3)
+    labels = ["IIII", "YIYI", "XIZY", "IIYI", "ZIIX", "YIYY", "IIII"]
+    for _ in range(3):
+        coeffs = rng.normal(size=len(labels))
+        strings = [PauliString.from_label(label) for label in labels]
+        mat = dense_on_support(list(zip(coeffs, strings)), support)
+        want = sum(
+            c * dense_string({support.index(q): l for q, l in s.items}, 3)
+            for c, s in zip(coeffs, strings)
+        )
+        assert np.allclose(mat, want)
     with pytest.raises(DimensionError):
         dense_on_support([(1.0, PauliString.from_label("ZII"))], (1, 2))
 
