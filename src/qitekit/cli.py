@@ -40,7 +40,6 @@ from .errors import (
     DimensionError,
     NumericalError,
     PoolError,
-    QitekitError,
     ResourceError,
 )
 from .hamiltonians import (
@@ -71,6 +70,19 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 EXIT_NUMERICAL = 4
+
+# (exception types, exit code), shared by main and the manifest of a failed run
+_EXIT_CODES = (
+    ((ConfigError, DataFormatError, PoolError, DimensionError), EXIT_CONFIG),
+    ((ResourceError,), EXIT_RESOURCE),
+    ((NumericalError, np.linalg.LinAlgError), EXIT_NUMERICAL),
+)
+_HANDLED = sum((kinds for kinds, _ in _EXIT_CODES), ())
+
+
+def _exit_code(exc: BaseException) -> int:
+    return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
+
 
 DEFAULT_MAX_QUBITS = 14
 THREADS_ENV_VAR = "QITEKIT_THREADS"
@@ -434,10 +446,14 @@ def execute_run(
         tables, summary = _RUNNERS[algorithm](
             config, hamiltonian, state0, rng, max_qubits
         )
-    except (QitekitError, np.linalg.LinAlgError) as exc:
+    except _HANDLED as exc:
         manifest["status"] = "failed"
         manifest["finished_utc"] = _utc_now()
-        manifest["error"] = {"type": type(exc).__name__, "message": str(exc)}
+        manifest["error"] = {
+            "type": type(exc).__name__,
+            "message": str(exc),
+            "exit_code": _exit_code(exc),
+        }
         _write_json(out_dir / "manifest.json", manifest)
         raise
     for filename, (header, rows) in tables.items():
@@ -565,65 +581,32 @@ def cmd_compare(args) -> int:
 
 
 def _compare_rows(algorithm, run_dirs, hamiltonian, state0, e0, max_qubits):
-    if algorithm == "qite":
-        header = (
-            "run",
-            "sweep",
-            "beta",
-            "energy",
-            "e_exact_ite",
-            "delta_exact",
-            "bound_violation",
-            "delta_vs_first",
-        )
-        series = [_read_csv(Path(d) / "qite.csv") for d in run_dirs]
-        first = {row["sweep"]: float(row["energy"]) for row in series[0]}
-        rows = []
-        for run_dir, table in zip(run_dirs, series):
-            for row in table:
-                beta = float(row["beta"])
-                e = float(row["energy"])
+    if algorithm in ("qite", "qlanczos"):
+        # one row per CSV row of each run, ending in its change from the first run
+        if algorithm == "qite":
+            name, key, value = "qite.csv", "sweep", "energy"
+            columns = ("sweep", "beta", "energy", "e_exact_ite", "delta_exact", "bound_violation")
+        else:
+            name, key, value = "qlanczos.csv", "beta", "e_qlanczos"
+            columns = ("beta", "e_qite", "e_qlanczos", "bound_ok")
+
+        def cells(row):
+            if algorithm == "qite":
+                beta, e = float(row["beta"]), float(row["energy"])
                 oracle = exact_ite_energy(state0, hamiltonian, beta, max_qubits)
-                rows.append(
-                    (
-                        str(run_dir),
-                        row["sweep"],
-                        _fmt(beta),
-                        _fmt(e),
-                        _fmt(oracle),
-                        _fmt(e - oracle),
-                        str(int(e < e0 - _BOUND_TOL)),
-                        _fmt(e - first[row["sweep"]]),
-                    )
-                )
-        return header, rows
-    if algorithm == "qlanczos":
-        header = (
-            "run",
-            "beta",
-            "e_qite",
-            "e_qlanczos",
-            "bound_ok",
-            "delta_vs_first",
-        )
-        series = [_read_csv(Path(d) / "qlanczos.csv") for d in run_dirs]
-        first = {row["beta"]: float(row["e_qlanczos"]) for row in series[0]}
-        rows = []
-        for run_dir, table in zip(run_dirs, series):
-            for row in table:
-                eq = float(row["e_qite"])
-                el = float(row["e_qlanczos"])
-                rows.append(
-                    (
-                        str(run_dir),
-                        row["beta"],
-                        _fmt(eq),
-                        _fmt(el),
-                        str(int(el <= eq + _BOUND_TOL)),
-                        _fmt(el - first[row["beta"]]),
-                    )
-                )
-        return header, rows
+                violation = str(int(e < e0 - _BOUND_TOL))
+                return row["sweep"], _fmt(beta), _fmt(e), _fmt(oracle), _fmt(e - oracle), violation
+            eq, el = float(row["e_qite"]), float(row["e_qlanczos"])
+            return row["beta"], _fmt(eq), _fmt(el), str(int(el <= eq + _BOUND_TOL))
+
+        series = [_read_csv(Path(d) / name) for d in run_dirs]
+        first = {row[key]: float(row[value]) for row in series[0]}
+        rows = [
+            (str(run_dir), *cells(row), _fmt(float(row[value]) - first[row[key]]))
+            for run_dir, table in zip(run_dirs, series)
+            for row in table
+        ]
+        return ("run",) + columns + ("delta_vs_first",), rows
     header = ("run", "beta", "mean", "stderr_block", "gibbs_exact", "delta", "within_3_stderr")
     rows = []
     for run_dir in run_dirs:
@@ -707,15 +690,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataFormatError, PoolError, DimensionError) as exc:
+    except _HANDLED as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ResourceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (NumericalError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -9,7 +9,7 @@ a regularized least-squares solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,10 +21,11 @@ from .statevector import (
     StateVector,
     _apply_matrix_on_support,
     _dense_from_masks,
+    _hermitian_eig,
     _pauli_masks,
     _pauli_rows,
-    apply_pauli_sum,
-    apply_term_exp,
+    _support_major,
+    fidelity,
 )
 
 B_MODES = ("measurable", "exact_delta0")
@@ -158,19 +159,24 @@ def _contiguous_blocks(qubits: List[int]) -> List[Tuple[int, int]]:
 @dataclass
 class _TermPlan:
     index: int
-    term: LocalTerm
     domain: Tuple[int, ...]
     unitary_support: Tuple[int, ...]
-    masks: Tuple[np.ndarray, ...]  # (x, yz, i^nY) per string over the register
-    local_masks: Tuple[np.ndarray, ...]  # the same over the unitary support
+    local_masks: Tuple[np.ndarray, ...]  # (x, yz, i^nY) per string over the support
+    h_eig: Tuple[np.ndarray, np.ndarray]  # eigh of the term on the support
 
 
-def _plan_for_term(
-    index: int, term: LocalTerm, config: QiteConfig, n_qubits: int
-) -> _TermPlan:
-    domain = choose_domain(term.support, config.domain_size, n_qubits)
-    strings = enumerate_pool(OperatorPool(config.pool_kind, domain), n_qubits)
-    return _build_plan(index, term, domain, strings, n_qubits, config.max_unitary_domain)
+def _term_plans(
+    terms: Sequence[LocalTerm], config: QiteConfig, n_qubits: int, first_index: int = 0
+) -> List[_TermPlan]:
+    """Plans for ``terms`` numbered from ``first_index``, one pool per domain."""
+    pools = {}
+    plans = []
+    for index, term in enumerate(terms, first_index):
+        domain = choose_domain(term.support, config.domain_size, n_qubits)
+        if domain not in pools:
+            pools[domain] = enumerate_pool(OperatorPool(config.pool_kind, domain), n_qubits)
+        plans.append(_build_plan(index, term, domain, pools[domain], config))
+    return plans
 
 
 def _build_plan(
@@ -178,26 +184,23 @@ def _build_plan(
     term: LocalTerm,
     domain: Tuple[int, ...],
     strings: List[PauliString],
-    n_qubits: int,
-    max_unitary_domain: int,
+    config: QiteConfig,
 ) -> _TermPlan:
-    support = set(domain)
+    support = set(domain) | set(term.support)
     for s in strings:
         support.update(s.support)
     support = tuple(sorted(support))
-    if len(support) > max_unitary_domain:
+    if len(support) > config.max_unitary_domain:
         raise ResourceError(
             f"term {index}: unitary support of {len(support)} qubits exceeds "
-            f"ceiling {max_unitary_domain}"
+            f"ceiling {config.max_unitary_domain}"
         )
-    strings = tuple(strings)
     return _TermPlan(
         index,
-        term,
         domain,
         support,
-        _pauli_masks(strings, tuple(range(n_qubits))),
-        _pauli_masks(strings, support),
+        _pauli_masks(tuple(strings), support),
+        _hermitian_eig(tuple(term.pauli_sum), support),
     )
 
 
@@ -212,23 +215,34 @@ def _assemble(
     config: QiteConfig,
     rng: Optional[np.random.Generator],
 ):
-    """Return (sigma_psi, bvec, c) for one step; noise perturbs raw values."""
-    psi = state.amplitudes
-    c_rows = _pauli_rows(plan.masks, psi)
+    """Return (c_rows, bvec, c) for one step; noise perturbs raw values.
+
+    S and b are expectations of operators inside the unitary support D, so
+    they depend on psi only through rho_D = L L^dagger, with L = psi as a
+    (2^|D|, 2^(n-|D|)) matrix.  A wide L is replaced by the square R^dagger
+    from L^dagger = QR, which has the same rho_D; the rows of C are sigma_I
+    applied to that factor, and h acts on it through its eigenbasis on D.
+    """
     noisy = config.noise_sigma > 0
     if noisy and rng is None:
         raise ConfigError("noise_sigma > 0 requires a random generator")
+    factor = _support_major(state.amplitudes, plan.unitary_support, state.n_qubits)
+    if factor.shape[1] > factor.shape[0]:
+        factor = np.linalg.qr(factor.conj().T, mode="r").conj().T
+    c_rows = _pauli_rows(plan.local_masks, factor).reshape(len(plan.local_masks[0]), -1)
+    evals, evecs = plan.h_eig
+    rotated = evecs.conj().T @ factor
 
     if config.b_mode == "exact_delta0":
-        propagated, c = apply_term_exp(state, plan.term, dtau)
-        delta0 = (propagated.amplitudes - psi) / dtau
-        raw = (c_rows.conj() @ delta0).imag
-        bvec = 2.0 * raw
+        propagated = evecs @ (np.exp(-dtau * evals)[:, None] * rotated)
+        c = float(np.vdot(propagated, propagated).real)
+        delta0 = (propagated / math.sqrt(c) - factor) / dtau
+        bvec = 2.0 * (c_rows.conj() @ delta0.reshape(-1)).imag
         if noisy:
             bvec = bvec + rng.normal(0.0, config.noise_sigma, bvec.shape)
     else:
-        hpsi = apply_pauli_sum(state, plan.term.pauli_sum)
-        h_exp = float(np.vdot(psi, hpsi).real)
+        hfactor = evecs @ (evals[:, None] * rotated)
+        h_exp = float(np.vdot(factor, hfactor).real)
         if noisy:
             h_exp += float(rng.normal(0.0, config.noise_sigma))
         c = 1.0 - 2.0 * dtau * h_exp
@@ -236,7 +250,7 @@ def _assemble(
             raise NumericalError(
                 f"first-order norm estimate c={c:g} is not positive; reduce dtau"
             )
-        raw = (c_rows.conj() @ hpsi).imag
+        raw = (c_rows.conj() @ hfactor.reshape(-1)).imag
         if noisy:
             raw = raw + rng.normal(0.0, config.noise_sigma, raw.shape)
         bvec = -2.0 * raw
@@ -262,9 +276,7 @@ def build_linear_system(
     """
     config = config or QiteConfig()
     strings = enumerate_pool(pool, state.n_qubits)
-    plan = _build_plan(
-        0, term, tuple(pool.domain), strings, state.n_qubits, config.max_unitary_domain
-    )
+    plan = _build_plan(0, term, tuple(pool.domain), strings, config)
     c_rows, bvec, c = _assemble(plan, state, dtau, config, rng)
     return _overlap_matrix(c_rows, config.noise_sigma, rng), bvec, c
 
@@ -304,15 +316,22 @@ def _solve_factored(
 ):
     """Same solution as solve_step on Smat = 2 Re(C* C^T), without forming it.
 
-    With W = [Re C | Im C] the symmetrized overlap matrix equals 2 W W^T,
-    whose eigenvectors are the left singular vectors of W.  b lies in the
-    range of W for noiseless assemblies, so null directions never
-    contribute.
+    With W = [Re C | Im C], Smat = 2 W W^T, whose eigenvectors are the left
+    singular vectors u of W.  They come from eigh of the smaller Gram matrix:
+    W W^T, or W^T W = V s^2 V^T with u = W v / s when W is tall, dropping the
+    directions whose s^2 is roundoff.  b lies in the range of W for noiseless
+    assemblies, so null directions never contribute.  The Gram matrix squares
+    the singular values, which is safe while pinv_tol is far above roundoff.
     """
     w = np.concatenate([c_rows.real, c_rows.imag], axis=1)
-    u, sing, _ = np.linalg.svd(w, full_matrices=False)
-    lam = 2.0 * sing**2 + delta
-    lam_max = float(lam[0]) if lam.size else 0.0
+    if w.shape[0] <= w.shape[1]:
+        s2, u = np.linalg.eigh(w @ w.T)
+    else:
+        s2, v = np.linalg.eigh(w.T @ w)
+        live = s2 > 1e-14 * s2[-1]
+        s2, u = s2[live], (w @ v[:, live]) / np.sqrt(s2[live])
+    lam = 2.0 * s2 + delta
+    lam_max = float(lam[-1]) if lam.size else 0.0
     if lam_max <= 0.0:
         return np.zeros(bvec.size), float(np.linalg.norm(bvec))
     keep = lam >= pinv_tol * lam_max
@@ -368,7 +387,7 @@ def qite_step(
 ) -> Tuple[StateVector, StepRecord]:
     """One reconstruction step for a single Hamiltonian term."""
     config.validate()
-    plan = _plan_for_term(term_index, term, config, state.n_qubits)
+    (plan,) = _term_plans([term], config, state.n_qubits, term_index)
     return _run_step(state, plan, config.dtau if dtau is None else dtau, config, rng)
 
 
@@ -396,16 +415,18 @@ def qite_evolve(
     config.validate()
     if state0.n_qubits != hamiltonian.n_qubits:
         raise DimensionError("state and Hamiltonian widths differ")
-    plans = [
-        _plan_for_term(m, term, config, hamiltonian.n_qubits)
-        for m, term in enumerate(hamiltonian.terms)
-    ]
+    plans = _term_plans(hamiltonian.terms, config, hamiltonian.n_qubits)
+    return _evolve(state0, hamiltonian, plans, config, rng, reference, on_sweep)
+
+
+def _evolve(state0, hamiltonian, plans, config, rng=None, reference=None, on_sweep=None):
+    """qite_evolve on prebuilt plans, so repeated evolutions share them."""
     schedule = _sweep_schedule(len(plans), config)
 
     state = state0
     energies = [energy(state, hamiltonian)]
     inv_sq_norms = [1.0]
-    fidelities = [None] if reference is None else [_fid(state, reference)]
+    fidelities = [None] if reference is None else [fidelity(state, reference)]
     records: List[StepRecord] = []
     for sweep in range(config.n_steps):
         prod_c = 1.0
@@ -416,7 +437,7 @@ def qite_evolve(
         inv_sq_norms.append(inv_sq_norms[-1] * prod_c)
         energies.append(energy(state, hamiltonian))
         if reference is not None:
-            fidelities.append(_fid(state, reference))
+            fidelities.append(fidelity(state, reference))
         if on_sweep is not None:
             on_sweep(sweep + 1, state)
     betas = config.dtau * np.arange(config.n_steps + 1)
@@ -429,9 +450,3 @@ def qite_evolve(
         fidelities=None if reference is None else np.array(fidelities, dtype=float),
         final_state=state,
     )
-
-
-def _fid(state: StateVector, reference: StateVector) -> float:
-    from .statevector import fidelity
-
-    return fidelity(state, reference)

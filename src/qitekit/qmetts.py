@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 from .hamiltonians import Hamiltonian, energy
-from .qite import QiteConfig, qite_evolve
+from .qite import QiteConfig, _evolve, _term_plans
 from .statevector import StateVector, measure_collapse, product_state
 
 BASIS_CYCLES = ("alternating", "z_only")
@@ -107,6 +107,7 @@ def metts_chain(
         raise DimensionError("observable qubit count differs from Hamiltonian")
     steps = config.n_steps_per_sample()
     qite_config = dataclasses.replace(config.qite, n_steps=steps)
+    plans = _term_plans(hamiltonian.terms, qite_config, n) if steps > 0 else []
 
     bits = rng.integers(0, 2, size=n)
     label = "".join("1" if b else "0" for b in bits)
@@ -114,7 +115,7 @@ def metts_chain(
     for k in range(1, config.n_samples + 1):
         state = product_state(label, n)
         if steps > 0:
-            state = qite_evolve(state, hamiltonian, qite_config).final_state
+            state = _evolve(state, hamiltonian, plans, qite_config).final_state
         value = energy(state, obs)
         bases = _collapse_bases(k, n, config.basis_cycle)
         next_label, _ = measure_collapse(state, bases, rng)

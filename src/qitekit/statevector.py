@@ -166,10 +166,12 @@ def _signs(src: np.ndarray, yzmask: np.ndarray) -> np.ndarray:
 
 
 def _pauli_rows(masks, amplitudes: np.ndarray) -> np.ndarray:
-    """(P, 2^n) rows sigma_r |psi> for register-wide masks."""
+    """(P, *amplitudes.shape) stack of sigma_r rows acting on the leading axis."""
     xmask, yzmask, phase = masks
-    src = _indices(amplitudes.size) ^ xmask[:, None]
-    return phase[:, None] * (_signs(src, yzmask[:, None]) * amplitudes[src])
+    src = _indices(amplitudes.shape[0]) ^ xmask[:, None]
+    shaped = amplitudes.reshape(amplitudes.shape[0], -1)
+    rows = phase[:, None, None] * (_signs(src, yzmask[:, None])[..., None] * shaped[src])
+    return rows.reshape((xmask.size,) + amplitudes.shape)
 
 
 def _register_masks(strings, n_qubits: int):
@@ -244,18 +246,27 @@ def _dense_from_masks(coefficients, masks, k: int) -> np.ndarray:
     return out
 
 
+def _support_axes(support: Sequence[int], n_qubits: int) -> List[int]:
+    # tensor axis of qubit q is n-1-q; most significant local bit first
+    return [n_qubits - 1 - q for q in sorted(support, reverse=True)]
+
+
+def _support_major(
+    amps: np.ndarray, support: Sequence[int], n_qubits: int
+) -> np.ndarray:
+    """(2^k, 2^(n-k)) matrix of ``amps``: the row is the local index over
+    ``support`` (support[j] as bit j), the column indexes the other qubits."""
+    tensor = amps.reshape((2,) * n_qubits)
+    tensor = np.moveaxis(tensor, _support_axes(support, n_qubits), range(len(support)))
+    return tensor.reshape(2 ** len(support), -1)
+
+
 def _apply_matrix_on_support(
     amps: np.ndarray, mat: np.ndarray, support: Tuple[int, ...], n_qubits: int
 ) -> np.ndarray:
-    k = len(support)
-    tensor = amps.reshape((2,) * n_qubits)
-    # tensor axis of qubit q is n-1-q; most significant local bit first
-    moved = [n_qubits - 1 - q for q in sorted(support, reverse=True)]
-    tensor = np.moveaxis(tensor, moved, range(k))
-    shaped = tensor.reshape(2**k, -1)
-    shaped = mat @ shaped
+    shaped = mat @ _support_major(amps, support, n_qubits)
     tensor = shaped.reshape((2,) * n_qubits)
-    tensor = np.moveaxis(tensor, range(k), moved)
+    tensor = np.moveaxis(tensor, range(len(support)), _support_axes(support, n_qubits))
     return tensor.reshape(-1)
 
 
@@ -350,11 +361,7 @@ def reduced_density_matrix(
         raise ResourceError(
             f"reduced density matrix on {len(qubits)} qubits exceeds ceiling {max_qubits}"
         )
-    k = len(qubits)
-    tensor = state.amplitudes.reshape((2,) * state.n_qubits)
-    moved = [state.n_qubits - 1 - q for q in sorted(qubits, reverse=True)]
-    tensor = np.moveaxis(tensor, moved, range(k))
-    shaped = tensor.reshape(2**k, -1)
+    shaped = _support_major(state.amplitudes, qubits, state.n_qubits)
     rho = shaped @ shaped.conj().T
     return DensityMatrix(rho, qubits)
 

@@ -184,8 +184,22 @@ def test_failed_run_manifest_records_error(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "failed"
     assert manifest["error"]["type"] == "NumericalError"
+    assert manifest["error"]["exit_code"] == EXIT_NUMERICAL
     assert "cutoff" in manifest["error"]["message"]
     assert not (out / "summary.json").exists()
+    # a resource refusal inside the runner records its own exit code
+    cfg = {
+        "algorithm": "qite",
+        "model": {"name": "heisenberg_1d", "params": {"n_qubits": 4}},
+        "qite": {"n_steps": 1, "domain_size": 3, "max_unitary_domain": 2},
+    }
+    path = write_config(tmp_path, cfg, "resource.json")
+    out = tmp_path / "resource"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_RESOURCE
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"]["type"] == "ResourceError"
+    assert manifest["error"]["exit_code"] == EXIT_RESOURCE
 
 
 def test_seed_override_changes_sampling(tmp_path):

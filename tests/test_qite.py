@@ -9,6 +9,7 @@ from qitekit.hamiltonians import energy, heisenberg_1d, one_qubit_field, tfi_1d
 from qitekit.pauli import OperatorPool, PauliString, enumerate_pool, multiply
 from qitekit.qite import (
     QiteConfig,
+    _solve_factored,
     build_linear_system,
     choose_domain,
     qite_evolve,
@@ -16,6 +17,11 @@ from qitekit.qite import (
     solve_step,
 )
 from qitekit.statevector import (
+    StateVector,
+    _pauli_masks,
+    _pauli_rows,
+    apply_pauli_sum,
+    apply_term_exp,
     expectation,
     fidelity,
     neel_state,
@@ -23,6 +29,8 @@ from qitekit.statevector import (
     product_state,
     zero_state,
 )
+
+from conftest import random_state
 
 
 # --------------------------------------------------------------- domains
@@ -178,7 +186,7 @@ def test_solve_step_rank_deficient():
 
 
 def test_factored_solver_matches_dense_path(rng):
-    # same run with noise_sigma=0 (factored SVD) and via explicit solve_step
+    # same run with noise_sigma=0 (factored Gram solve) and via explicit solve_step
     h = heisenberg_1d(3)
     state = neel_state(3)
     pool = OperatorPool("pauli_odd_y", (0, 1))
@@ -187,6 +195,90 @@ def test_factored_solver_matches_dense_path(rng):
     dense_coeffs, _ = solve_step(smat, bvec, cfg.delta, cfg.pinv_tol)
     _, record = qite_step(state, h.terms[0], cfg, term_index=0)
     assert np.allclose(record.coefficients, dense_coeffs, atol=1e-10)
+
+
+def _register_system(state, term, strings, dtau, b_mode):
+    """S and b from register-wide sigma_I |psi> rows and register-wide h."""
+    rows = _pauli_rows(
+        _pauli_masks(tuple(strings), tuple(range(state.n_qubits))), state.amplitudes
+    )
+    smat = 2.0 * (rows.conj() @ rows.T).real
+    if b_mode == "exact_delta0":
+        propagated, _ = apply_term_exp(state, term, dtau)
+        delta0 = (propagated.amplitudes - state.amplitudes) / dtau
+        return smat, 2.0 * (rows.conj() @ delta0).imag
+    hpsi = apply_pauli_sum(state, term.pauli_sum)
+    c = 1.0 - 2.0 * dtau * np.vdot(state.amplitudes, hpsi).real
+    return smat, -2.0 * (rows.conj() @ hpsi).imag / np.sqrt(c)
+
+
+@pytest.mark.parametrize("b_mode", ["measurable", "exact_delta0"])
+def test_domain_factor_system_matches_register_rows(rng, b_mode):
+    # S and b depend on psi only through the reduced state on the unitary
+    # support, so the domain factor must reproduce the register-wide system
+    cases = [
+        (tfi_1d(3, 1.0, 0.7), 0, "pauli_full", (0, 1)),
+        (heisenberg_1d(5), -1, "pauli_odd_y", (2, 3, 4)),  # end of the chain
+        (heisenberg_1d(6), -1, "pauli_full", (4, 5)),  # wider than tall: QR
+        (heisenberg_1d(6), -1, "pauli_odd_y", (0, 1)),  # term outside the domain
+        (heisenberg_1d(5), 0, "fermionic_number_conserving", (0, 2)),  # tail on 1
+        (heisenberg_1d(6), 1, "fermionic_number_conserving", (1, 4)),
+    ]
+    for h, term_index, kind, domain in cases:
+        n = h.n_qubits
+        state = StateVector(random_state(n, rng), n)
+        term = h.terms[term_index]
+        pool = OperatorPool(kind, domain)
+        cfg = QiteConfig(b_mode=b_mode)
+        smat, bvec, _ = build_linear_system(state, term, pool, 0.05, cfg)
+        smat_ref, bvec_ref = _register_system(
+            state, term, enumerate_pool(pool, n), 0.05, b_mode
+        )
+        assert np.max(np.abs(smat - smat_ref)) < 1e-12, (n, kind, domain)
+        assert np.max(np.abs(bvec - bvec_ref)) < 1e-12, (n, kind, domain)
+
+
+def _real_rows(rng, p, m, rank=None):
+    """Complex rows C whose W = [Re C | Im C] has the given rank."""
+    w = rng.normal(size=(p, 2 * m))
+    if rank is not None:
+        w = rng.normal(size=(p, rank)) @ rng.normal(size=(rank, 2 * m))
+    return w[:, :m] + 1j * w[:, m:], w
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.3])
+@pytest.mark.parametrize(
+    "p, m, rank",
+    [(6, 8, None), (12, 6, None), (20, 4, None), (20, 6, 5)],
+    ids=["wide", "square", "tall", "tall-rank-deficient"],
+)
+def test_gram_solve_matches_pseudoinverse(rng, p, m, rank, delta):
+    # the Gram eigh squares the singular values; at the default pinv_tol
+    # (no shipped config sets another) it must still match the pseudoinverse
+    c_rows, w = _real_rows(rng, p, m, rank)
+    # a noiseless b lies in the range of W; a wide W spans every b
+    bvec = rng.normal(size=p) if p <= 2 * m else w @ rng.normal(size=2 * m)
+    pinv_tol = QiteConfig().pinv_tol
+    expected, expected_res = solve_step(2.0 * w @ w.T, bvec, delta, pinv_tol)
+    coefficients, residual = _solve_factored(c_rows, bvec, delta, pinv_tol)
+    assert np.max(np.abs(coefficients - expected)) < 1e-10
+    assert abs(residual - expected_res) < 1e-10
+
+
+def test_pools_enumerated_once_per_domain(monkeypatch):
+    import qitekit.qite as qite_module
+
+    calls = []
+    original = qite_module.enumerate_pool
+    monkeypatch.setattr(
+        qite_module,
+        "enumerate_pool",
+        lambda pool, n: calls.append(pool.domain) or original(pool, n),
+    )
+    h = heisenberg_1d(5)
+    qite_evolve(neel_state(5), h, QiteConfig(n_steps=1, domain_size=4))
+    # bonds (0,1) and (1,2) grow to (0..3); (2,3) and (3,4) to (1..4)
+    assert sorted(calls) == [(0, 1, 2, 3), (1, 2, 3, 4)]
 
 
 def test_config_validation():

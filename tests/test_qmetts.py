@@ -27,6 +27,23 @@ def test_config_validation():
         MettsConfig(beta=1.0, n_samples=30, qite=QiteConfig(dtau=0.3)).validate()
 
 
+def test_chain_enumerates_each_pool_once(monkeypatch):
+    import qitekit.qite as qite_module
+
+    calls = []
+    original = qite_module.enumerate_pool
+    monkeypatch.setattr(
+        qite_module,
+        "enumerate_pool",
+        lambda pool, n: calls.append(pool.domain) or original(pool, n),
+    )
+    config = MettsConfig(beta=0.4, n_samples=10, n_warmup=2,
+                         qite=QiteConfig(dtau=0.1, domain_size=3))
+    metts_chain(heisenberg_1d(4), config, np.random.default_rng(0))
+    # plans are built once per chain, not once per sample
+    assert sorted(calls) == [(0, 1, 2), (1, 2, 3)]
+
+
 def test_block_error_constant_series():
     mean, err = block_error(np.full(32, 1.75))
     assert mean == 1.75
