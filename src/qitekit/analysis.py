@@ -8,7 +8,7 @@ diagnostics, and closed-form measurement-count estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -20,16 +20,80 @@ from .statevector import StateVector, reduced_density_matrix
 DENSE_LIMIT = 14
 
 
+def _times(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """matrix @ vector, without casting a real matrix to complex."""
+    if np.iscomplexobj(matrix) or not np.iscomplexobj(vector):
+        return matrix @ vector
+    pairs = np.ascontiguousarray(vector).view(np.float64).reshape(-1, 2)
+    return np.ascontiguousarray(matrix @ pairs).view(complex).reshape(-1)
+
+
+def _checked(total: float) -> float:
+    if total == 0 or not np.isfinite(total):
+        raise NumericalError("imaginary-time weights vanished or overflowed")
+    return total
+
+
 @dataclass
 class SpectralDecomposition:
-    """Eigenvalues (ascending, offset included) and eigenvector columns."""
+    """Eigenvalues (ascending, offset included) and eigenvector columns.
+
+    ``evecs`` is float64 when the Hamiltonian's matrix is real (every string
+    has an even number of Y letters), complex otherwise.
+    """
 
     evals: np.ndarray
     evecs: np.ndarray
 
+    def coefficients(self, state: StateVector, n_columns: Optional[int] = None) -> np.ndarray:
+        """<v_k|psi> for the first ``n_columns`` eigenvectors (all by default)."""
+        basis = self.evecs[:, :n_columns]
+        basis = basis.conj().T if np.iscomplexobj(basis) else basis.T
+        return _times(basis, state.amplitudes)
+
+    def ground_fidelity(self, state: StateVector, degeneracy_tol: float) -> float:
+        """Mass of ``state`` on the eigenvectors within ``degeneracy_tol`` of E0."""
+        n_ground = int(np.count_nonzero(self.evals <= self.evals[0] + degeneracy_tol))
+        return float(np.sum(np.abs(self.coefficients(state, n_ground)) ** 2))
+
+    def _shifted(self, beta: float) -> np.ndarray:
+        """e^{-beta (E_k - E0)}: shifted by E0 so large beta stays finite."""
+        return np.exp(-beta * (self.evals - self.evals[0]))
+
+    def ite(self, state0: StateVector, beta: float) -> StateVector:
+        """Normalized e^{-beta H} |psi0>."""
+        if beta < 0:
+            raise ValueError("beta must be non-negative")
+        coeffs = self.coefficients(state0) * self._shifted(beta)
+        norm = _checked(np.linalg.norm(coeffs))
+        return StateVector(_times(self.evecs, coeffs / norm), state0.n_qubits)
+
+    def ite_energy(self, state0: StateVector, beta: float) -> float:
+        """Energy of the normalized e^{-beta H} |psi0>."""
+        weights = np.abs(self.coefficients(state0)) ** 2 * self._shifted(2.0 * beta)
+        return float((weights @ self.evals) / _checked(weights.sum()))
+
+    def ite_squared_norm(self, state0: StateVector, beta: float) -> float:
+        """|| e^{-beta H} |psi0> ||^2 without eigenvalue shifting (may be huge)."""
+        weights = np.exp(-2.0 * beta * self.evals)
+        return float(np.sum(np.abs(self.coefficients(state0)) ** 2 * weights))
+
+    def gibbs(self, beta: float, observable: Optional[np.ndarray] = None) -> float:
+        """Tr[O e^{-beta H}] / Tr[e^{-beta H}] for a dense O, defaulting to H itself."""
+        if beta < 0:
+            raise ValueError("beta must be non-negative")
+        weights = self._shifted(beta)
+        if observable is None:
+            return float((weights @ self.evals) / weights.sum())
+        diag = np.einsum("ik,ij,jk->k", self.evecs.conj(), observable, self.evecs).real
+        return float((weights @ diag) / weights.sum())
+
 
 def spectral(hamiltonian: Hamiltonian, max_qubits: int = DENSE_LIMIT) -> SpectralDecomposition:
+    """Full diagonalization of H, in float64 when its matrix has no imaginary part."""
     mat = to_dense(hamiltonian, max_qubits=max_qubits)
+    if not mat.imag.any():
+        mat = mat.real.copy()  # drops the complex matrix before eigh
     evals, evecs = np.linalg.eigh(mat)
     return SpectralDecomposition(evals, evecs)
 
@@ -44,81 +108,42 @@ def exact_ground(
 
 
 def ground_space_fidelity(
-    state: StateVector,
-    hamiltonian: Hamiltonian,
-    degeneracy_tol: float = 1e-10,
+    state: StateVector, hamiltonian: Hamiltonian, degeneracy_tol: float = 1e-10,
     max_qubits: int = DENSE_LIMIT,
 ) -> float:
     """Probability mass of ``state`` inside the (possibly degenerate) ground space."""
-    dec = spectral(hamiltonian, max_qubits=max_qubits)
-    mask = dec.evals <= dec.evals[0] + degeneracy_tol
-    overlaps = dec.evecs[:, mask].conj().T @ state.amplitudes
-    return float(np.sum(np.abs(overlaps) ** 2))
+    return spectral(hamiltonian, max_qubits).ground_fidelity(state, degeneracy_tol)
 
 
 def exact_ite(
-    state0: StateVector,
-    hamiltonian: Hamiltonian,
-    beta: float,
-    max_qubits: int = DENSE_LIMIT,
+    state0: StateVector, hamiltonian: Hamiltonian, beta: float, max_qubits: int = DENSE_LIMIT
 ) -> StateVector:
-    """Normalized e^{-beta H} |psi0> by spectral decomposition.
-
-    Weights are shifted by the minimum eigenvalue before exponentiation so
-    large beta stays finite.
-    """
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
-    dec = spectral(hamiltonian, max_qubits=max_qubits)
-    coeffs = dec.evecs.conj().T @ state0.amplitudes
-    coeffs = coeffs * np.exp(-beta * (dec.evals - dec.evals[0]))
-    norm = np.linalg.norm(coeffs)
-    if norm == 0 or not np.isfinite(norm):
-        raise NumericalError("imaginary-time weights vanished or overflowed")
-    amps = dec.evecs @ (coeffs / norm)
-    return StateVector(amps, state0.n_qubits)
+    """Normalized e^{-beta H} |psi0> by spectral decomposition."""
+    return spectral(hamiltonian, max_qubits).ite(state0, beta)
 
 
 def exact_ite_energy(
     state0: StateVector, hamiltonian: Hamiltonian, beta: float, max_qubits: int = DENSE_LIMIT
 ) -> float:
-    dec = spectral(hamiltonian, max_qubits=max_qubits)
-    coeffs = dec.evecs.conj().T @ state0.amplitudes
-    weights = np.abs(coeffs) ** 2 * np.exp(-2.0 * beta * (dec.evals - dec.evals[0]))
-    total = weights.sum()
-    if total == 0 or not np.isfinite(total):
-        raise NumericalError("imaginary-time weights vanished or overflowed")
-    return float((weights @ dec.evals) / total)
+    return spectral(hamiltonian, max_qubits).ite_energy(state0, beta)
 
 
 def exact_ite_squared_norm(
     state0: StateVector, hamiltonian: Hamiltonian, beta: float, max_qubits: int = DENSE_LIMIT
 ) -> float:
     """|| e^{-beta H} |psi0> ||^2 without eigenvalue shifting (may be huge)."""
-    dec = spectral(hamiltonian, max_qubits=max_qubits)
-    coeffs = dec.evecs.conj().T @ state0.amplitudes
-    return float(np.sum(np.abs(coeffs) ** 2 * np.exp(-2.0 * beta * dec.evals)))
+    return spectral(hamiltonian, max_qubits).ite_squared_norm(state0, beta)
 
 
 def gibbs_average(
-    hamiltonian: Hamiltonian,
-    beta: float,
-    observable: Optional[Hamiltonian] = None,
+    hamiltonian: Hamiltonian, beta: float, observable: Optional[Hamiltonian] = None,
     max_qubits: int = DENSE_LIMIT,
 ) -> float:
     """Tr[O e^{-beta H}] / Tr[e^{-beta H}] with O defaulting to H itself."""
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
-    dec = spectral(hamiltonian, max_qubits=max_qubits)
-    weights = np.exp(-beta * (dec.evals - dec.evals[0]))
-    z = weights.sum()
-    if observable is None:
-        return float((weights @ dec.evals) / z)
-    if observable.n_qubits != hamiltonian.n_qubits:
+    if observable is not None and observable.n_qubits != hamiltonian.n_qubits:
         raise DimensionError("observable width differs from Hamiltonian")
-    obs = to_dense(observable, max_qubits=max_qubits)
-    diag = np.einsum("ik,ij,jk->k", dec.evecs.conj(), obs, dec.evecs).real
-    return float((weights @ diag) / z)
+    obs = None if observable is None else to_dense(observable, max_qubits=max_qubits)
+    return spectral(hamiltonian, max_qubits).gibbs(beta, obs)
 
 
 # ---------------------------------------------------------------------------
@@ -134,13 +159,21 @@ def _entropy(rho: np.ndarray) -> float:
 
 def mutual_information(state: StateVector, i: int, j: int) -> float:
     """I(i:j) = S(i) + S(j) - S(ij) with natural-log entropies."""
-    if i == j:
+    return _mutual_information_pairs(state, [(i, j)])[0]
+
+
+def _mutual_information_pairs(state: StateVector, pairs) -> List[float]:
+    """I(i:j) for each pair, computing each one-site entropy once."""
+    if any(i == j for i, j in pairs):
         raise DimensionError("mutual information needs two distinct qubits")
-    lo, hi = min(i, j), max(i, j)
-    s_i = _entropy(reduced_density_matrix(state, (lo,)).matrix)
-    s_j = _entropy(reduced_density_matrix(state, (hi,)).matrix)
-    s_ij = _entropy(reduced_density_matrix(state, (lo, hi)).matrix)
-    return s_i + s_j - s_ij
+    qubits = sorted({q for pair in pairs for q in pair})
+    single = {q: _entropy(reduced_density_matrix(state, (q,)).matrix) for q in qubits}
+    out = []
+    for i, j in pairs:
+        lo, hi = min(i, j), max(i, j)
+        s_ij = _entropy(reduced_density_matrix(state, (lo, hi)).matrix)
+        out.append(single[lo] + single[hi] - s_ij)
+    return out
 
 
 # ---------------------------------------------------------------------------

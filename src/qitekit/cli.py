@@ -11,6 +11,7 @@ import argparse
 import concurrent.futures
 import csv
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -26,11 +27,8 @@ import numpy as np
 from . import __version__
 from .analysis import (
     CostQuery,
+    _mutual_information_pairs,
     _pool_size,
-    exact_ite,
-    exact_ite_energy,
-    gibbs_average,
-    mutual_information,
     qite_measurement_count,
     spectral,
 )
@@ -216,6 +214,15 @@ def build_initial_state(config: dict, n_qubits: int, max_qubits: int) -> StateVe
     raise ConfigError(f"unknown initial state {choice!r}")
 
 
+def _model_and_state(config: dict, max_qubits: int) -> Tuple[Hamiltonian, StateVector]:
+    hamiltonian = build_model(config["model"])
+    if hamiltonian.n_qubits > max_qubits:
+        raise ResourceError(
+            f"model needs {hamiltonian.n_qubits} qubits, limit is {max_qubits}"
+        )
+    return hamiltonian, build_initial_state(config, hamiltonian.n_qubits, max_qubits)
+
+
 def _qite_config(block: Optional[dict]) -> QiteConfig:
     config = QiteConfig(**(block or {}))
     config.validate()
@@ -248,23 +255,14 @@ def _utc_now() -> str:
 
 
 # ---------------------------------------------------------------------------
-# per-algorithm runners
+# per-algorithm runners; each takes the run's one SpectralDecomposition of H
+# (None for count) in place of its own diagonalizations
 
 
-def _ground_projector(hamiltonian: Hamiltonian, max_qubits: int):
-    dec = spectral(hamiltonian, max_qubits=max_qubits)
-    ground = dec.evecs[:, dec.evals <= dec.evals[0] + _BOUND_TOL]
-    e0 = float(dec.evals[0])
-    return e0, ground
-
-
-def _run_qite(config, hamiltonian, state0, rng, max_qubits):
+def _run_qite(config, hamiltonian, state0, rng, dec):
     qite_cfg = _qite_config(config.get("qite"))
-    e0, ground = _ground_projector(hamiltonian, max_qubits)
-
-    def fid(state: StateVector) -> float:
-        return float(np.sum(np.abs(ground.conj().T @ state.amplitudes) ** 2))
-
+    e0 = float(dec.evals[0])
+    fid = functools.partial(dec.ground_fidelity, degeneracy_tol=_BOUND_TOL)
     fidelities = [fid(state0)]
     trajectory = qite_evolve(
         state0,
@@ -291,7 +289,7 @@ def _run_qite(config, hamiltonian, state0, rng, max_qubits):
     return {"qite.csv": (("sweep", "beta", "energy", "fidelity_opt"), rows)}, summary
 
 
-def _run_qlanczos(config, hamiltonian, state0, rng, max_qubits):
+def _run_qlanczos(config, hamiltonian, state0, rng, dec):
     block = config.get("qlanczos", {})
     qite_cfg = _qite_config(block.get("qite"))
     result = qlanczos_run(
@@ -303,7 +301,6 @@ def _run_qlanczos(config, hamiltonian, state0, rng, max_qubits):
         rng=rng,
         ledger_noise_sigma=block.get("ledger_noise_sigma", 0.0),
     )
-    e0, _ = _ground_projector(hamiltonian, max_qubits)
     rows = [
         (_fmt(b), _fmt(eq), _fmt(el), str(int(k)))
         for b, eq, el, k in zip(
@@ -314,7 +311,7 @@ def _run_qlanczos(config, hamiltonian, state0, rng, max_qubits):
         "beta_final": float(result.betas[-1]),
         "e_qite_final": float(result.e_qite[-1]),
         "e_qlanczos_final": float(result.e_qlanczos[-1]),
-        "e0_exact": e0,
+        "e0_exact": float(dec.evals[0]),
         "n_retained_final": int(result.n_retained[-1]),
         "selected_sweeps": list(result.selected),
     }
@@ -323,7 +320,7 @@ def _run_qlanczos(config, hamiltonian, state0, rng, max_qubits):
     }, summary
 
 
-def _run_qmetts(config, hamiltonian, state0, rng, max_qubits):
+def _run_qmetts(config, hamiltonian, state0, rng, dec):
     block = config["qmetts"]
     qite_block = {"b_mode": "exact_delta0", **block.get("qite", {})}
     metts_cfg = MettsConfig(
@@ -337,7 +334,7 @@ def _run_qmetts(config, hamiltonian, state0, rng, max_qubits):
     rows = [
         (str(s.index), s.start_label, _fmt(s.value)) for s in result.samples
     ]
-    reference = gibbs_average(hamiltonian, metts_cfg.beta, max_qubits=max_qubits)
+    reference = dec.gibbs(metts_cfg.beta)
     summary = {
         "beta": metts_cfg.beta,
         "n_samples": metts_cfg.n_samples,
@@ -350,7 +347,7 @@ def _run_qmetts(config, hamiltonian, state0, rng, max_qubits):
     return {"qmetts.csv": (("sample", "label", "value"), rows)}, summary
 
 
-def _run_mutualinfo(config, hamiltonian, state0, rng, max_qubits):
+def _run_mutualinfo(config, hamiltonian, state0, rng, dec):
     block = config["mutualinfo"]
     n = hamiltonian.n_qubits
     pairs = block.get("pairs", "all")
@@ -364,27 +361,21 @@ def _run_mutualinfo(config, hamiltonian, state0, rng, max_qubits):
     rows = []
     final_state = state0
     for beta in block["betas"]:
-        final_state = exact_ite(state0, hamiltonian, beta, max_qubits=max_qubits)
-        for i, j in pairs:
-            rows.append(
-                (_fmt(beta), str(i), str(j), _fmt(mutual_information(final_state, i, j)))
-            )
-    e0, ground = _ground_projector(hamiltonian, max_qubits)
-    fidelity_final = float(
-        np.sum(np.abs(ground.conj().T @ final_state.amplitudes) ** 2)
-    )
+        final_state = dec.ite(state0, beta)
+        for (i, j), info in zip(pairs, _mutual_information_pairs(final_state, pairs)):
+            rows.append((_fmt(beta), str(i), str(j), _fmt(info)))
     summary = {
         "betas": [float(b) for b in block["betas"]],
         "n_pairs": len(pairs),
-        "fidelity_ground_final": fidelity_final,
-        "e0_exact": e0,
+        "fidelity_ground_final": dec.ground_fidelity(final_state, _BOUND_TOL),
+        "e0_exact": float(dec.evals[0]),
     }
     return {
         "mutualinfo.csv": (("beta", "qubit_i", "qubit_j", "mutual_info"), rows)
     }, summary
 
 
-def _run_count(config, hamiltonian, state0, rng, max_qubits):
+def _run_count(config, hamiltonian, state0, rng, dec):
     block = config["count"]
     query = CostQuery(
         n_terms=block["n_terms"],
@@ -421,12 +412,7 @@ def execute_run(
     """Run one validated config into ``out_dir`` and return its summary."""
     algorithm = config["algorithm"]
     seed = seed_override if seed_override is not None else config.get("seed", 0)
-    hamiltonian = build_model(config["model"])
-    if hamiltonian.n_qubits > max_qubits:
-        raise ResourceError(
-            f"model needs {hamiltonian.n_qubits} qubits, limit is {max_qubits}"
-        )
-    state0 = build_initial_state(config, hamiltonian.n_qubits, max_qubits)
+    hamiltonian, state0 = _model_and_state(config, max_qubits)
     rng = np.random.default_rng(seed)
 
     out_dir = Path(out_dir)
@@ -443,9 +429,9 @@ def execute_run(
 
     start = time.perf_counter()
     try:
-        tables, summary = _RUNNERS[algorithm](
-            config, hamiltonian, state0, rng, max_qubits
-        )
+        dec = None if algorithm == "count" else spectral(hamiltonian, max_qubits)
+        oracle_s = 0.0 if dec is None else time.perf_counter() - start
+        tables, summary = _RUNNERS[algorithm](config, hamiltonian, state0, rng, dec)
     except _HANDLED as exc:
         manifest["status"] = "failed"
         manifest["finished_utc"] = _utc_now()
@@ -468,7 +454,7 @@ def execute_run(
 
     manifest["status"] = "completed"
     manifest["finished_utc"] = _utc_now()
-    manifest["timings_s"] = {"total": time.perf_counter() - start}
+    manifest["timings_s"] = {"total": time.perf_counter() - start, "oracle": oracle_s}
     manifest["outputs"] = sorted(list(tables) + ["summary.json"])
     _write_json(out_dir / "manifest.json", manifest)
     return summary
@@ -557,19 +543,9 @@ def cmd_compare(args) -> int:
     if algorithm not in ("qite", "qlanczos", "qmetts"):
         raise ConfigError(f"compare is not defined for algorithm {algorithm!r}")
 
-    hamiltonian = build_model(base_config["model"])
-    if hamiltonian.n_qubits > args.max_qubits:
-        raise ResourceError(
-            f"model needs {hamiltonian.n_qubits} qubits, limit is {args.max_qubits}"
-        )
-    state0 = build_initial_state(
-        base_config, hamiltonian.n_qubits, args.max_qubits
-    )
-    e0, _ = _ground_projector(hamiltonian, args.max_qubits)
-
-    header, rows = _compare_rows(
-        algorithm, args.run, hamiltonian, state0, e0, args.max_qubits
-    )
+    hamiltonian, state0 = _model_and_state(base_config, args.max_qubits)
+    dec = spectral(hamiltonian, args.max_qubits)
+    header, rows = _compare_rows(algorithm, args.run, state0, dec)
     if args.out:
         _write_csv(Path(args.out), header, rows)
         print(f"wrote {args.out} ({len(rows)} rows)")
@@ -580,7 +556,7 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _compare_rows(algorithm, run_dirs, hamiltonian, state0, e0, max_qubits):
+def _compare_rows(algorithm, run_dirs, state0, dec):
     if algorithm in ("qite", "qlanczos"):
         # one row per CSV row of each run, ending in its change from the first run
         if algorithm == "qite":
@@ -593,8 +569,8 @@ def _compare_rows(algorithm, run_dirs, hamiltonian, state0, e0, max_qubits):
         def cells(row):
             if algorithm == "qite":
                 beta, e = float(row["beta"]), float(row["energy"])
-                oracle = exact_ite_energy(state0, hamiltonian, beta, max_qubits)
-                violation = str(int(e < e0 - _BOUND_TOL))
+                oracle = dec.ite_energy(state0, beta)
+                violation = str(int(e < dec.evals[0] - _BOUND_TOL))
                 return row["sweep"], _fmt(beta), _fmt(e), _fmt(oracle), _fmt(e - oracle), violation
             eq, el = float(row["e_qite"]), float(row["e_qlanczos"])
             return row["beta"], _fmt(eq), _fmt(el), str(int(el <= eq + _BOUND_TOL))
@@ -611,22 +587,11 @@ def _compare_rows(algorithm, run_dirs, hamiltonian, state0, e0, max_qubits):
     rows = []
     for run_dir in run_dirs:
         summary = json.loads((Path(run_dir) / "summary.json").read_text())
-        beta = float(summary["beta"])
-        mean = float(summary["mean"])
-        stderr = float(summary["stderr_block"])
-        oracle = gibbs_average(hamiltonian, beta, max_qubits=max_qubits)
+        beta, mean, stderr = (float(summary[k]) for k in ("beta", "mean", "stderr_block"))
+        oracle = dec.gibbs(beta)
         delta = mean - oracle
-        rows.append(
-            (
-                str(run_dir),
-                _fmt(beta),
-                _fmt(mean),
-                _fmt(stderr),
-                _fmt(oracle),
-                _fmt(delta),
-                str(int(abs(delta) <= 3 * stderr)),
-            )
-        )
+        within = str(int(abs(delta) <= 3 * stderr))
+        rows.append((str(run_dir), *map(_fmt, (beta, mean, stderr, oracle, delta)), within))
     return header, rows
 
 
@@ -639,7 +604,7 @@ def cmd_count(args) -> int:
             config, Path(args.out), args.seed_override, args.max_qubits
         )
     else:
-        _, summary = _run_count(config, None, None, None, args.max_qubits)
+        _, summary = _run_count(config, None, None, None, None)
     print(summary["p_total"])
     return EXIT_OK
 

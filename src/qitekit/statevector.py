@@ -240,10 +240,12 @@ def _dense_from_masks(coefficients, masks, k: int) -> np.ndarray:
     values = np.asarray(coefficients)[:, None] * (
         phase[:, None] * _signs(cols, yzmask[:, None])
     )
-    rows = cols ^ xmask[:, None]
-    out = np.zeros((cols.size, cols.size), dtype=complex)
-    np.add.at(out, (rows, np.broadcast_to(cols, rows.shape)), values)
-    return out
+    # bincount over the row-major flat index sums in input order, like np.add.at
+    flat = ((cols ^ xmask[:, None]) << k | cols).ravel()
+    out = np.empty(cols.size**2, dtype=complex)
+    out.real = np.bincount(flat, weights=values.real.ravel(), minlength=out.size)
+    out.imag = np.bincount(flat, weights=values.imag.ravel(), minlength=out.size)
+    return out.reshape(cols.size, cols.size)
 
 
 def _support_axes(support: Sequence[int], n_qubits: int) -> List[int]:

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qitekit.analysis import (
     VQE_REFERENCE_COUNTS,
     CostQuery,
+    _entropy,
+    _mutual_information_pairs,
     cut_values,
     exact_ground,
     exact_ite,
@@ -18,13 +22,18 @@ from qitekit.analysis import (
 )
 from qitekit.errors import DimensionError
 from qitekit.hamiltonians import (
+    Hamiltonian,
+    LocalTerm,
     energy,
     heisenberg_1d,
+    hubbard_1d_jw,
     maxcut,
     maxcut_six_vertex_instance,
     one_qubit_field,
     tfi_1d,
+    to_dense,
 )
+from qitekit.pauli import PauliString
 from qitekit.statevector import (
     StateVector,
     fidelity,
@@ -32,10 +41,11 @@ from qitekit.statevector import (
     neel_state,
     plus_state,
     product_state,
+    reduced_density_matrix,
     zero_state,
 )
 
-from conftest import dense_expm_hermitian, dense_hamiltonian, random_real_state
+from conftest import dense_expm_hermitian, dense_hamiltonian, random_real_state, random_state
 
 
 def test_spectral_and_exact_ground():
@@ -45,6 +55,88 @@ def test_spectral_and_exact_ground():
     e0, ground = exact_ground(h)
     assert abs(e0 + 1.0) < 1e-12
     assert abs(energy(ground, h) + 1.0) < 1e-12
+
+
+def _complex_reference(h):
+    """The complex eigh of to_dense(h) that the real path must reproduce."""
+    mat = to_dense(h)
+    assert mat.dtype == complex
+    return np.linalg.eigh(mat)
+
+
+def _ground_projector(evals, evecs, tol=1e-9):
+    ground = evecs[:, evals <= evals[0] + tol]
+    return ground @ ground.conj().T
+
+
+def _ite_reference(evals, evecs, amps, beta):
+    out = evecs @ (np.exp(-beta * (evals - evals[0])) * (evecs.conj().T @ amps))
+    return out / np.linalg.norm(out)
+
+
+def _pauli_hamiltonian(n, entries):
+    """Hamiltonian with one single-string term per (coefficient, label) entry."""
+    terms = []
+    for coeff, label in entries:
+        string = PauliString.from_label(label)
+        terms.append(LocalTerm(tuple(string.support), ((float(coeff), string),)))
+    return Hamiltonian(n, tuple(terms))
+
+
+@pytest.mark.parametrize(
+    "h",
+    [heisenberg_1d(5), tfi_1d(5, -1.0, -1.25), hubbard_1d_jw(2, 4.0),
+     maxcut_six_vertex_instance()],
+    ids=["heisenberg5", "tfi5", "hubbard2", "maxcut6"],
+)
+def test_real_path_matches_complex_eigh(h, rng):
+    dec = spectral(h)
+    assert dec.evals.dtype == np.float64 and dec.evecs.dtype == np.float64
+    evals, evecs = _complex_reference(h)
+    assert np.max(np.abs(dec.evals - evals)) < 1e-12
+    assert np.max(np.abs(_ground_projector(dec.evals, dec.evecs)
+                         - _ground_projector(evals, evecs))) < 1e-10
+    state = StateVector(random_state(h.n_qubits, rng), h.n_qubits)
+    want = _ground_projector(evals, evecs) @ state.amplitudes
+    assert abs(dec.ground_fidelity(state, 1e-9) - np.vdot(want, want).real) < 1e-10
+    for beta in (0.0, 0.3, 1.7):
+        got = exact_ite(state, h, beta).amplitudes
+        assert np.max(np.abs(got - _ite_reference(evals, evecs, state.amplitudes, beta))) < 1e-10
+
+
+def test_odd_y_string_keeps_complex_path(rng):
+    h = _pauli_hamiltonian(3, [(0.7, "XYI"), (0.4, "ZZI"), (-0.3, "IXZ"), (0.2, "IIY")])
+    dec = spectral(h)
+    assert dec.evecs.dtype == complex
+    evals, evecs = _complex_reference(h)
+    assert np.max(np.abs(dec.evals - evals)) < 1e-12
+    state = StateVector(random_state(3, rng), 3)
+    for beta in (0.3, 1.7):
+        got = dec.ite(state, beta).amplitudes
+        assert np.max(np.abs(got - _ite_reference(evals, evecs, state.amplitudes, beta))) < 1e-10
+
+
+@st.composite
+def _even_y_hamiltonians(draw):
+    n = draw(st.integers(1, 4))
+    label = st.text(alphabet="IXYZ", min_size=n, max_size=n).filter(
+        lambda text: text.count("Y") % 2 == 0
+    )
+    entries = draw(st.lists(st.tuples(st.floats(-1.0, 1.0), label), min_size=1, max_size=6))
+    return _pauli_hamiltonian(n, entries)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(h=_even_y_hamiltonians(), seed=st.integers(0, 2**32 - 1), beta=st.floats(0.0, 3.0))
+def test_real_path_ite_energy_property(h, seed, beta):
+    state = StateVector(random_state(h.n_qubits, np.random.default_rng(seed)), h.n_qubits)
+    dec = spectral(h)
+    assert dec.evecs.dtype == np.float64
+    evals, evecs = _complex_reference(h)
+    weights = np.abs(evecs.conj().T @ state.amplitudes) ** 2 * np.exp(
+        -2.0 * beta * (evals - evals[0])
+    )
+    assert abs(dec.ite_energy(state, beta) - (weights @ evals) / weights.sum()) < 1e-10
 
 
 def test_exact_ite_matches_dense_propagation(rng):
@@ -145,6 +237,19 @@ def test_mutual_information_known_states():
     assert abs(mutual_information(ghz, 1, 0) - np.log(2)) < 1e-10
     with pytest.raises(DimensionError):
         mutual_information(bell, 1, 1)
+
+
+def test_mutual_information_pairs_match_per_pair_sum_bytes(rng):
+    state = StateVector(random_state(4, rng), 4)
+    pairs = [(0, 1), (2, 0), (1, 3), (2, 3), (0, 3)]
+
+    def entropy(qubits):
+        return _entropy(reduced_density_matrix(state, qubits).matrix)
+
+    want = [entropy((min(p),)) + entropy((max(p),)) - entropy(tuple(sorted(p))) for p in pairs]
+    assert _mutual_information_pairs(state, pairs) == want
+    with pytest.raises(DimensionError):
+        _mutual_information_pairs(state, [(0, 1), (2, 2)])
 
 
 def test_cut_values_and_success():

@@ -17,6 +17,7 @@ from qitekit.cli import (
     main,
     validate_config,
 )
+from qitekit.analysis import spectral
 from qitekit.errors import ConfigError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -132,7 +133,9 @@ def test_run_one_qubit_and_reproducibility(tmp_path, capsys):
     assert manifest["status"] == "completed"
     assert manifest["outputs"] == ["qite.csv", "summary.json"]
     assert manifest["seed_effective"] == 0
-    assert "finished_utc" in manifest and "timings_s" in manifest
+    assert "finished_utc" in manifest
+    assert set(manifest["timings_s"]) == {"total", "oracle"}
+    assert 0.0 < manifest["timings_s"]["oracle"] <= manifest["timings_s"]["total"]
 
     # identical config and seed: byte-identical CSV bodies
     assert (out1 / "qite.csv").read_bytes() == (out2 / "qite.csv").read_bytes()
@@ -281,6 +284,8 @@ def test_count_with_output_dir(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["p_total"] == 10560
     assert summary["pool_size_per_term"] == 120
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["timings_s"]["oracle"] == 0.0  # count builds no Hamiltonian matrix
 
 
 def test_count_rejects_other_algorithms(tmp_path, capsys):
@@ -320,6 +325,44 @@ def test_compare_self_is_zero_delta(tmp_path, capsys):
         assert float(row[7]) == 0.0  # identical run: no drift vs first
         assert row[6] == "0"  # variational bound never violated
         assert abs(float(row[5])) < 5e-3  # close to exact propagation
+
+
+def count_spectral_calls(monkeypatch):
+    """Count diagonalizations made through the CLI's name or the oracles' one."""
+    import qitekit.analysis
+    import qitekit.cli
+
+    calls = []
+
+    def counting(hamiltonian, max_qubits=14):
+        calls.append(hamiltonian)
+        return spectral(hamiltonian, max_qubits)
+
+    for module in (qitekit.cli, qitekit.analysis):
+        monkeypatch.setattr(module, "spectral", counting)
+    return calls
+
+
+def test_one_diagonalization_per_command(tmp_path, monkeypatch, capsys):
+    path = write_config(tmp_path, one_qubit_run_config(n_steps=6))
+    run = tmp_path / "run"
+    calls = count_spectral_calls(monkeypatch)
+    assert main(["run", "--config", str(path), "--out", str(run)]) == EXIT_OK
+    assert len(calls) == 1
+    calls.clear()
+    assert main(["compare", "--run", str(run), "--out", str(tmp_path / "c.csv")]) == EXIT_OK
+    assert len((tmp_path / "c.csv").read_text().splitlines()) == 8  # header + 7 rows
+    assert len(calls) == 1
+    calls.clear()
+    mi = {
+        "algorithm": "mutualinfo",
+        "model": {"name": "tfi_1d",
+                  "params": {"n_qubits": 3, "coupling": -1.0, "field": -1.25}},
+        "mutualinfo": {"betas": [0.0, 0.5, 1.0, 4.0], "pairs": "all"},
+    }
+    execute_run(mi, tmp_path / "mi")
+    assert len(calls) == 1
+    assert len((tmp_path / "mi" / "mutualinfo.csv").read_text().splitlines()) == 13
 
 
 def test_compare_qlanczos_bound_column(tmp_path, capsys):

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from qitekit.errors import DimensionError, ResourceError
-from qitekit.pauli import PauliString
+from qitekit.pauli import OperatorPool, PauliString, enumerate_pool
 from qitekit.statevector import (
+    _dense_from_masks,
+    _pauli_masks,
+    _signs,
     StateVector,
     apply_domain_unitary,
     apply_pauli,
@@ -279,6 +282,24 @@ def test_dense_on_support_convention(rng):
         assert np.allclose(mat, want)
     with pytest.raises(DimensionError):
         dense_on_support([(1.0, PauliString.from_label("ZII"))], (1, 2))
+
+
+@pytest.mark.parametrize("kind", ["pauli_full", "pauli_odd_y"])
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_dense_from_masks_matches_add_at_bytes(kind, k, rng):
+    strings = enumerate_pool(OperatorPool(kind, tuple(range(k))), k)
+    masks = _pauli_masks(tuple(strings), tuple(range(k)))
+    coeffs = rng.normal(size=len(strings))
+    # the scatter it replaced: complex np.add.at in input order
+    xmask, yzmask, phase = masks
+    cols = np.arange(2**k)
+    values = coeffs[:, None] * (phase[:, None] * _signs(cols, yzmask[:, None]))
+    rows = cols ^ xmask[:, None]
+    want = np.zeros((2**k, 2**k), dtype=complex)
+    np.add.at(want, (rows, np.broadcast_to(cols, rows.shape)), values)
+    got = _dense_from_masks(coeffs, masks, k)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 # ----------------------------------------------------- RDMs and collapse
