@@ -92,9 +92,14 @@ _BOUND_TOL = 1e-9
 # config loading and validation
 
 
-def _schema() -> dict:
+@functools.lru_cache(maxsize=None)
+def _validator():
+    """Validator for the bundled schema, whose own check runs once per process."""
     text = resources.files("qitekit").joinpath("data/config_schema.json").read_text()
-    return json.loads(text)
+    schema = json.loads(text)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def load_config(path: Path) -> dict:
@@ -113,10 +118,10 @@ def load_config(path: Path) -> dict:
 
 
 def validate_config(config: dict, origin: str = "config") -> None:
-    try:
-        jsonschema.validate(config, _schema())
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"{origin}: at {exc.json_path}: {exc.message}") from exc
+    # the error jsonschema.validate would raise
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(config))
+    if error is not None:
+        raise ConfigError(f"{origin}: at {error.json_path}: {error.message}") from error
     algorithm = config["algorithm"]
     own_sections = {algorithm} & set(config)
     foreign = (
@@ -474,8 +479,7 @@ def _thread_count() -> int:
 
 
 def _batch_worker(args_tuple) -> dict:
-    path, out_dir, seed_override, max_qubits = args_tuple
-    config = load_config(Path(path))
+    config, out_dir, seed_override, max_qubits = args_tuple
     return execute_run(config, Path(out_dir), seed_override, max_qubits)
 
 
@@ -494,8 +498,8 @@ def cmd_run(args) -> int:
             targets.append(out_root / name)
 
     jobs = [
-        (path, target, args.seed_override, args.max_qubits)
-        for (path, _), target in zip(configs, targets)
+        (config, target, args.seed_override, args.max_qubits)
+        for (_, config), target in zip(configs, targets)
     ]
     threads = _thread_count()
     if threads > 1 and len(jobs) > 1:

@@ -197,12 +197,14 @@ def enumerate_pool(pool: OperatorPool, n_qubits: int) -> List[PauliString]:
             raise PoolError(f"pool domain qubit {q} outside {n_qubits}-qubit register")
 
     if pool.kind in ("pauli_full", "pauli_odd_y"):
+        # the items of from_letters, built directly from the checked domain
+        order = sorted(range(len(domain)), key=domain.__getitem__)
         strings = []
         for assignment in itertools.product(LETTERS, repeat=len(domain)):
-            s = PauliString.from_letters(dict(zip(domain, assignment)), n_qubits)
-            if pool.kind == "pauli_odd_y" and s.y_count % 2 == 0:
+            if pool.kind == "pauli_odd_y" and assignment.count("Y") % 2 == 0:
                 continue
-            strings.append(s)
+            items = tuple((domain[j], assignment[j]) for j in order if assignment[j] != "I")
+            strings.append(PauliString(n_qubits, items))
         return strings
 
     return _fermionic_pool(domain, n_qubits)

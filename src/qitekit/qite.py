@@ -24,11 +24,13 @@ from .statevector import (
     _hermitian_eig,
     _pauli_masks,
     _pauli_rows,
+    _pauli_traces,
     _support_major,
     fidelity,
 )
 
 B_MODES = ("measurable", "exact_delta0")
+_PAULI_POOLS = ("pauli_full", "pauli_odd_y")  # solved in the eigenbasis of rho
 
 
 @dataclass(frozen=True)
@@ -168,40 +170,40 @@ class _TermPlan:
 def _term_plans(
     terms: Sequence[LocalTerm], config: QiteConfig, n_qubits: int, first_index: int = 0
 ) -> List[_TermPlan]:
-    """Plans for ``terms`` numbered from ``first_index``, one pool per domain."""
+    """Plans for ``terms`` numbered from ``first_index``.
+
+    Each distinct domain enumerates its pool and builds the pool's masks
+    once.  A domain from choose_domain contains its term's support, so the
+    pool's support is the unitary support of every term that shares it.
+    """
     pools = {}
     plans = []
     for index, term in enumerate(terms, first_index):
         domain = choose_domain(term.support, config.domain_size, n_qubits)
         if domain not in pools:
-            pools[domain] = enumerate_pool(OperatorPool(config.pool_kind, domain), n_qubits)
-        plans.append(_build_plan(index, term, domain, pools[domain], config))
+            strings = enumerate_pool(OperatorPool(config.pool_kind, domain), n_qubits)
+            pools[domain] = _pool_masks(index, domain, strings, config)
+        plans.append(_build_plan(index, term, domain, *pools[domain]))
     return plans
 
 
-def _build_plan(
-    index: int,
-    term: LocalTerm,
-    domain: Tuple[int, ...],
-    strings: List[PauliString],
-    config: QiteConfig,
-) -> _TermPlan:
-    support = set(domain) | set(term.support)
-    for s in strings:
-        support.update(s.support)
-    support = tuple(sorted(support))
+def _pool_masks(
+    index: int, qubits: Sequence[int], strings: List[PauliString], config: QiteConfig
+):
+    """(support, masks): ``qubits`` joined with every string's support, and the
+    strings' masks over it."""
+    support = tuple(sorted(set(qubits).union(q for s in strings for q, _ in s.items)))
     if len(support) > config.max_unitary_domain:
         raise ResourceError(
             f"term {index}: unitary support of {len(support)} qubits exceeds "
             f"ceiling {config.max_unitary_domain}"
         )
-    return _TermPlan(
-        index,
-        domain,
-        support,
-        _pauli_masks(tuple(strings), support),
-        _hermitian_eig(tuple(term.pauli_sum), support),
-    )
+    return support, _pauli_masks(tuple(strings), support)
+
+
+def _build_plan(index: int, term: LocalTerm, domain, support, masks) -> _TermPlan:
+    h_eig = _hermitian_eig(tuple(term.pauli_sum), support)
+    return _TermPlan(index, domain, support, masks, h_eig)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +278,8 @@ def build_linear_system(
     """
     config = config or QiteConfig()
     strings = enumerate_pool(pool, state.n_qubits)
-    plan = _build_plan(0, term, tuple(pool.domain), strings, config)
+    qubits = tuple(pool.domain) + tuple(term.support)
+    plan = _build_plan(0, term, tuple(pool.domain), *_pool_masks(0, qubits, strings, config))
     c_rows, bvec, c = _assemble(plan, state, dtau, config, rng)
     return _overlap_matrix(c_rows, config.noise_sigma, rng), bvec, c
 
@@ -346,6 +349,61 @@ def _solve_factored(
 # stepping and sweeping
 
 
+def _solve_in_rho_basis(
+    plan: _TermPlan, state: StateVector, dtau: float, config: QiteConfig
+):
+    """(generator, coefficients, residual, c) of a noiseless Pauli-pool step.
+
+    With A = sum_I a_I sigma_I on the k-qubit support, S a holds the Pauli
+    coefficients of {A, rho} and b those of B = i 2^k scale [G, rho], where
+    G = h (measurable) or e^{-dtau h} (exact_delta0).  In the eigenbasis V
+    of rho the full pool's S is 2^k (p_i + p_j) on each pair (i, j) and
+    B~ = i 2^k scale (p_j - p_i) (V^dagger G V), so A = -V A~ V^dagger with
+    A~ = B~ / (2^k (p_i + p_j) + delta) on the pairs solve_step's cutoff
+    keeps.  The odd-Y pool spans i times the real antisymmetric matrices,
+    where S sees only Re rho: its pairs are i != j in the real eigenbasis
+    of Re rho, and B keeps i Im B.  The residual is |b| on dropped pairs.
+    """
+    dim = 2 ** len(plan.unitary_support)
+    factor = _support_major(state.amplitudes, plan.unitary_support, state.n_qubits)
+    rho = factor @ factor.conj().T
+    evals, evecs = plan.h_eig
+    populations = np.sum(evecs.conj() * (rho @ evecs), axis=0).real  # <w|rho|w>
+    if config.b_mode == "exact_delta0":
+        weights = np.exp(-dtau * evals)
+        c = float(weights**2 @ populations)
+        scale = -1.0 / (dtau * math.sqrt(c))
+    else:
+        weights = evals
+        c = 1.0 - 2.0 * dtau * float(evals @ populations)
+        if c <= 0.0:
+            raise NumericalError(
+                f"first-order norm estimate c={c:g} is not positive; reduce dtau"
+            )
+        scale = 1.0 / math.sqrt(c) if config.b_norm_factor else 1.0
+    g = (evecs * weights) @ evecs.conj().T
+    if config.pool_kind == "pauli_odd_y":
+        p, basis = np.linalg.eigh(rho.real)
+        # Re [G, rho] = [Re G, Re rho] - [Im G, Im rho]
+        im_part = g.imag @ rho.imag
+        rotated = (basis.T @ g.real @ basis) * (p - p[:, None])
+        rotated -= basis.T @ (im_part - im_part.T) @ basis
+        pairs = ~np.eye(dim, dtype=bool)
+    else:
+        p, basis = np.linalg.eigh(rho)
+        rotated = (basis.conj().T @ g @ basis) * (p - p[:, None])
+        pairs = np.ones((dim, dim), dtype=bool)
+    s_eigs = dim * (p[:, None] + p)
+    s_max = float(s_eigs[pairs].max())
+    lam = s_eigs + config.delta
+    keep = pairs & (lam >= config.pinv_tol * (s_max + config.delta))
+    solved = np.where(keep, rotated, 0.0) / np.where(keep, lam, 1.0)
+    generator = (-1j * dim * scale) * (basis @ solved @ basis.conj().T)
+    coefficients = _pauli_traces(generator, plan.local_masks).real / dim
+    residual = math.sqrt(dim) * abs(scale) * float(np.linalg.norm(rotated[pairs & ~keep]))
+    return generator, coefficients, residual, c
+
+
 def _run_step(
     state: StateVector,
     plan: _TermPlan,
@@ -353,20 +411,25 @@ def _run_step(
     config: QiteConfig,
     rng: Optional[np.random.Generator],
 ) -> Tuple[StateVector, StepRecord]:
-    c_rows, bvec, c = _assemble(plan, state, dtau, config, rng)
-    if config.noise_sigma > 0:
-        smat = _overlap_matrix(c_rows, config.noise_sigma, rng)
-        coefficients, residual = solve_step(smat, bvec, config.delta, config.pinv_tol)
-    else:
-        coefficients, residual = _solve_factored(
-            c_rows, bvec, config.delta, config.pinv_tol
+    if config.noise_sigma == 0 and config.pool_kind in _PAULI_POOLS:
+        generator, coefficients, residual, c = _solve_in_rho_basis(
+            plan, state, dtau, config
+        )
+    else:  # the sigma_I L rows: noisy S and b, or the fermionic pool
+        c_rows, bvec, c = _assemble(plan, state, dtau, config, rng)
+        if config.noise_sigma > 0:
+            smat = _overlap_matrix(c_rows, config.noise_sigma, rng)
+            coefficients, residual = solve_step(smat, bvec, config.delta, config.pinv_tol)
+        else:
+            coefficients, residual = _solve_factored(
+                c_rows, bvec, config.delta, config.pinv_tol
+            )
+        generator = _dense_from_masks(
+            coefficients, plan.local_masks, len(plan.unitary_support)
         )
     if not np.all(np.isfinite(coefficients)):
         raise NumericalError(f"term {plan.index}: non-finite expansion coefficients")
 
-    generator = _dense_from_masks(
-        coefficients, plan.local_masks, len(plan.unitary_support)
-    )
     evals, evecs = np.linalg.eigh(generator)
     unitary = (evecs * np.exp(-1j * dtau * evals)) @ evecs.conj().T
     amps = _apply_matrix_on_support(

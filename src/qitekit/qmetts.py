@@ -112,11 +112,14 @@ def metts_chain(
     bits = rng.integers(0, 2, size=n)
     label = "".join("1" if b else "0" for b in bits)
     samples: List[MettsSample] = []
+    typical = {}  # label -> (state, value); the evolution draws no random numbers
     for k in range(1, config.n_samples + 1):
-        state = product_state(label, n)
-        if steps > 0:
-            state = _evolve(state, hamiltonian, plans, qite_config).final_state
-        value = energy(state, obs)
+        if label not in typical:
+            state = product_state(label, n)
+            if steps > 0:
+                state = _evolve(state, hamiltonian, plans, qite_config).final_state
+            typical[label] = (state, energy(state, obs))
+        state, value = typical[label]
         bases = _collapse_bases(k, n, config.basis_cycle)
         next_label, _ = measure_collapse(state, bases, rng)
         samples.append(MettsSample(k, label, value, next_label))

@@ -248,6 +248,18 @@ def _dense_from_masks(coefficients, masks, k: int) -> np.ndarray:
     return out.reshape(cols.size, cols.size)
 
 
+def _pauli_traces(matrix: np.ndarray, masks) -> np.ndarray:
+    """Tr(sigma_r matrix) for every string: the adjoint of _dense_from_masks.
+
+    Tr(sigma matrix) = i^nY sum_j (-1)^popcount(j & yz) matrix[j, j ^ x], so
+    one product with the +-1 Walsh matrix gives the sum for every (x, yz).
+    """
+    xmask, yzmask, phase = masks
+    cols = _indices(matrix.shape[0])
+    diagonals = matrix[cols, cols ^ cols[:, None]]  # row x holds matrix[j, j ^ x]
+    return phase * (diagonals @ _signs(cols[:, None], cols))[xmask, yzmask]
+
+
 def _support_axes(support: Sequence[int], n_qubits: int) -> List[int]:
     # tensor axis of qubit q is n-1-q; most significant local bit first
     return [n_qubits - 1 - q for q in sorted(support, reverse=True)]

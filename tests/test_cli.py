@@ -430,6 +430,23 @@ def test_batch_run_parallel_workers(tmp_path, monkeypatch):
     assert main(["run", "--config", str(p1), "--out", str(out / "again")]) == EXIT_CONFIG
 
 
+def test_batch_run_validates_each_config_once(tmp_path, monkeypatch):
+    import qitekit.cli as cli_module
+
+    origins = []
+    original = cli_module.validate_config
+    monkeypatch.setattr(
+        cli_module,
+        "validate_config",
+        lambda config, origin="config": origins.append(origin) or original(config, origin),
+    )
+    p1 = write_config(tmp_path, one_qubit_run_config(n_steps=2), "alpha.json")
+    p2 = write_config(tmp_path, one_qubit_run_config(n_steps=2), "bravo.json")
+    out = tmp_path / "batch"
+    assert main(["run", "--config", str(p1), "--config", str(p2), "--out", str(out)]) == EXIT_OK
+    assert origins == [str(p1), str(p2)]
+
+
 def test_batch_run_same_stem_collision(tmp_path):
     sub1, sub2 = tmp_path / "d1", tmp_path / "d2"
     sub1.mkdir(), sub2.mkdir()

@@ -121,6 +121,18 @@ def test_pool_enumeration_order_snapshot():
     assert [s.to_label() for s in odd] == ["IY", "XY", "YI", "YX", "YZ", "ZY"]
 
 
+@pytest.mark.parametrize("kind", ["pauli_full", "pauli_odd_y"])
+@pytest.mark.parametrize("domain", [(2,), (0, 1), (3, 1), (4, 0, 2)])
+def test_pool_strings_match_from_letters(kind, domain):
+    # the pool builds its strings directly; from_letters is the reference
+    want = []
+    for letters in itertools.product("IXYZ", repeat=len(domain)):
+        s = PauliString.from_letters(dict(zip(domain, letters)), 5)
+        if kind == "pauli_full" or s.y_count % 2:
+            want.append(s)
+    assert enumerate_pool(OperatorPool(kind, domain), 5) == want
+
+
 def test_pool_off_domain_qubits_untouched():
     pool = enumerate_pool(OperatorPool("pauli_full", (1, 3)), 5)
     assert len(pool) == 16

@@ -1,13 +1,24 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qitekit.analysis import exact_ground, exact_ite
 from qitekit.errors import ConfigError, DimensionError, NumericalError, PoolError, ResourceError
-from qitekit.hamiltonians import energy, heisenberg_1d, one_qubit_field, tfi_1d
+from qitekit.hamiltonians import (
+    Hamiltonian,
+    LocalTerm,
+    energy,
+    heisenberg_1d,
+    one_qubit_field,
+    tfi_1d,
+)
 from qitekit.pauli import OperatorPool, PauliString, enumerate_pool, multiply
 from qitekit.qite import (
+    B_MODES,
     QiteConfig,
     _solve_factored,
     build_linear_system,
@@ -186,7 +197,7 @@ def test_solve_step_rank_deficient():
 
 
 def test_factored_solver_matches_dense_path(rng):
-    # same run with noise_sigma=0 (factored Gram solve) and via explicit solve_step
+    # same step with noise_sigma=0 (eigenbasis solve) and via explicit solve_step
     h = heisenberg_1d(3)
     state = neel_state(3)
     pool = OperatorPool("pauli_odd_y", (0, 1))
@@ -263,6 +274,121 @@ def test_gram_solve_matches_pseudoinverse(rng, p, m, rank, delta):
     coefficients, residual = _solve_factored(c_rows, bvec, delta, pinv_tol)
     assert np.max(np.abs(coefficients - expected)) < 1e-10
     assert abs(residual - expected_res) < 1e-10
+
+
+def _random_term(rng, n, support, even_y=False):
+    """A term of norm <= 1 with random real weights on every (even-Y) string
+    over ``support``, so that the measurable c stays positive at dtau <= 0.1."""
+    strings = [
+        PauliString.from_letters(dict(zip(support, letters)), n)
+        for letters in itertools.product("IXYZ", repeat=len(support))
+        if set(letters) != {"I"} and not (even_y and letters.count("Y") % 2)
+    ]
+    weights = rng.uniform(-1.0, 1.0, len(strings)) / len(strings)
+    return LocalTerm(tuple(support), tuple(zip(weights.tolist(), strings)))
+
+
+def _random_amplitudes(rng, n, real, product):
+    """A random state; a product state has a rank-1 reduced state everywhere."""
+    def draw(size):
+        return rng.normal(size=size) + (0.0 if real else 1j * rng.normal(size=size))
+
+    if product:
+        amps = np.array([1.0 + 0j])
+        for _ in range(n):
+            amps = np.kron(draw(2), amps)
+    else:
+        amps = draw(2**n)
+    return StateVector(amps / np.linalg.norm(amps), n)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    k=st.integers(1, 4),
+    env=st.integers(0, 2),  # env == 0: the factor on the domain has one column
+    kind=st.sampled_from(["pauli_full", "pauli_odd_y"]),
+    b_mode=st.sampled_from(B_MODES),
+    delta=st.sampled_from([0.0, 0.3, 1.0]),
+    pinv_tol=st.sampled_from([1e-8, 0.3]),  # 0.3 drops pairs that carry b
+    real=st.booleans(),
+    product=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rho_basis_step_matches_explicit_solve(
+    k, env, kind, b_mode, delta, pinv_tol, real, product, seed
+):
+    # the eigenbasis route must reproduce the pseudoinverse of the explicit S
+    rng = np.random.default_rng(seed)
+    n = k + env
+    support = sorted(rng.choice(n, size=min(k, 2), replace=False).tolist())
+    term = _random_term(rng, n, support)
+    state = _random_amplitudes(rng, n, real, product)
+    cfg = QiteConfig(
+        domain_size=k, pool_kind=kind, b_mode=b_mode, delta=delta, pinv_tol=pinv_tol
+    )
+    _, record = qite_step(state, term, cfg, dtau=0.05)
+    smat, bvec, c = build_linear_system(
+        state, term, OperatorPool(kind, record.domain), 0.05, cfg
+    )
+    expected, expected_res = solve_step(smat, bvec, delta, cfg.pinv_tol)
+    assert np.max(np.abs(record.coefficients - expected)) < 1e-10
+    assert abs(record.residual - expected_res) < 1e-10
+    assert abs(record.c - c) < 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 4),
+    k=st.integers(2, 4),
+    b_mode=st.sampled_from(B_MODES),
+    delta=st.sampled_from([0.0, 0.3]),
+    product=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_odd_y_and_full_pools_take_the_same_step(n, k, b_mode, delta, product, seed):
+    # for real H and real psi the full-pool generator is imaginary, so it
+    # lies in the odd-Y span and both pools take the same step
+    rng = np.random.default_rng(seed)
+    state = _random_amplitudes(rng, n, real=True, product=product)
+    cfg = QiteConfig(domain_size=min(k, n), b_mode=b_mode, delta=delta)
+    for q in range(n - 1):
+        term = _random_term(rng, n, (q, q + 1), even_y=True)
+        full, rf = qite_step(state, term, cfg)
+        odd, ro = qite_step(state, term, dataclasses.replace(cfg, pool_kind="pauli_odd_y"))
+        assert np.max(np.abs(full.amplitudes - odd.amplitudes)) < 1e-12
+        assert abs(rf.c - ro.c) < 1e-12
+        strings = enumerate_pool(OperatorPool("pauli_full", rf.domain), n)
+        odd_y = np.array([s.y_count % 2 == 1 for s in strings])
+        assert np.max(np.abs(rf.coefficients[odd_y] - ro.coefficients)) < 1e-12
+        assert np.max(np.abs(rf.coefficients[~odd_y])) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "kind, noise, row_route",
+    [
+        ("pauli_full", 0.0, False),
+        ("pauli_odd_y", 0.0, False),
+        ("pauli_odd_y", 1e-3, True),
+        ("fermionic_number_conserving", 0.0, True),
+    ],
+)
+def test_step_route_by_pool_and_noise(monkeypatch, kind, noise, row_route):
+    # noiseless Pauli-pool steps never build the sigma_I L rows or their Gram
+    # solve; the noisy path and the fermionic pool still do
+    import qitekit.qite as qite_module
+
+    calls = []
+    for name in ("_pauli_rows", "_solve_factored"):
+        original = getattr(qite_module, name)
+        monkeypatch.setattr(
+            qite_module,
+            name,
+            lambda *a, _name=name, _f=original: calls.append(_name) or _f(*a),
+        )
+    cfg = QiteConfig(domain_size=2, pool_kind=kind, noise_sigma=noise)
+    qite_step(neel_state(3), heisenberg_1d(3).terms[0], cfg, rng=np.random.default_rng(0))
+    expected = {"_pauli_rows"} | (set() if noise else {"_solve_factored"})
+    assert set(calls) == (expected if row_route else set())
 
 
 def test_pools_enumerated_once_per_domain(monkeypatch):

@@ -44,6 +44,29 @@ def test_chain_enumerates_each_pool_once(monkeypatch):
     assert sorted(calls) == [(0, 1, 2), (1, 2, 3)]
 
 
+def test_chain_evolves_each_start_label_once(monkeypatch):
+    import qitekit.qmetts as qmetts_module
+
+    starts = []
+    original = qmetts_module._evolve
+    monkeypatch.setattr(
+        qmetts_module,
+        "_evolve",
+        lambda state, *a: starts.append(state.amplitudes.copy()) or original(state, *a),
+    )
+    config = MettsConfig(beta=0.4, n_samples=24, n_warmup=4,
+                         qite=QiteConfig(dtau=0.1, domain_size=2))
+    res = metts_chain(heisenberg_1d(3), config, np.random.default_rng(0))
+    labels = [s.start_label for s in res.samples]
+    # the chain revisits labels, and each one is evolved only the first time
+    assert len(set(labels)) < len(labels)
+    assert len(starts) == len(set(labels))
+    # a revisited label reports the value of its first visit
+    first = {}
+    for s in res.samples:
+        assert first.setdefault(s.start_label, s.value) == s.value
+
+
 def test_block_error_constant_series():
     mean, err = block_error(np.full(32, 1.75))
     assert mean == 1.75

@@ -6,6 +6,7 @@ from qitekit.pauli import OperatorPool, PauliString, enumerate_pool
 from qitekit.statevector import (
     _dense_from_masks,
     _pauli_masks,
+    _pauli_traces,
     _signs,
     StateVector,
     apply_domain_unitary,
@@ -300,6 +301,16 @@ def test_dense_from_masks_matches_add_at_bytes(kind, k, rng):
     got = _dense_from_masks(coeffs, masks, k)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["pauli_full", "pauli_odd_y", "fermionic_number_conserving"])
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_pauli_traces_match_dense_traces(kind, k, rng):
+    strings = enumerate_pool(OperatorPool(kind, tuple(range(k))), k)
+    masks = _pauli_masks(tuple(strings), tuple(range(k)))
+    matrix = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+    want = [np.trace(dense_on_support([(1.0, s)], tuple(range(k))) @ matrix) for s in strings]
+    assert np.max(np.abs(_pauli_traces(matrix, masks) - want)) < 1e-12
 
 
 # ----------------------------------------------------- RDMs and collapse
