@@ -23,14 +23,14 @@ from .statevector import (
     _dense_from_masks,
     _hermitian_eig,
     _pauli_masks,
-    _pauli_rows,
     _pauli_traces,
+    _signs,
     _support_major,
     fidelity,
 )
 
 B_MODES = ("measurable", "exact_delta0")
-_PAULI_POOLS = ("pauli_full", "pauli_odd_y")  # solved in the eigenbasis of rho
+_PAULI_POOLS = ("pauli_full", "pauli_odd_y")
 
 
 @dataclass(frozen=True)
@@ -210,55 +210,71 @@ def _build_plan(index: int, term: LocalTerm, domain, support, masks) -> _TermPla
 # linear system assembly and solves
 
 
-def _assemble(
+def _step_operators(
     plan: _TermPlan,
     state: StateVector,
     dtau: float,
     config: QiteConfig,
     rng: Optional[np.random.Generator],
 ):
-    """Return (c_rows, bvec, c) for one step; noise perturbs raw values.
+    """(rho, G, c, scale) of one step, with rho the reduced state on the support.
 
-    S and b are expectations of operators inside the unitary support D, so
-    they depend on psi only through rho_D = L L^dagger, with L = psi as a
-    (2^|D|, 2^(n-|D|)) matrix.  A wide L is replaced by the square R^dagger
-    from L^dagger = QR, which has the same rho_D; the rows of C are sigma_I
-    applied to that factor, and h acts on it through its eigenbasis on D.
+    S a holds the Pauli coefficients of {A, rho} and b those of B = i 2^k scale
+    [G, rho], with G = h (measurable, c = 1 - 2 dtau <h>, whose noise is drawn
+    here first) or e^{-dtau h} (exact_delta0, c = Tr(G rho G)).
     """
-    noisy = config.noise_sigma > 0
-    if noisy and rng is None:
+    if config.noise_sigma > 0 and rng is None:
         raise ConfigError("noise_sigma > 0 requires a random generator")
     factor = _support_major(state.amplitudes, plan.unitary_support, state.n_qubits)
-    if factor.shape[1] > factor.shape[0]:
-        factor = np.linalg.qr(factor.conj().T, mode="r").conj().T
-    c_rows = _pauli_rows(plan.local_masks, factor).reshape(len(plan.local_masks[0]), -1)
+    rho = factor @ factor.conj().T
     evals, evecs = plan.h_eig
-    rotated = evecs.conj().T @ factor
-
+    populations = np.sum(evecs.conj() * (rho @ evecs), axis=0).real  # <w|rho|w>
     if config.b_mode == "exact_delta0":
-        propagated = evecs @ (np.exp(-dtau * evals)[:, None] * rotated)
-        c = float(np.vdot(propagated, propagated).real)
-        delta0 = (propagated / math.sqrt(c) - factor) / dtau
-        bvec = 2.0 * (c_rows.conj() @ delta0.reshape(-1)).imag
-        if noisy:
-            bvec = bvec + rng.normal(0.0, config.noise_sigma, bvec.shape)
+        weights = np.exp(-dtau * evals)
+        c = float(weights**2 @ populations)
+        scale = -1.0 / (dtau * math.sqrt(c))
     else:
-        hfactor = evecs @ (evals[:, None] * rotated)
-        h_exp = float(np.vdot(factor, hfactor).real)
-        if noisy:
+        weights = evals
+        h_exp = float(evals @ populations)
+        if config.noise_sigma > 0:
             h_exp += float(rng.normal(0.0, config.noise_sigma))
         c = 1.0 - 2.0 * dtau * h_exp
         if c <= 0.0:
             raise NumericalError(
                 f"first-order norm estimate c={c:g} is not positive; reduce dtau"
             )
-        raw = (c_rows.conj() @ hfactor.reshape(-1)).imag
-        if noisy:
-            raw = raw + rng.normal(0.0, config.noise_sigma, raw.shape)
-        bvec = -2.0 * raw
-        if config.b_norm_factor:
-            bvec = bvec / math.sqrt(c)
-    return c_rows, bvec, float(c)
+        scale = 1.0 / math.sqrt(c) if config.b_norm_factor else 1.0
+    return rho, (evecs * weights) @ evecs.conj().T, c, scale
+
+
+def _explicit_system(
+    plan: _TermPlan,
+    rho: np.ndarray,
+    g: np.ndarray,
+    scale: float,
+    config: QiteConfig,
+    rng: Optional[np.random.Generator],
+):
+    """(Smat, bvec) from Pauli traces; the b noise is drawn before the S noise.
+
+    Smat_IJ = 2 Re Tr(sigma_I sigma_J rho) and b_I = -2 scale Im Tr(sigma_I G rho).
+    sigma_I sigma_J is i^(nY_I + nY_J) (-1)^popcount(yz_I & x_J) times the
+    string with masks (x_I ^ x_J, yz_I ^ yz_J).
+    """
+    x, yz, phase = plan.local_masks
+    signs = phase[:, None] * phase * _signs(yz[:, None], x)
+    smat = 2.0 * _pauli_traces(rho, (x[:, None] ^ x, yz[:, None] ^ yz, signs)).real
+    raw = _pauli_traces(g @ rho - rho @ g, plan.local_masks).imag / 2.0
+    noisy = config.noise_sigma > 0
+    if noisy and config.b_mode == "measurable":
+        raw = raw + rng.normal(0.0, config.noise_sigma, raw.shape)
+    bvec = -2.0 * scale * raw
+    if noisy and config.b_mode == "exact_delta0":
+        bvec = bvec + rng.normal(0.0, config.noise_sigma, bvec.shape)
+    if noisy:
+        draws = rng.normal(0.0, config.noise_sigma, smat.shape)
+        smat = smat + np.triu(draws) + np.triu(draws, 1).T
+    return smat, bvec
 
 
 def build_linear_system(
@@ -280,19 +296,8 @@ def build_linear_system(
     strings = enumerate_pool(pool, state.n_qubits)
     qubits = tuple(pool.domain) + tuple(term.support)
     plan = _build_plan(0, term, tuple(pool.domain), *_pool_masks(0, qubits, strings, config))
-    c_rows, bvec, c = _assemble(plan, state, dtau, config, rng)
-    return _overlap_matrix(c_rows, config.noise_sigma, rng), bvec, c
-
-
-def _overlap_matrix(
-    c_rows: np.ndarray, noise_sigma: float, rng: Optional[np.random.Generator]
-) -> np.ndarray:
-    """Smat = 2 Re(C* C^T), plus symmetric Gaussian noise when noise_sigma > 0."""
-    smat = 2.0 * (c_rows.conj() @ c_rows.T).real
-    if noise_sigma > 0:
-        draws = rng.normal(0.0, noise_sigma, smat.shape)
-        smat = smat + np.triu(draws) + np.triu(draws, 1).T
-    return smat
+    rho, g, c, scale = _step_operators(plan, state, dtau, config, rng)
+    return (*_explicit_system(plan, rho, g, scale, config, rng), c)
 
 
 def solve_step(
@@ -314,74 +319,26 @@ def solve_step(
     return coefficients, residual
 
 
-def _solve_factored(
-    c_rows: np.ndarray, bvec: np.ndarray, delta: float, pinv_tol: float
-):
-    """Same solution as solve_step on Smat = 2 Re(C* C^T), without forming it.
-
-    With W = [Re C | Im C], Smat = 2 W W^T, whose eigenvectors are the left
-    singular vectors u of W.  They come from eigh of the smaller Gram matrix:
-    W W^T, or W^T W = V s^2 V^T with u = W v / s when W is tall, dropping the
-    directions whose s^2 is roundoff.  b lies in the range of W for noiseless
-    assemblies, so null directions never contribute.  The Gram matrix squares
-    the singular values, which is safe while pinv_tol is far above roundoff.
-    """
-    w = np.concatenate([c_rows.real, c_rows.imag], axis=1)
-    if w.shape[0] <= w.shape[1]:
-        s2, u = np.linalg.eigh(w @ w.T)
-    else:
-        s2, v = np.linalg.eigh(w.T @ w)
-        live = s2 > 1e-14 * s2[-1]
-        s2, u = s2[live], (w @ v[:, live]) / np.sqrt(s2[live])
-    lam = 2.0 * s2 + delta
-    lam_max = float(lam[-1]) if lam.size else 0.0
-    if lam_max <= 0.0:
-        return np.zeros(bvec.size), float(np.linalg.norm(bvec))
-    keep = lam >= pinv_tol * lam_max
-    u_kept = u[:, keep]
-    coefficients = -(u_kept / lam[keep]) @ (u_kept.T @ bvec)
-    applied = 2.0 * (w @ (w.T @ coefficients)) + delta * coefficients
-    residual = float(np.linalg.norm(applied + bvec))
-    return coefficients, residual
-
-
 # ---------------------------------------------------------------------------
 # stepping and sweeping
 
 
 def _solve_in_rho_basis(
-    plan: _TermPlan, state: StateVector, dtau: float, config: QiteConfig
+    plan: _TermPlan, rho: np.ndarray, g: np.ndarray, scale: float, config: QiteConfig
 ):
-    """(generator, coefficients, residual, c) of a noiseless Pauli-pool step.
+    """(generator, coefficients, residual) of a noiseless step on a k-qubit support.
 
-    With A = sum_I a_I sigma_I on the k-qubit support, S a holds the Pauli
-    coefficients of {A, rho} and b those of B = i 2^k scale [G, rho], where
-    G = h (measurable) or e^{-dtau h} (exact_delta0).  In the eigenbasis V
-    of rho the full pool's S is 2^k (p_i + p_j) on each pair (i, j) and
-    B~ = i 2^k scale (p_j - p_i) (V^dagger G V), so A = -V A~ V^dagger with
-    A~ = B~ / (2^k (p_i + p_j) + delta) on the pairs solve_step's cutoff
-    keeps.  The odd-Y pool spans i times the real antisymmetric matrices,
-    where S sees only Re rho: its pairs are i != j in the real eigenbasis
-    of Re rho, and B keeps i Im B.  The residual is |b| on dropped pairs.
+    In the eigenbasis V of rho the full pool's S is 2^k (p_i + p_j) on each
+    pair (i, j) and B~ = i 2^k scale (p_j - p_i) (V^dagger G V), so
+    A = -V A~ V^dagger with A~ = B~ / (2^k (p_i + p_j) + delta) on the pairs
+    solve_step's cutoff keeps; the residual is |b| on dropped pairs.  The
+    odd-Y pool spans i times the real antisymmetric matrices: its pairs are
+    i != j in the real eigenbasis of Re rho, and B keeps i Im B.  The
+    parity-even pool keeps the parity of the local index: its pairs lie in
+    the parity blocks, each block of rho gets its own eigh, and B~ gains the
+    rotated cross-block part G_x rho_x - rho_x G_x.
     """
-    dim = 2 ** len(plan.unitary_support)
-    factor = _support_major(state.amplitudes, plan.unitary_support, state.n_qubits)
-    rho = factor @ factor.conj().T
-    evals, evecs = plan.h_eig
-    populations = np.sum(evecs.conj() * (rho @ evecs), axis=0).real  # <w|rho|w>
-    if config.b_mode == "exact_delta0":
-        weights = np.exp(-dtau * evals)
-        c = float(weights**2 @ populations)
-        scale = -1.0 / (dtau * math.sqrt(c))
-    else:
-        weights = evals
-        c = 1.0 - 2.0 * dtau * float(evals @ populations)
-        if c <= 0.0:
-            raise NumericalError(
-                f"first-order norm estimate c={c:g} is not positive; reduce dtau"
-            )
-        scale = 1.0 / math.sqrt(c) if config.b_norm_factor else 1.0
-    g = (evecs * weights) @ evecs.conj().T
+    dim = rho.shape[0]
     if config.pool_kind == "pauli_odd_y":
         p, basis = np.linalg.eigh(rho.real)
         # Re [G, rho] = [Re G, Re rho] - [Im G, Im rho]
@@ -389,10 +346,20 @@ def _solve_in_rho_basis(
         rotated = (basis.T @ g.real @ basis) * (p - p[:, None])
         rotated -= basis.T @ (im_part - im_part.T) @ basis
         pairs = ~np.eye(dim, dtype=bool)
-    else:
+    elif config.pool_kind == "pauli_full":
         p, basis = np.linalg.eigh(rho)
         rotated = (basis.conj().T @ g @ basis) * (p - p[:, None])
         pairs = np.ones((dim, dim), dtype=bool)
+    else:
+        parity = np.bitwise_count(np.arange(dim)) & 1
+        pairs = parity[:, None] == parity
+        p, basis = np.empty(dim), np.zeros_like(rho)
+        for block in (parity == 0, parity == 1):  # one eigh each: no mixing
+            cut = np.ix_(block, block)
+            p[block], basis[cut] = np.linalg.eigh(rho[cut])
+        g_x, rho_x = np.where(pairs, 0.0, g), np.where(pairs, 0.0, rho)
+        rotated = (basis.conj().T @ np.where(pairs, g, 0.0) @ basis) * (p - p[:, None])
+        rotated += basis.conj().T @ (g_x @ rho_x - rho_x @ g_x) @ basis
     s_eigs = dim * (p[:, None] + p)
     s_max = float(s_eigs[pairs].max())
     lam = s_eigs + config.delta
@@ -401,7 +368,7 @@ def _solve_in_rho_basis(
     generator = (-1j * dim * scale) * (basis @ solved @ basis.conj().T)
     coefficients = _pauli_traces(generator, plan.local_masks).real / dim
     residual = math.sqrt(dim) * abs(scale) * float(np.linalg.norm(rotated[pairs & ~keep]))
-    return generator, coefficients, residual, c
+    return generator, coefficients, residual
 
 
 def _run_step(
@@ -411,19 +378,16 @@ def _run_step(
     config: QiteConfig,
     rng: Optional[np.random.Generator],
 ) -> Tuple[StateVector, StepRecord]:
-    if config.noise_sigma == 0 and config.pool_kind in _PAULI_POOLS:
-        generator, coefficients, residual, c = _solve_in_rho_basis(
-            plan, state, dtau, config
+    rho, g, c, scale = _step_operators(plan, state, dtau, config, rng)
+    # a number-conserving pool is every parity-even string unless a tail leaves it
+    spans_blocks = len(plan.local_masks[0]) == rho.size // 2
+    if config.noise_sigma == 0 and (config.pool_kind in _PAULI_POOLS or spans_blocks):
+        generator, coefficients, residual = _solve_in_rho_basis(
+            plan, rho, g, scale, config
         )
-    else:  # the sigma_I L rows: noisy S and b, or the fermionic pool
-        c_rows, bvec, c = _assemble(plan, state, dtau, config, rng)
-        if config.noise_sigma > 0:
-            smat = _overlap_matrix(c_rows, config.noise_sigma, rng)
-            coefficients, residual = solve_step(smat, bvec, config.delta, config.pinv_tol)
-        else:
-            coefficients, residual = _solve_factored(
-                c_rows, bvec, config.delta, config.pinv_tol
-            )
+    else:
+        smat, bvec = _explicit_system(plan, rho, g, scale, config, rng)
+        coefficients, residual = solve_step(smat, bvec, config.delta, config.pinv_tol)
         generator = _dense_from_masks(
             coefficients, plan.local_masks, len(plan.unitary_support)
         )

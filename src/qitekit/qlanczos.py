@@ -13,7 +13,6 @@ so the subspace eigenproblem never touches the statevectors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -60,32 +59,24 @@ def ledger_from_trajectory(trajectory: Trajectory) -> KrylovLedger:
 
 def overlap_from_norms(ledger: KrylovLedger, l1: int, l2: int) -> float:
     """<Phi_l1|Phi_l2> from the norm identity; l1 + l2 must be even."""
-    if (l1 + l2) % 2 != 0:
-        raise DimensionError("overlap needs indices of equal parity")
-    r = (l1 + l2) // 2
-    inv = ledger.inv_sq_norms
-    for l in (l1, l2, r):
-        if not 0 <= l < inv.size:
-            raise DimensionError(f"sweep index {l} outside ledger")
-    return float(inv[r] / math.sqrt(inv[l1] * inv[l2]))
+    return float(build_matrices(ledger, [l1, l2])[0][0, 1])
 
 
 def build_matrices(
     ledger: KrylovLedger, indices: Sequence[int]
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Subspace overlap and Hamiltonian matrices over the chosen sweeps."""
-    indices = list(indices)
-    if not indices:
+    idx = np.asarray(indices, dtype=int)
+    if idx.size == 0:
         raise DimensionError("need at least one sweep index")
-    k = len(indices)
-    smat = np.empty((k, k), dtype=float)
-    hmat = np.empty((k, k), dtype=float)
-    for a, la in enumerate(indices):
-        for b, lb in enumerate(indices):
-            s = overlap_from_norms(ledger, la, lb)
-            smat[a, b] = s
-            hmat[a, b] = s * ledger.energies[(la + lb) // 2]
-    return smat, hmat
+    if np.any((idx[:, None] + idx) % 2):
+        raise DimensionError("overlap needs indices of equal parity")
+    inv = ledger.inv_sq_norms
+    if idx.min() < 0 or idx.max() >= inv.size:
+        raise DimensionError(f"sweep indices {idx.tolist()} outside ledger")
+    r = (idx[:, None] + idx) // 2
+    smat = inv[r] / np.sqrt(inv[idx[:, None]] * inv[idx])
+    return smat, smat * ledger.energies[r]
 
 
 def stabilize(
@@ -175,11 +166,12 @@ def qlanczos_run(
             raise NumericalError("ledger noise requires a random generator")
         ledger = perturb_ledger(ledger, ledger_noise_sigma, rng)
     accepted_all = stabilize(ledger, overlap_threshold)
+    smat, hmat = build_matrices(ledger, accepted_all)  # each prefix is a leading block
 
     betas, e_raw, e_acc, retained = [], [], [], []
     for l in range(0, ledger.n_sweeps + 1, 2):
-        selected = [i for i in accepted_all if i <= l]
-        evals, _ = solve_gevp(*build_matrices(ledger, selected), eig_cutoff)
+        m = int(np.searchsorted(accepted_all, l, side="right"))
+        evals, _ = solve_gevp(smat[:m, :m], hmat[:m, :m], eig_cutoff)
         betas.append(l * ledger.dtau)
         e_raw.append(float(ledger.energies[l]))
         e_acc.append(float(evals[0]))

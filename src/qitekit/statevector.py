@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -16,7 +16,6 @@ from .errors import DimensionError, ResourceError
 from .pauli import PauliString
 
 DEFAULT_MAX_QUBITS = 14
-DEFAULT_MAX_UNITARY_DOMAIN = 12
 DEFAULT_MAX_RDM_QUBITS = 8
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -166,12 +165,10 @@ def _signs(src: np.ndarray, yzmask: np.ndarray) -> np.ndarray:
 
 
 def _pauli_rows(masks, amplitudes: np.ndarray) -> np.ndarray:
-    """(P, *amplitudes.shape) stack of sigma_r rows acting on the leading axis."""
+    """(P, 2^n) stack of the rows sigma_r |psi>."""
     xmask, yzmask, phase = masks
-    src = _indices(amplitudes.shape[0]) ^ xmask[:, None]
-    shaped = amplitudes.reshape(amplitudes.shape[0], -1)
-    rows = phase[:, None, None] * (_signs(src, yzmask[:, None])[..., None] * shaped[src])
-    return rows.reshape((xmask.size,) + amplitudes.shape)
+    src = _indices(amplitudes.size) ^ xmask[:, None]
+    return phase[:, None] * (_signs(src, yzmask[:, None]) * amplitudes[src])
 
 
 def _register_masks(strings, n_qubits: int):
@@ -286,9 +283,7 @@ def _apply_matrix_on_support(
 
 @lru_cache(maxsize=512)
 def _hermitian_eig(pauli_sum, support):
-    mat = dense_on_support(pauli_sum, support)
-    evals, evecs = np.linalg.eigh(mat)
-    return evals, evecs
+    return np.linalg.eigh(dense_on_support(pauli_sum, support))
 
 
 def _term_parts(term):
@@ -317,44 +312,6 @@ def apply_term_exp(state: StateVector, term, dtau: float):
     amps = _apply_matrix_on_support(state.amplitudes, mat, support, state.n_qubits)
     c = float(np.vdot(amps, amps).real)
     return StateVector(amps / np.sqrt(c), state.n_qubits), c
-
-
-def apply_domain_unitary(
-    state: StateVector,
-    coefficients: Sequence[float],
-    strings: Sequence[PauliString],
-    dtau: float,
-    max_domain: int = DEFAULT_MAX_UNITARY_DOMAIN,
-) -> StateVector:
-    """Apply e^{-i dtau A} with A = sum_I a_I sigma_I (a_I real)."""
-    if len(coefficients) != len(strings):
-        raise DimensionError("coefficient and string counts differ")
-    support = set()
-    for s in strings:
-        if s.n_qubits != state.n_qubits:
-            raise DimensionError("pool string width differs from state")
-        support.update(s.support)
-    identity_weight = sum(
-        float(a) for a, s in zip(coefficients, strings) if s.is_identity
-    )
-    phase = np.exp(-1j * dtau * identity_weight)
-    if not support:
-        return StateVector(phase * state.amplitudes, state.n_qubits)
-    if len(support) > max_domain:
-        raise ResourceError(
-            f"unitary domain of {len(support)} qubits exceeds ceiling {max_domain}"
-        )
-    support = tuple(sorted(support))
-    gen = dense_on_support(
-        [(a, s) for a, s in zip(coefficients, strings) if not s.is_identity], support
-    )
-    evals, evecs = np.linalg.eigh(gen)
-    unitary = (evecs * np.exp(-1j * dtau * evals)) @ evecs.conj().T
-    amps = phase * _apply_matrix_on_support(
-        state.amplitudes, unitary, support, state.n_qubits
-    )
-    amps = amps / np.linalg.norm(amps)  # guard against accumulated roundoff
-    return StateVector(amps, state.n_qubits)
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,21 @@ def test_invalid_config_creates_no_output(tmp_path):
     assert not out.exists()
 
 
+def test_noisy_qmetts_config_creates_no_output(tmp_path, capsys):
+    # a chain evolves each start label once and has no generator for noise,
+    # so a noisy qmetts config is refused before any output path exists
+    path = write_config(tmp_path, {
+        "algorithm": "qmetts",
+        "model": {"name": "heisenberg_1d", "params": {"n_qubits": 2}},
+        "qmetts": {"beta": 1.0, "n_samples": 20, "n_warmup": 2,
+                   "qite": {"dtau": 0.1, "domain_size": 2, "noise_sigma": 0.001}},
+    })
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert "noise_sigma" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_initial_state_resolution(tmp_path):
     cfg = {
         "algorithm": "qite",

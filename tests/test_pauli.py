@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qitekit.errors import DimensionError, PoolError
 from qitekit.pauli import (
@@ -169,6 +171,24 @@ def test_fermionic_pool_parity_tail():
     assert "XIX" not in labels
     # supports may exceed the domain, by design
     assert any(1 in s.support for s in pool)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(k=st.integers(1, 5), start=st.integers(0, 2), tail=st.integers(0, 1))
+def test_contiguous_fermionic_pool_is_the_parity_even_strings(k, start, tail):
+    # number conservation keeps the parity Z^k of a contiguous domain, and
+    # no parity tail leaves it, so the pool is every string with an even
+    # number of X/Y letters on the domain: the span QITE solves block-wise
+    n = start + k + tail
+    domain = tuple(range(start, start + k))
+    pool = enumerate_pool(OperatorPool("fermionic_number_conserving", domain), n)
+    even = [
+        PauliString.from_letters(dict(zip(domain, letters)), n)
+        for letters in itertools.product(LETTERS, repeat=k)
+        if sum(c in "XY" for c in letters) % 2 == 0
+    ]
+    assert len(pool) == len(set(pool)) == 4**k // 2
+    assert set(pool) == set(even)
 
 
 def test_fermionic_pool_strings_hermitian_closed(rng):

@@ -20,7 +20,6 @@ from qitekit.pauli import OperatorPool, PauliString, enumerate_pool, multiply
 from qitekit.qite import (
     B_MODES,
     QiteConfig,
-    _solve_factored,
     build_linear_system,
     choose_domain,
     qite_evolve,
@@ -249,33 +248,6 @@ def test_domain_factor_system_matches_register_rows(rng, b_mode):
         assert np.max(np.abs(bvec - bvec_ref)) < 1e-12, (n, kind, domain)
 
 
-def _real_rows(rng, p, m, rank=None):
-    """Complex rows C whose W = [Re C | Im C] has the given rank."""
-    w = rng.normal(size=(p, 2 * m))
-    if rank is not None:
-        w = rng.normal(size=(p, rank)) @ rng.normal(size=(rank, 2 * m))
-    return w[:, :m] + 1j * w[:, m:], w
-
-
-@pytest.mark.parametrize("delta", [0.0, 0.3])
-@pytest.mark.parametrize(
-    "p, m, rank",
-    [(6, 8, None), (12, 6, None), (20, 4, None), (20, 6, 5)],
-    ids=["wide", "square", "tall", "tall-rank-deficient"],
-)
-def test_gram_solve_matches_pseudoinverse(rng, p, m, rank, delta):
-    # the Gram eigh squares the singular values; at the default pinv_tol
-    # (no shipped config sets another) it must still match the pseudoinverse
-    c_rows, w = _real_rows(rng, p, m, rank)
-    # a noiseless b lies in the range of W; a wide W spans every b
-    bvec = rng.normal(size=p) if p <= 2 * m else w @ rng.normal(size=2 * m)
-    pinv_tol = QiteConfig().pinv_tol
-    expected, expected_res = solve_step(2.0 * w @ w.T, bvec, delta, pinv_tol)
-    coefficients, residual = _solve_factored(c_rows, bvec, delta, pinv_tol)
-    assert np.max(np.abs(coefficients - expected)) < 1e-10
-    assert abs(residual - expected_res) < 1e-10
-
-
 def _random_term(rng, n, support, even_y=False):
     """A term of norm <= 1 with random real weights on every (even-Y) string
     over ``support``, so that the measurable c stays positive at dtau <= 0.1."""
@@ -306,7 +278,7 @@ def _random_amplitudes(rng, n, real, product):
 @given(
     k=st.integers(1, 4),
     env=st.integers(0, 2),  # env == 0: the factor on the domain has one column
-    kind=st.sampled_from(["pauli_full", "pauli_odd_y"]),
+    kind=st.sampled_from(["pauli_full", "pauli_odd_y", "fermionic_number_conserving"]),
     b_mode=st.sampled_from(B_MODES),
     delta=st.sampled_from([0.0, 0.3, 1.0]),
     pinv_tol=st.sampled_from([1e-8, 0.3]),  # 0.3 drops pairs that carry b
@@ -363,32 +335,74 @@ def test_odd_y_and_full_pools_take_the_same_step(n, k, b_mode, delta, product, s
         assert np.max(np.abs(rf.coefficients[~odd_y])) < 1e-12
 
 
+def _route_case(kind, noise, explicit, n=3, support=(0, 1), suffix=""):
+    return pytest.param(
+        kind, noise, explicit, n, support, id=f"{kind}-{noise}-{explicit}{suffix}"
+    )
+
+
 @pytest.mark.parametrize(
-    "kind, noise, row_route",
+    "kind, noise, explicit, n, support",
     [
-        ("pauli_full", 0.0, False),
-        ("pauli_odd_y", 0.0, False),
-        ("pauli_odd_y", 1e-3, True),
-        ("fermionic_number_conserving", 0.0, True),
+        _route_case("pauli_full", 0.0, False),
+        _route_case("pauli_full", 1e-3, True),
+        _route_case("pauli_odd_y", 0.0, False),
+        _route_case("pauli_odd_y", 1e-3, True),
+        _route_case("fermionic_number_conserving", 0.0, False),
+        _route_case("fermionic_number_conserving", 1e-3, True),
+        # domain (0, 1, 4, 5): 128 strings on a 6-qubit support
+        _route_case("fermionic_number_conserving", 0.0, True, 6, (0, 5), "-tail"),
+        _route_case("fermionic_number_conserving", 1e-3, True, 6, (0, 5), "-tail"),
     ],
 )
-def test_step_route_by_pool_and_noise(monkeypatch, kind, noise, row_route):
-    # noiseless Pauli-pool steps never build the sigma_I L rows or their Gram
-    # solve; the noisy path and the fermionic pool still do
+def test_step_route_by_pool_and_noise(monkeypatch, kind, noise, explicit, n, support):
+    # every step assembles from rho_D without sigma_I |psi> rows; only noise
+    # and a pool short of its support's parity-even strings form S explicitly
     import qitekit.qite as qite_module
+    import qitekit.statevector as statevector_module
 
     calls = []
-    for name in ("_pauli_rows", "_solve_factored"):
-        original = getattr(qite_module, name)
+    for module, name in ((statevector_module, "_pauli_rows"), (qite_module, "solve_step")):
+        original = getattr(module, name)
         monkeypatch.setattr(
-            qite_module,
-            name,
-            lambda *a, _name=name, _f=original: calls.append(_name) or _f(*a),
+            module, name, lambda *a, _n=name, _f=original: calls.append(_n) or _f(*a)
         )
-    cfg = QiteConfig(domain_size=2, pool_kind=kind, noise_sigma=noise)
-    qite_step(neel_state(3), heisenberg_1d(3).terms[0], cfg, rng=np.random.default_rng(0))
-    expected = {"_pauli_rows"} | (set() if noise else {"_solve_factored"})
-    assert set(calls) == (expected if row_route else set())
+    term = _random_term(np.random.default_rng(1), n, support)
+    cfg = QiteConfig(domain_size=4, pool_kind=kind, noise_sigma=noise)
+    _, record = qite_step(neel_state(n), term, cfg, rng=np.random.default_rng(0))
+    assert calls == (["solve_step"] if explicit else [])
+    if n == 6:
+        assert record.domain == (0, 1, 4, 5) and record.coefficients.size == 128
+
+
+@pytest.mark.parametrize("b_mode", B_MODES)
+def test_noise_draw_order(b_mode):
+    # the <h> noise (measurable) or the b noise (exact_delta0) comes first,
+    # then the symmetric S noise; measurable noise enters before the 1/sqrt(c)
+    h = heisenberg_1d(4)
+    state = StateVector(random_state(4, np.random.default_rng(3)), 4)
+    pool = OperatorPool("pauli_full", (1, 2))
+    sigma, dtau = 1e-3, 0.05
+    cfg = QiteConfig(b_mode=b_mode, noise_sigma=sigma)
+    smat, bvec, c = build_linear_system(
+        state, h.terms[1], pool, dtau, cfg, np.random.default_rng(11)
+    )
+    smat0, bvec0, c0 = build_linear_system(
+        state, h.terms[1], pool, dtau, dataclasses.replace(cfg, noise_sigma=0.0)
+    )
+    replay = np.random.default_rng(11)
+    if b_mode == "measurable":
+        c_want = c0 - 2.0 * dtau * replay.normal(0.0, sigma)
+        raw = -0.5 * bvec0 * np.sqrt(c0) + replay.normal(0.0, sigma, bvec0.shape)
+        b_want = -2.0 * raw / np.sqrt(c_want)
+    else:
+        c_want = c0
+        b_want = bvec0 + replay.normal(0.0, sigma, bvec0.shape)
+    draws = replay.normal(0.0, sigma, smat0.shape)
+    s_want = smat0 + np.triu(draws) + np.triu(draws, 1).T
+    assert abs(c - c_want) < 1e-14
+    assert np.max(np.abs(bvec - b_want)) < 1e-12
+    assert np.max(np.abs(smat - s_want)) < 1e-14
 
 
 def test_pools_enumerated_once_per_domain(monkeypatch):

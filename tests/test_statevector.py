@@ -9,7 +9,6 @@ from qitekit.statevector import (
     _pauli_traces,
     _signs,
     StateVector,
-    apply_domain_unitary,
     apply_pauli,
     apply_pauli_sum,
     apply_term_exp,
@@ -222,46 +221,6 @@ def test_apply_term_exp_eigenstate():
     out, c = apply_term_exp(product_state("0"), [(-1.0, PauliString.from_label("Z"))], 0.3)
     assert np.allclose(out.amplitudes, [1.0, 0.0])
     assert abs(c - np.exp(0.6)) < 1e-12
-
-
-def test_apply_domain_unitary_matches_dense(rng):
-    n = 3
-    amps = random_state(n, rng)
-    strings = [
-        PauliString.from_label("YII"),
-        PauliString.from_label("XYI"),
-        PauliString.from_label("IIZ"),
-    ]
-    coeffs = [0.4, -0.9, 0.25]
-    dtau = 0.21
-    gen = sum(a * dense_pauli_string(s) for a, s in zip(coeffs, strings))
-    w, v = np.linalg.eigh(gen)
-    want = (v * np.exp(-1j * dtau * w)) @ v.conj().T @ amps
-    got = apply_domain_unitary(as_state(amps), coeffs, strings, dtau)
-    assert np.allclose(got.amplitudes, want, atol=1e-10)
-
-
-def test_apply_domain_unitary_identity_phase(rng):
-    amps = random_state(2, rng)
-    state = as_state(amps)
-    out = apply_domain_unitary(state, [0.5], [PauliString.identity(2)], 0.3)
-    # identity only contributes a global phase
-    assert np.allclose(out.amplitudes, np.exp(-0.15j) * amps)
-    assert abs(fidelity(out, state) - 1.0) < 1e-12
-
-
-def test_apply_domain_unitary_guards():
-    state = zero_state(4)
-    with pytest.raises(DimensionError):
-        apply_domain_unitary(state, [1.0, 2.0], [PauliString.identity(4)], 0.1)
-    with pytest.raises(ResourceError):
-        apply_domain_unitary(
-            state,
-            [1.0],
-            [PauliString.from_label("YYYY")],
-            0.1,
-            max_domain=3,
-        )
 
 
 def test_dense_on_support_convention(rng):
