@@ -15,9 +15,7 @@ import numpy as np
 from .errors import DimensionError, NumericalError
 from .hamiltonians import Hamiltonian, to_dense
 from .pauli import odd_y_count
-from .statevector import StateVector, reduced_density_matrix
-
-DENSE_LIMIT = 14
+from .statevector import DEFAULT_MAX_QUBITS, StateVector, reduced_density_matrix
 
 
 def _times(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
@@ -89,7 +87,9 @@ class SpectralDecomposition:
         return float((weights @ diag) / weights.sum())
 
 
-def spectral(hamiltonian: Hamiltonian, max_qubits: int = DENSE_LIMIT) -> SpectralDecomposition:
+def spectral(
+    hamiltonian: Hamiltonian, max_qubits: int = DEFAULT_MAX_QUBITS
+) -> SpectralDecomposition:
     """Full diagonalization of H, in float64 when its matrix has no imaginary part."""
     mat = to_dense(hamiltonian, max_qubits=max_qubits)
     if not mat.imag.any():
@@ -99,7 +99,7 @@ def spectral(hamiltonian: Hamiltonian, max_qubits: int = DENSE_LIMIT) -> Spectra
 
 
 def exact_ground(
-    hamiltonian: Hamiltonian, max_qubits: int = DENSE_LIMIT
+    hamiltonian: Hamiltonian, max_qubits: int = DEFAULT_MAX_QUBITS
 ) -> Tuple[float, StateVector]:
     """Lowest eigenvalue and one minimizing eigenvector."""
     dec = spectral(hamiltonian, max_qubits=max_qubits)
@@ -109,27 +109,27 @@ def exact_ground(
 
 def ground_space_fidelity(
     state: StateVector, hamiltonian: Hamiltonian, degeneracy_tol: float = 1e-10,
-    max_qubits: int = DENSE_LIMIT,
+    max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> float:
     """Probability mass of ``state`` inside the (possibly degenerate) ground space."""
     return spectral(hamiltonian, max_qubits).ground_fidelity(state, degeneracy_tol)
 
 
 def exact_ite(
-    state0: StateVector, hamiltonian: Hamiltonian, beta: float, max_qubits: int = DENSE_LIMIT
+    state0: StateVector, hamiltonian: Hamiltonian, beta: float, max_qubits: int = DEFAULT_MAX_QUBITS
 ) -> StateVector:
     """Normalized e^{-beta H} |psi0> by spectral decomposition."""
     return spectral(hamiltonian, max_qubits).ite(state0, beta)
 
 
 def exact_ite_energy(
-    state0: StateVector, hamiltonian: Hamiltonian, beta: float, max_qubits: int = DENSE_LIMIT
+    state0: StateVector, hamiltonian: Hamiltonian, beta: float, max_qubits: int = DEFAULT_MAX_QUBITS
 ) -> float:
     return spectral(hamiltonian, max_qubits).ite_energy(state0, beta)
 
 
 def exact_ite_squared_norm(
-    state0: StateVector, hamiltonian: Hamiltonian, beta: float, max_qubits: int = DENSE_LIMIT
+    state0: StateVector, hamiltonian: Hamiltonian, beta: float, max_qubits: int = DEFAULT_MAX_QUBITS
 ) -> float:
     """|| e^{-beta H} |psi0> ||^2 without eigenvalue shifting (may be huge)."""
     return spectral(hamiltonian, max_qubits).ite_squared_norm(state0, beta)
@@ -137,7 +137,7 @@ def exact_ite_squared_norm(
 
 def gibbs_average(
     hamiltonian: Hamiltonian, beta: float, observable: Optional[Hamiltonian] = None,
-    max_qubits: int = DENSE_LIMIT,
+    max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> float:
     """Tr[O e^{-beta H}] / Tr[e^{-beta H}] with O defaulting to H itself."""
     if observable is not None and observable.n_qubits != hamiltonian.n_qubits:

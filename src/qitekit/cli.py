@@ -8,12 +8,10 @@ byte-identical CSV bodies; manifests differ only in timestamps/timings.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import dataclasses
 import functools
 import json
-import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -56,6 +54,7 @@ from .qite import QiteConfig, qite_evolve
 from .qlanczos import qlanczos_run
 from .qmetts import MettsConfig, metts_chain
 from .statevector import (
+    DEFAULT_MAX_QUBITS,
     StateVector,
     neel_state,
     plus_state,
@@ -81,9 +80,6 @@ _HANDLED = sum((kinds for kinds, _ in _EXIT_CODES), ())
 def _exit_code(exc: BaseException) -> int:
     return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
-
-DEFAULT_MAX_QUBITS = 14
-THREADS_ENV_VAR = "QITEKIT_THREADS"
 
 _BOUND_TOL = 1e-9
 
@@ -469,20 +465,6 @@ def execute_run(
 # subcommands
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}")
-    return max(1, value)
-
-
-def _batch_worker(args_tuple) -> dict:
-    config, out_dir, seed_override, max_qubits = args_tuple
-    return execute_run(config, Path(out_dir), seed_override, max_qubits)
-
-
 def cmd_run(args) -> int:
     # validate every config before creating any output path
     configs = [(path, load_config(Path(path))) for path in args.config]
@@ -497,17 +479,8 @@ def cmd_run(args) -> int:
             name = stem if seen[stem] == 1 else f"{stem}_{seen[stem]}"
             targets.append(out_root / name)
 
-    jobs = [
-        (config, target, args.seed_override, args.max_qubits)
-        for (_, config), target in zip(configs, targets)
-    ]
-    threads = _thread_count()
-    if threads > 1 and len(jobs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            summaries = list(pool.map(_batch_worker, jobs))
-    else:
-        summaries = [_batch_worker(job) for job in jobs]
-    for (path, _), target, summary in zip(configs, targets, summaries):
+    for (path, config), target in zip(configs, targets):
+        summary = execute_run(config, target, args.seed_override, args.max_qubits)
         headline = {
             k: summary[k]
             for k in ("energy_final", "e_qlanczos_final", "mean", "p_total")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, DataFormatError, DimensionError, ResourceError
 from .pauli import PauliString
-from .statevector import StateVector, dense_on_support, expectation_sum
+from .statevector import DEFAULT_MAX_QUBITS, StateVector, dense_on_support, expectation_sum
 
 PauliSum = Tuple[Tuple[float, PauliString], ...]
 
@@ -68,7 +68,7 @@ def energy(state: StateVector, hamiltonian: Hamiltonian) -> float:
     )
 
 
-def to_dense(hamiltonian: Hamiltonian, max_qubits: int = 14) -> np.ndarray:
+def to_dense(hamiltonian: Hamiltonian, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
     """Full 2^n x 2^n matrix, offset included."""
     n = hamiltonian.n_qubits
     if n > max_qubits:

@@ -210,64 +210,26 @@ def enumerate_pool(pool: OperatorPool, n_qubits: int) -> List[PauliString]:
     return _fermionic_pool(domain, n_qubits)
 
 
-# ---------------------------------------------------------------------------
-# fermionic pool: products of {1, f, f^dag, f^dag f} per domain site, kept
-# only when creation and annihilation counts balance, expanded through the
-# parity (Jordan-Wigner style) encoding into plain Pauli strings.
-
-_FieldSum = Dict[Tuple[Tuple[int, str], ...], complex]
-
-
-def _sum_from(terms) -> _FieldSum:
-    return {s.items: p for s, p in terms}
-
-
-def _lowering_sum(site: int, n_qubits: int) -> List[Tuple[PauliString, complex]]:
-    # f_site = Z_0 .. Z_{site-1} (X_site + i Y_site) / 2 with occupied <-> bit 1
-    tail = {q: "Z" for q in range(site)}
-    x = PauliString.from_letters({**tail, site: "X"}, n_qubits)
-    y = PauliString.from_letters({**tail, site: "Y"}, n_qubits)
-    return [(x, 0.5), (y, 0.5j)]
-
-
-def _site_operator_sums(site: int, n_qubits: int):
-    lower = _lowering_sum(site, n_qubits)
-    raise_ = [(s, p.conjugate()) for s, p in lower]
-    ident = PauliString.identity(n_qubits)
-    z = PauliString.from_letters({site: "Z"}, n_qubits)
-    number = [(ident, 0.5), (z, -0.5)]  # f^dag f = (1 - Z)/2
-    return {
-        "1": ([(ident, 1.0)], 0, 0),
-        "f": (lower, 0, 1),
-        "f+": (raise_, 1, 0),
-        "n": (number, 1, 1),
-    }
-
-
-def _multiply_sums(left: _FieldSum, right: _FieldSum, n_qubits: int) -> _FieldSum:
-    out: _FieldSum = {}
-    for litems, lphase in left.items():
-        ls = PauliString(n_qubits, litems)
-        for ritems, rphase in right.items():
-            prod = multiply(ls, PauliString(n_qubits, ritems))
-            key = prod.string.items
-            out[key] = out.get(key, 0j) + lphase * rphase * prod.phase
-    return {k: v for k, v in out.items() if abs(v) > 1e-14}
-
-
 def _fermionic_pool(domain: Tuple[int, ...], n_qubits: int) -> List[PauliString]:
+    """The parity-encoded number-conserving products on ``domain``, in closed form.
+
+    Products of {1, f, f^dag, f^dag f} per site with balanced creation and
+    annihilation counts expand to every assignment of I, X, Y, Z to the
+    domain with an even number of X/Y letters, where each qubit between two
+    domain sites carries the parity Z when an odd number of X/Y letters lie
+    below it.  A gap letter follows from the letters below it, so the
+    product order of the assignments is already the order of sort_key.
+    """
     sites = sorted(domain)
-    tables = [_site_operator_sums(q, n_qubits) for q in sites]
-    seen = set()
-    for choice in itertools.product(("1", "f", "f+", "n"), repeat=len(sites)):
-        creations = sum(tables[i][c][1] for i, c in enumerate(choice))
-        annihilations = sum(tables[i][c][2] for i, c in enumerate(choice))
-        if creations != annihilations:
-            continue
-        acc: _FieldSum = {PauliString.identity(n_qubits).items: 1.0 + 0j}
-        for i, c in enumerate(choice):
-            acc = _multiply_sums(acc, _sum_from(tables[i][c][0]), n_qubits)
-        seen.update(acc.keys())
-    strings = [PauliString(n_qubits, items) for items in seen]
-    strings.sort(key=PauliString.sort_key)
+    strings = []
+    for assignment in itertools.product(LETTERS, repeat=len(sites)):
+        letters = dict(zip(sites, assignment))
+        items, odd = [], False
+        for q in range(sites[0], sites[-1] + 1):
+            letter = letters.get(q, "Z" if odd else "I")
+            odd ^= letter in "XY"
+            if letter != "I":
+                items.append((q, letter))
+        if not odd:
+            strings.append(PauliString(n_qubits, tuple(items)))
     return strings

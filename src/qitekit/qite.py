@@ -26,7 +26,6 @@ from .statevector import (
     _pauli_traces,
     _signs,
     _support_major,
-    fidelity,
 )
 
 B_MODES = ("measurable", "exact_delta0")
@@ -79,7 +78,6 @@ class StepRecord:
     term_index: int
     dtau: float
     c: float
-    coefficients: np.ndarray
     residual: float
     domain: Tuple[int, ...]
 
@@ -98,7 +96,6 @@ class Trajectory:
     inv_sq_norms: np.ndarray
     records: List[StepRecord]
     config: QiteConfig
-    fidelities: Optional[np.ndarray] = None
     final_state: Optional[StateVector] = None
 
 
@@ -163,47 +160,56 @@ class _TermPlan:
     index: int
     domain: Tuple[int, ...]
     unitary_support: Tuple[int, ...]
-    local_masks: Tuple[np.ndarray, ...]  # (x, yz, i^nY) per string over the support
     h_eig: Tuple[np.ndarray, np.ndarray]  # eigh of the term on the support
+    # (x, yz, i^nY) per pool string over the support when the step forms S;
+    # None when it is solved in the eigenbasis of rho
+    local_masks: Optional[Tuple[np.ndarray, ...]]
 
 
 def _term_plans(
     terms: Sequence[LocalTerm], config: QiteConfig, n_qubits: int, first_index: int = 0
 ) -> List[_TermPlan]:
-    """Plans for ``terms`` numbered from ``first_index``.
+    """Plans for ``terms`` numbered from ``first_index``, each with its route.
 
-    Each distinct domain enumerates its pool and builds the pool's masks
-    once.  A domain from choose_domain contains its term's support, so the
-    pool's support is the unitary support of every term that shares it.
+    A noiseless step on a Pauli pool, or on a fermionic pool over a
+    contiguous domain (the parity-even strings of the domain), is solved in
+    the eigenbasis of rho on the domain and reads no pool.  Every other
+    domain enumerates its pool and builds the pool's masks once; parity
+    tails may widen its support.  A domain from choose_domain contains its
+    term's support, so the support serves every term that shares the domain.
     """
     pools = {}
     plans = []
     for index, term in enumerate(terms, first_index):
         domain = choose_domain(term.support, config.domain_size, n_qubits)
         if domain not in pools:
-            strings = enumerate_pool(OperatorPool(config.pool_kind, domain), n_qubits)
-            pools[domain] = _pool_masks(index, domain, strings, config)
+            contiguous = domain[-1] - domain[0] == len(domain) - 1
+            if config.noise_sigma == 0 and (config.pool_kind in _PAULI_POOLS or contiguous):
+                pools[domain] = (_pool_support(index, domain, (), config), None)
+            else:
+                strings = enumerate_pool(OperatorPool(config.pool_kind, domain), n_qubits)
+                support = _pool_support(index, domain, strings, config)
+                pools[domain] = (support, _pauli_masks(tuple(strings), support))
         plans.append(_build_plan(index, term, domain, *pools[domain]))
     return plans
 
 
-def _pool_masks(
-    index: int, qubits: Sequence[int], strings: List[PauliString], config: QiteConfig
-):
-    """(support, masks): ``qubits`` joined with every string's support, and the
-    strings' masks over it."""
+def _pool_support(
+    index: int, qubits: Sequence[int], strings: Sequence[PauliString], config: QiteConfig
+) -> Tuple[int, ...]:
+    """``qubits`` joined with every string's support, held to the ceiling."""
     support = tuple(sorted(set(qubits).union(q for s in strings for q, _ in s.items)))
     if len(support) > config.max_unitary_domain:
         raise ResourceError(
             f"term {index}: unitary support of {len(support)} qubits exceeds "
             f"ceiling {config.max_unitary_domain}"
         )
-    return support, _pauli_masks(tuple(strings), support)
+    return support
 
 
 def _build_plan(index: int, term: LocalTerm, domain, support, masks) -> _TermPlan:
     h_eig = _hermitian_eig(tuple(term.pauli_sum), support)
-    return _TermPlan(index, domain, support, masks, h_eig)
+    return _TermPlan(index, domain, support, h_eig, masks)
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +300,9 @@ def build_linear_system(
     """
     config = config or QiteConfig()
     strings = enumerate_pool(pool, state.n_qubits)
-    qubits = tuple(pool.domain) + tuple(term.support)
-    plan = _build_plan(0, term, tuple(pool.domain), *_pool_masks(0, qubits, strings, config))
+    support = _pool_support(0, tuple(pool.domain) + tuple(term.support), strings, config)
+    masks = _pauli_masks(tuple(strings), support)
+    plan = _build_plan(0, term, tuple(pool.domain), support, masks)
     rho, g, c, scale = _step_operators(plan, state, dtau, config, rng)
     return (*_explicit_system(plan, rho, g, scale, config, rng), c)
 
@@ -323,10 +330,8 @@ def solve_step(
 # stepping and sweeping
 
 
-def _solve_in_rho_basis(
-    plan: _TermPlan, rho: np.ndarray, g: np.ndarray, scale: float, config: QiteConfig
-):
-    """(generator, coefficients, residual) of a noiseless step on a k-qubit support.
+def _solve_in_rho_basis(rho: np.ndarray, g: np.ndarray, scale: float, config: QiteConfig):
+    """(generator, residual) of a noiseless step on a k-qubit support.
 
     In the eigenbasis V of rho the full pool's S is 2^k (p_i + p_j) on each
     pair (i, j) and B~ = i 2^k scale (p_j - p_i) (V^dagger G V), so
@@ -366,9 +371,8 @@ def _solve_in_rho_basis(
     keep = pairs & (lam >= config.pinv_tol * (s_max + config.delta))
     solved = np.where(keep, rotated, 0.0) / np.where(keep, lam, 1.0)
     generator = (-1j * dim * scale) * (basis @ solved @ basis.conj().T)
-    coefficients = _pauli_traces(generator, plan.local_masks).real / dim
     residual = math.sqrt(dim) * abs(scale) * float(np.linalg.norm(rotated[pairs & ~keep]))
-    return generator, coefficients, residual
+    return generator, residual
 
 
 def _run_step(
@@ -379,20 +383,16 @@ def _run_step(
     rng: Optional[np.random.Generator],
 ) -> Tuple[StateVector, StepRecord]:
     rho, g, c, scale = _step_operators(plan, state, dtau, config, rng)
-    # a number-conserving pool is every parity-even string unless a tail leaves it
-    spans_blocks = len(plan.local_masks[0]) == rho.size // 2
-    if config.noise_sigma == 0 and (config.pool_kind in _PAULI_POOLS or spans_blocks):
-        generator, coefficients, residual = _solve_in_rho_basis(
-            plan, rho, g, scale, config
-        )
+    if plan.local_masks is None:
+        generator, residual = _solve_in_rho_basis(rho, g, scale, config)
     else:
         smat, bvec = _explicit_system(plan, rho, g, scale, config, rng)
         coefficients, residual = solve_step(smat, bvec, config.delta, config.pinv_tol)
         generator = _dense_from_masks(
             coefficients, plan.local_masks, len(plan.unitary_support)
         )
-    if not np.all(np.isfinite(coefficients)):
-        raise NumericalError(f"term {plan.index}: non-finite expansion coefficients")
+    if not np.all(np.isfinite(generator)):
+        raise NumericalError(f"term {plan.index}: non-finite generator")
 
     evals, evecs = np.linalg.eigh(generator)
     unitary = (evecs * np.exp(-1j * dtau * evals)) @ evecs.conj().T
@@ -400,7 +400,7 @@ def _run_step(
         state.amplitudes, unitary, plan.unitary_support, state.n_qubits
     )
     amps = amps / np.linalg.norm(amps)
-    record = StepRecord(plan.index, dtau, c, coefficients, residual, plan.domain)
+    record = StepRecord(plan.index, dtau, c, residual, plan.domain)
     return StateVector(amps, state.n_qubits), record
 
 
@@ -431,29 +431,26 @@ def qite_evolve(
     hamiltonian: Hamiltonian,
     config: QiteConfig,
     rng: Optional[np.random.Generator] = None,
-    reference: Optional[StateVector] = None,
     on_sweep: Optional[Callable[[int, StateVector], None]] = None,
 ) -> Trajectory:
     """Run ``config.n_steps`` sweeps and record the per-sweep history.
 
-    When ``reference`` is given a per-sweep fidelity column is recorded;
     ``on_sweep(l, state)`` is invoked after each sweep for observers.
     """
     config.validate()
     if state0.n_qubits != hamiltonian.n_qubits:
         raise DimensionError("state and Hamiltonian widths differ")
     plans = _term_plans(hamiltonian.terms, config, hamiltonian.n_qubits)
-    return _evolve(state0, hamiltonian, plans, config, rng, reference, on_sweep)
+    return _evolve(state0, hamiltonian, plans, config, rng, on_sweep)
 
 
-def _evolve(state0, hamiltonian, plans, config, rng=None, reference=None, on_sweep=None):
+def _evolve(state0, hamiltonian, plans, config, rng=None, on_sweep=None):
     """qite_evolve on prebuilt plans, so repeated evolutions share them."""
     schedule = _sweep_schedule(len(plans), config)
 
     state = state0
     energies = [energy(state, hamiltonian)]
     inv_sq_norms = [1.0]
-    fidelities = [None] if reference is None else [fidelity(state, reference)]
     records: List[StepRecord] = []
     for sweep in range(config.n_steps):
         prod_c = 1.0
@@ -463,8 +460,6 @@ def _evolve(state0, hamiltonian, plans, config, rng=None, reference=None, on_swe
             records.append(record)
         inv_sq_norms.append(inv_sq_norms[-1] * prod_c)
         energies.append(energy(state, hamiltonian))
-        if reference is not None:
-            fidelities.append(fidelity(state, reference))
         if on_sweep is not None:
             on_sweep(sweep + 1, state)
     betas = config.dtau * np.arange(config.n_steps + 1)
@@ -474,6 +469,5 @@ def _evolve(state0, hamiltonian, plans, config, rng=None, reference=None, on_swe
         inv_sq_norms=np.array(inv_sq_norms),
         records=records,
         config=config,
-        fidelities=None if reference is None else np.array(fidelities, dtype=float),
         final_state=state,
     )

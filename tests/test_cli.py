@@ -431,20 +431,6 @@ def test_batch_run_places_subdirs(tmp_path, capsys):
     assert "alpha.json" in printed and "bravo.json" in printed
 
 
-def test_batch_run_parallel_workers(tmp_path, monkeypatch):
-    p1 = write_config(tmp_path, one_qubit_run_config(n_steps=5), "alpha.json")
-    p2 = write_config(tmp_path, one_qubit_run_config(n_steps=5), "bravo.json")
-    out = tmp_path / "batch"
-    monkeypatch.setenv("QITEKIT_THREADS", "2")
-    code = main(["run", "--config", str(p1), "--config", str(p2), "--out", str(out)])
-    assert code == EXIT_OK
-    assert (out / "alpha" / "qite.csv").read_bytes() == (
-        out / "bravo" / "qite.csv"
-    ).read_bytes()
-    monkeypatch.setenv("QITEKIT_THREADS", "soon")
-    assert main(["run", "--config", str(p1), "--out", str(out / "again")]) == EXIT_CONFIG
-
-
 def test_batch_run_validates_each_config_once(tmp_path, monkeypatch):
     import qitekit.cli as cli_module
 

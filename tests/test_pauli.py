@@ -199,6 +199,71 @@ def test_fermionic_pool_strings_hermitian_closed(rng):
     assert np.allclose(acc, acc.conj().T)
 
 
+# Fock-product reference for the fermionic pool: products of
+# {1, f, f^dag, f^dag f} per domain site, kept only when creation and
+# annihilation counts balance, expanded through the parity encoding.
+
+
+def _lowering_sum(site, n_qubits):
+    # f_site = Z_0 .. Z_{site-1} (X_site + i Y_site) / 2 with occupied <-> bit 1
+    tail = {q: "Z" for q in range(site)}
+    x = PauliString.from_letters({**tail, site: "X"}, n_qubits)
+    y = PauliString.from_letters({**tail, site: "Y"}, n_qubits)
+    return [(x, 0.5), (y, 0.5j)]
+
+
+def _site_operator_sums(site, n_qubits):
+    lower = _lowering_sum(site, n_qubits)
+    raise_ = [(s, p.conjugate()) for s, p in lower]
+    ident = PauliString.identity(n_qubits)
+    z = PauliString.from_letters({site: "Z"}, n_qubits)
+    number = [(ident, 0.5), (z, -0.5)]  # f^dag f = (1 - Z)/2
+    return {
+        "1": ([(ident, 1.0)], 0, 0),
+        "f": (lower, 0, 1),
+        "f+": (raise_, 1, 0),
+        "n": (number, 1, 1),
+    }
+
+
+def _multiply_sums(left, right, n_qubits):
+    out = {}
+    for litems, lphase in left.items():
+        ls = PauliString(n_qubits, litems)
+        for ritems, rphase in right.items():
+            prod = multiply(ls, PauliString(n_qubits, ritems))
+            key = prod.string.items
+            out[key] = out.get(key, 0j) + lphase * rphase * prod.phase
+    return {k: v for k, v in out.items() if abs(v) > 1e-14}
+
+
+def fock_product_pool(domain, n_qubits):
+    sites = sorted(domain)
+    tables = [_site_operator_sums(q, n_qubits) for q in sites]
+    seen = set()
+    for choice in itertools.product(("1", "f", "f+", "n"), repeat=len(sites)):
+        creations = sum(tables[i][c][1] for i, c in enumerate(choice))
+        annihilations = sum(tables[i][c][2] for i, c in enumerate(choice))
+        if creations != annihilations:
+            continue
+        acc = {PauliString.identity(n_qubits).items: 1.0 + 0j}
+        for i, c in enumerate(choice):
+            acc = _multiply_sums(acc, {s.items: p for s, p in tables[i][c][0]}, n_qubits)
+        seen.update(acc.keys())
+    strings = [PauliString(n_qubits, items) for items in seen]
+    strings.sort(key=PauliString.sort_key)
+    return strings
+
+
+def test_fermionic_pool_matches_fock_products():
+    # the closed form lists the same strings as the Fock products, in order,
+    # on every domain of up to 4 of 6 qubits, (0, 1, 4, 5) among them
+    for n, k in itertools.product(range(1, 7), range(1, 5)):
+        for domain in itertools.combinations(range(n), k):
+            pool = enumerate_pool(OperatorPool("fermionic_number_conserving", domain), n)
+            assert pool == fock_product_pool(domain, n), (n, domain)
+
+
 def test_ordering_is_total_and_stable():
     pool = enumerate_pool(OperatorPool("pauli_full", (0, 1, 2)), 3)
     assert pool == sorted(pool)

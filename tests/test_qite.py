@@ -20,6 +20,9 @@ from qitekit.pauli import OperatorPool, PauliString, enumerate_pool, multiply
 from qitekit.qite import (
     B_MODES,
     QiteConfig,
+    _solve_in_rho_basis,
+    _step_operators,
+    _term_plans,
     build_linear_system,
     choose_domain,
     qite_evolve,
@@ -30,6 +33,7 @@ from qitekit.statevector import (
     StateVector,
     _pauli_masks,
     _pauli_rows,
+    _pauli_traces,
     apply_pauli_sum,
     apply_term_exp,
     expectation,
@@ -195,6 +199,20 @@ def test_solve_step_rank_deficient():
     assert np.linalg.norm(damped) < np.linalg.norm(coeffs)
 
 
+def _rho_basis_step(state, term, cfg, dtau):
+    """(plan, generator, residual) of a noiseless step solved in the eigenbasis of rho."""
+    (plan,) = _term_plans([term], cfg, state.n_qubits)
+    rho, g, _, scale = _step_operators(plan, state, dtau, cfg, None)
+    return (plan, *_solve_in_rho_basis(rho, g, scale, cfg))
+
+
+def _pool_coefficients(generator, kind, domain, n):
+    """Tr(sigma_I A) / 2^k for every string of the pool on ``domain``."""
+    strings = enumerate_pool(OperatorPool(kind, domain), n)
+    masks = _pauli_masks(tuple(strings), domain)
+    return _pauli_traces(generator, masks).real / 2 ** len(domain)
+
+
 def test_factored_solver_matches_dense_path(rng):
     # same step with noise_sigma=0 (eigenbasis solve) and via explicit solve_step
     h = heisenberg_1d(3)
@@ -203,8 +221,9 @@ def test_factored_solver_matches_dense_path(rng):
     cfg = QiteConfig(domain_size=2, pool_kind="pauli_odd_y", dtau=0.1)
     smat, bvec, _ = build_linear_system(state, h.terms[0], pool, 0.1, cfg)
     dense_coeffs, _ = solve_step(smat, bvec, cfg.delta, cfg.pinv_tol)
-    _, record = qite_step(state, h.terms[0], cfg, term_index=0)
-    assert np.allclose(record.coefficients, dense_coeffs, atol=1e-10)
+    plan, generator, _ = _rho_basis_step(state, h.terms[0], cfg, 0.1)
+    coefficients = _pool_coefficients(generator, "pauli_odd_y", plan.unitary_support, 3)
+    assert np.allclose(coefficients, dense_coeffs, atol=1e-10)
 
 
 def _register_system(state, term, strings, dtau, b_mode):
@@ -298,14 +317,19 @@ def test_rho_basis_step_matches_explicit_solve(
     cfg = QiteConfig(
         domain_size=k, pool_kind=kind, b_mode=b_mode, delta=delta, pinv_tol=pinv_tol
     )
-    _, record = qite_step(state, term, cfg, dtau=0.05)
+    (plan,) = _term_plans([term], cfg, n)
+    rho, g, c_step, scale = _step_operators(plan, state, 0.05, cfg, None)
     smat, bvec, c = build_linear_system(
-        state, term, OperatorPool(kind, record.domain), 0.05, cfg
+        state, term, OperatorPool(kind, plan.domain), 0.05, cfg
     )
+    assert abs(c_step - c) < 1e-12
+    if plan.local_masks is not None:
+        return  # a fermionic pool with parity tails forms this S itself
+    generator, residual = _solve_in_rho_basis(rho, g, scale, cfg)
     expected, expected_res = solve_step(smat, bvec, delta, cfg.pinv_tol)
-    assert np.max(np.abs(record.coefficients - expected)) < 1e-10
-    assert abs(record.residual - expected_res) < 1e-10
-    assert abs(record.c - c) < 1e-12
+    coefficients = _pool_coefficients(generator, kind, plan.unitary_support, n)
+    assert np.max(np.abs(coefficients - expected)) < 1e-10
+    assert abs(residual - expected_res) < 1e-10
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -323,16 +347,21 @@ def test_odd_y_and_full_pools_take_the_same_step(n, k, b_mode, delta, product, s
     rng = np.random.default_rng(seed)
     state = _random_amplitudes(rng, n, real=True, product=product)
     cfg = QiteConfig(domain_size=min(k, n), b_mode=b_mode, delta=delta)
+    odd_cfg = dataclasses.replace(cfg, pool_kind="pauli_odd_y")
     for q in range(n - 1):
         term = _random_term(rng, n, (q, q + 1), even_y=True)
         full, rf = qite_step(state, term, cfg)
-        odd, ro = qite_step(state, term, dataclasses.replace(cfg, pool_kind="pauli_odd_y"))
+        odd, ro = qite_step(state, term, odd_cfg)
         assert np.max(np.abs(full.amplitudes - odd.amplitudes)) < 1e-12
         assert abs(rf.c - ro.c) < 1e-12
-        strings = enumerate_pool(OperatorPool("pauli_full", rf.domain), n)
+        plan, g_full, _ = _rho_basis_step(state, term, cfg, cfg.dtau)
+        _, g_odd, _ = _rho_basis_step(state, term, odd_cfg, cfg.dtau)
+        full_coeffs = _pool_coefficients(g_full, "pauli_full", plan.unitary_support, n)
+        odd_coeffs = _pool_coefficients(g_odd, "pauli_odd_y", plan.unitary_support, n)
+        strings = enumerate_pool(OperatorPool("pauli_full", plan.domain), n)
         odd_y = np.array([s.y_count % 2 == 1 for s in strings])
-        assert np.max(np.abs(rf.coefficients[odd_y] - ro.coefficients)) < 1e-12
-        assert np.max(np.abs(rf.coefficients[~odd_y])) < 1e-12
+        assert np.max(np.abs(full_coeffs[odd_y] - odd_coeffs)) < 1e-12
+        assert np.max(np.abs(full_coeffs[~odd_y])) < 1e-12
 
 
 def _route_case(kind, noise, explicit, n=3, support=(0, 1), suffix=""):
@@ -357,12 +386,17 @@ def _route_case(kind, noise, explicit, n=3, support=(0, 1), suffix=""):
 )
 def test_step_route_by_pool_and_noise(monkeypatch, kind, noise, explicit, n, support):
     # every step assembles from rho_D without sigma_I |psi> rows; only noise
-    # and a pool short of its support's parity-even strings form S explicitly
+    # and a pool short of its support's parity-even strings enumerate the
+    # pool and form S explicitly
     import qitekit.qite as qite_module
     import qitekit.statevector as statevector_module
 
     calls = []
-    for module, name in ((statevector_module, "_pauli_rows"), (qite_module, "solve_step")):
+    patched = [(statevector_module, "_pauli_rows")] + [
+        (qite_module, name)
+        for name in ("enumerate_pool", "_pauli_masks", "_pauli_traces", "solve_step")
+    ]
+    for module, name in patched:
         original = getattr(module, name)
         monkeypatch.setattr(
             module, name, lambda *a, _n=name, _f=original: calls.append(_n) or _f(*a)
@@ -370,9 +404,13 @@ def test_step_route_by_pool_and_noise(monkeypatch, kind, noise, explicit, n, sup
     term = _random_term(np.random.default_rng(1), n, support)
     cfg = QiteConfig(domain_size=4, pool_kind=kind, noise_sigma=noise)
     _, record = qite_step(neel_state(n), term, cfg, rng=np.random.default_rng(0))
-    assert calls == (["solve_step"] if explicit else [])
+    # plan: the pool and its masks; step: the traces of S and of [G, rho]
+    explicit_calls = ["enumerate_pool", "_pauli_masks", "_pauli_traces", "_pauli_traces"]
+    assert calls == (explicit_calls + ["solve_step"] if explicit else [])
     if n == 6:
-        assert record.domain == (0, 1, 4, 5) and record.coefficients.size == 128
+        (plan,) = _term_plans([term], cfg, n)
+        assert record.domain == (0, 1, 4, 5) and plan.unitary_support == tuple(range(6))
+        assert len(plan.local_masks[0]) == 128
 
 
 @pytest.mark.parametrize("b_mode", B_MODES)
@@ -415,8 +453,10 @@ def test_pools_enumerated_once_per_domain(monkeypatch):
         "enumerate_pool",
         lambda pool, n: calls.append(pool.domain) or original(pool, n),
     )
+    # only a step that forms S reads its pool, so the run is noisy
     h = heisenberg_1d(5)
-    qite_evolve(neel_state(5), h, QiteConfig(n_steps=1, domain_size=4))
+    cfg = QiteConfig(n_steps=1, domain_size=4, noise_sigma=1e-3)
+    qite_evolve(neel_state(5), h, cfg, rng=np.random.default_rng(0))
     # bonds (0,1) and (1,2) grow to (0..3); (2,3) and (3,4) to (1..4)
     assert sorted(calls) == [(0, 1, 2, 3), (1, 2, 3, 4)]
 
@@ -500,15 +540,18 @@ def test_fidelity_tracking_and_callback():
     h = heisenberg_1d(2)
     state = neel_state(2)
     _, ground = exact_ground(h)
-    seen = []
+    seen, fidelities = [], [fidelity(state, ground)]
+
+    def on_sweep(l, s):
+        seen.append(l)
+        fidelities.append(fidelity(s, ground))
+
     cfg = QiteConfig(dtau=0.1, n_steps=30, domain_size=2, pool_kind="pauli_odd_y")
-    traj = qite_evolve(
-        state, h, cfg, reference=ground, on_sweep=lambda l, s: seen.append(l)
-    )
+    qite_evolve(state, h, cfg, on_sweep=on_sweep)
     assert seen == list(range(1, 31))
-    assert traj.fidelities.shape == (31,)
-    assert traj.fidelities[0] < traj.fidelities[-1]
-    assert traj.fidelities[-1] > 0.99
+    assert len(fidelities) == 31
+    assert fidelities[0] < fidelities[-1]
+    assert fidelities[-1] > 0.99
 
 
 def test_trajectory_bookkeeping():

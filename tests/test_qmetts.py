@@ -28,20 +28,18 @@ def test_config_validation():
 
 
 def test_chain_enumerates_each_pool_once(monkeypatch):
-    import qitekit.qite as qite_module
+    import qitekit.qmetts as qmetts_module
 
     calls = []
-    original = qite_module.enumerate_pool
+    original = qmetts_module._term_plans
     monkeypatch.setattr(
-        qite_module,
-        "enumerate_pool",
-        lambda pool, n: calls.append(pool.domain) or original(pool, n),
+        qmetts_module, "_term_plans", lambda *a: calls.append(a) or original(*a)
     )
     config = MettsConfig(beta=0.4, n_samples=10, n_warmup=2,
                          qite=QiteConfig(dtau=0.1, domain_size=3))
     metts_chain(heisenberg_1d(4), config, np.random.default_rng(0))
-    # plans are built once per chain, not once per sample
-    assert sorted(calls) == [(0, 1, 2), (1, 2, 3)]
+    # plans, and with them any pool, are built once per chain, not once per sample
+    assert len(calls) == 1
 
 
 def test_chain_evolves_each_start_label_once(monkeypatch):
