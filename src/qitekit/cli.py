@@ -9,15 +9,15 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
+import inspect
 import json
 import sys
 import time
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import jsonschema
 import numpy as np
@@ -40,7 +40,6 @@ from .errors import (
 )
 from .hamiltonians import (
     Hamiltonian,
-    energy,
     h2_from_table,
     heisenberg_1d,
     heisenberg_long_range,
@@ -128,67 +127,47 @@ def validate_config(config: dict, origin: str = "config") -> None:
             f"{origin}: sections {sorted(foreign)} do not belong to "
             f"algorithm {algorithm!r}"
         )
-    _model_spec(config["model"])  # raises on unknown params
+    # the library objects refuse what the schema cannot see, before any output
+    _settings(config, build_model(config["model"]))
 
 
-# one entry per runnable model: builder, required params, optional params
-# with defaults, and the initial product state used when none is configured
+def _h2(bond_length: float, table_path: Optional[str] = None) -> Hamiltonian:
+    return h2_from_table(bond_length, path=table_path)
+
+
+# one entry per runnable model: the builder, whose keyword arguments are the
+# model's params, and the initial product state used when none is configured
 _MODEL_TABLE = {
-    "one_qubit_field": (one_qubit_field, ("alpha", "beta"), {}, "zeros"),
-    "heisenberg_1d": (
-        heisenberg_1d,
-        ("n_qubits",),
-        {"coupling": 1.0, "field": 0.0},
-        "neel",
-    ),
-    "heisenberg_long_range": (
-        heisenberg_long_range,
-        ("n_qubits",),
-        {"coupling": 1.0},
-        "neel",
-    ),
-    "tfi_1d": (tfi_1d, ("n_qubits", "coupling", "field"), {}, "plus"),
-    "hubbard_1d_jw": (
-        hubbard_1d_jw,
-        ("n_sites", "interaction"),
-        {"chem_potential": 0.0, "hopping": 1.0},
-        "half_filled",
-    ),
-    "h2_bk": (h2_from_table, ("bond_length",), {"table_path": None}, "zeros"),
-    "maxcut": (maxcut, ("n_vertices", "edges"), {}, "plus"),
-    "maxcut_six": (maxcut_six_vertex_instance, (), {}, "plus"),
+    "one_qubit_field": (one_qubit_field, "zeros"),
+    "heisenberg_1d": (heisenberg_1d, "neel"),
+    "heisenberg_long_range": (heisenberg_long_range, "neel"),
+    "tfi_1d": (tfi_1d, "plus"),
+    "hubbard_1d_jw": (hubbard_1d_jw, "half_filled"),
+    "h2_bk": (_h2, "zeros"),
+    "maxcut": (maxcut, "plus"),
+    "maxcut_six": (maxcut_six_vertex_instance, "plus"),
 }
 
 
-def _model_spec(model_block: dict) -> Tuple:
+def build_model(model_block: dict) -> Hamiltonian:
     name = model_block["name"]
-    builder, required, optional, default_state = _MODEL_TABLE[name]
-    params = dict(model_block.get("params", {}))
-    unknown = set(params) - set(required) - set(optional)
+    builder = _MODEL_TABLE[name][0]
+    params = model_block.get("params", {})
+    accepted = inspect.signature(builder).parameters
+    unknown = set(params) - set(accepted)
     if unknown:
         raise ConfigError(f"model {name!r}: unknown parameters {sorted(unknown)}")
-    missing = [key for key in required if key not in params]
+    missing = [k for k, p in accepted.items() if p.default is p.empty and k not in params]
     if missing:
         raise ConfigError(f"model {name!r}: missing parameters {missing}")
-    return builder, params, default_state
-
-
-def build_model(model_block: dict) -> Hamiltonian:
-    builder, params, _ = _model_spec(model_block)
-    if model_block["name"] == "maxcut":
-        params["edges"] = [tuple(edge) for edge in params["edges"]]
-    if model_block["name"] == "h2_bk":
-        params = dict(params)
-        path = params.pop("table_path", None)
-        return builder(params["bond_length"], path=path)
     try:
         return builder(**params)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"model {model_block['name']!r}: {exc}") from exc
+        raise ConfigError(f"model {name!r}: {exc}") from exc
 
 
 def build_initial_state(config: dict, n_qubits: int, max_qubits: int) -> StateVector:
-    default_state = _MODEL_TABLE[config["model"]["name"]][3]
+    default_state = _MODEL_TABLE[config["model"]["name"]][1]
     choice = config.get("initial_state", default_state)
     if isinstance(choice, dict):
         bits = choice["bits"]
@@ -224,10 +203,42 @@ def _model_and_state(config: dict, max_qubits: int) -> Tuple[Hamiltonian, StateV
     return hamiltonian, build_initial_state(config, hamiltonian.n_qubits, max_qubits)
 
 
-def _qite_config(block: Optional[dict]) -> QiteConfig:
-    config = QiteConfig(**(block or {}))
+def _qite_config(block: dict) -> QiteConfig:
+    config = QiteConfig(**block)
     config.validate()
     return config
+
+
+def _settings(config: dict, hamiltonian: Optional[Hamiltonian]):
+    """The checked library objects of the config's algorithm section.
+
+    The library keeps every default and rule; the CLI adds only b_mode
+    exact_delta0 as a qmetts section's default and the check of
+    mutual-information pairs against the model's width.
+    """
+    algorithm = config["algorithm"]
+    block = dict(config.get(algorithm, {}))
+    if algorithm == "qite":
+        return _qite_config(block)
+    if algorithm == "qlanczos":  # the rest are qlanczos_run's keyword arguments
+        return _qite_config(block.pop("qite", {})), block
+    if algorithm == "qmetts":
+        qite = QiteConfig(**{"b_mode": "exact_delta0", **block.pop("qite", {})})
+        metts = MettsConfig(**block, qite=qite)
+        metts.validate()
+        return metts
+    if algorithm == "mutualinfo":
+        n = hamiltonian.n_qubits
+        pairs = block.get("pairs", "all")
+        if pairs == "all":
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        else:
+            pairs = [tuple(p) for p in pairs]
+        for i, j in pairs:
+            if not (0 <= i < n and 0 <= j < n and i != j):
+                raise ConfigError(f"mutual information pair ({i},{j}) invalid for n={n}")
+        return block["betas"], pairs
+    return CostQuery(**block)
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +267,12 @@ def _utc_now() -> str:
 
 
 # ---------------------------------------------------------------------------
-# per-algorithm runners; each takes the run's one SpectralDecomposition of H
-# (None for count) in place of its own diagonalizations
+# per-algorithm runners; each takes its section's objects from _settings and
+# the run's one SpectralDecomposition of H (None for count) in place of its
+# own diagonalizations
 
 
-def _run_qite(config, hamiltonian, state0, rng, dec):
-    qite_cfg = _qite_config(config.get("qite"))
+def _run_qite(qite_cfg, hamiltonian, state0, rng, dec):
     e0 = float(dec.evals[0])
     fid = functools.partial(dec.ground_fidelity, degeneracy_tol=_BOUND_TOL)
     fidelities = [fid(state0)]
@@ -290,18 +301,9 @@ def _run_qite(config, hamiltonian, state0, rng, dec):
     return {"qite.csv": (("sweep", "beta", "energy", "fidelity_opt"), rows)}, summary
 
 
-def _run_qlanczos(config, hamiltonian, state0, rng, dec):
-    block = config.get("qlanczos", {})
-    qite_cfg = _qite_config(block.get("qite"))
-    result = qlanczos_run(
-        hamiltonian,
-        state0,
-        qite_cfg,
-        overlap_threshold=block.get("overlap_threshold", 0.95),
-        eig_cutoff=block.get("eig_cutoff", 1e-14),
-        rng=rng,
-        ledger_noise_sigma=block.get("ledger_noise_sigma", 0.0),
-    )
+def _run_qlanczos(settings, hamiltonian, state0, rng, dec):
+    qite_cfg, options = settings
+    result = qlanczos_run(hamiltonian, state0, qite_cfg, rng=rng, **options)
     rows = [
         (_fmt(b), _fmt(eq), _fmt(el), str(int(k)))
         for b, eq, el, k in zip(
@@ -321,16 +323,7 @@ def _run_qlanczos(config, hamiltonian, state0, rng, dec):
     }, summary
 
 
-def _run_qmetts(config, hamiltonian, state0, rng, dec):
-    block = config["qmetts"]
-    qite_block = {"b_mode": "exact_delta0", **block.get("qite", {})}
-    metts_cfg = MettsConfig(
-        beta=block["beta"],
-        n_samples=block["n_samples"],
-        qite=_qite_config(qite_block),
-        n_warmup=block.get("n_warmup", 10),
-        basis_cycle=block.get("basis_cycle", "alternating"),
-    )
+def _run_qmetts(metts_cfg, hamiltonian, state0, rng, dec):
     result = metts_chain(hamiltonian, metts_cfg, rng)
     rows = [
         (str(s.index), s.start_label, _fmt(s.value)) for s in result.samples
@@ -348,25 +341,16 @@ def _run_qmetts(config, hamiltonian, state0, rng, dec):
     return {"qmetts.csv": (("sample", "label", "value"), rows)}, summary
 
 
-def _run_mutualinfo(config, hamiltonian, state0, rng, dec):
-    block = config["mutualinfo"]
-    n = hamiltonian.n_qubits
-    pairs = block.get("pairs", "all")
-    if pairs == "all":
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    else:
-        pairs = [tuple(p) for p in pairs]
-    for i, j in pairs:
-        if not (0 <= i < n and 0 <= j < n and i != j):
-            raise ConfigError(f"mutual information pair ({i},{j}) invalid for n={n}")
+def _run_mutualinfo(settings, hamiltonian, state0, rng, dec):
+    betas, pairs = settings
     rows = []
     final_state = state0
-    for beta in block["betas"]:
+    for beta in betas:
         final_state = dec.ite(state0, beta)
         for (i, j), info in zip(pairs, _mutual_information_pairs(final_state, pairs)):
             rows.append((_fmt(beta), str(i), str(j), _fmt(info)))
     summary = {
-        "betas": [float(b) for b in block["betas"]],
+        "betas": [float(b) for b in betas],
         "n_pairs": len(pairs),
         "fidelity_ground_final": dec.ground_fidelity(final_state, _BOUND_TOL),
         "e0_exact": float(dec.evals[0]),
@@ -376,14 +360,7 @@ def _run_mutualinfo(config, hamiltonian, state0, rng, dec):
     }, summary
 
 
-def _run_count(config, hamiltonian, state0, rng, dec):
-    block = config["count"]
-    query = CostQuery(
-        n_terms=block["n_terms"],
-        n_time_steps=block["n_time_steps"],
-        domain_size=block["domain_size"],
-        odd_y_only=block.get("odd_y_only", False),
-    )
+def _run_count(query, hamiltonian, state0, rng, dec):
     summary = {
         "p_total": qite_measurement_count(query),
         "n_terms": query.n_terms,
@@ -414,6 +391,7 @@ def execute_run(
     algorithm = config["algorithm"]
     seed = seed_override if seed_override is not None else config.get("seed", 0)
     hamiltonian, state0 = _model_and_state(config, max_qubits)
+    settings = _settings(config, hamiltonian)
     rng = np.random.default_rng(seed)
 
     out_dir = Path(out_dir)
@@ -432,7 +410,7 @@ def execute_run(
     try:
         dec = None if algorithm == "count" else spectral(hamiltonian, max_qubits)
         oracle_s = 0.0 if dec is None else time.perf_counter() - start
-        tables, summary = _RUNNERS[algorithm](config, hamiltonian, state0, rng, dec)
+        tables, summary = _RUNNERS[algorithm](settings, hamiltonian, state0, rng, dec)
     except _HANDLED as exc:
         manifest["status"] = "failed"
         manifest["finished_utc"] = _utc_now()
@@ -581,7 +559,7 @@ def cmd_count(args) -> int:
             config, Path(args.out), args.seed_override, args.max_qubits
         )
     else:
-        _, summary = _run_count(config, None, None, None, None)
+        _, summary = _run_count(_settings(config, None), None, None, None, None)
     print(summary["p_total"])
     return EXIT_OK
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from importlib import resources
+from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -266,9 +267,11 @@ def load_h2_table(path: Optional[str] = None) -> Dict[float, Tuple[float, ...]]:
         )
         source = "packaged h2_sto6g.dat"
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
         source = str(path)
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise DataFormatError(f"{source}: cannot read table: {exc}") from exc
     table: Dict[float, Tuple[float, ...]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

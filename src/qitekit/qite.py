@@ -441,33 +441,40 @@ def qite_evolve(
     if state0.n_qubits != hamiltonian.n_qubits:
         raise DimensionError("state and Hamiltonian widths differ")
     plans = _term_plans(hamiltonian.terms, config, hamiltonian.n_qubits)
-    return _evolve(state0, hamiltonian, plans, config, rng, on_sweep)
-
-
-def _evolve(state0, hamiltonian, plans, config, rng=None, on_sweep=None):
-    """qite_evolve on prebuilt plans, so repeated evolutions share them."""
-    schedule = _sweep_schedule(len(plans), config)
-
-    state = state0
-    energies = [energy(state, hamiltonian)]
+    energies = [energy(state0, hamiltonian)]
     inv_sq_norms = [1.0]
     records: List[StepRecord] = []
-    for sweep in range(config.n_steps):
-        prod_c = 1.0
-        for m, dt in schedule:
-            state, record = _run_step(state, plans[m], dt, config, rng)
-            prod_c *= record.c
-            records.append(record)
-        inv_sq_norms.append(inv_sq_norms[-1] * prod_c)
+
+    def record(state: StateVector, sweep_records: List[StepRecord]) -> None:
+        records.extend(sweep_records)
+        inv_sq_norms.append(inv_sq_norms[-1] * math.prod(r.c for r in sweep_records))
         energies.append(energy(state, hamiltonian))
         if on_sweep is not None:
-            on_sweep(sweep + 1, state)
-    betas = config.dtau * np.arange(config.n_steps + 1)
+            on_sweep(len(energies) - 1, state)
+
+    final_state = _propagate(state0, plans, config, rng, record)
     return Trajectory(
-        betas=betas,
+        betas=config.dtau * np.arange(config.n_steps + 1),
         energies=np.array(energies),
         inv_sq_norms=np.array(inv_sq_norms),
         records=records,
         config=config,
-        final_state=state,
+        final_state=final_state,
     )
+
+
+def _propagate(state, plans, config, rng=None, on_sweep=None) -> StateVector:
+    """The state after ``config.n_steps`` sweeps on prebuilt plans.
+
+    Repeated evolutions share the plans; ``on_sweep(state, records)`` sees
+    each sweep's state and step records.
+    """
+    schedule = _sweep_schedule(len(plans), config)
+    for _ in range(config.n_steps):
+        records = []
+        for m, dt in schedule:
+            state, record = _run_step(state, plans[m], dt, config, rng)
+            records.append(record)
+        if on_sweep is not None:
+            on_sweep(state, records)
+    return state

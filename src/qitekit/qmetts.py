@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 from .hamiltonians import Hamiltonian, energy
-from .qite import QiteConfig, _evolve, _term_plans
+from .qite import QiteConfig, _propagate, _term_plans
 from .statevector import StateVector, measure_collapse, product_state
 
 BASIS_CYCLES = ("alternating", "z_only")
@@ -117,7 +117,7 @@ def metts_chain(
         if label not in typical:
             state = product_state(label, n)
             if steps > 0:
-                state = _evolve(state, hamiltonian, plans, qite_config).final_state
+                state = _propagate(state, plans, qite_config)
             typical[label] = (state, energy(state, obs))
         state, value = typical[label]
         bases = _collapse_bases(k, n, config.basis_cycle)

@@ -86,12 +86,73 @@ def test_bad_json_reports_position(tmp_path, capsys):
     assert not (tmp_path / "out").exists()  # validated before any output
 
 
-def test_invalid_config_creates_no_output(tmp_path):
-    path = write_config(tmp_path, {"algorithm": "qite",
-                                   "model": {"name": "heisenberg_1d"}})
+def model_config(name, **params):
+    return {"algorithm": "qite", "model": {"name": name, "params": params}}
+
+
+def qmetts_config(**block):
+    return {"algorithm": "qmetts",
+            "model": {"name": "heisenberg_1d", "params": {"n_qubits": 2}},
+            "qmetts": block}
+
+
+# each case is a batch of configs, the last one invalid; "{tmp}" is the test's
+# temporary directory
+INVALID_BATCHES = {
+    "missing-params": [{"algorithm": "qite", "model": {"name": "heisenberg_1d"}}],
+    "maxcut-edge-not-a-pair": [model_config("maxcut", n_vertices=3, edges=[1, 2])],
+    "h2-bond-length-not-a-number": [model_config("h2_bk", bond_length="x")],
+    "h2-table-missing": [
+        model_config("h2_bk", bond_length=0.75, table_path="{tmp}/missing.dat")
+    ],
+    "qmetts-too-few-samples": [qmetts_config(beta=1.0, n_samples=12, n_warmup=10)],
+    "qmetts-beta-not-commensurate": [
+        qmetts_config(beta=0.15, n_samples=20, n_warmup=2, qite={"dtau": 0.1})
+    ],
+    "pinv-tol-zero": [{**one_qubit_run_config(), "qite": {"pinv_tol": 0}}],
+    "mutualinfo-pair-out-of-range": [{
+        "algorithm": "mutualinfo",
+        "model": {"name": "heisenberg_1d", "params": {"n_qubits": 2}},
+        "mutualinfo": {"betas": [1.0], "pairs": [[0, 5]]},
+    }],
+    "batch-later-model-invalid": [
+        one_qubit_run_config(n_steps=2), model_config("heisenberg_1d", n_qubits=1)
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_BATCHES))
+def test_invalid_config_creates_no_output(tmp_path, capsys, name):
+    argv = ["run"]
+    for k, payload in enumerate(INVALID_BATCHES[name]):
+        text = json.dumps(payload).replace("{tmp}", str(tmp_path))
+        path = tmp_path / f"c{k}.json"
+        path.write_text(text)
+        argv += ["--config", str(path)]
     out = tmp_path / "out"
-    assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+    assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_h2_table_path_copy_matches_packaged_table(tmp_path):
+    from importlib import resources
+
+    table = tmp_path / "h2.dat"
+    table.write_text(resources.files("qitekit").joinpath("data/h2_sto6g.dat").read_text())
+    base = model_config("h2_bk", bond_length=0.75)
+    base["qite"] = {"n_steps": 5}
+    custom = json.loads(json.dumps(base))
+    custom["model"]["params"]["table_path"] = str(table)
+    outs = []
+    for k, cfg in enumerate((base, custom)):
+        outs.append(tmp_path / f"run{k}")
+        execute_run(load_config(write_config(tmp_path, cfg, f"h2_{k}.json")), outs[-1])
+    summaries = [json.loads((out / "summary.json").read_text()) for out in outs]
+    assert summaries[1].pop("model") == custom["model"]
+    summaries[0].pop("model")
+    assert summaries[0] == summaries[1]
+    assert (outs[0] / "qite.csv").read_bytes() == (outs[1] / "qite.csv").read_bytes()
 
 
 def test_noisy_qmetts_config_creates_no_output(tmp_path, capsys):

@@ -142,6 +142,23 @@ def test_b_modes_agree_to_first_order():
     assert abs(c_meas - (1.0 - 2 * dtau * h_exp)) < 1e-12
 
 
+
+def test_b_norm_factor_off_scales_measurable_b(rng):
+    # without the 1/sqrt(c) factor the measurable b is sqrt(c) times larger
+    from conftest import random_state
+
+    h = heisenberg_1d(3)
+    state = StateVector(random_state(3, rng), 3)
+    for kind in ("pauli_full", "pauli_odd_y"):
+        pool = OperatorPool(kind, (0, 1, 2))
+        smat, b_default, c = build_linear_system(state, h.terms[1], pool, 0.1)
+        smat_off, b_off, c_off = build_linear_system(
+            state, h.terms[1], pool, 0.1, QiteConfig(b_norm_factor=False)
+        )
+        assert c_off == c and np.array_equal(smat_off, smat)
+        assert np.max(np.abs(b_off - np.sqrt(c) * b_default)) < 1e-12
+        assert np.max(np.abs(b_default)) > 1e-3  # a signal to scale
+
 def test_first_step_descends():
     h = heisenberg_1d(4)
     state = neel_state(4)

@@ -46,10 +46,10 @@ def test_chain_evolves_each_start_label_once(monkeypatch):
     import qitekit.qmetts as qmetts_module
 
     starts = []
-    original = qmetts_module._evolve
+    original = qmetts_module._propagate
     monkeypatch.setattr(
         qmetts_module,
-        "_evolve",
+        "_propagate",
         lambda state, *a: starts.append(state.amplitudes.copy()) or original(state, *a),
     )
     config = MettsConfig(beta=0.4, n_samples=24, n_warmup=4,
