@@ -445,14 +445,14 @@ def qite_evolve(
     inv_sq_norms = [1.0]
     records: List[StepRecord] = []
 
-    def record(state: StateVector, sweep_records: List[StepRecord]) -> None:
+    def record_sweep(state: StateVector, sweep_records: List[StepRecord]) -> None:
         records.extend(sweep_records)
         inv_sq_norms.append(inv_sq_norms[-1] * math.prod(r.c for r in sweep_records))
         energies.append(energy(state, hamiltonian))
         if on_sweep is not None:
             on_sweep(len(energies) - 1, state)
 
-    final_state = _propagate(state0, plans, config, rng, record)
+    final_state = _propagate(state0, plans, config, rng, record_sweep)
     return Trajectory(
         betas=config.dtau * np.arange(config.n_steps + 1),
         energies=np.array(energies),
@@ -463,11 +463,11 @@ def qite_evolve(
     )
 
 
-def _propagate(state, plans, config, rng=None, on_sweep=None) -> StateVector:
+def _propagate(state, plans, config, rng=None, record_sweep=None) -> StateVector:
     """The state after ``config.n_steps`` sweeps on prebuilt plans.
 
-    Repeated evolutions share the plans; ``on_sweep(state, records)`` sees
-    each sweep's state and step records.
+    Repeated evolutions share the plans; ``record_sweep(state, records)``
+    sees each sweep's state and step records.
     """
     schedule = _sweep_schedule(len(plans), config)
     for _ in range(config.n_steps):
@@ -475,6 +475,6 @@ def _propagate(state, plans, config, rng=None, on_sweep=None) -> StateVector:
         for m, dt in schedule:
             state, record = _run_step(state, plans[m], dt, config, rng)
             records.append(record)
-        if on_sweep is not None:
-            on_sweep(state, records)
+        if record_sweep is not None:
+            record_sweep(state, records)
     return state

@@ -115,9 +115,7 @@ def metts_chain(
     typical = {}  # label -> (state, value); the evolution draws no random numbers
     for k in range(1, config.n_samples + 1):
         if label not in typical:
-            state = product_state(label, n)
-            if steps > 0:
-                state = _propagate(state, plans, qite_config)
+            state = _propagate(product_state(label, n), plans, qite_config)
             typical[label] = (state, energy(state, obs))
         state, value = typical[label]
         bases = _collapse_bases(k, n, config.basis_cycle)
