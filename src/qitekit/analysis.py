@@ -229,8 +229,8 @@ def qite_measurement_count(query: CostQuery) -> int:
     A second-order sweep touches 2K-1 term instances per time step and each
     reconstruction needs one expectation per pool string.
     """
-    if query.n_terms < 1 or query.n_time_steps < 1:
-        raise ValueError("n_terms and n_time_steps must be positive")
+    if min(query.n_terms, query.n_time_steps, query.domain_size) < 1:
+        raise ValueError("n_terms, n_time_steps and domain_size must be positive")
     return (2 * query.n_terms - 1) * query.n_time_steps * _pool_size(query)
 
 

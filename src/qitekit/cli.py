@@ -15,11 +15,9 @@ import json
 import sys
 import time
 from datetime import datetime, timezone
-from importlib import resources
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, get_type_hints
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -36,6 +34,7 @@ from .errors import (
     DimensionError,
     NumericalError,
     PoolError,
+    QitekitError,
     ResourceError,
 )
 from .hamiltonians import (
@@ -67,7 +66,8 @@ EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 EXIT_NUMERICAL = 4
 
-# (exception types, exit code), shared by main and the manifest of a failed run
+# (exception types, exit code), shared by main and the manifest of a failed run;
+# any other exception exits 1, as Python does
 _EXIT_CODES = (
     ((ConfigError, DataFormatError, PoolError, DimensionError), EXIT_CONFIG),
     ((ResourceError,), EXIT_RESOURCE),
@@ -77,7 +77,7 @@ _HANDLED = sum((kinds for kinds, _ in _EXIT_CODES), ())
 
 
 def _exit_code(exc: BaseException) -> int:
-    return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
+    return next((code for kinds, code in _EXIT_CODES if isinstance(exc, kinds)), 1)
 
 
 _BOUND_TOL = 1e-9
@@ -85,16 +85,6 @@ _BOUND_TOL = 1e-9
 
 # ---------------------------------------------------------------------------
 # config loading and validation
-
-
-@functools.lru_cache(maxsize=None)
-def _validator():
-    """Validator for the bundled schema, whose own check runs once per process."""
-    text = resources.files("qitekit").joinpath("data/config_schema.json").read_text()
-    schema = json.loads(text)
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
 
 
 def load_config(path: Path) -> dict:
@@ -113,22 +103,54 @@ def load_config(path: Path) -> dict:
 
 
 def validate_config(config: dict, origin: str = "config") -> None:
-    # the error jsonschema.validate would raise
-    error = jsonschema.exceptions.best_match(_validator().iter_errors(config))
-    if error is not None:
-        raise ConfigError(f"{origin}: at {error.json_path}: {error.message}") from error
-    algorithm = config["algorithm"]
-    own_sections = {algorithm} & set(config)
-    foreign = (
-        set(config) - {"algorithm", "seed", "model", "initial_state"} - own_sections
-    )
-    if foreign:
-        raise ConfigError(
-            f"{origin}: sections {sorted(foreign)} do not belong to "
-            f"algorithm {algorithm!r}"
-        )
-    # the library objects refuse what the schema cannot see, before any output
-    _settings(config, build_model(config["model"]))
+    """Refuse, naming ``origin``, what the config alone decides."""
+    try:
+        algorithm = config.get("algorithm") if isinstance(config, dict) else None
+        if algorithm not in list(_RUNNERS):  # a dict lookup would hash a JSON list
+            raise ConfigError(f"at $.algorithm: must be one of {list(_RUNNERS)}")
+        foreign = set(config) - {"algorithm", "seed", "model", "initial_state", algorithm}
+        if foreign:
+            raise ConfigError(
+                f"sections {sorted(foreign)} do not belong to algorithm {algorithm!r}"
+            )
+        seed = config.get("seed", 0)
+        if type(seed) is not int or seed < 0:
+            raise ConfigError("seed must be a non-negative integer")
+        choice = config.get("initial_state", "zeros")
+        bits = choice.get("bits") if isinstance(choice, dict) and len(choice) == 1 else ""
+        if choice not in list(_INITIAL_STATES) and not (
+            isinstance(bits, str) and bits and not set(bits) - set("01+-")
+        ):
+            raise ConfigError(f'initial_state must be one of {list(_INITIAL_STATES)} '
+                              'or {"bits": "01+-"}')
+        _settings(config, build_model(config.get("model")))
+    except QitekitError as exc:
+        raise type(exc)(f"{origin}: {exc}") from exc
+
+
+# the JSON values an annotation accepts: a bool is no int, nor is 2.0
+_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
+
+
+def _kwargs(target, block, where: str, skip: Sequence[str] = ()) -> dict:
+    """``block`` checked against the keyword arguments of ``target`` less ``skip``:
+    no unknown or missing key, and the JSON type of each int, float, bool or str."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be an object")
+    params = inspect.signature(target).parameters
+    params = {k: p for k, p in params.items() if k not in skip}
+    unknown = set(block) - set(params)
+    if unknown:
+        raise ConfigError(f"{where}: unknown parameters {sorted(unknown)}")
+    missing = [k for k, p in params.items() if p.default is p.empty and k not in block]
+    if missing:
+        raise ConfigError(f"{where}: missing parameters {missing}")
+    hints = get_type_hints(target)
+    for key, value in block.items():
+        kinds = _JSON_TYPES.get(hints.get(key))
+        if kinds and type(value) not in kinds:
+            raise ConfigError(f"{where}: {key} must be of type {hints[key].__name__}")
+    return block
 
 
 def _h2(bond_length: float, table_path: Optional[str] = None) -> Hamiltonian:
@@ -150,25 +172,29 @@ _MODEL_TABLE = {
 
 
 def build_model(model_block: dict) -> Hamiltonian:
-    name = model_block["name"]
+    name = model_block.get("name") if isinstance(model_block, dict) else None
+    if name not in list(_MODEL_TABLE) or set(model_block) - {"name", "params"}:
+        raise ConfigError(f'model must be {{"name": one of {list(_MODEL_TABLE)}, '
+                          '"params": {...}}')
     builder = _MODEL_TABLE[name][0]
-    params = model_block.get("params", {})
-    accepted = inspect.signature(builder).parameters
-    unknown = set(params) - set(accepted)
-    if unknown:
-        raise ConfigError(f"model {name!r}: unknown parameters {sorted(unknown)}")
-    missing = [k for k, p in accepted.items() if p.default is p.empty and k not in params]
-    if missing:
-        raise ConfigError(f"model {name!r}: missing parameters {missing}")
+    params = _kwargs(builder, model_block.get("params", {}), f"model {name!r} params")
     try:
         return builder(**params)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"model {name!r}: {exc}") from exc
 
 
+def _half_filled(n_qubits: int, max_qubits: int) -> StateVector:
+    label = "".join("10" if i % 2 == 0 else "01" for i in range(n_qubits // 2))
+    return product_state(label, max_qubits)
+
+
+_INITIAL_STATES = {"zeros": zero_state, "neel": neel_state, "plus": plus_state,
+                   "singlet_dimers": singlet_dimer_state, "half_filled": _half_filled}
+
+
 def build_initial_state(config: dict, n_qubits: int, max_qubits: int) -> StateVector:
-    default_state = _MODEL_TABLE[config["model"]["name"]][1]
-    choice = config.get("initial_state", default_state)
+    choice = config.get("initial_state", _MODEL_TABLE[config["model"]["name"]][1])
     if isinstance(choice, dict):
         bits = choice["bits"]
         if len(bits) != n_qubits:
@@ -176,22 +202,9 @@ def build_initial_state(config: dict, n_qubits: int, max_qubits: int) -> StateVe
                 f"initial_state bits length {len(bits)} != n_qubits {n_qubits}"
             )
         return product_state(bits, max_qubits)
-    if choice == "zeros":
-        return zero_state(n_qubits, max_qubits)
-    if choice == "neel":
-        return neel_state(n_qubits, max_qubits)
-    if choice == "plus":
-        return plus_state(n_qubits, max_qubits)
-    if choice == "singlet_dimers":
-        if n_qubits % 2:
-            raise ConfigError("singlet_dimers initial state needs an even qubit count")
-        return singlet_dimer_state(n_qubits, max_qubits)
-    if choice == "half_filled":
-        if n_qubits % 2:
-            raise ConfigError("half_filled initial state needs an even qubit count")
-        label = "".join("10" if i % 2 == 0 else "01" for i in range(n_qubits // 2))
-        return product_state(label, max_qubits)
-    raise ConfigError(f"unknown initial state {choice!r}")
+    if choice in ("singlet_dimers", "half_filled") and n_qubits % 2:
+        raise ConfigError(f"{choice} initial state needs an even qubit count")
+    return _INITIAL_STATES[choice](n_qubits, max_qubits)
 
 
 def _model_and_state(config: dict, max_qubits: int) -> Tuple[Hamiltonian, StateVector]:
@@ -203,42 +216,66 @@ def _model_and_state(config: dict, max_qubits: int) -> Tuple[Hamiltonian, StateV
     return hamiltonian, build_initial_state(config, hamiltonian.n_qubits, max_qubits)
 
 
-def _qite_config(block: dict) -> QiteConfig:
-    config = QiteConfig(**block)
+def _qite_config(block: dict, where: str) -> QiteConfig:
+    config = QiteConfig(**_kwargs(QiteConfig, block, where))
     config.validate()
     return config
+
+
+def _mutualinfo_settings(n_qubits: int, betas: list, pairs="all"):
+    """The betas, and the qubit pairs ("all" by default) checked against the width."""
+    if not (isinstance(betas, list) and betas and all(
+        type(b) in _JSON_TYPES[float] and b >= 0 for b in betas)):
+        raise ConfigError("mutualinfo: betas must be a non-empty list of numbers >= 0")
+    if pairs == "all":
+        pairs = [[i, j] for i in range(n_qubits) for j in range(i + 1, n_qubits)]
+    elif not (isinstance(pairs, list) and pairs and all(
+        isinstance(p, list) and len(p) == 2 and p[0] != p[1]
+        and all(type(k) is int and 0 <= k < n_qubits for k in p) for p in pairs)):
+        raise ConfigError(f'mutualinfo: pairs must be "all" or a non-empty list of '
+                          f"pairs [i, j] of distinct qubits below n={n_qubits}")
+    return betas, [tuple(p) for p in pairs]
 
 
 def _settings(config: dict, hamiltonian: Optional[Hamiltonian]):
     """The checked library objects of the config's algorithm section.
 
-    The library keeps every default and rule; the CLI adds only b_mode
-    exact_delta0 as a qmetts section's default and the check of
-    mutual-information pairs against the model's width.
+    The library keeps every default and rule; the CLI adds b_mode
+    exact_delta0 as a qmetts section's default, the bounds of qlanczos_run's
+    options and the mutual-information betas and pairs.
     """
     algorithm = config["algorithm"]
-    block = dict(config.get(algorithm, {}))
+    block = config.get(algorithm, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"{algorithm} must be an object")
+    block = dict(block)
     if algorithm == "qite":
-        return _qite_config(block)
+        return _qite_config(block, "qite")
     if algorithm == "qlanczos":  # the rest are qlanczos_run's keyword arguments
-        return _qite_config(block.pop("qite", {})), block
-    if algorithm == "qmetts":
-        qite = QiteConfig(**{"b_mode": "exact_delta0", **block.pop("qite", {})})
-        metts = MettsConfig(**block, qite=qite)
+        qite = _qite_config(block.pop("qite", {}), "qlanczos.qite")
+        inputs = ("hamiltonian", "state0", "qite_config", "rng")
+        options = _kwargs(qlanczos_run, block, "qlanczos", skip=inputs)
+        get = options.get
+        if not (0 < get("overlap_threshold", 1) <= 1 and get("eig_cutoff", 1) > 0
+                and get("ledger_noise_sigma", 0) >= 0):
+            raise ConfigError("qlanczos: overlap_threshold must lie in (0, 1], "
+                              "eig_cutoff be > 0 and ledger_noise_sigma >= 0")
+        return qite, options
+    if algorithm == "qmetts":  # a chain derives its own qite.n_steps from beta
+        qite = _kwargs(QiteConfig, block.pop("qite", {}), "qmetts.qite", skip=("n_steps",))
+        block = _kwargs(MettsConfig, block, "qmetts", skip=("qite",))
+        metts = MettsConfig(**block, qite=QiteConfig(**{"b_mode": "exact_delta0", **qite}))
         metts.validate()
         return metts
     if algorithm == "mutualinfo":
-        n = hamiltonian.n_qubits
-        pairs = block.get("pairs", "all")
-        if pairs == "all":
-            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        else:
-            pairs = [tuple(p) for p in pairs]
-        for i, j in pairs:
-            if not (0 <= i < n and 0 <= j < n and i != j):
-                raise ConfigError(f"mutual information pair ({i},{j}) invalid for n={n}")
-        return block["betas"], pairs
-    return CostQuery(**block)
+        block = _kwargs(_mutualinfo_settings, block, "mutualinfo", skip=("n_qubits",))
+        return _mutualinfo_settings(hamiltonian.n_qubits, **block)
+    query = CostQuery(**_kwargs(CostQuery, block, "count"))
+    try:
+        qite_measurement_count(query)
+    except ValueError as exc:
+        raise ConfigError(f"count: {exc}") from exc
+    return query
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +448,7 @@ def execute_run(
         dec = None if algorithm == "count" else spectral(hamiltonian, max_qubits)
         oracle_s = 0.0 if dec is None else time.perf_counter() - start
         tables, summary = _RUNNERS[algorithm](settings, hamiltonian, state0, rng, dec)
-    except _HANDLED as exc:
+    except Exception as exc:  # recorded, then raised on to main
         manifest["status"] = "failed"
         manifest["finished_utc"] = _utc_now()
         manifest["error"] = {

@@ -59,8 +59,8 @@ class QiteConfig:
             raise ConfigError("dtau must be positive")
         if self.n_steps < 0:
             raise ConfigError("n_steps must be non-negative")
-        if self.domain_size < 1:
-            raise ConfigError("domain_size must be at least 1")
+        if self.domain_size < 1 or self.max_unitary_domain < 1:
+            raise ConfigError("domain_size and max_unitary_domain must be at least 1")
         if self.pool_kind not in POOL_KINDS:
             raise ConfigError(f"unknown pool kind {self.pool_kind!r}")
         if self.trotter_order not in (1, 2):

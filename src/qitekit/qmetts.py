@@ -39,6 +39,9 @@ class MettsConfig:
     basis_cycle: str = "alternating"
 
     def validate(self) -> None:
+        self.qite.validate()
+        if self.qite.noise_sigma != 0:  # each start label evolves once, with no generator
+            raise ConfigError("qite.noise_sigma must be 0 for a METTS chain")
         if self.beta < 0:
             raise ConfigError("beta must be non-negative")
         if self.basis_cycle not in BASIS_CYCLES:
@@ -48,7 +51,6 @@ class MettsConfig:
         if self.n_samples - self.n_warmup < 8:
             raise ConfigError("need at least 8 samples after warmup for blocking")
         self.n_steps_per_sample()  # commensurability check
-        self.qite.validate()
 
     def n_steps_per_sample(self) -> int:
         """beta/2 expressed in whole time steps; beta must be commensurate."""

@@ -291,6 +291,8 @@ def test_measurement_count_goldens():
         qite_measurement_count(CostQuery(0, 1, 2))
     with pytest.raises(ValueError):
         qite_measurement_count(CostQuery(1, 0, 2))
+    with pytest.raises(ValueError):
+        qite_measurement_count(CostQuery(1, 1, 0))
 
 
 def test_vqe_reference_counts_present():

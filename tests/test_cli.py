@@ -121,6 +121,150 @@ INVALID_BATCHES = {
 }
 
 
+def section_config(algorithm, **block):
+    return {"algorithm": algorithm,
+            "model": {"name": "heisenberg_1d", "params": {"n_qubits": 2}},
+            algorithm: block}
+
+
+# one invalid value per (key, value) of a qite block
+BAD_QITE_VALUES = {
+    "unknown-key": {"dt": 0.1},
+    "dtau-string": {"dtau": "0.1"},
+    "dtau-zero": {"dtau": 0},
+    "n-steps-string": {"n_steps": "5"},
+    "n-steps-boolean": {"n_steps": True},
+    "n-steps-negative": {"n_steps": -1},
+    "domain-size-fraction": {"domain_size": 1.5},
+    "domain-size-zero": {"domain_size": 0},
+    "pool-kind-unknown": {"pool_kind": "pauli_even"},
+    "delta-string": {"delta": "0"},
+    "delta-negative": {"delta": -0.1},
+    "pinv-tol-string": {"pinv_tol": "1e-8"},
+    "pinv-tol-negative": {"pinv_tol": -1.0},
+    "trotter-order-3": {"trotter_order": 3},
+    "b-mode-unknown": {"b_mode": "exact"},
+    "b-norm-factor-string": {"b_norm_factor": "yes"},
+    "noise-sigma-string": {"noise_sigma": "0"},
+    "noise-sigma-negative": {"noise_sigma": -0.1},
+    "max-unitary-domain-string": {"max_unitary_domain": "4"},
+    "max-unitary-domain-zero": {"max_unitary_domain": 0},
+}
+QMETTS_OK = {"beta": 1.0, "n_samples": 20, "n_warmup": 2}
+COUNT_OK = {"n_terms": 4, "n_time_steps": 7, "domain_size": 2}
+QITE_OK = section_config("qite", n_steps=1)
+
+
+def without(block, key):
+    return {k: v for k, v in block.items() if k != key}
+
+
+# one config per rule of the top level and of each section: type, enum, range,
+# required key and unknown key
+RULE_CASES = {
+    "top-not-object": [["qite"]],
+    "top-unknown-key": [{**QITE_OK, "typo": 1}],
+    "algorithm-missing": [without(QITE_OK, "algorithm")],
+    "algorithm-unknown": [{**QITE_OK, "algorithm": "annealing"}],
+    "algorithm-not-string": [{**QITE_OK, "algorithm": ["qite"]}],
+    "seed-string": [{**QITE_OK, "seed": "0"}],
+    "seed-boolean": [{**QITE_OK, "seed": True}],
+    "seed-negative": [{**QITE_OK, "seed": -1}],
+    "model-missing": [without(QITE_OK, "model")],
+    "model-not-object": [{**QITE_OK, "model": "heisenberg_1d"}],
+    "model-unknown-key": [{**QITE_OK, "model": {**QITE_OK["model"], "size": 2}}],
+    "model-name-missing": [{**QITE_OK, "model": {"params": {"n_qubits": 2}}}],
+    "model-name-unknown": [{**QITE_OK, "model": {"name": "ising_2d"}}],
+    "model-name-not-string": [{**QITE_OK, "model": {"name": ["tfi_1d"]}}],
+    "model-params-not-object": [{**QITE_OK, "model": {"name": "heisenberg_1d",
+                                                       "params": [2]}}],
+    "model-param-string": [model_config("heisenberg_1d", n_qubits=2, coupling="1")],
+    "initial-state-unknown-name": [{**QITE_OK, "initial_state": "up"}],
+    "initial-state-number": [{**QITE_OK, "initial_state": 3}],
+    "initial-state-unknown-key": [{**QITE_OK, "initial_state": {"bits": "01", "x": 1}}],
+    "initial-state-bits-missing": [{**QITE_OK, "initial_state": {}}],
+    "initial-state-bits-number": [{**QITE_OK, "initial_state": {"bits": 1}}],
+    "initial-state-bits-pattern": [{**QITE_OK, "initial_state": {"bits": "0a"}}],
+    "initial-state-bits-empty": [{**QITE_OK, "initial_state": {"bits": ""}}],
+    **{f"qite-{name}": [section_config("qite", **block)]
+       for name, block in BAD_QITE_VALUES.items()},
+    **{f"{algorithm}-not-object": [{**section_config(algorithm), algorithm: []}]
+       for algorithm in ("qite", "qlanczos", "qmetts", "mutualinfo", "count")},
+    "qlanczos-unknown-key": [section_config("qlanczos", threshold=0.9)],
+    "qlanczos-qite-not-object": [section_config("qlanczos", qite=[])],
+    "qlanczos-qite-unknown-key": [section_config("qlanczos", qite={"dt": 0.1})],
+    "qlanczos-qite-dtau-zero": [section_config("qlanczos", qite={"dtau": 0})],
+    "qlanczos-overlap-threshold-string": [section_config("qlanczos", overlap_threshold="1")],
+    "qlanczos-overlap-threshold-zero": [section_config("qlanczos", overlap_threshold=0)],
+    "qlanczos-overlap-threshold-above-one": [
+        section_config("qlanczos", overlap_threshold=1.5)
+    ],
+    "qlanczos-eig-cutoff-string": [section_config("qlanczos", eig_cutoff="1e-8")],
+    "qlanczos-eig-cutoff-zero": [section_config("qlanczos", eig_cutoff=0)],
+    "qlanczos-ledger-noise-string": [section_config("qlanczos", ledger_noise_sigma="0")],
+    "qlanczos-ledger-noise-negative": [section_config("qlanczos", ledger_noise_sigma=-0.1)],
+    "qmetts-unknown-key": [section_config("qmetts", **QMETTS_OK, samples=20)],
+    "qmetts-beta-missing": [section_config("qmetts", **without(QMETTS_OK, "beta"))],
+    "qmetts-n-samples-missing": [section_config("qmetts", **without(QMETTS_OK, "n_samples"))],
+    "qmetts-beta-string": [section_config("qmetts", **{**QMETTS_OK, "beta": "1"})],
+    "qmetts-beta-negative": [section_config("qmetts", **{**QMETTS_OK, "beta": -1.0})],
+    "qmetts-n-samples-string": [section_config("qmetts", **{**QMETTS_OK, "n_samples": "20"})],
+    "qmetts-n-samples-zero": [section_config("qmetts", **{**QMETTS_OK, "n_samples": 0})],
+    "qmetts-n-warmup-string": [section_config("qmetts", **{**QMETTS_OK, "n_warmup": "2"})],
+    "qmetts-n-warmup-negative": [section_config("qmetts", **{**QMETTS_OK, "n_warmup": -1})],
+    "qmetts-basis-cycle-unknown": [
+        section_config("qmetts", **QMETTS_OK, basis_cycle="x_only")
+    ],
+    "qmetts-qite-not-object": [section_config("qmetts", **QMETTS_OK, qite=[])],
+    "qmetts-qite-unknown-key": [section_config("qmetts", **QMETTS_OK, qite={"dt": 0.1})],
+    "qmetts-qite-dtau-string": [section_config("qmetts", **QMETTS_OK, qite={"dtau": "0.1"})],
+    "qmetts-qite-dtau-zero": [section_config("qmetts", **QMETTS_OK, qite={"dtau": 0})],
+    "mutualinfo-unknown-key": [section_config("mutualinfo", betas=[1.0], pair="all")],
+    "mutualinfo-betas-missing": [section_config("mutualinfo", pairs="all")],
+    "mutualinfo-betas-not-list": [section_config("mutualinfo", betas=1.0)],
+    "mutualinfo-betas-empty": [section_config("mutualinfo", betas=[])],
+    "mutualinfo-beta-string": [section_config("mutualinfo", betas=["1"])],
+    "mutualinfo-beta-boolean": [section_config("mutualinfo", betas=[True])],
+    "mutualinfo-beta-negative": [section_config("mutualinfo", betas=[-1.0])],
+    "mutualinfo-pairs-unknown-string": [section_config("mutualinfo", betas=[1.0], pairs="some")],
+    "mutualinfo-pairs-number": [section_config("mutualinfo", betas=[1.0], pairs=3)],
+    "mutualinfo-pairs-empty": [section_config("mutualinfo", betas=[1.0], pairs=[])],
+    "mutualinfo-pair-not-list": [section_config("mutualinfo", betas=[1.0], pairs=[1])],
+    "mutualinfo-pair-short": [section_config("mutualinfo", betas=[1.0], pairs=[[0]])],
+    "mutualinfo-pair-long": [section_config("mutualinfo", betas=[1.0], pairs=[[0, 1, 1]])],
+    "mutualinfo-pair-string": [section_config("mutualinfo", betas=[1.0], pairs=[["0", 1]])],
+    "mutualinfo-pair-negative": [section_config("mutualinfo", betas=[1.0], pairs=[[-1, 1]])],
+    "count-unknown-key": [section_config("count", **COUNT_OK, terms=4)],
+    **{f"count-{key}-missing".replace("_", "-"): [section_config("count", **without(COUNT_OK, key))]
+       for key in COUNT_OK},
+    **{f"count-{key}-string".replace("_", "-"): [section_config("count", **{**COUNT_OK, key: "4"})]
+       for key in COUNT_OK},
+    **{f"count-{key}-zero".replace("_", "-"): [section_config("count", **{**COUNT_OK, key: 0})]
+       for key in COUNT_OK},
+    "count-odd-y-only-string": [section_config("count", **COUNT_OK, odd_y_only="no")],
+    "count-odd-y-only-integer": [section_config("count", **COUNT_OK, odd_y_only=1)],
+}
+INVALID_BATCHES.update(RULE_CASES)
+
+# an integer field takes an integer literal, not an integer-valued float; a
+# section with required keys must be present; a qmetts chain derives its own
+# step count
+INVALID_BATCHES.update({
+    "seed-float": [{**QITE_OK, "seed": 1.0}],
+    "model-param-float": [model_config("heisenberg_1d", n_qubits=2.0)],
+    "qite-n-steps-float": [section_config("qite", n_steps=2.0)],
+    "qite-domain-size-float": [section_config("qite", n_steps=1, domain_size=2.0)],
+    "qite-trotter-order-float": [section_config("qite", n_steps=1, trotter_order=2.0)],
+    "qmetts-n-samples-float": [section_config("qmetts", **{**QMETTS_OK, "n_samples": 20.0})],
+    "qmetts-n-warmup-float": [section_config("qmetts", **{**QMETTS_OK, "n_warmup": 2.0})],
+    "mutualinfo-pair-float": [section_config("mutualinfo", betas=[1.0], pairs=[[0, 1.0]])],
+    "count-n-terms-float": [section_config("count", **{**COUNT_OK, "n_terms": 4.0})],
+    "count-domain-size-float": [section_config("count", **{**COUNT_OK, "domain_size": 2.0})],
+    **{f"{algorithm}-section-missing": [without(section_config(algorithm), algorithm)]
+       for algorithm in ("qmetts", "mutualinfo", "count")},
+})
+
+
 @pytest.mark.parametrize("name", sorted(INVALID_BATCHES))
 def test_invalid_config_creates_no_output(tmp_path, capsys, name):
     argv = ["run"]
@@ -167,6 +311,27 @@ def test_noisy_qmetts_config_creates_no_output(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
     assert "noise_sigma" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_qmetts_qite_n_steps_is_refused(tmp_path, capsys):
+    # a chain runs each sample to beta/2, so a stored step count would be ignored
+    path = write_config(tmp_path, section_config("qmetts", **QMETTS_OK, qite={"n_steps": 500}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "n_steps" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_batch_refusal_names_its_config(tmp_path, capsys):
+    bad = write_config(tmp_path, model_config("heisenberg_1d", n_qubits=1), "bad.json")
+    good = CONFIG_DIR / "c10_tfi4_trotter2.json"
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(good), "--config", str(bad), "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{bad}: " in err and "at least 2 sites" in err
     assert not out.exists()
 
 
@@ -279,6 +444,24 @@ def test_failed_run_manifest_records_error(tmp_path):
     assert manifest["status"] == "failed"
     assert manifest["error"]["type"] == "ResourceError"
     assert manifest["error"]["exit_code"] == EXIT_RESOURCE
+
+
+def test_unexpected_error_is_recorded_and_raised(tmp_path, monkeypatch):
+    import qitekit.cli as cli_module
+
+    def broken(*args):
+        raise RuntimeError("runner broke")
+
+    monkeypatch.setitem(cli_module._RUNNERS, "qite", broken)
+    path = write_config(tmp_path, one_qubit_run_config(n_steps=2))
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="runner broke"):
+        main(["run", "--config", str(path), "--out", str(out)])
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == {
+        "type": "RuntimeError", "message": "runner broke", "exit_code": 1
+    }
 
 
 def test_seed_override_changes_sampling(tmp_path):

@@ -493,6 +493,8 @@ def test_config_validation():
         QiteConfig(b_mode="guess").validate()
     with pytest.raises(ConfigError):
         QiteConfig(delta=-1.0).validate()
+    with pytest.raises(ConfigError):
+        QiteConfig(max_unitary_domain=0).validate()
     QiteConfig().validate()
 
 

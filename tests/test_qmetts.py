@@ -25,6 +25,11 @@ def test_config_validation():
     # beta must be an even multiple of dtau
     with pytest.raises(ConfigError):
         MettsConfig(beta=1.0, n_samples=30, qite=QiteConfig(dtau=0.3)).validate()
+    # a chain has no generator for noise, and its qite settings are checked first
+    with pytest.raises(ConfigError, match="noise_sigma"):
+        MettsConfig(beta=1.0, n_samples=30, qite=QiteConfig(noise_sigma=1e-3)).validate()
+    with pytest.raises(ConfigError, match="dtau"):
+        MettsConfig(beta=1.0, n_samples=30, qite=QiteConfig(dtau=0.0)).validate()
 
 
 def test_chain_enumerates_each_pool_once(monkeypatch):
