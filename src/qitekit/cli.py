@@ -12,11 +12,12 @@ import csv
 import functools
 import inspect
 import json
+import math
 import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, get_type_hints
+from typing import Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
@@ -87,24 +88,38 @@ _BOUND_TOL = 1e-9
 # config loading and validation
 
 
-def load_config(path: Path) -> dict:
+def _read(path: Path, parse=json.loads):
+    """``parse`` of the file's text; a file that cannot be read or parsed is a
+    ConfigError that names it."""
     try:
-        text = Path(path).read_text()
+        return parse(Path(path).read_text())
     except OSError as exc:
-        raise ConfigError(f"{path}: cannot read config: {exc}") from exc
-    try:
-        config = json.loads(text)
+        raise ConfigError(f"{path}: cannot read: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+
+
+def load_config(path: Path) -> dict:
+    config = _read(path)
     validate_config(config, origin=str(path))
     return config
+
+
+def _finite(value) -> bool:
+    """Whether every number in a JSON value is finite (json.loads reads NaN,
+    Infinity and -Infinity, and 1e400 as inf)."""
+    if isinstance(value, (dict, list)):
+        return all(map(_finite, value.values() if isinstance(value, dict) else value))
+    return not isinstance(value, float) or math.isfinite(value)
 
 
 def validate_config(config: dict, origin: str = "config") -> None:
     """Refuse, naming ``origin``, what the config alone decides."""
     try:
+        if not _finite(config):
+            raise ConfigError("numbers must be finite, not NaN or Infinity")
         algorithm = config.get("algorithm") if isinstance(config, dict) else None
         if algorithm not in list(_RUNNERS):  # a dict lookup would hash a JSON list
             raise ConfigError(f"at $.algorithm: must be one of {list(_RUNNERS)}")
@@ -116,14 +131,9 @@ def validate_config(config: dict, origin: str = "config") -> None:
         seed = config.get("seed", 0)
         if type(seed) is not int or seed < 0:
             raise ConfigError("seed must be a non-negative integer")
-        choice = config.get("initial_state", "zeros")
-        bits = choice.get("bits") if isinstance(choice, dict) and len(choice) == 1 else ""
-        if choice not in list(_INITIAL_STATES) and not (
-            isinstance(bits, str) and bits and not set(bits) - set("01+-")
-        ):
-            raise ConfigError(f'initial_state must be one of {list(_INITIAL_STATES)} '
-                              'or {"bits": "01+-"}')
-        _settings(config, build_model(config.get("model")))
+        hamiltonian = build_model(config.get("model"))
+        _initial_choice(config, hamiltonian.n_qubits)
+        _settings(config, hamiltonian)
     except QitekitError as exc:
         raise type(exc)(f"{origin}: {exc}") from exc
 
@@ -193,17 +203,27 @@ _INITIAL_STATES = {"zeros": zero_state, "neel": neel_state, "plus": plus_state,
                    "singlet_dimers": singlet_dimer_state, "half_filled": _half_filled}
 
 
-def build_initial_state(config: dict, n_qubits: int, max_qubits: int) -> StateVector:
+def _initial_choice(config: dict, n_qubits: int):
+    """The configured (or the model's default) initial state, checked against
+    the model's width."""
     choice = config.get("initial_state", _MODEL_TABLE[config["model"]["name"]][1])
-    if isinstance(choice, dict):
-        bits = choice["bits"]
-        if len(bits) != n_qubits:
-            raise ConfigError(
-                f"initial_state bits length {len(bits)} != n_qubits {n_qubits}"
-            )
-        return product_state(bits, max_qubits)
+    bits = choice.get("bits") if isinstance(choice, dict) and len(choice) == 1 else ""
+    if choice not in list(_INITIAL_STATES) and not (
+        isinstance(bits, str) and bits and not set(bits) - set("01+-")
+    ):
+        raise ConfigError(f'initial_state must be one of {list(_INITIAL_STATES)} '
+                          'or {"bits": "01+-"}')
+    if bits and len(bits) != n_qubits:
+        raise ConfigError(f"initial_state bits length {len(bits)} != n_qubits {n_qubits}")
     if choice in ("singlet_dimers", "half_filled") and n_qubits % 2:
         raise ConfigError(f"{choice} initial state needs an even qubit count")
+    return choice
+
+
+def build_initial_state(config: dict, n_qubits: int, max_qubits: int) -> StateVector:
+    choice = _initial_choice(config, n_qubits)
+    if isinstance(choice, dict):
+        return product_state(choice["bits"], max_qubits)
     return _INITIAL_STATES[choice](n_qubits, max_qubits)
 
 
@@ -505,37 +525,26 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _load_run_dir(run_dir: Path) -> Tuple[dict, dict]:
-    manifest_path = Path(run_dir) / "manifest.json"
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except OSError as exc:
-        raise ConfigError(f"{run_dir}: no readable manifest.json: {exc}") from exc
-    if manifest.get("status") != "completed":
+def _load_run_dir(run_dir: Path) -> dict:
+    """The validated config of the completed run in ``run_dir``."""
+    manifest = _read(Path(run_dir) / "manifest.json")
+    if not isinstance(manifest, dict) or manifest.get("status") != "completed":
         raise ConfigError(f"{run_dir}: run did not complete")
-    return manifest, manifest["config"]
-
-
-def _read_csv(path: Path) -> List[dict]:
-    with open(path, newline="") as handle:
-        return list(csv.DictReader(handle))
+    validate_config(manifest.get("config"), origin=str(run_dir))
+    return manifest["config"]
 
 
 def cmd_compare(args) -> int:
-    loaded = [_load_run_dir(Path(d)) for d in args.run]
-    base_config = loaded[0][1]
-    for _, config in loaded[1:]:
-        if config["model"] != base_config["model"] or config.get(
-            "initial_state"
-        ) != base_config.get("initial_state"):
-            raise ConfigError("compare requires runs of the same model and state")
-        if config["algorithm"] != base_config["algorithm"]:
-            raise ConfigError("compare requires runs of the same algorithm")
-    algorithm = base_config["algorithm"]
+    configs = [_load_run_dir(Path(d)) for d in args.run]
+    for run_dir, config in zip(args.run[1:], configs[1:]):
+        if any(config.get(k) != configs[0].get(k) for k in ("algorithm", "model", "initial_state")):
+            raise ConfigError(f"{run_dir}: algorithm, model or initial state differs "
+                              f"from {args.run[0]}")
+    algorithm = configs[0]["algorithm"]
     if algorithm not in ("qite", "qlanczos", "qmetts"):
         raise ConfigError(f"compare is not defined for algorithm {algorithm!r}")
 
-    hamiltonian, state0 = _model_and_state(base_config, args.max_qubits)
+    hamiltonian, state0 = _model_and_state(configs[0], args.max_qubits)
     dec = spectral(hamiltonian, args.max_qubits)
     header, rows = _compare_rows(algorithm, args.run, state0, dec)
     if args.out:
@@ -567,8 +576,13 @@ def _compare_rows(algorithm, run_dirs, state0, dec):
             eq, el = float(row["e_qite"]), float(row["e_qlanczos"])
             return row["beta"], _fmt(eq), _fmt(el), str(int(el <= eq + _BOUND_TOL))
 
-        series = [_read_csv(Path(d) / name) for d in run_dirs]
+        series = [_read(Path(d) / name, lambda text: list(csv.DictReader(text.splitlines())))
+                  for d in run_dirs]
         first = {row[key]: float(row[value]) for row in series[0]}
+        for run_dir, table in zip(run_dirs, series):
+            extra = [row[key] for row in table if row[key] not in first]
+            if extra:
+                raise ConfigError(f"{run_dir}: {key} {extra[0]} is not in {run_dirs[0]}")
         rows = [
             (str(run_dir), *cells(row), _fmt(float(row[value]) - first[row[key]]))
             for run_dir, table in zip(run_dirs, series)
@@ -578,7 +592,7 @@ def _compare_rows(algorithm, run_dirs, state0, dec):
     header = ("run", "beta", "mean", "stderr_block", "gibbs_exact", "delta", "within_3_stderr")
     rows = []
     for run_dir in run_dirs:
-        summary = json.loads((Path(run_dir) / "summary.json").read_text())
+        summary = _read(Path(run_dir) / "summary.json")
         beta, mean, stderr = (float(summary[k]) for k in ("beta", "mean", "stderr_block"))
         oracle = dec.gibbs(beta)
         delta = mean - oracle

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from .errors import DimensionError, PoolError
 

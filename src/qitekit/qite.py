@@ -21,11 +21,11 @@ from .statevector import (
     StateVector,
     _apply_matrix_on_support,
     _dense_from_masks,
-    _hermitian_eig,
     _pauli_masks,
     _pauli_traces,
     _signs,
-    _support_major,
+    dense_on_support,
+    reduced_density_matrix,
 )
 
 B_MODES = ("measurable", "exact_delta0")
@@ -208,7 +208,7 @@ def _pool_support(
 
 
 def _build_plan(index: int, term: LocalTerm, domain, support, masks) -> _TermPlan:
-    h_eig = _hermitian_eig(tuple(term.pauli_sum), support)
+    h_eig = np.linalg.eigh(dense_on_support(term.pauli_sum, support))
     return _TermPlan(index, domain, support, h_eig, masks)
 
 
@@ -231,8 +231,8 @@ def _step_operators(
     """
     if config.noise_sigma > 0 and rng is None:
         raise ConfigError("noise_sigma > 0 requires a random generator")
-    factor = _support_major(state.amplitudes, plan.unitary_support, state.n_qubits)
-    rho = factor @ factor.conj().T
+    support = plan.unitary_support
+    rho = reduced_density_matrix(state, support, len(support)).matrix
     evals, evecs = plan.h_eig
     populations = np.sum(evecs.conj() * (rho @ evecs), axis=0).real  # <w|rho|w>
     if config.b_mode == "exact_delta0":

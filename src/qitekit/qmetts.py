@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 from .hamiltonians import Hamiltonian, energy
 from .qite import QiteConfig, _propagate, _term_plans
-from .statevector import StateVector, measure_collapse, product_state
+from .statevector import measure_collapse, product_state
 
 BASIS_CYCLES = ("alternating", "z_only")
 

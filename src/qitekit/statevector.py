@@ -7,7 +7,6 @@ the array index, so basis label strings are written qubit 0 first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -127,7 +126,6 @@ def from_amplitudes(amplitudes: Sequence[complex]) -> StateVector:
 # Pauli application and expectation values
 
 
-@lru_cache(maxsize=1024)
 def _pauli_masks(strings: Tuple[PauliString, ...], support: Tuple[int, ...]):
     """Per-string (x-mask, yz-mask, i^nY) arrays with support[j] as local bit j.
 
@@ -147,17 +145,7 @@ def _pauli_masks(strings: Tuple[PauliString, ...], support: Tuple[int, ...]):
             if letter in ("Y", "Z"):
                 yzmask[r] |= bit
             n_y[r] += letter == "Y"
-    masks = (xmask, yzmask, (1j) ** n_y)
-    for array in masks:  # shared through the cache
-        array.flags.writeable = False
-    return masks
-
-
-@lru_cache(maxsize=32)
-def _indices(dim: int) -> np.ndarray:
-    idx = np.arange(dim, dtype=np.int64)
-    idx.flags.writeable = False
-    return idx
+    return xmask, yzmask, (1j) ** n_y
 
 
 def _signs(src: np.ndarray, yzmask: np.ndarray) -> np.ndarray:
@@ -167,7 +155,7 @@ def _signs(src: np.ndarray, yzmask: np.ndarray) -> np.ndarray:
 def _pauli_rows(masks, amplitudes: np.ndarray) -> np.ndarray:
     """(P, 2^n) stack of the rows sigma_r |psi>."""
     xmask, yzmask, phase = masks
-    src = _indices(amplitudes.size) ^ xmask[:, None]
+    src = np.arange(amplitudes.size) ^ xmask[:, None]
     return phase[:, None] * (_signs(src, yzmask[:, None]) * amplitudes[src])
 
 
@@ -233,7 +221,7 @@ def dense_on_support(pauli_sum, support: Tuple[int, ...]) -> np.ndarray:
 def _dense_from_masks(coefficients, masks, k: int) -> np.ndarray:
     """Scatter sum_r c_r sigma_r into a 2^k x 2^k matrix, strings in order."""
     xmask, yzmask, phase = masks
-    cols = _indices(2**k)
+    cols = np.arange(2**k)
     values = np.asarray(coefficients)[:, None] * (
         phase[:, None] * _signs(cols, yzmask[:, None])
     )
@@ -252,7 +240,7 @@ def _pauli_traces(matrix: np.ndarray, masks) -> np.ndarray:
     one product with the +-1 Walsh matrix gives the sum for every (x, yz).
     """
     xmask, yzmask, phase = masks
-    cols = _indices(matrix.shape[0])
+    cols = np.arange(matrix.shape[0])
     diagonals = matrix[cols, cols ^ cols[:, None]]  # row x holds matrix[j, j ^ x]
     return phase * (diagonals @ _signs(cols[:, None], cols))[xmask, yzmask]
 
@@ -281,11 +269,6 @@ def _apply_matrix_on_support(
     return tensor.reshape(-1)
 
 
-@lru_cache(maxsize=512)
-def _hermitian_eig(pauli_sum, support):
-    return np.linalg.eigh(dense_on_support(pauli_sum, support))
-
-
 def _term_parts(term):
     """Accept a LocalTerm-like object or a raw (coeff, string) sequence."""
     pauli_sum = getattr(term, "pauli_sum", term)
@@ -306,7 +289,7 @@ def apply_term_exp(state: StateVector, term, dtau: float):
     if not support:  # pure identity term: only the norm changes
         shift = sum(c for c, _ in pauli_sum)
         return state.copy(), float(np.exp(-2.0 * dtau * shift))
-    evals, evecs = _hermitian_eig(pauli_sum, support)
+    evals, evecs = np.linalg.eigh(dense_on_support(pauli_sum, support))
     weights = np.exp(-dtau * evals)
     mat = (evecs * weights) @ evecs.conj().T
     amps = _apply_matrix_on_support(state.amplitudes, mat, support, state.n_qubits)

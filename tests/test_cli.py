@@ -256,6 +256,9 @@ INVALID_BATCHES.update({
     "qite-domain-size-float": [section_config("qite", n_steps=1, domain_size=2.0)],
     "qite-trotter-order-float": [section_config("qite", n_steps=1, trotter_order=2.0)],
     "qmetts-n-samples-float": [section_config("qmetts", **{**QMETTS_OK, "n_samples": 20.0})],
+    # json.dumps writes NaN and Infinity, which json.loads reads back
+    "qite-dtau-nan": [section_config("qite", n_steps=1, dtau=float("nan"))],
+    "mutualinfo-beta-infinity": [section_config("mutualinfo", betas=[float("inf")])],
     "qmetts-n-warmup-float": [section_config("qmetts", **{**QMETTS_OK, "n_warmup": 2.0})],
     "mutualinfo-pair-float": [section_config("mutualinfo", betas=[1.0], pairs=[[0, 1.0]])],
     "count-n-terms-float": [section_config("count", **{**COUNT_OK, "n_terms": 4.0})],
@@ -333,6 +336,25 @@ def test_batch_refusal_names_its_config(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{bad}: " in err and "at least 2 sites" in err
     assert not out.exists()
+
+
+def test_batch_refuses_initial_state_width_before_any_run(tmp_path, capsys):
+    # the bits length is decided by the config alone, so the batch is refused
+    # before its first config runs
+    good = write_config(tmp_path, model_config("heisenberg_1d", n_qubits=4), "good.json")
+    bad = write_config(
+        tmp_path, {**model_config("heisenberg_1d", n_qubits=4), "initial_state": {"bits": "01"}},
+        "bad_bits.json",
+    )
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(good), "--config", str(bad), "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{bad}: " in err and "bits length 2 != n_qubits 4" in err
+    assert not out.exists()
+    odd = {**model_config("heisenberg_1d", n_qubits=3), "initial_state": "singlet_dimers"}
+    with pytest.raises(ConfigError, match="even qubit count"):
+        validate_config(odd)
 
 
 def test_initial_state_resolution(tmp_path):
@@ -656,8 +678,51 @@ def test_compare_rejects_mismatched_runs(tmp_path, capsys):
     main(["run", "--config", str(p1), "--out", str(o1)])
     main(["run", "--config", str(p2), "--out", str(o2)])
     assert main(["compare", "--run", str(o1), "--run", str(o2)]) == EXIT_CONFIG
+    assert f"error: {o2}: " in capsys.readouterr().err
     # unfinished directory is also a config error
     assert main(["compare", "--run", str(tmp_path / "missing")]) == EXIT_CONFIG
+
+
+def _edit_manifest(run, edit):
+    manifest = json.loads((run / "manifest.json").read_text())
+    edit(manifest)
+    (run / "manifest.json").write_text(json.dumps(manifest))
+
+
+COMPARE_RUN_CONFIGS = {
+    "qite": one_qubit_run_config(n_steps=5),
+    "qlanczos": section_config("qlanczos", qite={"n_steps": 3, "pool_kind": "pauli_odd_y"}),
+    "qmetts": section_config("qmetts", **QMETTS_OK),
+}
+
+# (algorithm, damage done to the first run, config of a later run or None)
+COMPARE_REFUSALS = {
+    "manifest-not-json": ("qite", lambda run: (run / "manifest.json").write_text("{"), None),
+    "config-without-model": (
+        "qite", lambda run: _edit_manifest(run, lambda m: m["config"].pop("model")), None
+    ),
+    "qite-csv-missing": ("qite", lambda run: (run / "qite.csv").unlink(), None),
+    "qlanczos-csv-missing": ("qlanczos", lambda run: (run / "qlanczos.csv").unlink(), None),
+    "summary-missing": ("qmetts", lambda run: (run / "summary.json").unlink(), None),
+    "later-run-has-a-sweep-the-first-lacks": (
+        "qite", lambda run: None, one_qubit_run_config(n_steps=6)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPARE_REFUSALS))
+def test_compare_refuses_unreadable_runs(tmp_path, capsys, name):
+    algorithm, damage, later = COMPARE_REFUSALS[name]
+    runs = [tmp_path / "first", tmp_path / "later"][: 1 + (later is not None)]
+    for run, config in zip(runs, (COMPARE_RUN_CONFIGS[algorithm], later)):
+        execute_run(config, run)
+    damage(runs[0])
+    argv = ["compare"] + [arg for run in runs for arg in ("--run", str(run))]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    # the refusal names the damaged run, or the later run and the first
+    assert err.startswith(f"error: {runs[-1]}") and str(runs[0]) in err
+    assert "Traceback" not in err
 
 
 # ------------------------------------------------------------------ batch
