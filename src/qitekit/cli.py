@@ -17,7 +17,7 @@ import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional, Sequence, Tuple, get_type_hints
+from typing import List, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
@@ -561,44 +561,63 @@ def _compare_rows(algorithm, run_dirs, state0, dec):
     if algorithm in ("qite", "qlanczos"):
         # one row per CSV row of each run, ending in its change from the first run
         if algorithm == "qite":
-            name, key, value = "qite.csv", "sweep", "energy"
+            name, read = "qite.csv", ("sweep", "beta", "energy")
             columns = ("sweep", "beta", "energy", "e_exact_ite", "delta_exact", "bound_violation")
         else:
-            name, key, value = "qlanczos.csv", "beta", "e_qlanczos"
+            name, read = "qlanczos.csv", ("beta", "e_qite", "e_qlanczos")
             columns = ("beta", "e_qite", "e_qlanczos", "bound_ok")
+        key, value = read[0], read[-1]
 
-        def cells(row):
+        def cells(row, values):
             if algorithm == "qite":
-                beta, e = float(row["beta"]), float(row["energy"])
+                _, beta, e = values
                 oracle = dec.ite_energy(state0, beta)
                 violation = str(int(e < dec.evals[0] - _BOUND_TOL))
                 return row["sweep"], _fmt(beta), _fmt(e), _fmt(oracle), _fmt(e - oracle), violation
-            eq, el = float(row["e_qite"]), float(row["e_qlanczos"])
+            _, eq, el = values
             return row["beta"], _fmt(eq), _fmt(el), str(int(el <= eq + _BOUND_TOL))
 
-        series = [_read(Path(d) / name, lambda text: list(csv.DictReader(text.splitlines())))
-                  for d in run_dirs]
-        first = {row[key]: float(row[value]) for row in series[0]}
+        series = []
+        for run_dir in run_dirs:
+            path = Path(run_dir) / name
+            table = _read(path, lambda text: list(csv.DictReader(text.splitlines())))
+            series.append([(row, _numbers(row, read, f"{path} line {line}"))
+                           for line, row in enumerate(table, 2)])
+        first = {row[key]: values[-1] for row, values in series[0]}
         for run_dir, table in zip(run_dirs, series):
-            extra = [row[key] for row in table if row[key] not in first]
+            extra = [row[key] for row, _ in table if row[key] not in first]
             if extra:
                 raise ConfigError(f"{run_dir}: {key} {extra[0]} is not in {run_dirs[0]}")
         rows = [
-            (str(run_dir), *cells(row), _fmt(float(row[value]) - first[row[key]]))
+            (str(run_dir), *cells(row, values), _fmt(values[-1] - first[row[key]]))
             for run_dir, table in zip(run_dirs, series)
-            for row in table
+            for row, values in table
         ]
         return ("run",) + columns + ("delta_vs_first",), rows
     header = ("run", "beta", "mean", "stderr_block", "gibbs_exact", "delta", "within_3_stderr")
     rows = []
     for run_dir in run_dirs:
-        summary = _read(Path(run_dir) / "summary.json")
-        beta, mean, stderr = (float(summary[k]) for k in ("beta", "mean", "stderr_block"))
+        path = Path(run_dir) / "summary.json"
+        beta, mean, stderr = _numbers(_read(path), ("beta", "mean", "stderr_block"), path)
         oracle = dec.gibbs(beta)
         delta = mean - oracle
         within = str(int(abs(delta) <= 3 * stderr))
         rows.append((str(run_dir), *map(_fmt, (beta, mean, stderr, oracle, delta)), within))
     return header, rows
+
+
+def _numbers(record, keys, where) -> List[float]:
+    """The values of ``keys`` in a CSV row or a summary as floats; a missing
+    key or a value that is not a number is a ConfigError naming ``where``."""
+    values = []
+    for key in keys:
+        if not isinstance(record, dict) or key not in record:
+            raise ConfigError(f"{where}: no {key!r}")
+        try:
+            values.append(float(record[key]))
+        except (TypeError, ValueError):
+            raise ConfigError(f"{where}: {key} {record[key]!r} is not a number") from None
+    return values
 
 
 def cmd_count(args) -> int:

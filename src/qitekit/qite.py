@@ -24,12 +24,18 @@ from .statevector import (
     _pauli_masks,
     _pauli_traces,
     _signs,
+    _support_major,
     dense_on_support,
     reduced_density_matrix,
 )
 
 B_MODES = ("measurable", "exact_delta0")
 _PAULI_POOLS = ("pauli_full", "pauli_odd_y")
+# A noiseless step is solved in the range of rho_D when 2^k is at least this
+# many times the factor's column count, the bound on rho_D's rank; below it
+# the range route measured slower per step on some shapes (1.7 times at 1)
+_RANGE_CROSSOVER = 4
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -160,10 +166,15 @@ class _TermPlan:
     index: int
     domain: Tuple[int, ...]
     unitary_support: Tuple[int, ...]
-    h_eig: Tuple[np.ndarray, np.ndarray]  # eigh of the term on the support
+    # eigh of the term on the unitary support, or on its own support when
+    # the step is solved in the range of rho
+    h_eig: Tuple[np.ndarray, np.ndarray]
     # (x, yz, i^nY) per pool string over the support when the step forms S;
-    # None when it is solved in the eigenbasis of rho
+    # None when it is solved in the eigenbasis or the range of rho
     local_masks: Optional[Tuple[np.ndarray, ...]]
+    # range route only: register orders of the amplitudes, support-major and
+    # term-major, and the term-major position of each support-major entry
+    layout: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
 
 def _term_plans(
@@ -173,10 +184,12 @@ def _term_plans(
 
     A noiseless step on a Pauli pool, or on a fermionic pool over a
     contiguous domain (the parity-even strings of the domain), is solved in
-    the eigenbasis of rho on the domain and reads no pool.  Every other
-    domain enumerates its pool and builds the pool's masks once; parity
-    tails may widen its support.  A domain from choose_domain contains its
-    term's support, so the support serves every term that shares the domain.
+    the eigenbasis of rho on the domain and reads no pool; when rho's rank
+    is bounded well below 2^k (``_in_range``) it is solved in rho's range.
+    Every other domain enumerates its pool and builds the pool's masks once;
+    parity tails may widen its support.  A domain from choose_domain
+    contains its term's support, so the support serves every term that
+    shares the domain.
     """
     pools = {}
     plans = []
@@ -185,13 +198,25 @@ def _term_plans(
         if domain not in pools:
             contiguous = domain[-1] - domain[0] == len(domain) - 1
             if config.noise_sigma == 0 and (config.pool_kind in _PAULI_POOLS or contiguous):
-                pools[domain] = (_pool_support(index, domain, (), config), None)
+                support = _pool_support(index, domain, (), config)
+                in_range = _in_range(n_qubits, len(support), config.pool_kind)
+                pools[domain] = (support, None, n_qubits if in_range else None)
             else:
                 strings = enumerate_pool(OperatorPool(config.pool_kind, domain), n_qubits)
                 support = _pool_support(index, domain, strings, config)
-                pools[domain] = (support, _pauli_masks(tuple(strings), support))
+                pools[domain] = (support, _pauli_masks(tuple(strings), support), None)
         plans.append(_build_plan(index, term, domain, *pools[domain]))
     return plans
+
+
+def _in_range(n_qubits: int, k: int, pool_kind: str) -> bool:
+    """Whether a noiseless step on a k-qubit support is solved in rho's range.
+
+    rho = L L^dagger has rank at most the column count of the factor the
+    pool reads: 2^(n-k) for L, twice that for the odd-Y pool's [Re L, Im L].
+    """
+    columns = 2 ** (n_qubits - k) * (2 if pool_kind == "pauli_odd_y" else 1)
+    return _RANGE_CROSSOVER * columns <= 2**k
 
 
 def _pool_support(
@@ -207,9 +232,20 @@ def _pool_support(
     return support
 
 
-def _build_plan(index: int, term: LocalTerm, domain, support, masks) -> _TermPlan:
-    h_eig = np.linalg.eigh(dense_on_support(term.pauli_sum, support))
-    return _TermPlan(index, domain, support, h_eig, masks)
+def _build_plan(
+    index: int, term: LocalTerm, domain, support, masks, n_qubits: Optional[int] = None
+) -> _TermPlan:
+    """The plan of one term; ``n_qubits`` puts it on the range route."""
+    if n_qubits is None:
+        h_eig = np.linalg.eigh(dense_on_support(term.pauli_sum, support))
+        return _TermPlan(index, domain, support, h_eig, masks)
+    own = tuple(sorted(term.support))
+    order = np.arange(2**n_qubits)
+    gather = _support_major(order, support, n_qubits).ravel()
+    term_gather = _support_major(order, own, n_qubits).ravel()
+    layout = (gather, term_gather, np.argsort(term_gather)[gather])
+    h_eig = np.linalg.eigh(dense_on_support(term.pauli_sum, own))
+    return _TermPlan(index, domain, support, h_eig, masks, layout)
 
 
 # ---------------------------------------------------------------------------
@@ -235,22 +271,55 @@ def _step_operators(
     rho = reduced_density_matrix(state, support, len(support)).matrix
     evals, evecs = plan.h_eig
     populations = np.sum(evecs.conj() * (rho @ evecs), axis=0).real  # <w|rho|w>
+    weights = _g_weights(evals, dtau, config)
     if config.b_mode == "exact_delta0":
-        weights = np.exp(-dtau * evals)
-        c = float(weights**2 @ populations)
-        scale = -1.0 / (dtau * math.sqrt(c))
+        c, scale = _norm_factor(float(weights**2 @ populations), dtau, config)
     else:
-        weights = evals
         h_exp = float(evals @ populations)
         if config.noise_sigma > 0:
             h_exp += float(rng.normal(0.0, config.noise_sigma))
-        c = 1.0 - 2.0 * dtau * h_exp
-        if c <= 0.0:
-            raise NumericalError(
-                f"first-order norm estimate c={c:g} is not positive; reduce dtau"
-            )
-        scale = 1.0 / math.sqrt(c) if config.b_norm_factor else 1.0
+        c, scale = _norm_factor(h_exp, dtau, config)
     return rho, (evecs * weights) @ evecs.conj().T, c, scale
+
+
+def _g_weights(evals: np.ndarray, dtau: float, config: QiteConfig) -> np.ndarray:
+    """G's eigenvalues over the term's: e^{-dtau h} (exact_delta0) or h."""
+    return np.exp(-dtau * evals) if config.b_mode == "exact_delta0" else evals
+
+
+def _norm_factor(value: float, dtau: float, config: QiteConfig) -> Tuple[float, float]:
+    """(c, scale) from Tr(G rho G) (exact_delta0) or <h> (measurable)."""
+    if config.b_mode == "exact_delta0":
+        return value, -1.0 / (dtau * math.sqrt(value))
+    c = 1.0 - 2.0 * dtau * value
+    if c <= 0.0:
+        raise NumericalError(
+            f"first-order norm estimate c={c:g} is not positive; reduce dtau"
+        )
+    return c, 1.0 / math.sqrt(c) if config.b_norm_factor else 1.0
+
+
+def _range_operators(
+    plan: _TermPlan, state: StateVector, dtau: float, config: QiteConfig
+):
+    """(L, G L, c, scale) of a noiseless step on a plan solved in rho's range.
+
+    L is the state's (2^k, 2^(n-k)) factor on the support, rho = L L^dagger,
+    and G acts through the term's eigendecomposition on its own support.
+    """
+    gather, term_gather, term_to_support = plan.layout
+    evals, evecs = plan.h_eig
+    g = (evecs * _g_weights(evals, dtau, config)) @ evecs.conj().T
+    shaped = state.amplitudes[term_gather].reshape(evals.size, -1)
+    g_shaped = g @ shaped
+    if config.b_mode == "exact_delta0":
+        value = float(np.vdot(g_shaped, g_shaped).real)  # Tr(G rho G)
+    else:
+        value = float(np.vdot(shaped, g_shaped).real)  # <h>
+    dim = 2 ** len(plan.unitary_support)
+    factor = state.amplitudes[gather].reshape(dim, -1)
+    g_factor = g_shaped.ravel()[term_to_support].reshape(dim, -1)
+    return factor, g_factor, *_norm_factor(value, dtau, config)
 
 
 def _explicit_system(
@@ -375,6 +444,77 @@ def _solve_in_rho_basis(rho: np.ndarray, g: np.ndarray, scale: float, config: Qi
     return generator, residual
 
 
+def _solve_in_rho_range(
+    factor: np.ndarray, g_factor: np.ndarray, scale: float, config: QiteConfig
+):
+    """(blocks, residual) of a noiseless step in the range of rho = L L^dagger.
+
+    The solve of _solve_in_rho_basis with its eigenbasis split as
+    V = [V_r, V_perp], rho V_perp = 0.  Pairs inside V_perp carry B~ = 0, so
+    A = -i 2^k scale (V_r A~_r V_r^dagger + X - X^dagger), where A~_r is the
+    r x r pair solve, X = V_r D O^dagger with O = (1 - V_r V_r^dagger) K the
+    pairs (r, perp), D = 1 / (2^k p + delta) where kept, and K = -G L Z^dagger
+    for Z = V_r^dagger L.  V_r and p = sigma^2 come from the thin SVD of the
+    factor; singular values above max(shape) eps sigma_max count as rho's
+    rank.  With O = W R (W from the eigh of O^dagger O), A = Q M Q^dagger for
+    Q = [V_r, W], returned per block as (rows, Q, M) on those rows of the
+    support.  The odd-Y pool reads the real factor [Re L, Im L] of Re rho
+    over the pairs i != j, so its Q and M / i are real; the parity-even pool
+    solves each parity block of the local index with its own rows.
+    """
+    dim = factor.shape[0]
+    odd_y = config.pool_kind == "pauli_odd_y"
+    if odd_y:
+        factor, g_factor = _real_columns(factor), _real_columns(g_factor)
+    rows_list = [slice(None)]
+    if config.pool_kind == "fermionic_number_conserving":
+        parity = np.bitwise_count(np.arange(dim)) & 1
+        rows_list = [parity == 0, parity == 1]
+    parts = []
+    for rows in rows_list:
+        f = factor[rows]
+        u, sigma, vh = np.linalg.svd(f, full_matrices=False)
+        rank = np.count_nonzero(sigma > sigma[0] * max(f.shape) * _EPS)
+        if rank:  # a parity block without amplitude has no pairs that carry b
+            sigma = sigma[:rank]
+            k_mat = (g_factor[rows] @ vh[:rank].conj().T) * -sigma
+            parts.append((rows, u[:, :rank], sigma**2, k_mat))
+    # the largest S eigenvalue over the pool's pairs: (0, 1) on the odd-Y pool
+    tops = [p[:2] for _, _, p, _ in parts]
+    s_max = dim * (tops[0].sum() if odd_y else 2.0 * max(top[0] for top in tops))
+    cut = config.pinv_tol * (s_max + config.delta)
+    blocks, dropped = [], 0.0
+    for rows, v, p, k_mat in parts:
+        vk = v.conj().T @ k_mat
+        rotated = vk.conj().T - vk
+        outside = k_mat - v @ vk
+        # the odd-Y pool has no pairs (i, i), but its rotated diagonal is 0
+        lam = dim * (p[:, None] + p) + config.delta
+        keep = lam >= cut
+        lam_out = dim * p + config.delta
+        d = np.where(lam_out >= cut, 1.0 / lam_out, 0.0)
+        gram = outside.conj().T @ outside
+        lost = np.where(keep, 0.0, rotated)
+        dropped += np.vdot(lost, lost).real + 2.0 * (gram.diagonal().real @ (d == 0.0))
+        o2, uo = np.linalg.eigh(gram)
+        live = o2 > o2[-1] * _EPS
+        so, uo = np.sqrt(o2[live]), uo[:, live]
+        r = p.size
+        m = np.zeros((r + so.size,) * 2, dtype=rotated.dtype)
+        m[:r, :r] = np.where(keep, rotated / lam, 0.0)
+        m[:r, r:] = d[:, None] * (uo * so)
+        m[r:, :r] = -m[:r, r:].conj().T
+        q = np.concatenate((v, (outside @ uo) / so), axis=1)
+        blocks.append((rows, q, (-1j * dim * scale) * m))
+    return blocks, math.sqrt(dim) * abs(scale) * math.sqrt(dropped)
+
+
+def _real_columns(factor: np.ndarray) -> np.ndarray:
+    """A complex (rows, cols) factor viewed as real (rows, 2 cols): each
+    column's real part, then its imaginary part."""
+    return factor.view(float).reshape(factor.shape[0], -1)
+
+
 def _run_step(
     state: StateVector,
     plan: _TermPlan,
@@ -382,26 +522,49 @@ def _run_step(
     config: QiteConfig,
     rng: Optional[np.random.Generator],
 ) -> Tuple[StateVector, StepRecord]:
-    rho, g, c, scale = _step_operators(plan, state, dtau, config, rng)
-    if plan.local_masks is None:
-        generator, residual = _solve_in_rho_basis(rho, g, scale, config)
+    if plan.layout is not None:
+        factor, g_factor, c, scale = _range_operators(plan, state, dtau, config)
+        blocks, residual = _solve_in_rho_range(factor, g_factor, scale, config)
+        odd_y = config.pool_kind == "pauli_odd_y"
+        # factor is a gathered copy: update it in place, through its real
+        # columns where A = i (real antisymmetric) makes the step a rotation
+        target = _real_columns(factor) if odd_y else factor
+        for rows, q, m in blocks:  # e^{-i dtau A} = 1 + Q (e^{-i dtau M} - 1) Q^dagger
+            _check_finite(plan, m)
+            step = _unitary(m, dtau, less=1.0)
+            step = step.real if odd_y else step
+            target[rows] += q @ (step @ (q.conj().T @ target[rows]))
+        amps = np.empty_like(state.amplitudes)
+        amps[plan.layout[0]] = factor.ravel()
     else:
-        smat, bvec = _explicit_system(plan, rho, g, scale, config, rng)
-        coefficients, residual = solve_step(smat, bvec, config.delta, config.pinv_tol)
-        generator = _dense_from_masks(
-            coefficients, plan.local_masks, len(plan.unitary_support)
+        rho, g, c, scale = _step_operators(plan, state, dtau, config, rng)
+        if plan.local_masks is None:
+            generator, residual = _solve_in_rho_basis(rho, g, scale, config)
+        else:
+            smat, bvec = _explicit_system(plan, rho, g, scale, config, rng)
+            coefficients, residual = solve_step(smat, bvec, config.delta, config.pinv_tol)
+            generator = _dense_from_masks(
+                coefficients, plan.local_masks, len(plan.unitary_support)
+            )
+        _check_finite(plan, generator)
+        unitary = _unitary(generator, dtau)
+        amps = _apply_matrix_on_support(
+            state.amplitudes, unitary, plan.unitary_support, state.n_qubits
         )
-    if not np.all(np.isfinite(generator)):
-        raise NumericalError(f"term {plan.index}: non-finite generator")
-
-    evals, evecs = np.linalg.eigh(generator)
-    unitary = (evecs * np.exp(-1j * dtau * evals)) @ evecs.conj().T
-    amps = _apply_matrix_on_support(
-        state.amplitudes, unitary, plan.unitary_support, state.n_qubits
-    )
     amps = amps / np.linalg.norm(amps)
     record = StepRecord(plan.index, dtau, c, residual, plan.domain)
     return StateVector(amps, state.n_qubits), record
+
+
+def _check_finite(plan: _TermPlan, generator: np.ndarray) -> None:
+    if not np.isfinite(generator).all():
+        raise NumericalError(f"term {plan.index}: non-finite generator")
+
+
+def _unitary(generator: np.ndarray, dtau: float, less: float = 0.0) -> np.ndarray:
+    """e^{-i dtau A} - less, from the eigendecomposition of A."""
+    evals, evecs = np.linalg.eigh(generator)
+    return (evecs * (np.exp(-1j * dtau * evals) - less)) @ evecs.conj().T
 
 
 def qite_step(

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 from pathlib import Path
@@ -722,6 +723,53 @@ def test_compare_refuses_unreadable_runs(tmp_path, capsys, name):
     err = capsys.readouterr().err
     # the refusal names the damaged run, or the later run and the first
     assert err.startswith(f"error: {runs[-1]}") and str(runs[0]) in err
+    assert "Traceback" not in err
+
+
+def _edit_text(path, old, new):
+    path.write_text(path.read_text().replace(old, new, 1))
+
+
+def _replace_first_cell(path, column, text):
+    rows = list(csv.DictReader(path.read_text().splitlines()))
+    rows[0][column] = text
+    with open(path, "w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+def _drop_summary_key(path, key):
+    summary = json.loads(path.read_text())
+    summary.pop(key)
+    path.write_text(json.dumps(summary))
+
+
+# (algorithm, file, damage to it, the key the refusal names)
+COMPARE_MALFORMED = {
+    "csv-without-its-column": (
+        "qite", "qite.csv", lambda path: _edit_text(path, "energy", "energi"), "energy"
+    ),
+    "csv-cell-not-a-number": (
+        "qlanczos", "qlanczos.csv", lambda path: _replace_first_cell(path, "e_qite", "n/a"),
+        "e_qite",
+    ),
+    "summary-without-stderr_block": (
+        "qmetts", "summary.json", lambda path: _drop_summary_key(path, "stderr_block"),
+        "stderr_block",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPARE_MALFORMED))
+def test_compare_refuses_malformed_run_tables(tmp_path, capsys, name):
+    algorithm, file_name, damage, key = COMPARE_MALFORMED[name]
+    run = tmp_path / "run"
+    execute_run(COMPARE_RUN_CONFIGS[algorithm], run)
+    damage(run / file_name)
+    assert main(["compare", "--run", str(run)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {run / file_name}") and key in err
     assert "Traceback" not in err
 
 

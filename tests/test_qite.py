@@ -20,7 +20,12 @@ from qitekit.pauli import OperatorPool, PauliString, enumerate_pool, multiply
 from qitekit.qite import (
     B_MODES,
     QiteConfig,
+    _build_plan,
+    _in_range,
+    _range_operators,
+    _run_step,
     _solve_in_rho_basis,
+    _solve_in_rho_range,
     _step_operators,
     _term_plans,
     build_linear_system,
@@ -45,6 +50,8 @@ from qitekit.statevector import (
 )
 
 from conftest import random_state
+
+POOLS = ["pauli_full", "pauli_odd_y", "fermionic_number_conserving"]
 
 
 # --------------------------------------------------------------- domains
@@ -216,9 +223,17 @@ def test_solve_step_rank_deficient():
     assert np.linalg.norm(damped) < np.linalg.norm(coeffs)
 
 
+def _basis_plan(term, cfg, n):
+    """The plan _term_plans builds for ``term``, moved off the range route."""
+    (plan,) = _term_plans([term], cfg, n)
+    if plan.layout is None:
+        return plan
+    return _build_plan(plan.index, term, plan.domain, plan.unitary_support, None)
+
+
 def _rho_basis_step(state, term, cfg, dtau):
     """(plan, generator, residual) of a noiseless step solved in the eigenbasis of rho."""
-    (plan,) = _term_plans([term], cfg, state.n_qubits)
+    plan = _basis_plan(term, cfg, state.n_qubits)
     rho, g, _, scale = _step_operators(plan, state, dtau, cfg, None)
     return (plan, *_solve_in_rho_basis(rho, g, scale, cfg))
 
@@ -334,7 +349,7 @@ def test_rho_basis_step_matches_explicit_solve(
     cfg = QiteConfig(
         domain_size=k, pool_kind=kind, b_mode=b_mode, delta=delta, pinv_tol=pinv_tol
     )
-    (plan,) = _term_plans([term], cfg, n)
+    plan = _basis_plan(term, cfg, n)
     rho, g, c_step, scale = _step_operators(plan, state, 0.05, cfg, None)
     smat, bvec, c = build_linear_system(
         state, term, OperatorPool(kind, plan.domain), 0.05, cfg
@@ -379,6 +394,104 @@ def test_odd_y_and_full_pools_take_the_same_step(n, k, b_mode, delta, product, s
         odd_y = np.array([s.y_count % 2 == 1 for s in strings])
         assert np.max(np.abs(full_coeffs[odd_y] - odd_coeffs)) < 1e-12
         assert np.max(np.abs(full_coeffs[~odd_y])) < 1e-12
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    k=st.integers(1, 4),
+    env=st.integers(0, 2),
+    kind=st.sampled_from(POOLS),
+    b_mode=st.sampled_from(B_MODES),
+    delta=st.sampled_from([0.0, 0.3]),
+    pinv_tol=st.sampled_from([1e-8, 0.3]),  # 0.3 drops pairs that carry b
+    real=st.booleans(),
+    shape=st.sampled_from(["random", "product", "basis"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_range_step_matches_rho_basis_step(
+    k, env, kind, b_mode, delta, pinv_tol, real, shape, seed
+):
+    # the solve in the range of rho must reproduce the eigenbasis solve on the
+    # same support, whether or not _in_range would pick it
+    rng = np.random.default_rng(seed)
+    n = k + env
+    support = sorted(rng.choice(n, size=min(k, 2), replace=False).tolist())
+    term = _random_term(rng, n, support)
+    if shape == "basis":  # one parity block of the factor is empty
+        amps = np.zeros(2**n, dtype=complex)
+        amps[rng.integers(2**n)] = 1.0 if real else np.exp(1j * rng.uniform(0, 2 * np.pi))
+        state = StateVector(amps, n)
+    else:
+        state = _random_amplitudes(rng, n, real, shape == "product")
+    cfg = QiteConfig(
+        domain_size=k, pool_kind=kind, b_mode=b_mode, delta=delta, pinv_tol=pinv_tol
+    )
+    basis = _basis_plan(term, cfg, n)
+    if basis.local_masks is not None:
+        return  # a fermionic pool with parity tails forms S
+    ranged = _build_plan(basis.index, term, basis.domain, basis.unitary_support, None, n)
+    rho, g, _, scale = _step_operators(basis, state, 0.05, cfg, None)
+    expected, _ = _solve_in_rho_basis(rho, g, scale, cfg)
+    factor, g_factor, _, range_scale = _range_operators(ranged, state, 0.05, cfg)
+    blocks, _ = _solve_in_rho_range(factor, g_factor, range_scale, cfg)
+    generator = np.zeros_like(expected)
+    for rows, q, m in blocks:
+        local = np.arange(len(generator))[rows]
+        generator[np.ix_(local, local)] = q @ m @ q.conj().T
+    assert np.max(np.abs(generator - expected)) < 1e-10
+    new, record = _run_step(state, ranged, 0.05, cfg, None)
+    want, want_record = _run_step(state, basis, 0.05, cfg, None)
+    assert np.max(np.abs(new.amplitudes - want.amplitudes)) < 1e-10
+    assert abs(record.c - want_record.c) < 1e-12
+    assert abs(record.residual - want_record.residual) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "n, k, kind, in_range",
+    [
+        (6, 6, "pauli_odd_y", True),  # rank <= 2 of 64
+        (4, 4, "pauli_odd_y", True),
+        (6, 4, "pauli_full", True),  # rank <= 4 of 16
+        (6, 4, "pauli_odd_y", False),  # the real factor has 8 columns
+        (9, 4, "pauli_full", False),
+        (3, 2, "pauli_full", False),
+        (1, 1, "pauli_full", False),
+    ],
+)
+def test_range_route_by_rank_bound(n, k, kind, in_range):
+    assert _in_range(n, k, kind) is in_range
+
+
+@pytest.mark.parametrize("kind", POOLS)
+def test_range_plans_hold_no_support_sized_matrix(kind):
+    # a range plan keeps the term's own eigendecomposition and three index
+    # vectors over the register, never a 2^k x 2^k matrix
+    h = heisenberg_1d(8)
+    for plan in _term_plans(h.terms, QiteConfig(domain_size=8, pool_kind=kind), 8):
+        assert plan.layout is not None and plan.local_masks is None
+        assert max(a.size for a in (*plan.h_eig, *plan.layout)) <= 2**8
+
+
+def test_odd_y_range_route_keeps_a_real_state_real():
+    # A = i (real antisymmetric) on the odd-Y pool, so each step is a real
+    # rotation of the real columns of the factor
+    h = heisenberg_1d(6)
+    cfg = QiteConfig(dtau=0.1, n_steps=20, domain_size=6, pool_kind="pauli_odd_y")
+    assert all(plan.layout is not None for plan in _term_plans(h.terms, cfg, 6))
+    final = qite_evolve(neel_state(6), h, cfg).final_state
+    assert np.all(final.amplitudes.imag == 0)
+
+
+def test_exact_domain_twelve_qubits():
+    # d = n = 12: each step works on the 4096 x 1 factor, not on 4096 x 4096
+    # matrices, and imaginary-time evolution lowers the energy
+    h = heisenberg_1d(12)
+    cfg = QiteConfig(
+        dtau=0.1, n_steps=2, domain_size=12, pool_kind="pauli_odd_y", b_mode="exact_delta0"
+    )
+    trajectory = qite_evolve(neel_state(12), h, cfg)
+    assert abs(np.linalg.norm(trajectory.final_state.amplitudes) - 1.0) < 1e-12
+    assert np.all(np.diff(trajectory.energies) <= 1e-12)
 
 
 def _route_case(kind, noise, explicit, n=3, support=(0, 1), suffix=""):
