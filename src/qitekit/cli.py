@@ -566,7 +566,7 @@ def _compare_rows(algorithm, run_dirs, state0, dec):
         else:
             name, read = "qlanczos.csv", ("beta", "e_qite", "e_qlanczos")
             columns = ("beta", "e_qite", "e_qlanczos", "bound_ok")
-        key, value = read[0], read[-1]
+        key = read[0]
 
         def cells(row, values):
             if algorithm == "qite":

@@ -21,6 +21,7 @@ from .statevector import (
     StateVector,
     _apply_matrix_on_support,
     _dense_from_masks,
+    _from_support_major,
     _pauli_masks,
     _pauli_traces,
     _signs,
@@ -31,10 +32,14 @@ from .statevector import (
 
 B_MODES = ("measurable", "exact_delta0")
 _PAULI_POOLS = ("pauli_full", "pauli_odd_y")
-# A noiseless step is solved in the range of rho_D when 2^k is at least this
-# many times the factor's column count, the bound on rho_D's rank; below it
-# the range route measured slower per step on some shapes (1.7 times at 1)
+# A noiseless step is solved in the range of rho_D when 2^k is at least
+# _RANGE_CROSSOVER times the factor's column count, the bound on rho_D's
+# rank, and k is at least the pool's _RANGE_MIN_QUBITS.  Below either the
+# range route measured slower per step on some shape: up to 1.3 times at
+# k <= 3, up to 1.5 at k <= 3 and 1.2 at k = 4 on the parity-even pool
+# (whose range solve runs per parity block), up to 2.6 at a ratio of 1
 _RANGE_CROSSOVER = 4
+_RANGE_MIN_QUBITS = {"pauli_full": 4, "pauli_odd_y": 4, "fermionic_number_conserving": 5}
 _EPS = float(np.finfo(float).eps)
 
 
@@ -166,15 +171,14 @@ class _TermPlan:
     index: int
     domain: Tuple[int, ...]
     unitary_support: Tuple[int, ...]
-    # eigh of the term on the unitary support, or on its own support when
-    # the step is solved in the range of rho
+    # eigh of the term on h_support: the unitary support, or the term's own
+    # support when the step is solved in the range of rho
     h_eig: Tuple[np.ndarray, np.ndarray]
+    h_support: Tuple[int, ...]
     # (x, yz, i^nY) per pool string over the support when the step forms S;
     # None when it is solved in the eigenbasis or the range of rho
     local_masks: Optional[Tuple[np.ndarray, ...]]
-    # range route only: register orders of the amplitudes, support-major and
-    # term-major, and the term-major position of each support-major entry
-    layout: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+    in_range: bool = False  # the step is solved in the range of rho
 
 
 def _term_plans(
@@ -200,11 +204,11 @@ def _term_plans(
             if config.noise_sigma == 0 and (config.pool_kind in _PAULI_POOLS or contiguous):
                 support = _pool_support(index, domain, (), config)
                 in_range = _in_range(n_qubits, len(support), config.pool_kind)
-                pools[domain] = (support, None, n_qubits if in_range else None)
+                pools[domain] = (support, None, in_range)
             else:
                 strings = enumerate_pool(OperatorPool(config.pool_kind, domain), n_qubits)
                 support = _pool_support(index, domain, strings, config)
-                pools[domain] = (support, _pauli_masks(tuple(strings), support), None)
+                pools[domain] = (support, _pauli_masks(tuple(strings), support), False)
         plans.append(_build_plan(index, term, domain, *pools[domain]))
     return plans
 
@@ -216,7 +220,7 @@ def _in_range(n_qubits: int, k: int, pool_kind: str) -> bool:
     pool reads: 2^(n-k) for L, twice that for the odd-Y pool's [Re L, Im L].
     """
     columns = 2 ** (n_qubits - k) * (2 if pool_kind == "pauli_odd_y" else 1)
-    return _RANGE_CROSSOVER * columns <= 2**k
+    return k >= _RANGE_MIN_QUBITS[pool_kind] and _RANGE_CROSSOVER * columns <= 2**k
 
 
 def _pool_support(
@@ -233,19 +237,12 @@ def _pool_support(
 
 
 def _build_plan(
-    index: int, term: LocalTerm, domain, support, masks, n_qubits: Optional[int] = None
+    index: int, term: LocalTerm, domain, support, masks, in_range: bool = False
 ) -> _TermPlan:
-    """The plan of one term; ``n_qubits`` puts it on the range route."""
-    if n_qubits is None:
-        h_eig = np.linalg.eigh(dense_on_support(term.pauli_sum, support))
-        return _TermPlan(index, domain, support, h_eig, masks)
-    own = tuple(sorted(term.support))
-    order = np.arange(2**n_qubits)
-    gather = _support_major(order, support, n_qubits).ravel()
-    term_gather = _support_major(order, own, n_qubits).ravel()
-    layout = (gather, term_gather, np.argsort(term_gather)[gather])
-    h_eig = np.linalg.eigh(dense_on_support(term.pauli_sum, own))
-    return _TermPlan(index, domain, support, h_eig, masks, layout)
+    """The plan of one term; ``in_range`` puts it on the range route."""
+    h_support = tuple(sorted(term.support)) if in_range else support
+    h_eig = np.linalg.eigh(dense_on_support(term.pauli_sum, h_support))
+    return _TermPlan(index, domain, support, h_eig, h_support, masks, in_range)
 
 
 # ---------------------------------------------------------------------------
@@ -307,18 +304,17 @@ def _range_operators(
     L is the state's (2^k, 2^(n-k)) factor on the support, rho = L L^dagger,
     and G acts through the term's eigendecomposition on its own support.
     """
-    gather, term_gather, term_to_support = plan.layout
     evals, evecs = plan.h_eig
     g = (evecs * _g_weights(evals, dtau, config)) @ evecs.conj().T
-    shaped = state.amplitudes[term_gather].reshape(evals.size, -1)
-    g_shaped = g @ shaped
+    amps, n = state.amplitudes, state.n_qubits
+    g_amps = _apply_matrix_on_support(amps, g, plan.h_support, n)
     if config.b_mode == "exact_delta0":
-        value = float(np.vdot(g_shaped, g_shaped).real)  # Tr(G rho G)
+        value = float(np.vdot(g_amps, g_amps).real)  # Tr(G rho G)
     else:
-        value = float(np.vdot(shaped, g_shaped).real)  # <h>
-    dim = 2 ** len(plan.unitary_support)
-    factor = state.amplitudes[gather].reshape(dim, -1)
-    g_factor = g_shaped.ravel()[term_to_support].reshape(dim, -1)
+        value = float(np.vdot(amps, g_amps).real)  # <h>
+    # a copy, which the step updates in place
+    factor = _support_major(amps, plan.unitary_support, n).copy()
+    g_factor = _support_major(g_amps, plan.unitary_support, n)
     return factor, g_factor, *_norm_factor(value, dtau, config)
 
 
@@ -456,11 +452,12 @@ def _solve_in_rho_range(
     pairs (r, perp), D = 1 / (2^k p + delta) where kept, and K = -G L Z^dagger
     for Z = V_r^dagger L.  V_r and p = sigma^2 come from the thin SVD of the
     factor; singular values above max(shape) eps sigma_max count as rho's
-    rank.  With O = W R (W from the eigh of O^dagger O), A = Q M Q^dagger for
-    Q = [V_r, W], returned per block as (rows, Q, M) on those rows of the
-    support.  The odd-Y pool reads the real factor [Re L, Im L] of Re rho
-    over the pairs i != j, so its Q and M / i are real; the parity-even pool
-    solves each parity block of the local index with its own rows.
+    rank.  With O = W R (W from the thin SVD of O, under the same rank
+    rule), A = Q M Q^dagger for Q = [V_r, W], returned per block as
+    (rows, Q, M) on those rows of the support.  The odd-Y pool reads the
+    real factor [Re L, Im L] of Re rho over the pairs i != j, so its Q and
+    M / i are real; the parity-even pool solves each parity block of the
+    local index with its own rows.
     """
     dim = factor.shape[0]
     odd_y = config.pool_kind == "pauli_odd_y"
@@ -493,26 +490,29 @@ def _solve_in_rho_range(
         keep = lam >= cut
         lam_out = dim * p + config.delta
         d = np.where(lam_out >= cut, 1.0 / lam_out, 0.0)
-        gram = outside.conj().T @ outside
         lost = np.where(keep, 0.0, rotated)
-        dropped += np.vdot(lost, lost).real + 2.0 * (gram.diagonal().real @ (d == 0.0))
-        o2, uo = np.linalg.eigh(gram)
-        live = o2 > o2[-1] * _EPS
-        so, uo = np.sqrt(o2[live]), uo[:, live]
+        dropped += np.vdot(lost, lost).real
+        if not d.all():  # pairs (r, perp) below the cut
+            lost = outside[:, d == 0.0]
+            dropped += 2.0 * np.vdot(lost, lost).real
+        w, so, woh = np.linalg.svd(outside, full_matrices=False)
+        live = np.count_nonzero(so > so[0] * max(outside.shape) * _EPS)
+        w, so, wo = w[:, :live], so[:live], woh[:live].conj().T
         r = p.size
-        m = np.zeros((r + so.size,) * 2, dtype=rotated.dtype)
+        m = np.zeros((r + live,) * 2, dtype=rotated.dtype)
         m[:r, :r] = np.where(keep, rotated / lam, 0.0)
-        m[:r, r:] = d[:, None] * (uo * so)
+        m[:r, r:] = d[:, None] * (wo * so)
         m[r:, :r] = -m[:r, r:].conj().T
-        q = np.concatenate((v, (outside @ uo) / so), axis=1)
+        q = np.concatenate((v, w), axis=1)
         blocks.append((rows, q, (-1j * dim * scale) * m))
     return blocks, math.sqrt(dim) * abs(scale) * math.sqrt(dropped)
 
 
 def _real_columns(factor: np.ndarray) -> np.ndarray:
     """A complex (rows, cols) factor viewed as real (rows, 2 cols): each
-    column's real part, then its imaginary part."""
-    return factor.view(float).reshape(factor.shape[0], -1)
+    column's real part, then its imaginary part; a view of a C-contiguous
+    factor."""
+    return np.ascontiguousarray(factor).view(float).reshape(factor.shape[0], -1)
 
 
 def _run_step(
@@ -522,20 +522,19 @@ def _run_step(
     config: QiteConfig,
     rng: Optional[np.random.Generator],
 ) -> Tuple[StateVector, StepRecord]:
-    if plan.layout is not None:
+    if plan.in_range:
         factor, g_factor, c, scale = _range_operators(plan, state, dtau, config)
         blocks, residual = _solve_in_rho_range(factor, g_factor, scale, config)
         odd_y = config.pool_kind == "pauli_odd_y"
-        # factor is a gathered copy: update it in place, through its real
-        # columns where A = i (real antisymmetric) makes the step a rotation
+        # factor is a copy: update it in place, through its real columns
+        # where A = i (real antisymmetric) makes the step a rotation
         target = _real_columns(factor) if odd_y else factor
         for rows, q, m in blocks:  # e^{-i dtau A} = 1 + Q (e^{-i dtau M} - 1) Q^dagger
             _check_finite(plan, m)
             step = _unitary(m, dtau, less=1.0)
             step = step.real if odd_y else step
             target[rows] += q @ (step @ (q.conj().T @ target[rows]))
-        amps = np.empty_like(state.amplitudes)
-        amps[plan.layout[0]] = factor.ravel()
+        amps = _from_support_major(factor, plan.unitary_support, state.n_qubits)
     else:
         rho, g, c, scale = _step_operators(plan, state, dtau, config, rng)
         if plan.local_masks is None:

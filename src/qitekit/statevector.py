@@ -6,8 +6,9 @@ the array index, so basis label strings are written qubit 0 first.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -245,9 +246,14 @@ def _pauli_traces(matrix: np.ndarray, masks) -> np.ndarray:
     return phase * (diagonals @ _signs(cols[:, None], cols))[xmask, yzmask]
 
 
-def _support_axes(support: Sequence[int], n_qubits: int) -> List[int]:
-    # tensor axis of qubit q is n-1-q; most significant local bit first
-    return [n_qubits - 1 - q for q in sorted(support, reverse=True)]
+@functools.lru_cache(maxsize=None)
+def _support_order(support: Tuple[int, ...], n_qubits: int):
+    """(order, inverse): the tensor axes with the support's first, most
+    significant local bit first (the axis of qubit q is n-1-q), then the
+    others in place; and the permutation that undoes it."""
+    axes = [n_qubits - 1 - q for q in sorted(support, reverse=True)]
+    order = axes + [a for a in range(n_qubits) if a not in axes]
+    return tuple(order), tuple(int(a) for a in np.argsort(order))
 
 
 def _support_major(
@@ -256,17 +262,24 @@ def _support_major(
     """(2^k, 2^(n-k)) matrix of ``amps``: the row is the local index over
     ``support`` (support[j] as bit j), the column indexes the other qubits."""
     tensor = amps.reshape((2,) * n_qubits)
-    tensor = np.moveaxis(tensor, _support_axes(support, n_qubits), range(len(support)))
+    tensor = tensor.transpose(_support_order(tuple(support), n_qubits)[0])
     return tensor.reshape(2 ** len(support), -1)
+
+
+def _from_support_major(
+    shaped: np.ndarray, support: Sequence[int], n_qubits: int
+) -> np.ndarray:
+    """The amplitude vector of a (2^k, 2^(n-k)) support-major matrix."""
+    inverse = _support_order(tuple(support), n_qubits)[1]
+    tensor = shaped.reshape((2,) * n_qubits).transpose(inverse)
+    return tensor.reshape(-1)
 
 
 def _apply_matrix_on_support(
     amps: np.ndarray, mat: np.ndarray, support: Tuple[int, ...], n_qubits: int
 ) -> np.ndarray:
     shaped = mat @ _support_major(amps, support, n_qubits)
-    tensor = shaped.reshape((2,) * n_qubits)
-    tensor = np.moveaxis(tensor, range(len(support)), _support_axes(support, n_qubits))
-    return tensor.reshape(-1)
+    return _from_support_major(shaped, support, n_qubits)
 
 
 def _term_parts(term):

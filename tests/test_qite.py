@@ -36,6 +36,7 @@ from qitekit.qite import (
 )
 from qitekit.statevector import (
     StateVector,
+    _from_support_major,
     _pauli_masks,
     _pauli_rows,
     _pauli_traces,
@@ -226,7 +227,7 @@ def test_solve_step_rank_deficient():
 def _basis_plan(term, cfg, n):
     """The plan _term_plans builds for ``term``, moved off the range route."""
     (plan,) = _term_plans([term], cfg, n)
-    if plan.layout is None:
+    if not plan.in_range:
         return plan
     return _build_plan(plan.index, term, plan.domain, plan.unitary_support, None)
 
@@ -429,7 +430,49 @@ def test_range_step_matches_rho_basis_step(
     basis = _basis_plan(term, cfg, n)
     if basis.local_masks is not None:
         return  # a fermionic pool with parity tails forms S
-    ranged = _build_plan(basis.index, term, basis.domain, basis.unitary_support, None, n)
+    _assert_range_step_matches(state, term, basis, cfg)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(POOLS),
+    b_mode=st.sampled_from(B_MODES),
+    pinv_tol=st.sampled_from([1e-8, 0.3]),
+    real=st.booleans(),
+    grade=st.sampled_from([2, 4]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_range_step_matches_rho_basis_step_on_graded_states(
+    kind, b_mode, pinv_tol, real, grade, seed
+):
+    # Schmidt values 1, 10^-grade, ... on the support grade the couplings
+    # between rho's range and its kernel over up to 12 decades; every one
+    # that delta keeps must reach the generator (at delta = 0 pairs at the
+    # roundoff of rho's eigenvalues sit on either side of the cut)
+    rng = np.random.default_rng(seed)
+    n, k, columns = 6, 4, 4
+    term = _random_term(rng, n, [1, 2])
+    cfg = QiteConfig(
+        domain_size=k, pool_kind=kind, b_mode=b_mode, delta=0.3, pinv_tol=pinv_tol
+    )
+    basis = _basis_plan(term, cfg, n)
+    assert basis.local_masks is None and len(basis.unitary_support) == k
+
+    def orthonormal(rows):
+        draw = rng.normal(size=(rows, columns))
+        return np.linalg.qr(draw if real else draw + 1j * rng.normal(size=draw.shape))[0]
+
+    weights = 10.0 ** (-grade * np.arange(columns))
+    factor = (orthonormal(2**k) * weights) @ orthonormal(2 ** (n - k)).conj().T
+    amps = _from_support_major(factor, basis.unitary_support, n)
+    state = StateVector(amps / np.linalg.norm(amps), n)
+    _assert_range_step_matches(state, term, basis, cfg)
+
+
+def _assert_range_step_matches(state, term, basis, cfg):
+    """The range solve and step on ``basis``'s support reproduce its
+    eigenbasis solve and step."""
+    ranged = _build_plan(basis.index, term, basis.domain, basis.unitary_support, None, True)
     rho, g, _, scale = _step_operators(basis, state, 0.05, cfg, None)
     expected, _ = _solve_in_rho_basis(rho, g, scale, cfg)
     factor, g_factor, _, range_scale = _range_operators(ranged, state, 0.05, cfg)
@@ -455,7 +498,10 @@ def test_range_step_matches_rho_basis_step(
         (6, 4, "pauli_odd_y", False),  # the real factor has 8 columns
         (9, 4, "pauli_full", False),
         (3, 2, "pauli_full", False),
+        (3, 3, "pauli_full", False),  # rank 1 of 8, below four qubits
         (1, 1, "pauli_full", False),
+        (5, 5, "fermionic_number_conserving", True),
+        (4, 4, "fermionic_number_conserving", False),  # below five qubits
     ],
 )
 def test_range_route_by_rank_bound(n, k, kind, in_range):
@@ -464,12 +510,12 @@ def test_range_route_by_rank_bound(n, k, kind, in_range):
 
 @pytest.mark.parametrize("kind", POOLS)
 def test_range_plans_hold_no_support_sized_matrix(kind):
-    # a range plan keeps the term's own eigendecomposition and three index
-    # vectors over the register, never a 2^k x 2^k matrix
+    # a range plan keeps only the term's own eigendecomposition, never a
+    # 2^k x 2^k matrix
     h = heisenberg_1d(8)
     for plan in _term_plans(h.terms, QiteConfig(domain_size=8, pool_kind=kind), 8):
-        assert plan.layout is not None and plan.local_masks is None
-        assert max(a.size for a in (*plan.h_eig, *plan.layout)) <= 2**8
+        assert plan.in_range and plan.local_masks is None
+        assert max(a.size for a in plan.h_eig) <= 4**2
 
 
 def test_odd_y_range_route_keeps_a_real_state_real():
@@ -477,7 +523,7 @@ def test_odd_y_range_route_keeps_a_real_state_real():
     # rotation of the real columns of the factor
     h = heisenberg_1d(6)
     cfg = QiteConfig(dtau=0.1, n_steps=20, domain_size=6, pool_kind="pauli_odd_y")
-    assert all(plan.layout is not None for plan in _term_plans(h.terms, cfg, 6))
+    assert all(plan.in_range for plan in _term_plans(h.terms, cfg, 6))
     final = qite_evolve(neel_state(6), h, cfg).final_state
     assert np.all(final.amplitudes.imag == 0)
 
