@@ -61,6 +61,7 @@ from .analysis import (
     exact_ite_energy,
     exact_ite_squared_norm,
     gibbs_average,
+    ground_space,
     ground_space_fidelity,
     maxcut_success,
     mutual_information,

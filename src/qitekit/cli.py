@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import inspect
 import json
 import math
@@ -24,8 +23,11 @@ import numpy as np
 from . import __version__
 from .analysis import (
     CostQuery,
+    GroundSpace,
     _mutual_information_pairs,
     _pool_size,
+    check_dense,
+    ground_space,
     qite_measurement_count,
     spectral,
 )
@@ -281,6 +283,8 @@ def _settings(config: dict, hamiltonian: Optional[Hamiltonian]):
             raise ConfigError("qlanczos: overlap_threshold must lie in (0, 1], "
                               "eig_cutoff be > 0 and ledger_noise_sigma >= 0")
         return qite, options
+    if algorithm in ("qmetts", "mutualinfo"):  # their oracles are dense
+        check_dense(hamiltonian)
     if algorithm == "qmetts":  # a chain derives its own qite.n_steps from beta
         qite = _kwargs(QiteConfig, block.pop("qite", {}), "qmetts.qite", skip=("n_steps",))
         block = _kwargs(MettsConfig, block, "qmetts", skip=("qite",))
@@ -325,20 +329,35 @@ def _utc_now() -> str:
 
 # ---------------------------------------------------------------------------
 # per-algorithm runners; each takes its section's objects from _settings and
-# the run's one SpectralDecomposition of H (None for count) in place of its
-# own diagonalizations
+# the run's one oracle of H (None for count) in place of its own
 
 
-def _run_qite(qite_cfg, hamiltonian, state0, rng, dec):
-    e0 = float(dec.evals[0])
-    fid = functools.partial(dec.ground_fidelity, degeneracy_tol=_BOUND_TOL)
-    fidelities = [fid(state0)]
+def _oracle(algorithm: str, hamiltonian: Hamiltonian, max_qubits: int):
+    """The oracle a run reads: the GroundSpace of a qite run, E0 alone for
+    qlanczos, or the SpectralDecomposition that Gibbs averages and exact ITE
+    need."""
+    if algorithm in ("qite", "qlanczos"):
+        return ground_space(hamiltonian, _BOUND_TOL, max_qubits, e0_only=algorithm == "qlanczos")
+    return spectral(hamiltonian, max_qubits)
+
+
+def _oracle_record(oracle) -> Optional[dict]:
+    """The manifest's account of how the oracle was computed."""
+    if oracle is None:
+        return None
+    ground = oracle if isinstance(oracle, GroundSpace) else oracle.ground(_BOUND_TOL)
+    return {"route": ground.route, "matvecs": ground.matvecs, "ground_dim": ground.dim}
+
+
+def _run_qite(qite_cfg, hamiltonian, state0, rng, ground):
+    e0 = ground.e0
+    fidelities = [ground.fidelity(state0)]
     trajectory = qite_evolve(
         state0,
         hamiltonian,
         qite_cfg,
         rng=rng,
-        on_sweep=lambda _l, state: fidelities.append(fid(state)),
+        on_sweep=lambda _l, state: fidelities.append(ground.fidelity(state)),
     )
     rows = [
         (str(l), _fmt(beta), _fmt(e), _fmt(f))
@@ -358,7 +377,7 @@ def _run_qite(qite_cfg, hamiltonian, state0, rng, dec):
     return {"qite.csv": (("sweep", "beta", "energy", "fidelity_opt"), rows)}, summary
 
 
-def _run_qlanczos(settings, hamiltonian, state0, rng, dec):
+def _run_qlanczos(settings, hamiltonian, state0, rng, ground):
     qite_cfg, options = settings
     result = qlanczos_run(hamiltonian, state0, qite_cfg, rng=rng, **options)
     rows = [
@@ -371,7 +390,7 @@ def _run_qlanczos(settings, hamiltonian, state0, rng, dec):
         "beta_final": float(result.betas[-1]),
         "e_qite_final": float(result.e_qite[-1]),
         "e_qlanczos_final": float(result.e_qlanczos[-1]),
-        "e0_exact": float(dec.evals[0]),
+        "e0_exact": ground.e0,
         "n_retained_final": int(result.n_retained[-1]),
         "selected_sweeps": list(result.selected),
     }
@@ -409,7 +428,7 @@ def _run_mutualinfo(settings, hamiltonian, state0, rng, dec):
     summary = {
         "betas": [float(b) for b in betas],
         "n_pairs": len(pairs),
-        "fidelity_ground_final": dec.ground_fidelity(final_state, _BOUND_TOL),
+        "fidelity_ground_final": dec.ground(_BOUND_TOL).fidelity(final_state),
         "e0_exact": float(dec.evals[0]),
     }
     return {
@@ -465,9 +484,9 @@ def execute_run(
 
     start = time.perf_counter()
     try:
-        dec = None if algorithm == "count" else spectral(hamiltonian, max_qubits)
-        oracle_s = 0.0 if dec is None else time.perf_counter() - start
-        tables, summary = _RUNNERS[algorithm](settings, hamiltonian, state0, rng, dec)
+        oracle = None if algorithm == "count" else _oracle(algorithm, hamiltonian, max_qubits)
+        oracle_s = 0.0 if oracle is None else time.perf_counter() - start
+        tables, summary = _RUNNERS[algorithm](settings, hamiltonian, state0, rng, oracle)
     except Exception as exc:  # recorded, then raised on to main
         manifest["status"] = "failed"
         manifest["finished_utc"] = _utc_now()
@@ -491,6 +510,7 @@ def execute_run(
     manifest["status"] = "completed"
     manifest["finished_utc"] = _utc_now()
     manifest["timings_s"] = {"total": time.perf_counter() - start, "oracle": oracle_s}
+    manifest["oracle"] = _oracle_record(oracle)
     manifest["outputs"] = sorted(list(tables) + ["summary.json"])
     _write_json(out_dir / "manifest.json", manifest)
     return summary

@@ -7,6 +7,7 @@ is part of the contract because sweep-based propagation follows it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DataFormatError, DimensionError, ResourceError
 from .pauli import PauliString
-from .statevector import DEFAULT_MAX_QUBITS, StateVector, dense_on_support, expectation_sum
+from .statevector import DEFAULT_MAX_QUBITS, StateVector, _pauli_masks, _signs
 
 PauliSum = Tuple[Tuple[float, PauliString], ...]
 
@@ -40,6 +41,65 @@ class LocalTerm:
             )
 
 
+@dataclass(frozen=True, eq=False)
+class PauliOperator:
+    """H = offset + sum_x D_x X^x: one diagonal D_x per distinct x-mask.
+
+    (H psi)[j] = offset psi[j] + sum_x D_x[j] psi[j ^ x].  Row g of
+    ``sources`` holds j ^ x of group g for every j (the x = 0 group, when
+    present, first) and row g of ``diagonals`` its D_x, float64 when every
+    D_x is real; groups whose D_x vanishes are dropped.
+    """
+
+    n_qubits: int
+    offset: float
+    sources: np.ndarray
+    diagonals: np.ndarray
+
+    @staticmethod
+    def from_pauli_sum(pauli_sum, n_qubits: int, offset: float = 0.0) -> "PauliOperator":
+        pauli_sum = tuple(pauli_sum)
+        strings = tuple(s for _, s in pauli_sum)
+        xmask, yzmask, phase = _pauli_masks(strings, tuple(range(n_qubits)))
+        index = np.arange(2**n_qubits)
+        groups = {}  # x-mask -> D_x, summed over the strings in their order
+        for (coeff, _), x, yz, ph in zip(pauli_sum, xmask, yzmask, phase):
+            values = coeff * (ph * _signs(index ^ x, yz))
+            groups[int(x)] = groups.get(int(x), 0.0) + values
+        xs = sorted(x for x, d in groups.items() if d.any())
+        diagonals = np.array([groups[x] for x in xs]).reshape(len(xs), index.size)
+        if not diagonals.imag.any():
+            diagonals = diagonals.real.copy()
+        sources = np.array([index ^ x for x in xs]).reshape(diagonals.shape)
+        return PauliOperator(n_qubits, float(offset), sources, diagonals)
+
+    @property
+    def is_diagonal(self) -> bool:
+        """Whether every x-mask is 0: H is diagonal in the computational basis."""
+        return not self.sources[:, 0].any()
+
+    def diagonal(self) -> np.ndarray:
+        """The diagonal of H, offset included."""
+        rows = self.diagonals[self.sources[:, 0] == 0].real  # the x = 0 group
+        return self.offset + (rows[0] if len(rows) else np.zeros(2**self.n_qubits))
+
+    def apply(self, vector: np.ndarray) -> np.ndarray:
+        """(H - offset) vector: one gather and multiply per x-mask."""
+        out = np.zeros(vector.shape, np.result_type(self.diagonals, vector))
+        for src, diag in zip(self.sources, self.diagonals):
+            out += diag * vector[src]
+        return out
+
+    def dense(self) -> np.ndarray:
+        """The full 2^n x 2^n matrix, offset included, scattered per group."""
+        index = np.arange(2**self.n_qubits)
+        out = np.zeros((index.size, index.size), self.diagonals.dtype)
+        for src, diag in zip(self.sources, self.diagonals):
+            out[index, src] = diag
+        out[index, index] += self.offset
+        return out
+
+
 @dataclass
 class Hamiltonian:
     n_qubits: int
@@ -50,6 +110,12 @@ class Hamiltonian:
     @property
     def n_terms(self) -> int:
         return len(self.terms)
+
+    @functools.cached_property
+    def operator(self) -> PauliOperator:
+        """H as a PauliOperator, built on first use from the terms and offset."""
+        pauli_sum = [pair for term in self.terms for pair in term.pauli_sum]
+        return PauliOperator.from_pauli_sum(pauli_sum, self.n_qubits, self.offset)
 
 
 def _term(n_qubits: int, support: Sequence[int], entries) -> LocalTerm:
@@ -64,20 +130,16 @@ def energy(state: StateVector, hamiltonian: Hamiltonian) -> float:
     """<psi|H|psi> including the scalar offset."""
     if state.n_qubits != hamiltonian.n_qubits:
         raise DimensionError("state and Hamiltonian widths differ")
-    return hamiltonian.offset + sum(
-        expectation_sum(state, term.pauli_sum) for term in hamiltonian.terms
-    )
+    amps = state.amplitudes
+    return hamiltonian.offset + float(np.vdot(amps, hamiltonian.operator.apply(amps)).real)
 
 
 def to_dense(hamiltonian: Hamiltonian, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
-    """Full 2^n x 2^n matrix, offset included."""
+    """Full 2^n x 2^n matrix, offset included; float64 when H is real."""
     n = hamiltonian.n_qubits
     if n > max_qubits:
         raise ResourceError(f"dense matrix on {n} qubits exceeds ceiling {max_qubits}")
-    pauli_sum = [pair for term in hamiltonian.terms for pair in term.pauli_sum]
-    out = dense_on_support(pauli_sum, tuple(range(n)))
-    out += hamiltonian.offset * np.eye(2**n)
-    return out
+    return hamiltonian.operator.dense()
 
 
 # ---------------------------------------------------------------------------

@@ -453,8 +453,9 @@ def _solve_in_rho_range(
     for Z = V_r^dagger L.  V_r and p = sigma^2 come from the thin SVD of the
     factor; singular values above max(shape) eps sigma_max count as rho's
     rank.  With O = W R (W from the thin SVD of O, under the same rank
-    rule), A = Q M Q^dagger for Q = [V_r, W], returned per block as
-    (rows, Q, M) on those rows of the support.  The odd-Y pool reads the
+    rule, then projected against V_r once more), A = Q M Q^dagger for
+    Q = [V_r, W], returned per block as (rows, Q, M) on those rows of the
+    support.  The odd-Y pool reads the
     real factor [Re L, Im L] of Re rho over the pairs i != j, so its Q and
     M / i are real; the parity-even pool solves each parity block of the
     local index with its own rows.
@@ -498,6 +499,9 @@ def _solve_in_rho_range(
         w, so, woh = np.linalg.svd(outside, full_matrices=False)
         live = np.count_nonzero(so > so[0] * max(outside.shape) * _EPS)
         w, so, wo = w[:, :live], so[:live], woh[:live].conj().T
+        # O's roundoff along V_r reaches W divided by O's singular values:
+        # projected out, W stays orthogonal to V_r to roundoff on graded states
+        w -= v @ (v.conj().T @ w)
         r = p.size
         m = np.zeros((r + live,) * 2, dtype=rotated.dtype)
         m[:r, :r] = np.where(keep, rotated / lam, 0.0)

@@ -16,6 +16,9 @@ from .errors import DimensionError, ResourceError
 from .pauli import PauliString
 
 DEFAULT_MAX_QUBITS = 14
+# widest H that a dense diagonalization may take: at 13 qubits its matrix,
+# eigenvectors and eigh workspace alone would hold about 2.1 GB
+MAX_DENSE_QUBITS = 12
 DEFAULT_MAX_RDM_QUBITS = 8
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)

@@ -14,24 +14,26 @@ from qitekit.analysis import (
     exact_ite_energy,
     exact_ite_squared_norm,
     gibbs_average,
+    ground_space,
     ground_space_fidelity,
+    lanczos_ground,
     maxcut_success,
     mutual_information,
     qite_measurement_count,
     spectral,
 )
-from qitekit.errors import DimensionError
+from qitekit.errors import DimensionError, ResourceError
 from qitekit.hamiltonians import (
     Hamiltonian,
     LocalTerm,
     energy,
     heisenberg_1d,
+    heisenberg_long_range,
     hubbard_1d_jw,
     maxcut,
     maxcut_six_vertex_instance,
     one_qubit_field,
     tfi_1d,
-    to_dense,
 )
 from qitekit.pauli import PauliString
 from qitekit.statevector import (
@@ -58,8 +60,8 @@ def test_spectral_and_exact_ground():
 
 
 def _complex_reference(h):
-    """The complex eigh of to_dense(h) that the real path must reproduce."""
-    mat = to_dense(h)
+    """The complex eigh of the kron-built H that the real path must reproduce."""
+    mat = dense_hamiltonian(h)
     assert mat.dtype == complex
     return np.linalg.eigh(mat)
 
@@ -98,7 +100,7 @@ def test_real_path_matches_complex_eigh(h, rng):
                          - _ground_projector(evals, evecs))) < 1e-10
     state = StateVector(random_state(h.n_qubits, rng), h.n_qubits)
     want = _ground_projector(evals, evecs) @ state.amplitudes
-    assert abs(dec.ground_fidelity(state, 1e-9) - np.vdot(want, want).real) < 1e-10
+    assert abs(dec.ground(1e-9).fidelity(state) - np.vdot(want, want).real) < 1e-10
     for beta in (0.0, 0.3, 1.7):
         got = exact_ite(state, h, beta).amplitudes
         assert np.max(np.abs(got - _ite_reference(evals, evecs, state.amplitudes, beta))) < 1e-10
@@ -224,6 +226,82 @@ def test_ground_space_fidelity_degenerate():
     amps[np.argmax(cuts == best)] = 1.0
     assert abs(ground_space_fidelity(from_amplitudes(amps), h) - 1.0) < 1e-12
     assert abs(ground_space_fidelity(plus_state(3), h) - 6 / 8) < 1e-12
+
+
+def _assert_lanczos_matches_spectral(h, rng, tol=1e-9):
+    """E0, the ground dimension and ground fidelities of Lanczos against the
+    dense ground space."""
+    dense = spectral(h).ground(tol)
+    ground = lanczos_ground(h.operator, tol)
+    assert ground.route == "lanczos" and ground.matvecs > 0
+    assert abs(ground.e0 - dense.e0) < 1e-10
+    assert ground.dim == dense.dim
+    for _ in range(3):
+        state = StateVector(random_state(h.n_qubits, rng), h.n_qubits)
+        assert abs(ground.fidelity(state) - dense.fidelity(state)) < 1e-10
+    first = lanczos_ground(h.operator, tol, e0_only=True)
+    assert abs(first.e0 - dense.e0) < 1e-10 and first.dim is None
+    vector = first.basis[:, 0]  # a ground vector: all its mass in the ground space
+    assert abs(dense.fidelity(StateVector(vector.astype(complex), h.n_qubits)) - 1) < 1e-10
+
+
+@st.composite
+def _pauli_sums(draw, max_qubits=8):
+    """Random real-weighted Pauli sums, real or complex (odd-Y strings), with
+    a ground space of any degeneracy."""
+    n = draw(st.integers(1, max_qubits))
+    label = st.text(alphabet="IXYZ", min_size=n, max_size=n)
+    entries = draw(st.lists(st.tuples(st.floats(-1.0, 1.0), label), min_size=1, max_size=8))
+    return _pauli_hamiltonian(n, entries)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(h=_pauli_sums(), seed=st.integers(0, 2**32 - 1))
+def test_lanczos_ground_matches_spectral_property(h, seed):
+    _assert_lanczos_matches_spectral(h, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize(
+    "h, dim",
+    [
+        (maxcut_six_vertex_instance(), 6),  # three Z2 pairs of best cuts
+        (maxcut(3, [(0, 1), (1, 2), (0, 2)]), 6),
+        (tfi_1d(6, 1.0, 0.0), 2),  # diagonal: the two Neel strings
+        (heisenberg_1d(5), 2),  # odd-n doublets
+        (heisenberg_1d(7), 2),
+        (heisenberg_1d(8), 1),
+        (heisenberg_long_range(6), 1),
+        (_pauli_hamiltonian(5, [(0.7, "XYIZI"), (0.4, "ZZIII"), (-0.3, "IXZYY")]), 8),
+    ],
+    ids=["maxcut6", "triangle", "diagonal_tfi6", "heisenberg5", "heisenberg7",
+         "heisenberg8", "long_range6", "complex5"],
+)
+def test_lanczos_ground_on_degenerate_ground_spaces(h, dim, rng):
+    _assert_lanczos_matches_spectral(h, rng)
+    assert spectral(h).ground(1e-9).dim == dim
+
+
+def test_ground_space_routes():
+    # a diagonal H reads its ground set off the diagonal, at any size
+    ground = ground_space(maxcut_six_vertex_instance(), 1e-9)
+    assert ground.route == "diagonal" and ground.matvecs == 0
+    assert list(cut_values(maxcut_six_vertex_instance())[ground.basis]) == [5] * 6
+    # below 2^n = 256 the dense eigh, from there on Lanczos
+    assert ground_space(heisenberg_1d(7), 1e-9).route == "dense"
+    ground = ground_space(heisenberg_1d(8), 1e-9)
+    assert ground.route == "lanczos" and ground.dim == 1
+    first = ground_space(heisenberg_1d(8), 1e-9, e0_only=True)
+    assert first.dim is None and first.e0 == pytest.approx(ground.e0, abs=1e-12)
+    with pytest.raises(ValueError, match="only E0"):
+        first.fidelity(neel_state(8))
+    e0, vector = exact_ground(heisenberg_1d(8))
+    assert e0 == pytest.approx(ground.e0, abs=1e-12)
+    assert abs(energy(vector, heisenberg_1d(8)) - e0) < 1e-12
+
+
+def test_dense_oracle_refuses_above_its_ceiling():
+    with pytest.raises(ResourceError, match=r"about 2\.1 GB .* ceiling is 12 qubits"):
+        spectral(tfi_1d(13, 1.0, 1.0))
 
 
 def test_mutual_information_known_states():

@@ -18,8 +18,9 @@ from qitekit.cli import (
     main,
     validate_config,
 )
-from qitekit.analysis import spectral
+from qitekit.analysis import exact_ground, spectral
 from qitekit.errors import ConfigError
+from qitekit.hamiltonians import heisenberg_1d
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -419,6 +420,69 @@ def test_max_qubits_is_enforced(tmp_path):
     assert code == EXIT_RESOURCE
 
 
+def heisenberg_config(algorithm, n_qubits, n_steps):
+    qite = {"dtau": 0.1, "n_steps": n_steps, "domain_size": 2,
+            "pool_kind": "pauli_odd_y", "b_mode": "exact_delta0"}
+    return {
+        "algorithm": algorithm,
+        "model": {"name": "heisenberg_1d", "params": {"n_qubits": n_qubits}},
+        algorithm: qite if algorithm == "qite" else {"qite": qite},
+    }
+
+
+@pytest.mark.parametrize(
+    "algorithm, n_qubits, record",
+    [
+        ("qite", 7, {"route": "dense", "matvecs": 0, "ground_dim": 2}),
+        ("qite", 9, {"route": "lanczos", "ground_dim": 2}),
+        ("qlanczos", 4, {"route": "dense", "matvecs": 0, "ground_dim": 1}),
+        ("qlanczos", 8, {"route": "lanczos", "ground_dim": None}),  # E0 alone
+    ],
+)
+def test_manifest_records_oracle_route(tmp_path, algorithm, n_qubits, record):
+    # 2^n = 256 amplitudes is the crossover from the dense eigh to Lanczos
+    path = write_config(tmp_path, heisenberg_config(algorithm, n_qubits, 1))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+    oracle = json.loads((tmp_path / "out" / "manifest.json").read_text())["oracle"]
+    assert set(oracle) == {"route", "matvecs", "ground_dim"}
+    assert {key: oracle[key] for key in record} == record
+    assert (oracle["matvecs"] > 0) == (oracle["route"] == "lanczos")
+
+
+def test_fourteen_qubit_runs_and_dense_refusals(tmp_path, capsys):
+    # qite and qlanczos read their ground oracle from Lanczos at 14 qubits
+    h = heisenberg_1d(14)
+    _, ground = exact_ground(h)
+    g = ground.amplitudes
+    for algorithm, n_steps in (("qite", 1), ("qlanczos", 2)):
+        path = write_config(tmp_path, heisenberg_config(algorithm, 14, n_steps), f"{algorithm}.json")
+        out = tmp_path / algorithm
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        e0 = json.loads((out / "summary.json").read_text())["e0_exact"]
+        assert np.linalg.norm(h.operator.apply(g) + h.offset * g - e0 * g) <= 1e-8
+        with open(out / f"{algorithm}.csv") as handle:
+            rows = list(csv.DictReader(handle))
+        energies = [float(r[k]) for r in rows for k in ("energy", "e_qite", "e_qlanczos") if k in r]
+        assert min(energies) >= e0 - 1e-9  # the variational bound
+        assert json.loads((out / "manifest.json").read_text())["oracle"]["route"] == "lanczos"
+    capsys.readouterr()
+    # runs that need the dense spectrum refuse before any output path exists
+    model = {"name": "heisenberg_1d", "params": {"n_qubits": 14}}
+    sections = {"qmetts": {"beta": 0.2, "n_samples": 8, "qite": {"dtau": 0.1}},
+                "mutualinfo": {"betas": [1.0]}}
+    for algorithm, section in sections.items():
+        path = write_config(tmp_path, {"algorithm": algorithm, "model": model,
+                                       algorithm: section}, f"{algorithm}.json")
+        out = tmp_path / f"{algorithm}_out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_RESOURCE
+        assert not out.exists()
+        assert "needs about 8.6 GB" in capsys.readouterr().err
+    target = tmp_path / "compare.csv"
+    assert main(["compare", "--run", str(tmp_path / "qite"), "--out", str(target)]) == EXIT_RESOURCE
+    assert not target.exists()
+    assert "dense ceiling is 12 qubits" in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys):
     # an eigenvalue cutoff above 1 empties the subspace at the first prefix
     cfg = {
@@ -568,6 +632,7 @@ def test_count_with_output_dir(tmp_path, capsys):
     assert summary["pool_size_per_term"] == 120
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["timings_s"]["oracle"] == 0.0  # count builds no Hamiltonian matrix
+    assert manifest["oracle"] is None
 
 
 def test_count_rejects_other_algorithms(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qitekit.errors import ConfigError, DataFormatError, DimensionError, ResourceError
 from qitekit.hamiltonians import (
@@ -19,9 +21,9 @@ from qitekit.hamiltonians import (
     to_dense,
 )
 from qitekit.pauli import PauliString
-from qitekit.statevector import product_state, singlet_dimer_state
+from qitekit.statevector import StateVector, expectation_sum, product_state, singlet_dimer_state
 
-from conftest import dense_hamiltonian
+from conftest import dense_hamiltonian, random_state
 
 
 def eigvals(h):
@@ -48,6 +50,41 @@ def test_to_dense_matches_oracle():
         assert np.allclose(to_dense(h), dense_hamiltonian(h))
     with pytest.raises(ResourceError):
         to_dense(heisenberg_1d(4), max_qubits=3)
+
+
+@st.composite
+def _pauli_sums(draw, max_qubits=8):
+    """Random Pauli sums with an offset, split into random terms."""
+    n = draw(st.integers(1, max_qubits))
+    label = st.text(alphabet="IXYZ", min_size=n, max_size=n)
+    entries = draw(st.lists(st.tuples(st.floats(-1.0, 1.0), label), min_size=1, max_size=8))
+    cuts = sorted(draw(st.sets(st.integers(1, len(entries)), max_size=3)) | {len(entries)})
+    terms, begin = [], 0
+    for end in cuts:
+        pauli_sum = tuple((c, PauliString.from_label(text)) for c, text in entries[begin:end])
+        support = sorted({q for _, s in pauli_sum for q in s.support})
+        terms.append(LocalTerm(tuple(support), pauli_sum))
+        begin = end
+    return Hamiltonian(n, tuple(terms), offset=draw(st.floats(-2.0, 2.0)))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(h=_pauli_sums(), seed=st.integers(0, 2**32 - 1))
+def test_operator_matches_per_term_sums_property(h, seed):
+    state = StateVector(random_state(h.n_qubits, np.random.default_rng(seed)), h.n_qubits)
+    per_term = h.offset + sum(expectation_sum(state, t.pauli_sum) for t in h.terms)
+    assert abs(energy(state, h) - per_term) < 1e-12
+    dense, want = to_dense(h), dense_hamiltonian(h)
+    assert np.max(np.abs(dense - want)) < 1e-12
+    assert np.iscomplexobj(dense) == bool(want.imag.any())  # float64 when H is real
+
+
+def test_operator_groups_by_x_mask():
+    # Heisenberg n=14: the diagonal plus one XX + YY group per bond
+    op = heisenberg_1d(14).operator
+    assert op.diagonals.shape == (14, 2**14) and op.diagonals.dtype == np.float64
+    assert sorted(op.sources[:, 0].tolist()) == [0] + [3 << i for i in range(13)]
+    assert not op.is_diagonal and maxcut_six_vertex_instance().operator.is_diagonal
 
 
 def test_one_qubit_field_spectrum():

@@ -457,16 +457,47 @@ def test_range_step_matches_rho_basis_step_on_graded_states(
     )
     basis = _basis_plan(term, cfg, n)
     assert basis.local_masks is None and len(basis.unitary_support) == k
+    state = _graded_state(rng, basis.unitary_support, n, grade, columns, real)
+    _assert_range_step_matches(state, term, basis, cfg)
+
+
+def _graded_state(rng, support, n, grade, columns, real):
+    """A random state whose Schmidt values on ``support`` are 1, 10^-grade,
+    10^-2 grade, ... (``columns`` of them), before normalization."""
 
     def orthonormal(rows):
         draw = rng.normal(size=(rows, columns))
         return np.linalg.qr(draw if real else draw + 1j * rng.normal(size=draw.shape))[0]
 
     weights = 10.0 ** (-grade * np.arange(columns))
-    factor = (orthonormal(2**k) * weights) @ orthonormal(2 ** (n - k)).conj().T
-    amps = _from_support_major(factor, basis.unitary_support, n)
-    state = StateVector(amps / np.linalg.norm(amps), n)
-    _assert_range_step_matches(state, term, basis, cfg)
+    factor = (orthonormal(2 ** len(support)) * weights) @ orthonormal(2 ** (n - len(support))).conj().T
+    amps = _from_support_major(factor, support, n)
+    return StateVector(amps / np.linalg.norm(amps), n)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(POOLS),
+    b_mode=st.sampled_from(B_MODES),
+    real=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_range_step_columns_orthonormal_on_graded_states(kind, b_mode, real, seed):
+    # e^{-i dtau A} = 1 + Q (e^{-i dtau M} - 1) Q^dagger is unitary as far as
+    # Q's columns are orthonormal; on Schmidt values 1, 1e-2, 1e-4, 1e-6 the
+    # columns of W must stay orthogonal to V_r to roundoff
+    rng = np.random.default_rng(seed)
+    n, k = 6, 4
+    term = _random_term(rng, n, [1, 2])
+    cfg = QiteConfig(domain_size=k, pool_kind=kind, b_mode=b_mode)
+    basis = _basis_plan(term, cfg, n)
+    plan = _build_plan(basis.index, term, basis.domain, basis.unitary_support, None, True)
+    assert len(plan.unitary_support) == k
+    state = _graded_state(rng, plan.unitary_support, n, 2, 4, real)
+    factor, g_factor, _, scale = _range_operators(plan, state, 0.05, cfg)
+    blocks, _ = _solve_in_rho_range(factor, g_factor, scale, cfg)
+    for _, q, _ in blocks:
+        assert np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1]), 2) <= 1e-13
 
 
 def _assert_range_step_matches(state, term, basis, cfg):
