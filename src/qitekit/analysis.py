@@ -25,10 +25,12 @@ from .statevector import (
 )
 
 # The ground oracle runs Lanczos on H's operator from 2^n = _LANCZOS_MIN_DIM
-# amplitudes on, and a dense eigh below: for the ground space of Heisenberg
-# chains (one BLAS thread) the dense eigh took 1.8 against 4.3 ms at n = 7,
-# 6.8 against 5.6 ms at n = 8 and 43 against 12 ms at n = 9
-_LANCZOS_MIN_DIM = 256
+# amplitudes on, and a dense eigh below: for the whole ground space (one BLAS
+# thread, medians of 15) the dense eigh took 1.9-2.4 against 5.9-7.6 ms at
+# n = 7, 8.2-10.7 against 7.5-10.5 ms at n = 8 and 48 against 15-16 ms at
+# n = 9 on Heisenberg chains, and 2.1-3.1 against 8.8-10.2 ms, 8.6-8.9
+# against 12.8-15.6 ms and 54-60 against 18-21 ms on TFI chains (h = J = 1)
+_LANCZOS_MIN_DIM = 512
 # a Lanczos basis holds at most this many vectors before it restarts from its
 # Ritz vector; every _LANCZOS_CHECK vectors it tests whether its lowest Ritz
 # pair has converged: a residual norm below _LANCZOS_TOL times the largest
@@ -36,6 +38,8 @@ _LANCZOS_MIN_DIM = 256
 _LANCZOS_MAX_BASIS = 200
 _LANCZOS_CHECK = 5
 _LANCZOS_TOL = 1e-12
+# peak bytes of a dense diagonalization, in units of its matrix
+_DENSE_MATRICES = 5
 
 
 def _times(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
@@ -111,18 +115,19 @@ class SpectralDecomposition:
         return float((weights @ diag) / weights.sum())
 
 
-def check_dense(hamiltonian: Hamiltonian) -> None:
-    """Refuse, before allocating, a dense diagonalization wider than
-    MAX_DENSE_QUBITS, stating the bytes it would need."""
-    n = hamiltonian.n_qubits
-    if n > MAX_DENSE_QUBITS:
-        itemsize = hamiltonian.operator.diagonals.itemsize
-        # the matrix, eigh's copy of it (the eigenvectors) and two more of workspace
-        need = 4 * 4**n * itemsize
+def check_dense(hamiltonian: Hamiltonian, max_qubits: int = DEFAULT_MAX_QUBITS) -> None:
+    """Refuse, before allocating anything, a dense diagonalization wider than
+    ``max_qubits`` or MAX_DENSE_QUBITS, stating the bytes it would need."""
+    n, ceiling = hamiltonian.n_qubits, min(max_qubits, MAX_DENSE_QUBITS)
+    if n > ceiling:
+        odd_y = any(s.y_count % 2 for t in hamiltonian.terms for _, s in t.pauli_sum)
+        # the matrix, eigh's copies of it (the eigenvectors among them) and its
+        # workspace: a real H peaked at 4.8 matrices on 12 and 13 qubits
+        need = _DENSE_MATRICES * 4**n * (16 if odd_y else 8)
         raise ResourceError(
-            f"a dense diagonalization of H on {n} qubits needs about {need / 1e9:.1f} GB "
+            f"a dense diagonalization of H on {n} qubits needs about {need / 1e9:.3g} GB "
             f"(matrix, eigenvectors and eigh workspace); the dense ceiling is "
-            f"{MAX_DENSE_QUBITS} qubits"
+            f"{ceiling} qubits"
         )
 
 
@@ -130,7 +135,7 @@ def spectral(
     hamiltonian: Hamiltonian, max_qubits: int = DEFAULT_MAX_QUBITS
 ) -> SpectralDecomposition:
     """Full diagonalization of H, in float64 when its matrix has no imaginary part."""
-    check_dense(hamiltonian)
+    check_dense(hamiltonian, max_qubits)
     evals, evecs = np.linalg.eigh(to_dense(hamiltonian, max_qubits=max_qubits))
     return SpectralDecomposition(evals, evecs)
 
@@ -141,29 +146,21 @@ class GroundSpace:
     within the degeneracy tolerance of it.
 
     ``basis`` holds the vectors as columns, or a diagonal H's ground
-    basis-state indices.  When the Lanczos route was asked for E0 alone it
-    holds one ground vector and ``complete`` is False.  ``route`` is
-    "dense", "lanczos" or "diagonal", and ``matvecs`` counts the products
-    with H that Lanczos made.
+    basis-state indices.  ``route`` is "dense", "lanczos" or "diagonal",
+    and ``matvecs`` counts the products with H that Lanczos made.
     """
 
     e0: float
     basis: np.ndarray
     route: str
     matvecs: int = 0
-    complete: bool = True
 
     @property
-    def dim(self) -> Optional[int]:
-        """The ground-space dimension; None where only E0 was computed."""
-        if not self.complete:
-            return None
+    def dim(self) -> int:
         return self.basis.size if self.basis.ndim == 1 else self.basis.shape[1]
 
     def fidelity(self, state: StateVector) -> float:
         """Mass of ``state`` in the ground space."""
-        if not self.complete:
-            raise ValueError("the ground space was not computed, only E0")
         if self.basis.ndim == 1:
             return float(np.sum(np.abs(state.amplitudes[self.basis]) ** 2))
         return float(np.sum(np.abs(_overlaps(self.basis, state)) ** 2))
@@ -171,13 +168,12 @@ class GroundSpace:
 
 def ground_space(
     hamiltonian: Hamiltonian, degeneracy_tol: float = 1e-10,
-    max_qubits: int = DEFAULT_MAX_QUBITS, e0_only: bool = False,
+    max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> GroundSpace:
     """E0 and the ground space of H, by its cheapest exact route.
 
     A diagonal H reads both off its diagonal; below 2^n = _LANCZOS_MIN_DIM
-    they come from ``spectral``, from there on from ``lanczos_ground``,
-    which with ``e0_only`` stops after E0 and its first ground vector.
+    they come from ``spectral``, from there on from ``lanczos_ground``.
     """
     n = hamiltonian.n_qubits
     if n > max_qubits:
@@ -189,19 +185,17 @@ def ground_space(
         return GroundSpace(e0, np.flatnonzero(diagonal <= e0 + degeneracy_tol), "diagonal")
     if 2**n < _LANCZOS_MIN_DIM:
         return spectral(hamiltonian, max_qubits).ground(degeneracy_tol)
-    return lanczos_ground(operator, degeneracy_tol, e0_only)
+    return lanczos_ground(operator, degeneracy_tol)
 
 
-def lanczos_ground(
-    operator: PauliOperator, degeneracy_tol: float, e0_only: bool = False
-) -> GroundSpace:
+def lanczos_ground(operator: PauliOperator, degeneracy_tol: float) -> GroundSpace:
     """E0 and the ground space of ``operator`` by Lanczos with explicit deflation.
 
     Each run finds the lowest Ritz pair orthogonal to the ground vectors
     found so far; the runs stop when its value exceeds E0 +
-    ``degeneracy_tol`` (or after the first with ``e0_only``).  Each run
-    starts from a fresh vector of a generator with a fixed seed, so the
-    result is reproducible and no caller's random state is drawn from.
+    ``degeneracy_tol``.  Each run starts from a fresh vector of a generator
+    with a fixed seed, so the result is reproducible and no caller's random
+    state is drawn from.
     """
     dim = 2**operator.n_qubits
     real = not np.iscomplexobj(operator.diagonals)
@@ -218,10 +212,7 @@ def lanczos_ground(
             break
         values.append(theta)
         found = np.concatenate((found, vector[None]))
-        if e0_only:
-            break
-    e0 = operator.offset + min(values)
-    return GroundSpace(e0, found.T, "lanczos", matvecs, complete=not e0_only)
+    return GroundSpace(operator.offset + min(values), found.T, "lanczos", matvecs)
 
 
 def _project_out(vector: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -286,7 +277,7 @@ def exact_ground(
     hamiltonian: Hamiltonian, max_qubits: int = DEFAULT_MAX_QUBITS
 ) -> Tuple[float, StateVector]:
     """Lowest eigenvalue and one minimizing eigenvector."""
-    ground = ground_space(hamiltonian, max_qubits=max_qubits, e0_only=True)
+    ground = ground_space(hamiltonian, max_qubits=max_qubits)
     if ground.basis.ndim == 1:  # a diagonal H: the first ground basis state
         vec = np.zeros(2**hamiltonian.n_qubits)
         vec[ground.basis[0]] = 1.0

@@ -333,11 +333,10 @@ def _utc_now() -> str:
 
 
 def _oracle(algorithm: str, hamiltonian: Hamiltonian, max_qubits: int):
-    """The oracle a run reads: the GroundSpace of a qite run, E0 alone for
-    qlanczos, or the SpectralDecomposition that Gibbs averages and exact ITE
-    need."""
+    """The oracle a run reads: the GroundSpace of a qite or qlanczos run, or
+    the SpectralDecomposition that Gibbs averages and exact ITE need."""
     if algorithm in ("qite", "qlanczos"):
-        return ground_space(hamiltonian, _BOUND_TOL, max_qubits, e0_only=algorithm == "qlanczos")
+        return ground_space(hamiltonian, _BOUND_TOL, max_qubits)
     return spectral(hamiltonian, max_qubits)
 
 

@@ -16,9 +16,10 @@ from .errors import DimensionError, ResourceError
 from .pauli import PauliString
 
 DEFAULT_MAX_QUBITS = 14
-# widest H that a dense diagonalization may take: at 13 qubits its matrix,
-# eigenvectors and eigh workspace alone would hold about 2.1 GB
-MAX_DENSE_QUBITS = 12
+# widest H that a dense diagonalization may take: a real Heisenberg H on 13
+# qubits peaked at 2.6 GB (matrix, eigenvectors and eigh workspace), on 14 it
+# would need about 10.7 GB
+MAX_DENSE_QUBITS = 13
 DEFAULT_MAX_RDM_QUBITS = 8
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)

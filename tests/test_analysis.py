@@ -239,10 +239,8 @@ def _assert_lanczos_matches_spectral(h, rng, tol=1e-9):
     for _ in range(3):
         state = StateVector(random_state(h.n_qubits, rng), h.n_qubits)
         assert abs(ground.fidelity(state) - dense.fidelity(state)) < 1e-10
-    first = lanczos_ground(h.operator, tol, e0_only=True)
-    assert abs(first.e0 - dense.e0) < 1e-10 and first.dim is None
-    vector = first.basis[:, 0]  # a ground vector: all its mass in the ground space
-    assert abs(dense.fidelity(StateVector(vector.astype(complex), h.n_qubits)) - 1) < 1e-10
+    for vector in ground.basis.T:  # each ground vector: all its mass in the ground space
+        assert abs(dense.fidelity(StateVector(vector.astype(complex), h.n_qubits)) - 1) < 1e-10
 
 
 @st.composite
@@ -286,22 +284,24 @@ def test_ground_space_routes():
     ground = ground_space(maxcut_six_vertex_instance(), 1e-9)
     assert ground.route == "diagonal" and ground.matvecs == 0
     assert list(cut_values(maxcut_six_vertex_instance())[ground.basis]) == [5] * 6
-    # below 2^n = 256 the dense eigh, from there on Lanczos
-    assert ground_space(heisenberg_1d(7), 1e-9).route == "dense"
-    ground = ground_space(heisenberg_1d(8), 1e-9)
+    # below 2^n = 512 the dense eigh, from there on Lanczos
+    assert ground_space(heisenberg_1d(8), 1e-9).route == "dense"
+    ground = ground_space(heisenberg_1d(10), 1e-9)
     assert ground.route == "lanczos" and ground.dim == 1
-    first = ground_space(heisenberg_1d(8), 1e-9, e0_only=True)
-    assert first.dim is None and first.e0 == pytest.approx(ground.e0, abs=1e-12)
-    with pytest.raises(ValueError, match="only E0"):
-        first.fidelity(neel_state(8))
-    e0, vector = exact_ground(heisenberg_1d(8))
-    assert e0 == pytest.approx(ground.e0, abs=1e-12)
-    assert abs(energy(vector, heisenberg_1d(8)) - e0) < 1e-12
+    e0, vector = exact_ground(heisenberg_1d(10))
+    assert e0 == ground.e0
+    assert abs(energy(vector, heisenberg_1d(10)) - e0) < 1e-12
 
 
 def test_dense_oracle_refuses_above_its_ceiling():
-    with pytest.raises(ResourceError, match=r"about 2\.1 GB .* ceiling is 12 qubits"):
-        spectral(tfi_1d(13, 1.0, 1.0))
+    # one ceiling: the narrower of max_qubits and MAX_DENSE_QUBITS
+    with pytest.raises(ResourceError, match=r"about 10\.7 GB .* ceiling is 13 qubits"):
+        spectral(tfi_1d(14, 1.0, 1.0))
+    with pytest.raises(ResourceError, match=r"about 2\.68 GB .* ceiling is 12 qubits"):
+        spectral(tfi_1d(13, 1.0, 1.0), max_qubits=12)
+    complex_h = _pauli_hamiltonian(14, [(1.0, "Y" + "I" * 13)])
+    with pytest.raises(ResourceError, match=r"about 21\.5 GB"):
+        spectral(complex_h)
 
 
 def test_mutual_information_known_states():

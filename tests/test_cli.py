@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from qitekit.cli import (
     main,
     validate_config,
 )
-from qitekit.analysis import exact_ground, spectral
+from qitekit.analysis import ground_space, spectral
 from qitekit.errors import ConfigError
 from qitekit.hamiltonians import heisenberg_1d
 
@@ -435,12 +436,12 @@ def heisenberg_config(algorithm, n_qubits, n_steps):
     [
         ("qite", 7, {"route": "dense", "matvecs": 0, "ground_dim": 2}),
         ("qite", 9, {"route": "lanczos", "ground_dim": 2}),
-        ("qlanczos", 4, {"route": "dense", "matvecs": 0, "ground_dim": 1}),
-        ("qlanczos", 8, {"route": "lanczos", "ground_dim": None}),  # E0 alone
+        ("qlanczos", 8, {"route": "dense", "matvecs": 0, "ground_dim": 1}),
+        ("qlanczos", 9, {"route": "lanczos", "ground_dim": 2}),
     ],
 )
 def test_manifest_records_oracle_route(tmp_path, algorithm, n_qubits, record):
-    # 2^n = 256 amplitudes is the crossover from the dense eigh to Lanczos
+    # 2^n = 512 amplitudes is the crossover from the dense eigh to Lanczos
     path = write_config(tmp_path, heisenberg_config(algorithm, n_qubits, 1))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
     oracle = json.loads((tmp_path / "out" / "manifest.json").read_text())["oracle"]
@@ -449,16 +450,24 @@ def test_manifest_records_oracle_route(tmp_path, algorithm, n_qubits, record):
     assert (oracle["matvecs"] > 0) == (oracle["route"] == "lanczos")
 
 
-def test_fourteen_qubit_runs_and_dense_refusals(tmp_path, capsys):
+def test_fourteen_qubit_runs_and_dense_refusals(tmp_path, capsys, monkeypatch):
     # qite and qlanczos read their ground oracle from Lanczos at 14 qubits
+    import qitekit.cli
+
+    oracles = []  # each run's own ground space, to check the E0 it reports
+
+    def recording(*args):
+        oracles.append(ground_space(*args))
+        return oracles[-1]
+
+    monkeypatch.setattr(qitekit.cli, "ground_space", recording)
     h = heisenberg_1d(14)
-    _, ground = exact_ground(h)
-    g = ground.amplitudes
     for algorithm, n_steps in (("qite", 1), ("qlanczos", 2)):
         path = write_config(tmp_path, heisenberg_config(algorithm, 14, n_steps), f"{algorithm}.json")
         out = tmp_path / algorithm
         assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_OK
         e0 = json.loads((out / "summary.json").read_text())["e0_exact"]
+        g = oracles[-1].basis[:, 0]
         assert np.linalg.norm(h.operator.apply(g) + h.offset * g - e0 * g) <= 1e-8
         with open(out / f"{algorithm}.csv") as handle:
             rows = list(csv.DictReader(handle))
@@ -476,11 +485,28 @@ def test_fourteen_qubit_runs_and_dense_refusals(tmp_path, capsys):
         out = tmp_path / f"{algorithm}_out"
         assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_RESOURCE
         assert not out.exists()
-        assert "needs about 8.6 GB" in capsys.readouterr().err
+        assert "needs about 10.7 GB" in capsys.readouterr().err
     target = tmp_path / "compare.csv"
     assert main(["compare", "--run", str(tmp_path / "qite"), "--out", str(target)]) == EXIT_RESOURCE
     assert not target.exists()
-    assert "dense ceiling is 12 qubits" in capsys.readouterr().err
+    assert "dense ceiling is 13 qubits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algorithm", ["qmetts", "mutualinfo"])
+def test_wide_dense_only_config_refused_without_allocating(tmp_path, capsys, algorithm):
+    # validation refuses a 40-qubit dense-only config from its Pauli strings
+    # alone, before the --max-qubits check and without building H's operator
+    sections = {"qmetts": {"beta": 0.2, "n_samples": 8, "qite": {"dtau": 0.1}},
+                "mutualinfo": {"betas": [1.0], "pairs": [[0, 1]]}}
+    config = {"algorithm": algorithm, algorithm: sections[algorithm],
+              "model": {"name": "heisenberg_1d", "params": {"n_qubits": 40}}}
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_RESOURCE
+    assert time.perf_counter() - start < 2.0
+    assert not out.exists()
+    assert "on 40 qubits needs about" in capsys.readouterr().err
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):
