@@ -9,6 +9,7 @@ entanglement diagnostics, and closed-form measurement-count estimates.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -32,9 +33,10 @@ from .statevector import (
 # against 12.8-15.6 ms and 54-60 against 18-21 ms on TFI chains (h = J = 1)
 _LANCZOS_MIN_DIM = 512
 # a Lanczos basis holds at most this many vectors before it restarts from its
-# Ritz vector; every _LANCZOS_CHECK vectors it tests whether its lowest Ritz
-# pair has converged: a residual norm below _LANCZOS_TOL times the largest
-# Ritz value magnitude
+# Ritz vector, and lanczos_ground at most this many ground vectors; every
+# _LANCZOS_CHECK vectors a basis tests whether its lowest Ritz pair has
+# converged: a residual norm below _LANCZOS_TOL times the largest Ritz value
+# magnitude
 _LANCZOS_MAX_BASIS = 200
 _LANCZOS_CHECK = 5
 _LANCZOS_TOL = 1e-12
@@ -193,19 +195,26 @@ def lanczos_ground(operator: PauliOperator, degeneracy_tol: float) -> GroundSpac
 
     Each run finds the lowest Ritz pair orthogonal to the ground vectors
     found so far; the runs stop when its value exceeds E0 +
-    ``degeneracy_tol``.  Each run starts from a fresh vector of a generator
-    with a fixed seed, so the result is reproducible and no caller's random
-    state is drawn from.
+    ``degeneracy_tol``.  Each run starts from a fresh vector of the stdlib
+    ``random.Random(0)``, so the result is reproducible and no caller's
+    random state is drawn from.  A ground space that reaches
+    _LANCZOS_MAX_BASIS vectors is refused with a ResourceError.
     """
     dim = 2**operator.n_qubits
     real = not np.iscomplexobj(operator.diagonals)
-    starts = np.random.default_rng(0)
+    starts = random.Random(0)
     found = np.empty((0, dim), float if real else complex)  # ground vectors as rows
     values, matvecs = [], 0
     while len(found) < dim:
-        start = starts.standard_normal(dim)
+        if len(found) == _LANCZOS_MAX_BASIS:
+            raise ResourceError(
+                f"the ground space of H on {operator.n_qubits} qubits has at least "
+                f"{len(found)} dimensions; the Lanczos ground oracle stores at most "
+                f"{_LANCZOS_MAX_BASIS} ground vectors"
+            )
+        start = _uniform(starts, dim)
         if not real:
-            start = start + 1j * starts.standard_normal(dim)
+            start = start + 1j * _uniform(starts, dim)
         theta, vector, used = _lowest_ritz(operator.apply, start, found)
         matvecs += used
         if values and theta > min(values) + degeneracy_tol:
@@ -213,6 +222,13 @@ def lanczos_ground(operator: PauliOperator, degeneracy_tol: float) -> GroundSpac
         values.append(theta)
         found = np.concatenate((found, vector[None]))
     return GroundSpace(operator.offset + min(values), found.T, "lanczos", matvecs)
+
+
+def _uniform(source: random.Random, size: int) -> np.ndarray:
+    """``size`` values uniform in [-1, 1), from the top 53 bits of 64-bit
+    words of ``source``."""
+    words = np.frombuffer(source.randbytes(8 * size), np.uint64)
+    return (words >> 11) * 2.0**-52 - 1.0
 
 
 def _project_out(vector: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, get_type_hints
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -140,8 +140,11 @@ def validate_config(config: dict, origin: str = "config") -> None:
         raise type(exc)(f"{origin}: {exc}") from exc
 
 
-# the JSON values an annotation accepts: a bool is no int, nor is 2.0
-_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
+# the JSON values an annotation accepts: a bool is no int, nor is 2.0.  Every
+# target module postpones its annotations, so they are read as their names
+# and none is resolved (resolving Optional[np.random.Generator] would import
+# numpy.random)
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
 
 
 def _kwargs(target, block, where: str, skip: Sequence[str] = ()) -> dict:
@@ -157,11 +160,10 @@ def _kwargs(target, block, where: str, skip: Sequence[str] = ()) -> dict:
     missing = [k for k, p in params.items() if p.default is p.empty and k not in block]
     if missing:
         raise ConfigError(f"{where}: missing parameters {missing}")
-    hints = get_type_hints(target)
     for key, value in block.items():
-        kinds = _JSON_TYPES.get(hints.get(key))
+        kinds = _JSON_TYPES.get(params[key].annotation)
         if kinds and type(value) not in kinds:
-            raise ConfigError(f"{where}: {key} must be of type {hints[key].__name__}")
+            raise ConfigError(f"{where}: {key} must be of type {params[key].annotation}")
     return block
 
 
@@ -247,7 +249,7 @@ def _qite_config(block: dict, where: str) -> QiteConfig:
 def _mutualinfo_settings(n_qubits: int, betas: list, pairs="all"):
     """The betas, and the qubit pairs ("all" by default) checked against the width."""
     if not (isinstance(betas, list) and betas and all(
-        type(b) in _JSON_TYPES[float] and b >= 0 for b in betas)):
+        type(b) in _JSON_TYPES["float"] and b >= 0 for b in betas)):
         raise ConfigError("mutualinfo: betas must be a non-empty list of numbers >= 0")
     if pairs == "all":
         pairs = [[i, j] for i in range(n_qubits) for j in range(i + 1, n_qubits)]
@@ -447,6 +449,17 @@ def _run_count(query, hamiltonian, state0, rng, dec):
     return {}, summary
 
 
+def _draws(algorithm: str, settings) -> bool:
+    """Whether a run draws random numbers: a QMETTS chain's collapse
+    measurements, or the noise emulation of QITE or of the QLanczos ledger."""
+    if algorithm == "qite":
+        return settings.noise_sigma > 0
+    if algorithm == "qlanczos":
+        qite_cfg, options = settings
+        return qite_cfg.noise_sigma > 0 or options.get("ledger_noise_sigma", 0) > 0
+    return algorithm == "qmetts"
+
+
 _RUNNERS = {
     "qite": _run_qite,
     "qlanczos": _run_qlanczos,
@@ -467,7 +480,9 @@ def execute_run(
     seed = seed_override if seed_override is not None else config.get("seed", 0)
     hamiltonian, state0 = _model_and_state(config, max_qubits)
     settings = _settings(config, hamiltonian)
-    rng = np.random.default_rng(seed)
+    # only a run that draws builds a generator (and imports numpy.random);
+    # the library refuses a draw without one
+    rng = np.random.default_rng(seed) if _draws(algorithm, settings) else None
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -564,7 +579,9 @@ def cmd_compare(args) -> int:
         raise ConfigError(f"compare is not defined for algorithm {algorithm!r}")
 
     hamiltonian, state0 = _model_and_state(configs[0], args.max_qubits)
-    dec = spectral(hamiltonian, args.max_qubits)
+    # qite rows read exact ITE and E0, qmetts rows Gibbs averages; qlanczos
+    # rows read no oracle
+    dec = None if algorithm == "qlanczos" else spectral(hamiltonian, args.max_qubits)
     header, rows = _compare_rows(algorithm, args.run, state0, dec)
     if args.out:
         _write_csv(Path(args.out), header, rows)

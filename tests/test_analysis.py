@@ -279,6 +279,14 @@ def test_lanczos_ground_on_degenerate_ground_spaces(h, dim, rng):
     assert spectral(h).ground(1e-9).dim == dim
 
 
+def test_lanczos_ground_refuses_a_ground_space_it_cannot_store():
+    # H = X_0 on 9 qubits has a 256-fold ground space; Lanczos stores at most
+    # 200 ground vectors (from 2^n = 512 on ground_space takes Lanczos)
+    h = _pauli_hamiltonian(9, [(1.0, "X" + "I" * 8)])
+    with pytest.raises(ResourceError, match="on 9 qubits has at least 200 dimensions"):
+        ground_space(h, 1e-9)
+
+
 def test_ground_space_routes():
     # a diagonal H reads its ground set off the diagonal, at any size
     ground = ground_space(maxcut_six_vertex_instance(), 1e-9)

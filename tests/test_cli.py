@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -490,6 +492,10 @@ def test_fourteen_qubit_runs_and_dense_refusals(tmp_path, capsys, monkeypatch):
     assert main(["compare", "--run", str(tmp_path / "qite"), "--out", str(target)]) == EXIT_RESOURCE
     assert not target.exists()
     assert "dense ceiling is 13 qubits" in capsys.readouterr().err
+    # compare on a qlanczos run reads no oracle, so it has no dense ceiling
+    assert main(["compare", "--run", str(tmp_path / "qlanczos"), "--out", str(target)]) == EXIT_OK
+    rows = (tmp_path / "qlanczos" / "qlanczos.csv").read_text().splitlines()
+    assert len(target.read_text().splitlines()) == len(rows)
 
 
 @pytest.mark.parametrize("algorithm", ["qmetts", "mutualinfo"])
@@ -738,7 +744,9 @@ def test_one_diagonalization_per_command(tmp_path, monkeypatch, capsys):
     assert len((tmp_path / "mi" / "mutualinfo.csv").read_text().splitlines()) == 13
 
 
-def test_compare_qlanczos_bound_column(tmp_path, capsys):
+def test_compare_qlanczos_bound_column(tmp_path, monkeypatch, capsys):
+    import qitekit.cli
+
     cfg = {
         "algorithm": "qlanczos",
         "model": {"name": "heisenberg_1d", "params": {"n_qubits": 2}},
@@ -752,6 +760,11 @@ def test_compare_qlanczos_bound_column(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     out = tmp_path / "run"
     main(["run", "--config", str(path), "--out", str(out)])
+
+    def refuse(*args, **kwargs):  # qlanczos rows read no oracle of H
+        raise AssertionError("compare on a qlanczos run diagonalized H")
+
+    monkeypatch.setattr(qitekit.cli, "spectral", refuse)
     csv_out = tmp_path / "table.csv"
     code = main(["compare", "--run", str(out), "--out", str(csv_out)])
     assert code == EXIT_OK
@@ -905,6 +918,46 @@ def test_batch_run_same_stem_collision(tmp_path):
     assert main(["run", "--config", str(p1), "--config", str(p2), "--out", str(out)]) == EXIT_OK
     assert (out / "same" / "summary.json").exists()
     assert (out / "same_2" / "summary.json").exists()
+
+
+# ------------------------------------------- runs that draw no random numbers
+
+_IMPORT_PROBE = """
+import json, sys
+from pathlib import Path
+import qitekit.cli as cli
+
+configs, qite9, out = Path(sys.argv[1]), sys.argv[2], Path(sys.argv[3])
+for path in sorted(configs.glob("*.json")):
+    cli.load_config(path)
+runs = (qite9, configs / "c09_mutualinfo_tfi8.json", configs / "c07_count_k4_t7.json")
+codes = [cli.main(["run", "--config", str(path), "--out", str(out / str(k))])
+         for k, path in enumerate(runs)]
+quiet = "numpy.random" not in sys.modules
+codes.append(cli.main(["run", "--config", str(configs / "c06_qmetts_one_qubit.json"),
+                       "--out", str(out / "qmetts")]))
+print(json.dumps({"codes": codes, "quiet": quiet,
+                  "qmetts_imports": "numpy.random" in sys.modules}))
+"""
+
+
+def test_runs_that_draw_nothing_do_not_import_numpy_random(tmp_path):
+    # numpy.random costs 16-19 ms to import: validating every shipped config,
+    # a noiseless 9-qubit qite run (Lanczos ground oracle), a mutualinfo and a
+    # count run leave it unimported; a qmetts run draws and imports it
+    qite9 = write_config(tmp_path, heisenberg_config("qite", 9, 1))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    probe = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(CONFIG_DIR), str(qite9), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert probe.returncode == 0, probe.stderr
+    report = json.loads(probe.stdout.splitlines()[-1])
+    assert report == {"codes": [EXIT_OK] * 4, "quiet": True, "qmetts_imports": True}
+    manifest = json.loads((tmp_path / "out" / "0" / "manifest.json").read_text())
+    assert manifest["oracle"]["route"] == "lanczos"
 
 
 # ------------------------------------------- small checked-in configs run
