@@ -27,7 +27,6 @@ from .statevector import (
     _signs,
     _support_major,
     dense_on_support,
-    reduced_density_matrix,
 )
 
 B_MODES = ("measurable", "exact_delta0")
@@ -171,9 +170,7 @@ class _TermPlan:
     index: int
     domain: Tuple[int, ...]
     unitary_support: Tuple[int, ...]
-    # eigh of the term on h_support: the unitary support, or the term's own
-    # support when the step is solved in the range of rho
-    h_eig: Tuple[np.ndarray, np.ndarray]
+    h_eig: Tuple[np.ndarray, np.ndarray]  # eigh of the term on its own support
     h_support: Tuple[int, ...]
     # (x, yz, i^nY) per pool string over the support when the step forms S;
     # None when it is solved in the eigenbasis or the range of rho
@@ -240,7 +237,7 @@ def _build_plan(
     index: int, term: LocalTerm, domain, support, masks, in_range: bool = False
 ) -> _TermPlan:
     """The plan of one term; ``in_range`` puts it on the range route."""
-    h_support = tuple(sorted(term.support)) if in_range else support
+    h_support = tuple(sorted(term.support))
     h_eig = np.linalg.eigh(dense_on_support(term.pauli_sum, h_support))
     return _TermPlan(index, domain, support, h_eig, h_support, masks, in_range)
 
@@ -256,86 +253,65 @@ def _step_operators(
     config: QiteConfig,
     rng: Optional[np.random.Generator],
 ):
-    """(rho, G, c, scale) of one step, with rho the reduced state on the support.
+    """(L, G L, c, scale) of one step, the inputs of every route.
 
-    S a holds the Pauli coefficients of {A, rho} and b those of B = i 2^k scale
-    [G, rho], with G = h (measurable, c = 1 - 2 dtau <h>, whose noise is drawn
-    here first) or e^{-dtau h} (exact_delta0, c = Tr(G rho G)).
+    L is the state's (2^k, 2^(n-k)) factor on the unitary support, a copy the
+    step may update in place, so rho = L L^dagger.  G acts through the term's
+    eigendecomposition on its own support: G = h (measurable, c = 1 - 2 dtau
+    <h>, whose noise is drawn here first) or e^{-dtau h} (exact_delta0,
+    c = |G psi|^2 = Tr(G rho G)).  S a holds the Pauli coefficients of
+    {A, rho} and b those of B = i 2^k scale [G, rho].
     """
     if config.noise_sigma > 0 and rng is None:
         raise ConfigError("noise_sigma > 0 requires a random generator")
-    support = plan.unitary_support
-    rho = reduced_density_matrix(state, support, len(support)).matrix
     evals, evecs = plan.h_eig
-    populations = np.sum(evecs.conj() * (rho @ evecs), axis=0).real  # <w|rho|w>
-    weights = _g_weights(evals, dtau, config)
-    if config.b_mode == "exact_delta0":
-        c, scale = _norm_factor(float(weights**2 @ populations), dtau, config)
-    else:
-        h_exp = float(evals @ populations)
-        if config.noise_sigma > 0:
-            h_exp += float(rng.normal(0.0, config.noise_sigma))
-        c, scale = _norm_factor(h_exp, dtau, config)
-    return rho, (evecs * weights) @ evecs.conj().T, c, scale
-
-
-def _g_weights(evals: np.ndarray, dtau: float, config: QiteConfig) -> np.ndarray:
-    """G's eigenvalues over the term's: e^{-dtau h} (exact_delta0) or h."""
-    return np.exp(-dtau * evals) if config.b_mode == "exact_delta0" else evals
-
-
-def _norm_factor(value: float, dtau: float, config: QiteConfig) -> Tuple[float, float]:
-    """(c, scale) from Tr(G rho G) (exact_delta0) or <h> (measurable)."""
-    if config.b_mode == "exact_delta0":
-        return value, -1.0 / (dtau * math.sqrt(value))
-    c = 1.0 - 2.0 * dtau * value
-    if c <= 0.0:
-        raise NumericalError(
-            f"first-order norm estimate c={c:g} is not positive; reduce dtau"
-        )
-    return c, 1.0 / math.sqrt(c) if config.b_norm_factor else 1.0
-
-
-def _range_operators(
-    plan: _TermPlan, state: StateVector, dtau: float, config: QiteConfig
-):
-    """(L, G L, c, scale) of a noiseless step on a plan solved in rho's range.
-
-    L is the state's (2^k, 2^(n-k)) factor on the support, rho = L L^dagger,
-    and G acts through the term's eigendecomposition on its own support.
-    """
-    evals, evecs = plan.h_eig
-    g = (evecs * _g_weights(evals, dtau, config)) @ evecs.conj().T
+    exact = config.b_mode == "exact_delta0"
+    g = (evecs * (np.exp(-dtau * evals) if exact else evals)) @ evecs.conj().T
     amps, n = state.amplitudes, state.n_qubits
     g_amps = _apply_matrix_on_support(amps, g, plan.h_support, n)
-    if config.b_mode == "exact_delta0":
-        value = float(np.vdot(g_amps, g_amps).real)  # Tr(G rho G)
+    if exact:
+        c = float(np.vdot(g_amps, g_amps).real)
+        scale = -1.0 / (dtau * math.sqrt(c))
     else:
-        value = float(np.vdot(amps, g_amps).real)  # <h>
-    # a copy, which the step updates in place
+        h_exp = float(np.vdot(amps, g_amps).real)
+        if config.noise_sigma > 0:
+            h_exp += float(rng.normal(0.0, config.noise_sigma))
+        c = 1.0 - 2.0 * dtau * h_exp
+        if c <= 0.0:
+            raise NumericalError(
+                f"first-order norm estimate c={c:g} is not positive; reduce dtau"
+            )
+        scale = 1.0 / math.sqrt(c) if config.b_norm_factor else 1.0
     factor = _support_major(amps, plan.unitary_support, n).copy()
-    g_factor = _support_major(g_amps, plan.unitary_support, n)
-    return factor, g_factor, *_norm_factor(value, dtau, config)
+    return factor, _support_major(g_amps, plan.unitary_support, n), c, scale
+
+
+def _rho_and_commutator(factor: np.ndarray, g_factor: np.ndarray):
+    """(rho, [G, rho]) = (L L^dagger, X - X^dagger) with X = (G L) L^dagger."""
+    x = g_factor @ factor.conj().T
+    return factor @ factor.conj().T, x - x.conj().T
 
 
 def _explicit_system(
     plan: _TermPlan,
     rho: np.ndarray,
-    g: np.ndarray,
+    comm: np.ndarray,
     scale: float,
     config: QiteConfig,
     rng: Optional[np.random.Generator],
 ):
     """(Smat, bvec) from Pauli traces; the b noise is drawn before the S noise.
 
-    Smat_IJ = 2 Re Tr(sigma_I sigma_J rho) and b_I = -2 scale Im Tr(sigma_I G rho).
+    Smat_IJ = 2 Re Tr(sigma_I sigma_J rho) and
+    b_I = -2 scale Im Tr(sigma_I G rho) = -scale Im Tr(sigma_I comm), with
+    comm = [G, rho].
     sigma_I sigma_J is i^(nY_I + nY_J) (-1)^popcount(yz_I & x_J) times the
     string with masks (x_I ^ x_J, yz_I ^ yz_J).
     """
     x, yz, phase = plan.local_masks
     signs = phase[:, None] * phase * _signs(yz[:, None], x)
     smat = 2.0 * _pauli_traces(rho, (x[:, None] ^ x, yz[:, None] ^ yz, signs)).real
-    raw = _pauli_traces(g @ rho - rho @ g, plan.local_masks).imag / 2.0
+    raw = _pauli_traces(comm, plan.local_masks).imag / 2.0
     noisy = config.noise_sigma > 0
     if noisy and config.b_mode == "measurable":
         raw = raw + rng.normal(0.0, config.noise_sigma, raw.shape)
@@ -368,8 +344,9 @@ def build_linear_system(
     support = _pool_support(0, tuple(pool.domain) + tuple(term.support), strings, config)
     masks = _pauli_masks(tuple(strings), support)
     plan = _build_plan(0, term, tuple(pool.domain), support, masks)
-    rho, g, c, scale = _step_operators(plan, state, dtau, config, rng)
-    return (*_explicit_system(plan, rho, g, scale, config, rng), c)
+    factor, g_factor, c, scale = _step_operators(plan, state, dtau, config, rng)
+    rho, comm = _rho_and_commutator(factor, g_factor)
+    return (*_explicit_system(plan, rho, comm, scale, config, rng), c)
 
 
 def solve_step(
@@ -395,41 +372,34 @@ def solve_step(
 # stepping and sweeping
 
 
-def _solve_in_rho_basis(rho: np.ndarray, g: np.ndarray, scale: float, config: QiteConfig):
+def _solve_in_rho_basis(rho: np.ndarray, comm: np.ndarray, scale: float, config: QiteConfig):
     """(generator, residual) of a noiseless step on a k-qubit support.
 
     In the eigenbasis V of rho the full pool's S is 2^k (p_i + p_j) on each
-    pair (i, j) and B~ = i 2^k scale (p_j - p_i) (V^dagger G V), so
+    pair (i, j) and B~ = i 2^k scale V^dagger comm V with comm = [G, rho], so
     A = -V A~ V^dagger with A~ = B~ / (2^k (p_i + p_j) + delta) on the pairs
     solve_step's cutoff keeps; the residual is |b| on dropped pairs.  The
     odd-Y pool spans i times the real antisymmetric matrices: its pairs are
-    i != j in the real eigenbasis of Re rho, and B keeps i Im B.  The
+    i != j in the real eigenbasis of Re rho, and B keeps i Re comm.  The
     parity-even pool keeps the parity of the local index: its pairs lie in
-    the parity blocks, each block of rho gets its own eigh, and B~ gains the
-    rotated cross-block part G_x rho_x - rho_x G_x.
+    the parity blocks, each block of rho gets its own eigh, and the
+    block-diagonal V rotates each diagonal block of comm by itself.
     """
     dim = rho.shape[0]
+    pairs = np.ones((dim, dim), dtype=bool)
     if config.pool_kind == "pauli_odd_y":
-        p, basis = np.linalg.eigh(rho.real)
-        # Re [G, rho] = [Re G, Re rho] - [Im G, Im rho]
-        im_part = g.imag @ rho.imag
-        rotated = (basis.T @ g.real @ basis) * (p - p[:, None])
-        rotated -= basis.T @ (im_part - im_part.T) @ basis
+        rho, comm = rho.real, comm.real
         pairs = ~np.eye(dim, dtype=bool)
-    elif config.pool_kind == "pauli_full":
-        p, basis = np.linalg.eigh(rho)
-        rotated = (basis.conj().T @ g @ basis) * (p - p[:, None])
-        pairs = np.ones((dim, dim), dtype=bool)
-    else:
+    if config.pool_kind == "fermionic_number_conserving":
         parity = np.bitwise_count(np.arange(dim)) & 1
         pairs = parity[:, None] == parity
         p, basis = np.empty(dim), np.zeros_like(rho)
         for block in (parity == 0, parity == 1):  # one eigh each: no mixing
             cut = np.ix_(block, block)
             p[block], basis[cut] = np.linalg.eigh(rho[cut])
-        g_x, rho_x = np.where(pairs, 0.0, g), np.where(pairs, 0.0, rho)
-        rotated = (basis.conj().T @ np.where(pairs, g, 0.0) @ basis) * (p - p[:, None])
-        rotated += basis.conj().T @ (g_x @ rho_x - rho_x @ g_x) @ basis
+    else:
+        p, basis = np.linalg.eigh(rho)
+    rotated = basis.conj().T @ comm @ basis
     s_eigs = dim * (p[:, None] + p)
     s_max = float(s_eigs[pairs].max())
     lam = s_eigs + config.delta
@@ -526,34 +496,31 @@ def _run_step(
     config: QiteConfig,
     rng: Optional[np.random.Generator],
 ) -> Tuple[StateVector, StepRecord]:
+    factor, g_factor, c, scale = _step_operators(plan, state, dtau, config, rng)
     if plan.in_range:
-        factor, g_factor, c, scale = _range_operators(plan, state, dtau, config)
         blocks, residual = _solve_in_rho_range(factor, g_factor, scale, config)
         odd_y = config.pool_kind == "pauli_odd_y"
-        # factor is a copy: update it in place, through its real columns
-        # where A = i (real antisymmetric) makes the step a rotation
+        # update the factor in place, through its real columns where
+        # A = i (real antisymmetric) makes the step a rotation
         target = _real_columns(factor) if odd_y else factor
         for rows, q, m in blocks:  # e^{-i dtau A} = 1 + Q (e^{-i dtau M} - 1) Q^dagger
             _check_finite(plan, m)
             step = _unitary(m, dtau, less=1.0)
             step = step.real if odd_y else step
             target[rows] += q @ (step @ (q.conj().T @ target[rows]))
-        amps = _from_support_major(factor, plan.unitary_support, state.n_qubits)
     else:
-        rho, g, c, scale = _step_operators(plan, state, dtau, config, rng)
+        rho, comm = _rho_and_commutator(factor, g_factor)
         if plan.local_masks is None:
-            generator, residual = _solve_in_rho_basis(rho, g, scale, config)
+            generator, residual = _solve_in_rho_basis(rho, comm, scale, config)
         else:
-            smat, bvec = _explicit_system(plan, rho, g, scale, config, rng)
+            smat, bvec = _explicit_system(plan, rho, comm, scale, config, rng)
             coefficients, residual = solve_step(smat, bvec, config.delta, config.pinv_tol)
             generator = _dense_from_masks(
                 coefficients, plan.local_masks, len(plan.unitary_support)
             )
         _check_finite(plan, generator)
-        unitary = _unitary(generator, dtau)
-        amps = _apply_matrix_on_support(
-            state.amplitudes, unitary, plan.unitary_support, state.n_qubits
-        )
+        factor = _unitary(generator, dtau) @ factor
+    amps = _from_support_major(factor, plan.unitary_support, state.n_qubits)
     amps = amps / np.linalg.norm(amps)
     record = StepRecord(plan.index, dtau, c, residual, plan.domain)
     return StateVector(amps, state.n_qubits), record

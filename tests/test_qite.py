@@ -22,7 +22,7 @@ from qitekit.qite import (
     QiteConfig,
     _build_plan,
     _in_range,
-    _range_operators,
+    _rho_and_commutator,
     _run_step,
     _solve_in_rho_basis,
     _solve_in_rho_range,
@@ -235,8 +235,9 @@ def _basis_plan(term, cfg, n):
 def _rho_basis_step(state, term, cfg, dtau):
     """(plan, generator, residual) of a noiseless step solved in the eigenbasis of rho."""
     plan = _basis_plan(term, cfg, state.n_qubits)
-    rho, g, _, scale = _step_operators(plan, state, dtau, cfg, None)
-    return (plan, *_solve_in_rho_basis(rho, g, scale, cfg))
+    factor, g_factor, _, scale = _step_operators(plan, state, dtau, cfg, None)
+    rho, comm = _rho_and_commutator(factor, g_factor)
+    return (plan, *_solve_in_rho_basis(rho, comm, scale, cfg))
 
 
 def _pool_coefficients(generator, kind, domain, n):
@@ -326,6 +327,34 @@ def _random_amplitudes(rng, n, real, product):
     return StateVector(amps / np.linalg.norm(amps), n)
 
 
+@pytest.mark.parametrize("kind", POOLS)
+@pytest.mark.parametrize("b_mode", B_MODES)
+def test_linear_system_b_and_c_match_full_register_references(kind, b_mode):
+    # b_I = -2 scale Im <sigma_I psi | G psi> with G psi and c taken on the
+    # whole register, apart from the step builder: G psi = h psi and
+    # c = 1 - 2 dtau <h> (measurable), or e^{-dtau h} psi with its squared
+    # norm c (exact_delta0); the term is narrower than its domain
+    n, dtau = 5, 0.05
+    rng = np.random.default_rng(7)
+    state = StateVector(random_state(n, rng), n)
+    term = _random_term(rng, n, (1, 2))
+    pool = OperatorPool(kind, (0, 1, 2, 3))
+    _, bvec, c = build_linear_system(state, term, pool, dtau, QiteConfig(b_mode=b_mode))
+    if b_mode == "exact_delta0":
+        evolved, c_want = apply_term_exp(state, term, dtau)
+        g_psi = evolved.amplitudes * np.sqrt(c_want)
+        scale = -1.0 / (dtau * np.sqrt(c_want))
+    else:
+        g_psi = apply_pauli_sum(state, term.pauli_sum)
+        c_want = 1.0 - 2.0 * dtau * np.vdot(state.amplitudes, g_psi).real
+        scale = 1.0 / np.sqrt(c_want)
+    sigma_psi = [apply_pauli_sum(state, [(1.0, s)]) for s in enumerate_pool(pool, n)]
+    b_want = -2.0 * scale * np.array([np.vdot(row, g_psi).imag for row in sigma_psi])
+    assert abs(c - c_want) < 1e-12
+    assert np.max(np.abs(b_want)) > 1e-3  # a signal to match
+    assert np.max(np.abs(bvec - b_want)) < 1e-12
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     k=st.integers(1, 4),
@@ -351,14 +380,15 @@ def test_rho_basis_step_matches_explicit_solve(
         domain_size=k, pool_kind=kind, b_mode=b_mode, delta=delta, pinv_tol=pinv_tol
     )
     plan = _basis_plan(term, cfg, n)
-    rho, g, c_step, scale = _step_operators(plan, state, 0.05, cfg, None)
+    factor, g_factor, c_step, scale = _step_operators(plan, state, 0.05, cfg, None)
     smat, bvec, c = build_linear_system(
         state, term, OperatorPool(kind, plan.domain), 0.05, cfg
     )
     assert abs(c_step - c) < 1e-12
     if plan.local_masks is not None:
         return  # a fermionic pool with parity tails forms this S itself
-    generator, residual = _solve_in_rho_basis(rho, g, scale, cfg)
+    rho, comm = _rho_and_commutator(factor, g_factor)
+    generator, residual = _solve_in_rho_basis(rho, comm, scale, cfg)
     expected, expected_res = solve_step(smat, bvec, delta, cfg.pinv_tol)
     coefficients = _pool_coefficients(generator, kind, plan.unitary_support, n)
     assert np.max(np.abs(coefficients - expected)) < 1e-10
@@ -494,7 +524,7 @@ def test_range_step_columns_orthonormal_on_graded_states(kind, b_mode, real, see
     plan = _build_plan(basis.index, term, basis.domain, basis.unitary_support, None, True)
     assert len(plan.unitary_support) == k
     state = _graded_state(rng, plan.unitary_support, n, 2, 4, real)
-    factor, g_factor, _, scale = _range_operators(plan, state, 0.05, cfg)
+    factor, g_factor, _, scale = _step_operators(plan, state, 0.05, cfg, None)
     blocks, _ = _solve_in_rho_range(factor, g_factor, scale, cfg)
     for _, q, _ in blocks:
         assert np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1]), 2) <= 1e-13
@@ -504,10 +534,9 @@ def _assert_range_step_matches(state, term, basis, cfg):
     """The range solve and step on ``basis``'s support reproduce its
     eigenbasis solve and step."""
     ranged = _build_plan(basis.index, term, basis.domain, basis.unitary_support, None, True)
-    rho, g, _, scale = _step_operators(basis, state, 0.05, cfg, None)
-    expected, _ = _solve_in_rho_basis(rho, g, scale, cfg)
-    factor, g_factor, _, range_scale = _range_operators(ranged, state, 0.05, cfg)
-    blocks, _ = _solve_in_rho_range(factor, g_factor, range_scale, cfg)
+    factor, g_factor, _, scale = _step_operators(basis, state, 0.05, cfg, None)
+    expected, _ = _solve_in_rho_basis(*_rho_and_commutator(factor, g_factor), scale, cfg)
+    blocks, _ = _solve_in_rho_range(factor, g_factor, scale, cfg)
     generator = np.zeros_like(expected)
     for rows, q, m in blocks:
         local = np.arange(len(generator))[rows]
@@ -541,12 +570,19 @@ def test_range_route_by_rank_bound(n, k, kind, in_range):
 
 @pytest.mark.parametrize("kind", POOLS)
 def test_range_plans_hold_no_support_sized_matrix(kind):
-    # a range plan keeps only the term's own eigendecomposition, never a
-    # 2^k x 2^k matrix
-    h = heisenberg_1d(8)
-    for plan in _term_plans(h.terms, QiteConfig(domain_size=8, pool_kind=kind), 8):
-        assert plan.in_range and plan.local_masks is None
-        assert max(a.size for a in plan.h_eig) <= 4**2
+    # a plan keeps only the term's own eigendecomposition, never a 2^k x 2^k
+    # matrix, on the range, eigenbasis and explicit routes alike
+    routes = [
+        (8, QiteConfig(domain_size=8, pool_kind=kind), "range"),
+        (9, QiteConfig(domain_size=4, pool_kind=kind), "eigenbasis"),
+        (9, QiteConfig(domain_size=4, pool_kind=kind, noise_sigma=1e-3), "explicit"),
+    ]
+    for n, cfg, route in routes:
+        for plan in _term_plans(heisenberg_1d(n).terms, cfg, n):
+            assert plan.in_range is (route == "range")
+            assert (plan.local_masks is not None) is (route == "explicit")
+            assert len(plan.unitary_support) >= 4
+            assert max(a.size for a in plan.h_eig) <= 4**2
 
 
 def test_odd_y_range_route_keeps_a_real_state_real():
