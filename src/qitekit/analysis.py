@@ -16,11 +16,12 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import DimensionError, NumericalError, ResourceError
-from .hamiltonians import Hamiltonian, PauliOperator, to_dense
+from .hamiltonians import Hamiltonian, to_dense
 from .pauli import odd_y_count
 from .statevector import (
     DEFAULT_MAX_QUBITS,
     MAX_DENSE_QUBITS,
+    PauliOperator,
     StateVector,
     reduced_density_matrix,
 )

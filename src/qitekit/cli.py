@@ -331,7 +331,17 @@ def _utc_now() -> str:
 
 # ---------------------------------------------------------------------------
 # per-algorithm runners; each takes its section's objects from _settings and
-# the run's one oracle of H (None for count) in place of its own
+# the run's one oracle of H (None for count) in place of its own, and returns
+# the rows of its table in _TABLES (none for count) and its summary
+
+# each table's file name and header; compare matches a qite or qlanczos row
+# by its first column and reads the two after it
+_TABLES = {
+    "qite": ("qite.csv", ("sweep", "beta", "energy", "fidelity_opt")),
+    "qlanczos": ("qlanczos.csv", ("beta", "e_qite", "e_qlanczos", "n_retained")),
+    "qmetts": ("qmetts.csv", ("sample", "label", "value")),
+    "mutualinfo": ("mutualinfo.csv", ("beta", "qubit_i", "qubit_j", "mutual_info")),
+}
 
 
 def _oracle(algorithm: str, hamiltonian: Hamiltonian, max_qubits: int):
@@ -375,7 +385,7 @@ def _run_qite(qite_cfg, hamiltonian, state0, rng, ground):
         "relative_error": abs(final - e0) / scale,
         "fidelity_opt_final": fidelities[-1],
     }
-    return {"qite.csv": (("sweep", "beta", "energy", "fidelity_opt"), rows)}, summary
+    return rows, summary
 
 
 def _run_qlanczos(settings, hamiltonian, state0, rng, ground):
@@ -395,9 +405,7 @@ def _run_qlanczos(settings, hamiltonian, state0, rng, ground):
         "n_retained_final": int(result.n_retained[-1]),
         "selected_sweeps": list(result.selected),
     }
-    return {
-        "qlanczos.csv": (("beta", "e_qite", "e_qlanczos", "n_retained"), rows)
-    }, summary
+    return rows, summary
 
 
 def _run_qmetts(metts_cfg, hamiltonian, state0, rng, dec):
@@ -415,7 +423,7 @@ def _run_qmetts(metts_cfg, hamiltonian, state0, rng, dec):
         "gibbs_exact": reference,
         "abs_error": abs(result.mean - reference),
     }
-    return {"qmetts.csv": (("sample", "label", "value"), rows)}, summary
+    return rows, summary
 
 
 def _run_mutualinfo(settings, hamiltonian, state0, rng, dec):
@@ -432,9 +440,7 @@ def _run_mutualinfo(settings, hamiltonian, state0, rng, dec):
         "fidelity_ground_final": dec.ground(_BOUND_TOL).fidelity(final_state),
         "e0_exact": float(dec.evals[0]),
     }
-    return {
-        "mutualinfo.csv": (("beta", "qubit_i", "qubit_j", "mutual_info"), rows)
-    }, summary
+    return rows, summary
 
 
 def _run_count(query, hamiltonian, state0, rng, dec):
@@ -446,7 +452,7 @@ def _run_count(query, hamiltonian, state0, rng, dec):
         "odd_y_only": query.odd_y_only,
         "pool_size_per_term": _pool_size(query),
     }
-    return {}, summary
+    return [], summary
 
 
 def _draws(algorithm: str, settings) -> bool:
@@ -500,7 +506,7 @@ def execute_run(
     try:
         oracle = None if algorithm == "count" else _oracle(algorithm, hamiltonian, max_qubits)
         oracle_s = 0.0 if oracle is None else time.perf_counter() - start
-        tables, summary = _RUNNERS[algorithm](settings, hamiltonian, state0, rng, oracle)
+        rows, summary = _RUNNERS[algorithm](settings, hamiltonian, state0, rng, oracle)
     except Exception as exc:  # recorded, then raised on to main
         manifest["status"] = "failed"
         manifest["finished_utc"] = _utc_now()
@@ -511,8 +517,11 @@ def execute_run(
         }
         _write_json(out_dir / "manifest.json", manifest)
         raise
-    for filename, (header, rows) in tables.items():
-        _write_csv(out_dir / filename, header, rows)
+    outputs = ["summary.json"]
+    if algorithm in _TABLES:
+        name, header = _TABLES[algorithm]
+        _write_csv(out_dir / name, header, rows)
+        outputs.append(name)
     summary = {
         "algorithm": algorithm,
         "model": config["model"],
@@ -525,7 +534,7 @@ def execute_run(
     manifest["finished_utc"] = _utc_now()
     manifest["timings_s"] = {"total": time.perf_counter() - start, "oracle": oracle_s}
     manifest["oracle"] = _oracle_record(oracle)
-    manifest["outputs"] = sorted(list(tables) + ["summary.json"])
+    manifest["outputs"] = sorted(outputs)
     _write_json(out_dir / "manifest.json", manifest)
     return summary
 
@@ -596,22 +605,19 @@ def cmd_compare(args) -> int:
 def _compare_rows(algorithm, run_dirs, state0, dec):
     if algorithm in ("qite", "qlanczos"):
         # one row per CSV row of each run, ending in its change from the first run
-        if algorithm == "qite":
-            name, read = "qite.csv", ("sweep", "beta", "energy")
-            columns = ("sweep", "beta", "energy", "e_exact_ite", "delta_exact", "bound_violation")
-        else:
-            name, read = "qlanczos.csv", ("beta", "e_qite", "e_qlanczos")
-            columns = ("beta", "e_qite", "e_qlanczos", "bound_ok")
-        key = read[0]
+        name, header = _TABLES[algorithm]
+        read, key = header[:3], header[0]
+        qite = algorithm == "qite"
+        added = ("e_exact_ite", "delta_exact", "bound_violation") if qite else ("bound_ok",)
 
-        def cells(row, values):
-            if algorithm == "qite":
+        def checks(values):
+            if qite:
                 _, beta, e = values
                 oracle = dec.ite_energy(state0, beta)
                 violation = str(int(e < dec.evals[0] - _BOUND_TOL))
-                return row["sweep"], _fmt(beta), _fmt(e), _fmt(oracle), _fmt(e - oracle), violation
+                return _fmt(oracle), _fmt(e - oracle), violation
             _, eq, el = values
-            return row["beta"], _fmt(eq), _fmt(el), str(int(el <= eq + _BOUND_TOL))
+            return (str(int(el <= eq + _BOUND_TOL)),)
 
         series = []
         for run_dir in run_dirs:
@@ -625,16 +631,18 @@ def _compare_rows(algorithm, run_dirs, state0, dec):
             if extra:
                 raise ConfigError(f"{run_dir}: {key} {extra[0]} is not in {run_dirs[0]}")
         rows = [
-            (str(run_dir), *cells(row, values), _fmt(values[-1] - first[row[key]]))
+            (str(run_dir), row[key], *map(_fmt, values[1:]), *checks(values),
+             _fmt(values[-1] - first[row[key]]))
             for run_dir, table in zip(run_dirs, series)
             for row, values in table
         ]
-        return ("run",) + columns + ("delta_vs_first",), rows
-    header = ("run", "beta", "mean", "stderr_block", "gibbs_exact", "delta", "within_3_stderr")
+        return ("run",) + read + added + ("delta_vs_first",), rows
+    read = ("beta", "mean", "stderr_block")
+    header = ("run",) + read + ("gibbs_exact", "delta", "within_3_stderr")
     rows = []
     for run_dir in run_dirs:
         path = Path(run_dir) / "summary.json"
-        beta, mean, stderr = _numbers(_read(path), ("beta", "mean", "stderr_block"), path)
+        beta, mean, stderr = _numbers(_read(path), read, path)
         oracle = dec.gibbs(beta)
         delta = mean - oracle
         within = str(int(abs(delta) <= 3 * stderr))

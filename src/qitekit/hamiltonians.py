@@ -7,6 +7,7 @@ is part of the contract because sweep-based propagation follows it.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass, field
 from importlib import resources
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DataFormatError, DimensionError, ResourceError
 from .pauli import PauliString
-from .statevector import DEFAULT_MAX_QUBITS, StateVector, _pauli_masks, _signs
+from .statevector import DEFAULT_MAX_QUBITS, PauliOperator, StateVector
 
 PauliSum = Tuple[Tuple[float, PauliString], ...]
 
@@ -41,65 +42,6 @@ class LocalTerm:
             )
 
 
-@dataclass(frozen=True, eq=False)
-class PauliOperator:
-    """H = offset + sum_x D_x X^x: one diagonal D_x per distinct x-mask.
-
-    (H psi)[j] = offset psi[j] + sum_x D_x[j] psi[j ^ x].  Row g of
-    ``sources`` holds j ^ x of group g for every j (the x = 0 group, when
-    present, first) and row g of ``diagonals`` its D_x, float64 when every
-    D_x is real; groups whose D_x vanishes are dropped.
-    """
-
-    n_qubits: int
-    offset: float
-    sources: np.ndarray
-    diagonals: np.ndarray
-
-    @staticmethod
-    def from_pauli_sum(pauli_sum, n_qubits: int, offset: float = 0.0) -> "PauliOperator":
-        pauli_sum = tuple(pauli_sum)
-        strings = tuple(s for _, s in pauli_sum)
-        xmask, yzmask, phase = _pauli_masks(strings, tuple(range(n_qubits)))
-        index = np.arange(2**n_qubits)
-        groups = {}  # x-mask -> D_x, summed over the strings in their order
-        for (coeff, _), x, yz, ph in zip(pauli_sum, xmask, yzmask, phase):
-            values = coeff * (ph * _signs(index ^ x, yz))
-            groups[int(x)] = groups.get(int(x), 0.0) + values
-        xs = sorted(x for x, d in groups.items() if d.any())
-        diagonals = np.array([groups[x] for x in xs]).reshape(len(xs), index.size)
-        if not diagonals.imag.any():
-            diagonals = diagonals.real.copy()
-        sources = np.array([index ^ x for x in xs]).reshape(diagonals.shape)
-        return PauliOperator(n_qubits, float(offset), sources, diagonals)
-
-    @property
-    def is_diagonal(self) -> bool:
-        """Whether every x-mask is 0: H is diagonal in the computational basis."""
-        return not self.sources[:, 0].any()
-
-    def diagonal(self) -> np.ndarray:
-        """The diagonal of H, offset included."""
-        rows = self.diagonals[self.sources[:, 0] == 0].real  # the x = 0 group
-        return self.offset + (rows[0] if len(rows) else np.zeros(2**self.n_qubits))
-
-    def apply(self, vector: np.ndarray) -> np.ndarray:
-        """(H - offset) vector: one gather and multiply per x-mask."""
-        out = np.zeros(vector.shape, np.result_type(self.diagonals, vector))
-        for src, diag in zip(self.sources, self.diagonals):
-            out += diag * vector[src]
-        return out
-
-    def dense(self) -> np.ndarray:
-        """The full 2^n x 2^n matrix, offset included, scattered per group."""
-        index = np.arange(2**self.n_qubits)
-        out = np.zeros((index.size, index.size), self.diagonals.dtype)
-        for src, diag in zip(self.sources, self.diagonals):
-            out[index, src] = diag
-        out[index, index] += self.offset
-        return out
-
-
 @dataclass
 class Hamiltonian:
     n_qubits: int
@@ -113,9 +55,13 @@ class Hamiltonian:
 
     @functools.cached_property
     def operator(self) -> PauliOperator:
-        """H as a PauliOperator, built on first use from the terms and offset."""
+        """H as a PauliOperator, built on first use from the terms and offset;
+        its diagonals are float64 when every D_x is real."""
         pauli_sum = [pair for term in self.terms for pair in term.pauli_sum]
-        return PauliOperator.from_pauli_sum(pauli_sum, self.n_qubits, self.offset)
+        operator = PauliOperator.from_pauli_sum(pauli_sum, self.n_qubits, self.offset)
+        if operator.diagonals.imag.any():
+            return operator
+        return dataclasses.replace(operator, diagonals=operator.diagonals.real.copy())
 
 
 def _term(n_qubits: int, support: Sequence[int], entries) -> LocalTerm:

@@ -18,9 +18,9 @@ from .errors import ConfigError, DimensionError, NumericalError, PoolError, Reso
 from .hamiltonians import Hamiltonian, LocalTerm, energy
 from .pauli import OperatorPool, PauliString, POOL_KINDS, enumerate_pool
 from .statevector import (
+    PauliOperator,
     StateVector,
     _apply_matrix_on_support,
-    _dense_from_masks,
     _from_support_major,
     _pauli_masks,
     _pauli_traces,
@@ -515,9 +515,8 @@ def _run_step(
         else:
             smat, bvec = _explicit_system(plan, rho, comm, scale, config, rng)
             coefficients, residual = solve_step(smat, bvec, config.delta, config.pinv_tol)
-            generator = _dense_from_masks(
-                coefficients, plan.local_masks, len(plan.unitary_support)
-            )
+            k = len(plan.unitary_support)
+            generator = PauliOperator.from_masks(coefficients, plan.local_masks, k).dense()
         _check_finite(plan, generator)
         factor = _unitary(generator, dtau) @ factor
     amps = _from_support_major(factor, plan.unitary_support, state.n_qubits)

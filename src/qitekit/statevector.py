@@ -47,7 +47,7 @@ class StateVector:
                 f"{self.n_qubits} qubits"
             )
         norm = float(np.linalg.norm(self.amplitudes))
-        if abs(norm - 1.0) > 1e-12:
+        if not np.isfinite(norm) or abs(norm - 1.0) > 1e-12:
             raise DimensionError(f"state norm {norm!r} is not 1 within 1e-12")
 
     def copy(self) -> "StateVector":
@@ -157,40 +157,89 @@ def _signs(src: np.ndarray, yzmask: np.ndarray) -> np.ndarray:
     return 1 - 2 * (np.bitwise_count(src & yzmask) & 1).astype(np.int8)
 
 
-def _pauli_rows(masks, amplitudes: np.ndarray) -> np.ndarray:
-    """(P, 2^n) stack of the rows sigma_r |psi>."""
-    xmask, yzmask, phase = masks
-    src = np.arange(amplitudes.size) ^ xmask[:, None]
-    return phase[:, None] * (_signs(src, yzmask[:, None]) * amplitudes[src])
+@dataclass(frozen=True, eq=False)
+class PauliOperator:
+    """offset + sum_x D_x X^x: one diagonal D_x per distinct x-mask.
 
+    (H psi)[j] = offset psi[j] + sum_x D_x[j] psi[j ^ x].  Row g of
+    ``sources`` holds j ^ x of group g for every j, the groups in ascending
+    x (the x = 0 group, when present, first), and row g of ``diagonals``
+    its D_x; groups whose D_x vanishes are dropped.
+    """
 
-def _register_masks(strings, n_qubits: int):
-    for s in strings:
-        if s.n_qubits != n_qubits:
+    n_qubits: int
+    offset: float
+    sources: np.ndarray
+    diagonals: np.ndarray
+
+    @staticmethod
+    def from_masks(coefficients, masks, n_qubits: int, offset: float = 0.0) -> "PauliOperator":
+        """offset + sum_r c_r sigma_r on ``n_qubits`` local bits from the strings'
+        (x, yz, i^nY) masks.  From one bit on, each D_x sums its strings in input
+        order from complex zeros, as np.add.at would, and ``dense`` matches it."""
+        xmask, yzmask, phase = masks
+        order = np.argsort(xmask, kind="stable")  # each x-group contiguous, in input order
+        yz, weights = yzmask[order], (np.asarray(coefficients) * phase)[order]
+        xs, starts = np.unique(xmask[order], return_index=True)
+        bounds = starts.tolist() + [order.size]
+        sources = np.arange(2**n_qubits) ^ xs[:, None]
+        diagonals = np.zeros(sources.shape, dtype=complex)
+        for diagonal, src, lo, hi in zip(diagonals, sources, bounds, bounds[1:]):
+            values = weights[lo:hi, None] * _signs(src, yz[lo:hi, None])
+            np.add.reduce(values, axis=0, out=diagonal, initial=0.0)  # row by row, in order
+        live = diagonals.any(axis=1)
+        return PauliOperator(n_qubits, float(offset), sources[live], diagonals[live])
+
+    @staticmethod
+    def from_pauli_sum(pauli_sum, n_qubits: int, offset: float = 0.0) -> "PauliOperator":
+        """offset + sum_r c_r sigma_r on a register of ``n_qubits``, which
+        must be every string's width."""
+        pauli_sum = tuple(pauli_sum)
+        strings = tuple(s for _, s in pauli_sum)
+        if any(s.n_qubits != n_qubits for s in strings):
             raise DimensionError("Pauli string and state widths differ")
-    return _pauli_masks(tuple(strings), tuple(range(n_qubits)))
+        masks = _pauli_masks(strings, tuple(range(n_qubits)))
+        return PauliOperator.from_masks([c for c, _ in pauli_sum], masks, n_qubits, offset)
+
+    @property
+    def is_diagonal(self) -> bool:
+        """Whether every x-mask is 0: H is diagonal in the computational basis."""
+        return not self.sources[:, 0].any()
+
+    def diagonal(self) -> np.ndarray:
+        """The diagonal of H, offset included."""
+        rows = self.diagonals[self.sources[:, 0] == 0].real  # the x = 0 group
+        return self.offset + (rows[0] if len(rows) else np.zeros(2**self.n_qubits))
+
+    def apply(self, vector: np.ndarray) -> np.ndarray:
+        """(H - offset) vector: one gather and multiply per x-mask."""
+        out = np.zeros(vector.shape, np.result_type(self.diagonals, vector))
+        for src, diag in zip(self.sources, self.diagonals):
+            out += diag * vector[src]
+        return out
+
+    def dense(self) -> np.ndarray:
+        """The full 2^n x 2^n matrix, offset included: D_x[j] at (j, j ^ x)."""
+        index = np.arange(2**self.n_qubits)
+        out = np.zeros((index.size, index.size), self.diagonals.dtype)
+        out[index, self.sources] = self.diagonals
+        out[index, index] += self.offset
+        return out
 
 
 def apply_pauli(state: StateVector, string: PauliString) -> StateVector:
     """Return sigma |psi> (norm preserved, phase kept)."""
-    masks = _register_masks((string,), state.n_qubits)
-    return StateVector(_pauli_rows(masks, state.amplitudes)[0], state.n_qubits)
+    return StateVector(apply_pauli_sum(state, [(1.0, string)]), state.n_qubits)
 
 
 def expectation(state: StateVector, string: PauliString) -> float:
     """<psi| sigma |psi>, real because the string is Hermitian."""
-    val = np.vdot(state.amplitudes, apply_pauli(state, string).amplitudes)
-    return float(val.real)
+    return expectation_sum(state, [(1.0, string)])
 
 
 def apply_pauli_sum(state: StateVector, pauli_sum) -> np.ndarray:
     """Unnormalized amplitudes of (sum_i c_i sigma_i) |psi>."""
-    pauli_sum = tuple(pauli_sum)
-    masks = _register_masks([s for _, s in pauli_sum], state.n_qubits)
-    out = np.zeros_like(state.amplitudes)
-    for (coeff, _), row in zip(pauli_sum, _pauli_rows(masks, state.amplitudes)):
-        out += coeff * row
-    return out
+    return PauliOperator.from_pauli_sum(pauli_sum, state.n_qubits).apply(state.amplitudes)
 
 
 def expectation_sum(state: StateVector, pauli_sum) -> float:
@@ -220,26 +269,11 @@ def dense_on_support(pauli_sum, support: Tuple[int, ...]) -> np.ndarray:
     support = tuple(sorted(support))
     pauli_sum = tuple(pauli_sum)
     masks = _pauli_masks(tuple(s for _, s in pauli_sum), support)
-    return _dense_from_masks([c for c, _ in pauli_sum], masks, len(support))
-
-
-def _dense_from_masks(coefficients, masks, k: int) -> np.ndarray:
-    """Scatter sum_r c_r sigma_r into a 2^k x 2^k matrix, strings in order."""
-    xmask, yzmask, phase = masks
-    cols = np.arange(2**k)
-    values = np.asarray(coefficients)[:, None] * (
-        phase[:, None] * _signs(cols, yzmask[:, None])
-    )
-    # bincount over the row-major flat index sums in input order, like np.add.at
-    flat = ((cols ^ xmask[:, None]) << k | cols).ravel()
-    out = np.empty(cols.size**2, dtype=complex)
-    out.real = np.bincount(flat, weights=values.real.ravel(), minlength=out.size)
-    out.imag = np.bincount(flat, weights=values.imag.ravel(), minlength=out.size)
-    return out.reshape(cols.size, cols.size)
+    return PauliOperator.from_masks([c for c, _ in pauli_sum], masks, len(support)).dense()
 
 
 def _pauli_traces(matrix: np.ndarray, masks) -> np.ndarray:
-    """Tr(sigma_r matrix) for every string: the adjoint of _dense_from_masks.
+    """Tr(sigma_r matrix) for every string: the adjoint of PauliOperator.dense.
 
     Tr(sigma matrix) = i^nY sum_j (-1)^popcount(j & yz) matrix[j, j ^ x], so
     one product with the +-1 Walsh matrix gives the sum for every (x, yz).

@@ -1,6 +1,9 @@
-"""Every name a qitekit module imports is used in that module."""
+"""Every name a qitekit module imports is used in that module, and every
+function the benchmark's trace wraps still exists under its name."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -41,3 +44,19 @@ def test_module_uses_every_import(path):
     tree = ast.parse(path.read_text(), str(path))
     unused = sorted(set(_imported(tree)) - set(_used(tree)))
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_benchmark_trace_names_resolve():
+    # the benchmark's trace wraps these functions by name, so a rename would
+    # otherwise fail only in a traced benchmark run
+    path = PACKAGE.parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"qitekit.{module}.{fn}"
+        for module, fns in tracing.WRAPPED.items()
+        for fn in fns
+        if not callable(getattr(importlib.import_module(f"qitekit.{module}"), fn, None))
+    ]
+    assert tracing.WRAPPED and not missing, f"no longer resolve: {missing}"

@@ -38,7 +38,6 @@ from qitekit.statevector import (
     StateVector,
     _from_support_major,
     _pauli_masks,
-    _pauli_rows,
     _pauli_traces,
     apply_pauli_sum,
     apply_term_exp,
@@ -50,7 +49,7 @@ from qitekit.statevector import (
     zero_state,
 )
 
-from conftest import random_state
+from conftest import dense_pauli_string, random_state
 
 POOLS = ["pauli_full", "pauli_odd_y", "fermionic_number_conserving"]
 
@@ -262,9 +261,7 @@ def test_factored_solver_matches_dense_path(rng):
 
 def _register_system(state, term, strings, dtau, b_mode):
     """S and b from register-wide sigma_I |psi> rows and register-wide h."""
-    rows = _pauli_rows(
-        _pauli_masks(tuple(strings), tuple(range(state.n_qubits))), state.amplitudes
-    )
+    rows = np.array([dense_pauli_string(s) @ state.amplitudes for s in strings])
     smat = 2.0 * (rows.conj() @ rows.T).real
     if b_mode == "exact_delta0":
         propagated, _ = apply_term_exp(state, term, dtau)
@@ -632,17 +629,12 @@ def test_step_route_by_pool_and_noise(monkeypatch, kind, noise, explicit, n, sup
     # and a pool short of its support's parity-even strings enumerate the
     # pool and form S explicitly
     import qitekit.qite as qite_module
-    import qitekit.statevector as statevector_module
 
     calls = []
-    patched = [(statevector_module, "_pauli_rows")] + [
-        (qite_module, name)
-        for name in ("enumerate_pool", "_pauli_masks", "_pauli_traces", "solve_step")
-    ]
-    for module, name in patched:
-        original = getattr(module, name)
+    for name in ("enumerate_pool", "_pauli_masks", "_pauli_traces", "solve_step"):
+        original = getattr(qite_module, name)
         monkeypatch.setattr(
-            module, name, lambda *a, _n=name, _f=original: calls.append(_n) or _f(*a)
+            qite_module, name, lambda *a, _n=name, _f=original: calls.append(_n) or _f(*a)
         )
     term = _random_term(np.random.default_rng(1), n, support)
     cfg = QiteConfig(domain_size=4, pool_kind=kind, noise_sigma=noise)

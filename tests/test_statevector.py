@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qitekit.errors import DimensionError, ResourceError
 from qitekit.pauli import OperatorPool, PauliString, enumerate_pool
 from qitekit.statevector import (
-    _dense_from_masks,
     _pauli_masks,
     _pauli_traces,
     _signs,
+    PauliOperator,
     StateVector,
     apply_pauli,
     apply_pauli_sum,
@@ -122,6 +124,10 @@ def test_statevector_validation():
         StateVector(np.ones(4) / 2.0, 1)
     with pytest.raises(DimensionError):
         StateVector(np.ones(4), 2)  # unnormalized
+    with pytest.raises(DimensionError):
+        StateVector(np.full(4, np.nan), 2)  # a NaN norm compares false with anything
+    with pytest.raises(DimensionError):
+        StateVector(np.array([np.inf, 0, 0, 0]), 2)
     with pytest.raises(DimensionError):
         zero_state(0)
     with pytest.raises(ResourceError):
@@ -257,9 +263,77 @@ def test_dense_from_masks_matches_add_at_bytes(kind, k, rng):
     rows = cols ^ xmask[:, None]
     want = np.zeros((2**k, 2**k), dtype=complex)
     np.add.at(want, (rows, np.broadcast_to(cols, rows.shape)), values)
-    got = _dense_from_masks(coeffs, masks, k)
+    got = PauliOperator.from_masks(coeffs, masks, k).dense()
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def _weighted_strings(draw, qubits, n_qubits, min_size=0):
+    """A list of (coefficient, string) with letters on ``qubits`` only."""
+    letters = st.lists(st.sampled_from("IXYZ"), min_size=len(qubits), max_size=len(qubits))
+    pairs = st.tuples(st.floats(-1.0, 1.0), letters)
+    entries = draw(st.lists(pairs, min_size=min_size, max_size=8))
+    return [
+        (c, PauliString.from_letters(dict(zip(qubits, word)), n_qubits)) for c, word in entries
+    ]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_dense_on_support_non_contiguous_property(data):
+    n = data.draw(st.integers(3, 7))
+    support = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=4, unique=True))
+    local = sorted(support)
+    assume(local[-1] - local[0] >= len(local))  # a gap inside the support
+    pauli_sum = _weighted_strings(data.draw, local, n, min_size=1)
+    want = sum(
+        c * dense_string({local.index(q): letter for q, letter in s.items}, len(local))
+        for c, s in pauli_sum
+    )
+    # the support's listed order does not matter: local bit j is its j-th smallest qubit
+    got = dense_on_support(pauli_sum, tuple(support))
+    assert got.dtype == complex and np.max(np.abs(got - want)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cancelled_strings_leave_no_x_group_property(data):
+    n = data.draw(st.integers(1, 5))
+    qubits = list(range(n))
+    kept = _weighted_strings(data.draw, qubits, n)
+    cancelled = _weighted_strings(data.draw, qubits, n, min_size=1)
+    pairs = [pair for c, s in cancelled for pair in ((c, s), (-c, s))]
+    vanished = PauliOperator.from_pauli_sum(pairs, n)
+    assert vanished.sources.shape == vanished.diagonals.shape == (0, 2**n)
+    assert vanished.is_diagonal and not vanished.diagonal().any()
+    assert not vanished.dense().any()
+    amps = random_state(n, np.random.default_rng(n))
+    assert not vanished.apply(amps).any()
+    # each pair sums to exact zeros first, so the kept strings alone decide the rest
+    op = PauliOperator.from_pauli_sum(pairs + kept, n)
+    alone = PauliOperator.from_pauli_sum(kept, n)
+    assert op.sources.tobytes() == alone.sources.tobytes()
+    assert op.diagonals.tobytes() == alone.diagonals.tobytes()
+    want = sum((c * dense_pauli_string(s) for c, s in kept), np.zeros((2**n, 2**n)))
+    assert np.max(np.abs(op.dense() - want)) < 1e-12
+    state = StateVector(amps, n)
+    assert np.max(np.abs(apply_pauli_sum(state, pairs + kept) - want @ amps)) < 1e-12
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_apply_pauli_sum_refuses_wrong_width_property(data):
+    n = data.draw(st.integers(1, 4))
+    width = data.draw(st.integers(1, 5).filter(lambda m: m != n))
+    good = _weighted_strings(data.draw, list(range(n)), n)
+    label = data.draw(st.text(alphabet="IXYZ", min_size=width, max_size=width))
+    position = data.draw(st.integers(0, len(good)))
+    pauli_sum = good[:position] + [(1.0, PauliString.from_label(label))] + good[position:]
+    state = StateVector(random_state(n, np.random.default_rng(width)), n)
+    with pytest.raises(DimensionError, match="widths differ"):
+        apply_pauli_sum(state, pauli_sum)
+    with pytest.raises(DimensionError, match="widths differ"):
+        expectation_sum(state, pauli_sum)
 
 
 @pytest.mark.parametrize("kind", ["pauli_full", "pauli_odd_y", "fermionic_number_conserving"])
