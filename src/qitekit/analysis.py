@@ -18,13 +18,7 @@ import numpy as np
 from .errors import DimensionError, NumericalError, ResourceError
 from .hamiltonians import Hamiltonian, to_dense
 from .pauli import odd_y_count
-from .statevector import (
-    DEFAULT_MAX_QUBITS,
-    MAX_DENSE_QUBITS,
-    PauliOperator,
-    StateVector,
-    reduced_density_matrix,
-)
+from .statevector import MAX_DENSE_QUBITS, PauliOperator, StateVector, reduced_density_matrix
 
 # The ground oracle runs Lanczos on H's operator from 2^n = _LANCZOS_MIN_DIM
 # amplitudes on, and a dense eigh below: for the whole ground space (one BLAS
@@ -118,11 +112,11 @@ class SpectralDecomposition:
         return float((weights @ diag) / weights.sum())
 
 
-def check_dense(hamiltonian: Hamiltonian, max_qubits: int = DEFAULT_MAX_QUBITS) -> None:
+def check_dense(hamiltonian: Hamiltonian) -> None:
     """Refuse, before allocating anything, a dense diagonalization wider than
-    ``max_qubits`` or MAX_DENSE_QUBITS, stating the bytes it would need."""
-    n, ceiling = hamiltonian.n_qubits, min(max_qubits, MAX_DENSE_QUBITS)
-    if n > ceiling:
+    MAX_DENSE_QUBITS, stating the bytes it would need."""
+    n = hamiltonian.n_qubits
+    if n > MAX_DENSE_QUBITS:
         odd_y = any(s.y_count % 2 for t in hamiltonian.terms for _, s in t.pauli_sum)
         # the matrix, eigh's copies of it (the eigenvectors among them) and its
         # workspace: a real H peaked at 4.8 matrices on 12 and 13 qubits
@@ -130,16 +124,14 @@ def check_dense(hamiltonian: Hamiltonian, max_qubits: int = DEFAULT_MAX_QUBITS) 
         raise ResourceError(
             f"a dense diagonalization of H on {n} qubits needs about {need / 1e9:.3g} GB "
             f"(matrix, eigenvectors and eigh workspace); the dense ceiling is "
-            f"{ceiling} qubits"
+            f"{MAX_DENSE_QUBITS} qubits"
         )
 
 
-def spectral(
-    hamiltonian: Hamiltonian, max_qubits: int = DEFAULT_MAX_QUBITS
-) -> SpectralDecomposition:
+def spectral(hamiltonian: Hamiltonian) -> SpectralDecomposition:
     """Full diagonalization of H, in float64 when its matrix has no imaginary part."""
-    check_dense(hamiltonian, max_qubits)
-    evals, evecs = np.linalg.eigh(to_dense(hamiltonian, max_qubits=max_qubits))
+    check_dense(hamiltonian)
+    evals, evecs = np.linalg.eigh(to_dense(hamiltonian))
     return SpectralDecomposition(evals, evecs)
 
 
@@ -169,25 +161,19 @@ class GroundSpace:
         return float(np.sum(np.abs(_overlaps(self.basis, state)) ** 2))
 
 
-def ground_space(
-    hamiltonian: Hamiltonian, degeneracy_tol: float = 1e-10,
-    max_qubits: int = DEFAULT_MAX_QUBITS,
-) -> GroundSpace:
+def ground_space(hamiltonian: Hamiltonian, degeneracy_tol: float = 1e-10) -> GroundSpace:
     """E0 and the ground space of H, by its cheapest exact route.
 
     A diagonal H reads both off its diagonal; below 2^n = _LANCZOS_MIN_DIM
     they come from ``spectral``, from there on from ``lanczos_ground``.
     """
-    n = hamiltonian.n_qubits
-    if n > max_qubits:
-        raise ResourceError(f"ground space on {n} qubits exceeds ceiling {max_qubits}")
     operator = hamiltonian.operator
     if operator.is_diagonal:
         diagonal = operator.diagonal()
         e0 = float(diagonal.min())
         return GroundSpace(e0, np.flatnonzero(diagonal <= e0 + degeneracy_tol), "diagonal")
-    if 2**n < _LANCZOS_MIN_DIM:
-        return spectral(hamiltonian, max_qubits).ground(degeneracy_tol)
+    if 2**hamiltonian.n_qubits < _LANCZOS_MIN_DIM:
+        return spectral(hamiltonian).ground(degeneracy_tol)
     return lanczos_ground(operator, degeneracy_tol)
 
 
@@ -290,11 +276,9 @@ def _lowest_ritz(apply, start: np.ndarray, locked: np.ndarray):
         start = evecs[:, 0] @ krylov
 
 
-def exact_ground(
-    hamiltonian: Hamiltonian, max_qubits: int = DEFAULT_MAX_QUBITS
-) -> Tuple[float, StateVector]:
+def exact_ground(hamiltonian: Hamiltonian) -> Tuple[float, StateVector]:
     """Lowest eigenvalue and one minimizing eigenvector."""
-    ground = ground_space(hamiltonian, max_qubits=max_qubits)
+    ground = ground_space(hamiltonian)
     if ground.basis.ndim == 1:  # a diagonal H: the first ground basis state
         vec = np.zeros(2**hamiltonian.n_qubits)
         vec[ground.basis[0]] = 1.0
@@ -304,42 +288,34 @@ def exact_ground(
 
 
 def ground_space_fidelity(
-    state: StateVector, hamiltonian: Hamiltonian, degeneracy_tol: float = 1e-10,
-    max_qubits: int = DEFAULT_MAX_QUBITS,
+    state: StateVector, hamiltonian: Hamiltonian, degeneracy_tol: float = 1e-10
 ) -> float:
     """Probability mass of ``state`` inside the (possibly degenerate) ground space."""
-    return ground_space(hamiltonian, degeneracy_tol, max_qubits).fidelity(state)
+    return ground_space(hamiltonian, degeneracy_tol).fidelity(state)
 
 
-def exact_ite(
-    state0: StateVector, hamiltonian: Hamiltonian, beta: float, max_qubits: int = DEFAULT_MAX_QUBITS
-) -> StateVector:
+def exact_ite(state0: StateVector, hamiltonian: Hamiltonian, beta: float) -> StateVector:
     """Normalized e^{-beta H} |psi0> by spectral decomposition."""
-    return spectral(hamiltonian, max_qubits).ite(state0, beta)
+    return spectral(hamiltonian).ite(state0, beta)
 
 
-def exact_ite_energy(
-    state0: StateVector, hamiltonian: Hamiltonian, beta: float, max_qubits: int = DEFAULT_MAX_QUBITS
-) -> float:
-    return spectral(hamiltonian, max_qubits).ite_energy(state0, beta)
+def exact_ite_energy(state0: StateVector, hamiltonian: Hamiltonian, beta: float) -> float:
+    return spectral(hamiltonian).ite_energy(state0, beta)
 
 
-def exact_ite_squared_norm(
-    state0: StateVector, hamiltonian: Hamiltonian, beta: float, max_qubits: int = DEFAULT_MAX_QUBITS
-) -> float:
+def exact_ite_squared_norm(state0: StateVector, hamiltonian: Hamiltonian, beta: float) -> float:
     """|| e^{-beta H} |psi0> ||^2 without eigenvalue shifting (may be huge)."""
-    return spectral(hamiltonian, max_qubits).ite_squared_norm(state0, beta)
+    return spectral(hamiltonian).ite_squared_norm(state0, beta)
 
 
 def gibbs_average(
-    hamiltonian: Hamiltonian, beta: float, observable: Optional[Hamiltonian] = None,
-    max_qubits: int = DEFAULT_MAX_QUBITS,
+    hamiltonian: Hamiltonian, beta: float, observable: Optional[Hamiltonian] = None
 ) -> float:
     """Tr[O e^{-beta H}] / Tr[e^{-beta H}] with O defaulting to H itself."""
     if observable is not None and observable.n_qubits != hamiltonian.n_qubits:
         raise DimensionError("observable width differs from Hamiltonian")
-    obs = None if observable is None else to_dense(observable, max_qubits=max_qubits)
-    return spectral(hamiltonian, max_qubits).gibbs(beta, obs)
+    dec = spectral(hamiltonian)  # refuses a wide H before O is densified
+    return dec.gibbs(beta, None if observable is None else to_dense(observable))
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,6 @@ from .qite import QiteConfig, qite_evolve
 from .qlanczos import qlanczos_run
 from .qmetts import MettsConfig, metts_chain
 from .statevector import (
-    DEFAULT_MAX_QUBITS,
     StateVector,
     neel_state,
     plus_state,
@@ -84,6 +83,8 @@ def _exit_code(exc: BaseException) -> int:
 
 
 _BOUND_TOL = 1e-9
+# widest model that run, count and compare accept unless --max-qubits says otherwise
+DEFAULT_MAX_QUBITS = 14
 
 
 # ---------------------------------------------------------------------------
@@ -103,9 +104,9 @@ def _read(path: Path, parse=json.loads):
         ) from exc
 
 
-def load_config(path: Path) -> dict:
+def load_config(path: Path, max_qubits: int = DEFAULT_MAX_QUBITS) -> dict:
     config = _read(path)
-    validate_config(config, origin=str(path))
+    validate_config(config, str(path), max_qubits)
     return config
 
 
@@ -117,8 +118,11 @@ def _finite(value) -> bool:
     return not isinstance(value, float) or math.isfinite(value)
 
 
-def validate_config(config: dict, origin: str = "config") -> None:
-    """Refuse, naming ``origin``, what the config alone decides."""
+def validate_config(
+    config: dict, origin: str = "config", max_qubits: int = DEFAULT_MAX_QUBITS
+) -> None:
+    """Refuse, naming ``origin``, what the config alone decides, and then a
+    model wider than ``max_qubits``."""
     try:
         if not _finite(config):
             raise ConfigError("numbers must be finite, not NaN or Infinity")
@@ -136,6 +140,10 @@ def validate_config(config: dict, origin: str = "config") -> None:
         hamiltonian = build_model(config.get("model"))
         _initial_choice(config, hamiltonian.n_qubits)
         _settings(config, hamiltonian)
+        if hamiltonian.n_qubits > max_qubits:
+            raise ResourceError(
+                f"model needs {hamiltonian.n_qubits} qubits, limit is {max_qubits}"
+            )
     except QitekitError as exc:
         raise type(exc)(f"{origin}: {exc}") from exc
 
@@ -198,9 +206,9 @@ def build_model(model_block: dict) -> Hamiltonian:
         raise ConfigError(f"model {name!r}: {exc}") from exc
 
 
-def _half_filled(n_qubits: int, max_qubits: int) -> StateVector:
+def _half_filled(n_qubits: int) -> StateVector:
     label = "".join("10" if i % 2 == 0 else "01" for i in range(n_qubits // 2))
-    return product_state(label, max_qubits)
+    return product_state(label)
 
 
 _INITIAL_STATES = {"zeros": zero_state, "neel": neel_state, "plus": plus_state,
@@ -224,20 +232,16 @@ def _initial_choice(config: dict, n_qubits: int):
     return choice
 
 
-def build_initial_state(config: dict, n_qubits: int, max_qubits: int) -> StateVector:
+def build_initial_state(config: dict, n_qubits: int) -> StateVector:
     choice = _initial_choice(config, n_qubits)
     if isinstance(choice, dict):
-        return product_state(choice["bits"], max_qubits)
-    return _INITIAL_STATES[choice](n_qubits, max_qubits)
+        return product_state(choice["bits"])
+    return _INITIAL_STATES[choice](n_qubits)
 
 
-def _model_and_state(config: dict, max_qubits: int) -> Tuple[Hamiltonian, StateVector]:
+def _model_and_state(config: dict) -> Tuple[Hamiltonian, StateVector]:
     hamiltonian = build_model(config["model"])
-    if hamiltonian.n_qubits > max_qubits:
-        raise ResourceError(
-            f"model needs {hamiltonian.n_qubits} qubits, limit is {max_qubits}"
-        )
-    return hamiltonian, build_initial_state(config, hamiltonian.n_qubits, max_qubits)
+    return hamiltonian, build_initial_state(config, hamiltonian.n_qubits)
 
 
 def _qite_config(block: dict, where: str) -> QiteConfig:
@@ -344,12 +348,12 @@ _TABLES = {
 }
 
 
-def _oracle(algorithm: str, hamiltonian: Hamiltonian, max_qubits: int):
+def _oracle(algorithm: str, hamiltonian: Hamiltonian):
     """The oracle a run reads: the GroundSpace of a qite or qlanczos run, or
     the SpectralDecomposition that Gibbs averages and exact ITE need."""
     if algorithm in ("qite", "qlanczos"):
-        return ground_space(hamiltonian, _BOUND_TOL, max_qubits)
-    return spectral(hamiltonian, max_qubits)
+        return ground_space(hamiltonian, _BOUND_TOL)
+    return spectral(hamiltonian)
 
 
 def _oracle_record(oracle) -> Optional[dict]:
@@ -475,16 +479,11 @@ _RUNNERS = {
 }
 
 
-def execute_run(
-    config: dict,
-    out_dir: Path,
-    seed_override: Optional[int] = None,
-    max_qubits: int = DEFAULT_MAX_QUBITS,
-) -> dict:
+def execute_run(config: dict, out_dir: Path, seed_override: Optional[int] = None) -> dict:
     """Run one validated config into ``out_dir`` and return its summary."""
     algorithm = config["algorithm"]
     seed = seed_override if seed_override is not None else config.get("seed", 0)
-    hamiltonian, state0 = _model_and_state(config, max_qubits)
+    hamiltonian, state0 = _model_and_state(config)
     settings = _settings(config, hamiltonian)
     # only a run that draws builds a generator (and imports numpy.random);
     # the library refuses a draw without one
@@ -504,7 +503,7 @@ def execute_run(
 
     start = time.perf_counter()
     try:
-        oracle = None if algorithm == "count" else _oracle(algorithm, hamiltonian, max_qubits)
+        oracle = None if algorithm == "count" else _oracle(algorithm, hamiltonian)
         oracle_s = 0.0 if oracle is None else time.perf_counter() - start
         rows, summary = _RUNNERS[algorithm](settings, hamiltonian, state0, rng, oracle)
     except Exception as exc:  # recorded, then raised on to main
@@ -545,7 +544,7 @@ def execute_run(
 
 def cmd_run(args) -> int:
     # validate every config before creating any output path
-    configs = [(path, load_config(Path(path))) for path in args.config]
+    configs = [(path, load_config(Path(path), args.max_qubits)) for path in args.config]
     out_root = Path(args.out)
     if len(configs) == 1:
         targets = [out_root]
@@ -558,7 +557,7 @@ def cmd_run(args) -> int:
             targets.append(out_root / name)
 
     for (path, config), target in zip(configs, targets):
-        summary = execute_run(config, target, args.seed_override, args.max_qubits)
+        summary = execute_run(config, target, args.seed_override)
         headline = {
             k: summary[k]
             for k in ("energy_final", "e_qlanczos_final", "mean", "p_total")
@@ -568,17 +567,17 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _load_run_dir(run_dir: Path) -> dict:
+def _load_run_dir(run_dir: Path, max_qubits: int) -> dict:
     """The validated config of the completed run in ``run_dir``."""
     manifest = _read(Path(run_dir) / "manifest.json")
     if not isinstance(manifest, dict) or manifest.get("status") != "completed":
         raise ConfigError(f"{run_dir}: run did not complete")
-    validate_config(manifest.get("config"), origin=str(run_dir))
+    validate_config(manifest.get("config"), str(run_dir), max_qubits)
     return manifest["config"]
 
 
 def cmd_compare(args) -> int:
-    configs = [_load_run_dir(Path(d)) for d in args.run]
+    configs = [_load_run_dir(Path(d), args.max_qubits) for d in args.run]
     for run_dir, config in zip(args.run[1:], configs[1:]):
         if any(config.get(k) != configs[0].get(k) for k in ("algorithm", "model", "initial_state")):
             raise ConfigError(f"{run_dir}: algorithm, model or initial state differs "
@@ -587,10 +586,10 @@ def cmd_compare(args) -> int:
     if algorithm not in ("qite", "qlanczos", "qmetts"):
         raise ConfigError(f"compare is not defined for algorithm {algorithm!r}")
 
-    hamiltonian, state0 = _model_and_state(configs[0], args.max_qubits)
+    hamiltonian, state0 = _model_and_state(configs[0])
     # qite rows read exact ITE and E0, qmetts rows Gibbs averages; qlanczos
     # rows read no oracle
-    dec = None if algorithm == "qlanczos" else spectral(hamiltonian, args.max_qubits)
+    dec = None if algorithm == "qlanczos" else spectral(hamiltonian)
     header, rows = _compare_rows(algorithm, args.run, state0, dec)
     if args.out:
         _write_csv(Path(args.out), header, rows)
@@ -665,13 +664,11 @@ def _numbers(record, keys, where) -> List[float]:
 
 
 def cmd_count(args) -> int:
-    config = load_config(Path(args.config))
+    config = load_config(Path(args.config), args.max_qubits)
     if config["algorithm"] != "count":
         raise ConfigError("count subcommand needs a config with algorithm 'count'")
     if args.out:
-        summary = execute_run(
-            config, Path(args.out), args.seed_override, args.max_qubits
-        )
+        summary = execute_run(config, Path(args.out), args.seed_override)
     else:
         _, summary = _run_count(_settings(config, None), None, None, None, None)
     print(summary["p_total"])

@@ -16,9 +16,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, DimensionError, ResourceError
+from .errors import ConfigError, DataFormatError, DimensionError
 from .pauli import PauliString
-from .statevector import DEFAULT_MAX_QUBITS, PauliOperator, StateVector
+from .statevector import PauliOperator, StateVector
 
 PauliSum = Tuple[Tuple[float, PauliString], ...]
 
@@ -80,11 +80,8 @@ def energy(state: StateVector, hamiltonian: Hamiltonian) -> float:
     return hamiltonian.offset + float(np.vdot(amps, hamiltonian.operator.apply(amps)).real)
 
 
-def to_dense(hamiltonian: Hamiltonian, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
+def to_dense(hamiltonian: Hamiltonian) -> np.ndarray:
     """Full 2^n x 2^n matrix, offset included; float64 when H is real."""
-    n = hamiltonian.n_qubits
-    if n > max_qubits:
-        raise ResourceError(f"dense matrix on {n} qubits exceeds ceiling {max_qubits}")
     return hamiltonian.operator.dense()
 
 

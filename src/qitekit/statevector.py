@@ -15,12 +15,11 @@ import numpy as np
 from .errors import DimensionError, ResourceError
 from .pauli import PauliString
 
-DEFAULT_MAX_QUBITS = 14
 # widest H that a dense diagonalization may take: a real Heisenberg H on 13
 # qubits peaked at 2.6 GB (matrix, eigenvectors and eigh workspace), on 14 it
 # would need about 10.7 GB
 MAX_DENSE_QUBITS = 13
-DEFAULT_MAX_RDM_QUBITS = 8
+MAX_RDM_QUBITS = 8
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -62,26 +61,22 @@ class DensityMatrix:
     qubits: Tuple[int, ...]
 
 
-def _check_register(n_qubits: int, max_qubits: int) -> None:
+def _check_register(n_qubits: int) -> None:
     if n_qubits < 1:
         raise DimensionError("need at least one qubit")
-    if n_qubits > max_qubits:
-        raise ResourceError(
-            f"{n_qubits} qubits exceeds the configured ceiling of {max_qubits}"
-        )
 
 
-def zero_state(n_qubits: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
-    _check_register(n_qubits, max_qubits)
+def zero_state(n_qubits: int) -> StateVector:
+    _check_register(n_qubits)
     amps = np.zeros(2**n_qubits, dtype=complex)
     amps[0] = 1.0
     return StateVector(amps, n_qubits)
 
 
-def product_state(label: str, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
+def product_state(label: str) -> StateVector:
     """Product state from a per-qubit label over {0, 1, +, -}, qubit 0 first."""
     n = len(label)
-    _check_register(n, max_qubits)
+    _check_register(n)
     amps = np.array([1.0 + 0j])
     for ch in reversed(label):  # highest qubit becomes the outer kron factor
         if ch not in _BASIS_VECTORS:
@@ -90,17 +85,15 @@ def product_state(label: str, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVect
     return StateVector(amps, n)
 
 
-def neel_state(n_qubits: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
-    return product_state("01" * (n_qubits // 2) + "0" * (n_qubits % 2), max_qubits)
+def neel_state(n_qubits: int) -> StateVector:
+    return product_state("01" * (n_qubits // 2) + "0" * (n_qubits % 2))
 
 
-def plus_state(n_qubits: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
-    return product_state("+" * n_qubits, max_qubits)
+def plus_state(n_qubits: int) -> StateVector:
+    return product_state("+" * n_qubits)
 
 
-def singlet_dimer_state(
-    n_qubits: int, max_qubits: int = DEFAULT_MAX_QUBITS
-) -> StateVector:
+def singlet_dimer_state(n_qubits: int) -> StateVector:
     """Product of two-qubit singlets on pairs (0,1), (2,3), ...
 
     A total-spin-zero valence-bond trial state; useful as a fast-converging
@@ -108,7 +101,7 @@ def singlet_dimer_state(
     """
     if n_qubits % 2:
         raise ValueError("singlet dimer state needs an even qubit count")
-    _check_register(n_qubits, max_qubits)
+    _check_register(n_qubits)
     singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
     amps = np.array([1.0])
     for _ in range(n_qubits // 2):
@@ -352,19 +345,15 @@ def apply_term_exp(state: StateVector, term, dtau: float):
 # reduced density matrices and projective measurement
 
 
-def reduced_density_matrix(
-    state: StateVector,
-    qubits: Sequence[int],
-    max_qubits: int = DEFAULT_MAX_RDM_QUBITS,
-) -> DensityMatrix:
+def reduced_density_matrix(state: StateVector, qubits: Sequence[int]) -> DensityMatrix:
     qubits = tuple(qubits)
     if not qubits or any(q2 <= q1 for q1, q2 in zip(qubits, qubits[1:])):
         raise DimensionError("qubits must be a non-empty strictly increasing tuple")
     if qubits[0] < 0 or qubits[-1] >= state.n_qubits:
         raise DimensionError(f"qubits {qubits} outside register")
-    if len(qubits) > max_qubits:
+    if len(qubits) > MAX_RDM_QUBITS:
         raise ResourceError(
-            f"reduced density matrix on {len(qubits)} qubits exceeds ceiling {max_qubits}"
+            f"reduced density matrix on {len(qubits)} qubits exceeds ceiling {MAX_RDM_QUBITS}"
         )
     shaped = _support_major(state.amplitudes, qubits, state.n_qubits)
     rho = shaped @ shaped.conj().T
@@ -395,4 +384,4 @@ def measure_collapse(state: StateVector, bases: Sequence[str], rng: np.random.Ge
         bit = (outcome >> q) & 1
         chars.append(("-" if bit else "+") if basis == "X" else ("1" if bit else "0"))
     label = "".join(chars)
-    return label, product_state(label, max_qubits=state.n_qubits)
+    return label, product_state(label)

@@ -217,6 +217,19 @@ def test_gibbs_average_monotone_and_observable():
         gibbs_average(h, -1.0)
 
 
+def test_gibbs_average_refuses_a_wide_h_before_densifying_the_observable(monkeypatch):
+    # the dense observable of a 14-qubit H would take 2.1 GB
+    import qitekit.analysis
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("to_dense was called")
+
+    monkeypatch.setattr(qitekit.analysis, "to_dense", refuse)
+    h = heisenberg_1d(14)
+    with pytest.raises(ResourceError, match="ceiling is 13 qubits"):
+        gibbs_average(h, 1.0, observable=h)
+
+
 def test_ground_space_fidelity_degenerate():
     # maxcut ground space of the triangle graph is 6-fold degenerate
     h = maxcut(3, [(0, 1), (1, 2), (0, 2)])
@@ -302,11 +315,9 @@ def test_ground_space_routes():
 
 
 def test_dense_oracle_refuses_above_its_ceiling():
-    # one ceiling: the narrower of max_qubits and MAX_DENSE_QUBITS
+    # one ceiling, MAX_DENSE_QUBITS
     with pytest.raises(ResourceError, match=r"about 10\.7 GB .* ceiling is 13 qubits"):
         spectral(tfi_1d(14, 1.0, 1.0))
-    with pytest.raises(ResourceError, match=r"about 2\.68 GB .* ceiling is 12 qubits"):
-        spectral(tfi_1d(13, 1.0, 1.0), max_qubits=12)
     complex_h = _pauli_hamiltonian(14, [(1.0, "Y" + "I" * 13)])
     with pytest.raises(ResourceError, match=r"about 21\.5 GB"):
         spectral(complex_h)

@@ -369,14 +369,14 @@ def test_initial_state_resolution(tmp_path):
     }
     h = build_model(cfg["model"])
     # model default is the alternating product state
-    state = build_initial_state(cfg, h.n_qubits, 14)
+    state = build_initial_state(cfg, h.n_qubits)
     assert abs(state.amplitudes[0b1010] - 1.0) < 1e-12
-    explicit = build_initial_state({**cfg, "initial_state": {"bits": "+one".replace("one", "-00")}}, 4, 14)
+    explicit = build_initial_state({**cfg, "initial_state": {"bits": "+one".replace("one", "-00")}}, 4)
     assert explicit.n_qubits == 4
     with pytest.raises(ConfigError):
-        build_initial_state({**cfg, "initial_state": {"bits": "01"}}, 4, 14)
+        build_initial_state({**cfg, "initial_state": {"bits": "01"}}, 4)
     with pytest.raises(ConfigError):
-        build_initial_state({**cfg, "initial_state": "singlet_dimers"}, 3, 14)
+        build_initial_state({**cfg, "initial_state": "singlet_dimers"}, 3)
 
 
 # ---------------------------------------------------------------- running
@@ -411,16 +411,36 @@ def test_run_one_qubit_and_reproducibility(tmp_path, capsys):
     assert header == "sweep,beta,energy,fidelity_opt"
 
 
-def test_max_qubits_is_enforced(tmp_path):
-    cfg = {
+def test_max_qubits_is_enforced(tmp_path, capsys):
+    # run, count and compare refuse a model wider than --max-qubits for every
+    # config, before any output path exists, naming the config or the run
+    narrow = write_config(tmp_path, one_qubit_run_config(n_steps=2), "narrow.json")
+    wide = write_config(tmp_path, {
         "algorithm": "qite",
         "model": {"name": "heisenberg_1d", "params": {"n_qubits": 4}},
         "qite": {"n_steps": 1},
-    }
-    path = write_config(tmp_path, cfg)
+    }, "wide.json")
     out = tmp_path / "out"
-    code = main(["run", "--config", str(path), "--out", str(out), "--max-qubits", "3"])
+    args = ["run", "--config", str(narrow), "--config", str(wide), "--out", str(out)]
+    assert main(args + ["--max-qubits", "3"]) == EXIT_RESOURCE
+    assert not out.exists()
+    assert f"{wide}: model needs 4 qubits, limit is 3" in capsys.readouterr().err
+
+    count = str(CONFIG_DIR / "c07_count_k4_t7.json")
+    assert main(["count", "--config", count, "--max-qubits", "2"]) == EXIT_RESOURCE
+    assert main(["count", "--config", count, "--max-qubits", "2", "--out", str(out)]) == EXIT_RESOURCE
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("limit is 2") == 2
+
+    run = tmp_path / "run"
+    assert main(["run", "--config", str(wide), "--out", str(run)]) == EXIT_OK
+    capsys.readouterr()
+    target = tmp_path / "compare.csv"
+    code = main(["compare", "--run", str(run), "--out", str(target), "--max-qubits", "3"])
     assert code == EXIT_RESOURCE
+    assert not target.exists()
+    assert f"{run}: model needs 4 qubits, limit is 3" in capsys.readouterr().err
 
 
 def heisenberg_config(algorithm, n_qubits, n_steps):
@@ -713,9 +733,9 @@ def count_spectral_calls(monkeypatch):
 
     calls = []
 
-    def counting(hamiltonian, max_qubits=14):
+    def counting(hamiltonian):
         calls.append(hamiltonian)
-        return spectral(hamiltonian, max_qubits)
+        return spectral(hamiltonian)
 
     for module in (qitekit.cli, qitekit.analysis):
         monkeypatch.setattr(module, "spectral", counting)
@@ -900,7 +920,7 @@ def test_batch_run_validates_each_config_once(tmp_path, monkeypatch):
     monkeypatch.setattr(
         cli_module,
         "validate_config",
-        lambda config, origin="config": origins.append(origin) or original(config, origin),
+        lambda *args: origins.append(args[1]) or original(*args),
     )
     p1 = write_config(tmp_path, one_qubit_run_config(n_steps=2), "alpha.json")
     p2 = write_config(tmp_path, one_qubit_run_config(n_steps=2), "bravo.json")

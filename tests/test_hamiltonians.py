@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qitekit.errors import ConfigError, DataFormatError, DimensionError, ResourceError
+from qitekit.errors import ConfigError, DataFormatError, DimensionError
 from qitekit.hamiltonians import (
     Hamiltonian,
     LocalTerm,
@@ -48,8 +48,6 @@ def test_to_dense_matches_oracle():
         maxcut_six_vertex_instance(),
     ]:
         assert np.allclose(to_dense(h), dense_hamiltonian(h))
-    with pytest.raises(ResourceError):
-        to_dense(heisenberg_1d(4), max_qubits=3)
 
 
 @st.composite

@@ -60,3 +60,17 @@ def test_benchmark_trace_names_resolve():
         if not callable(getattr(importlib.import_module(f"qitekit.{module}"), fn, None))
     ]
     assert tracing.WRAPPED and not missing, f"no longer resolve: {missing}"
+
+
+def test_only_the_cli_takes_max_qubits():
+    # the CLI checks --max-qubits once, when it validates a config; no
+    # library function carries a width ceiling of its own
+    offenders = [
+        f"{path.name}:{node.name}"
+        for path in MODULES
+        if path.name != "cli.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and "max_qubits" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+    ]
+    assert not offenders, f"take a max_qubits parameter: {offenders}"

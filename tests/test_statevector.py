@@ -130,8 +130,6 @@ def test_statevector_validation():
         StateVector(np.array([np.inf, 0, 0, 0]), 2)
     with pytest.raises(DimensionError):
         zero_state(0)
-    with pytest.raises(ResourceError):
-        zero_state(9, max_qubits=8)
 
 
 # ------------------------------------------------- Pauli action and overlap
@@ -376,7 +374,7 @@ def test_reduced_density_matrix_guards():
     with pytest.raises(DimensionError):
         reduced_density_matrix(state, (0, 9))
     with pytest.raises(ResourceError):
-        reduced_density_matrix(state, (0, 1, 2), max_qubits=2)
+        reduced_density_matrix(zero_state(9), tuple(range(9)))
 
 
 def test_measure_collapse_deterministic_on_product_states(rng):
