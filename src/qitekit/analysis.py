@@ -11,14 +11,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .errors import DimensionError, NumericalError, ResourceError
 from .hamiltonians import Hamiltonian, to_dense
 from .pauli import odd_y_count
-from .statevector import MAX_DENSE_QUBITS, PauliOperator, StateVector, reduced_density_matrix
+from .statevector import MAX_DENSE_QUBITS, PauliOperator, StateVector, _support_major
 
 # The ground oracle runs Lanczos on H's operator from 2^n = _LANCZOS_MIN_DIM
 # amplitudes on, and a dense eigh below: for the whole ground space (one BLAS
@@ -322,29 +322,36 @@ def gibbs_average(
 # entanglement diagnostics
 
 
-def _entropy(rho: np.ndarray) -> float:
-    evals = np.linalg.eigvalsh(rho)
-    evals = np.clip(evals.real, 0.0, 1.0)
-    nonzero = evals[evals > 1e-15]
-    return float(-(nonzero * np.log(nonzero)).sum())
-
-
 def mutual_information(state: StateVector, i: int, j: int) -> float:
     """I(i:j) = S(i) + S(j) - S(ij) with natural-log entropies."""
-    return _mutual_information_pairs(state, [(i, j)])[0]
+    return float(_mutual_information_pairs([state], [(i, j)])[0, 0])
 
 
-def _mutual_information_pairs(state: StateVector, pairs) -> List[float]:
-    """I(i:j) for each pair, computing each one-site entropy once."""
-    if any(i == j for i, j in pairs):
-        raise DimensionError("mutual information needs two distinct qubits")
-    qubits = sorted({q for pair in pairs for q in pair})
-    single = {q: _entropy(reduced_density_matrix(state, (q,)).matrix) for q in qubits}
-    out = []
-    for i, j in pairs:
-        lo, hi = min(i, j), max(i, j)
-        s_ij = _entropy(reduced_density_matrix(state, (lo, hi)).matrix)
-        out.append(single[lo] + single[hi] - s_ij)
+def _entropies(amps: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Entropy of the reduced state on each support of a stacked gather index:
+    one product and one eigvalsh for the whole stack."""
+    f = amps[index]
+    evals = np.clip(np.linalg.eigvalsh(f @ f.conj().swapaxes(1, 2)), 0.0, 1.0)
+    evals = np.where(evals > 1e-15, evals, 1.0)  # log(1) = 0 drops the entry
+    return -(evals * np.log(evals)).sum(axis=1)
+
+
+def _mutual_information_pairs(states, pairs) -> np.ndarray:
+    """I(i:j) for every state and pair, shape (len(states), len(pairs)).
+
+    Each state is gathered on its own (P 2^n amplitudes for P pairs); every
+    one-site entropy is computed once per state."""
+    n = states[0].n_qubits
+    if any(i == j or not (0 <= i < n and 0 <= j < n) for i, j in pairs):
+        raise DimensionError("mutual information needs two distinct qubits of the register")
+    lo, hi = np.sort(np.array(pairs), axis=1).T
+    index = np.arange(2**n)
+    one_site = np.stack([_support_major(index, (q,), n) for q in range(n)])
+    two_site = np.stack([_support_major(index, p, n) for p in zip(lo, hi)])
+    out = np.empty((len(states), len(pairs)))
+    for row, state in zip(out, states):
+        single = _entropies(state.amplitudes, one_site)
+        row[:] = single[lo] + single[hi] - _entropies(state.amplitudes, two_site)
     return out
 
 

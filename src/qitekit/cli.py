@@ -432,16 +432,14 @@ def _run_qmetts(metts_cfg, hamiltonian, state0, rng, dec):
 
 def _run_mutualinfo(settings, hamiltonian, state0, rng, dec):
     betas, pairs = settings
-    rows = []
-    final_state = state0
-    for beta in betas:
-        final_state = dec.ite(state0, beta)
-        for (i, j), info in zip(pairs, _mutual_information_pairs(final_state, pairs)):
-            rows.append((_fmt(beta), str(i), str(j), _fmt(info)))
+    states = [dec.ite(state0, beta) for beta in betas]
+    values = _mutual_information_pairs(states, pairs)
+    rows = [(_fmt(beta), str(i), str(j), _fmt(info))
+            for beta, row in zip(betas, values) for (i, j), info in zip(pairs, row)]
     summary = {
         "betas": [float(b) for b in betas],
         "n_pairs": len(pairs),
-        "fidelity_ground_final": dec.ground(_BOUND_TOL).fidelity(final_state),
+        "fidelity_ground_final": dec.ground(_BOUND_TOL).fidelity(states[-1]),
         "e0_exact": float(dec.evals[0]),
     }
     return rows, summary

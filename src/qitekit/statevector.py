@@ -168,8 +168,8 @@ class PauliOperator:
     @staticmethod
     def from_masks(coefficients, masks, n_qubits: int, offset: float = 0.0) -> "PauliOperator":
         """offset + sum_r c_r sigma_r on ``n_qubits`` local bits from the strings'
-        (x, yz, i^nY) masks.  From one bit on, each D_x sums its strings in input
-        order from complex zeros, as np.add.at would, and ``dense`` matches it."""
+        (x, yz, i^nY) masks.  Each D_x sums its strings in input order from
+        complex zeros, as np.add.at would, and ``dense`` matches it."""
         xmask, yzmask, phase = masks
         order = np.argsort(xmask, kind="stable")  # each x-group contiguous, in input order
         yz, weights = yzmask[order], (np.asarray(coefficients) * phase)[order]
@@ -179,7 +179,10 @@ class PauliOperator:
         diagonals = np.zeros(sources.shape, dtype=complex)
         for diagonal, src, lo, hi in zip(diagonals, sources, bounds, bounds[1:]):
             values = weights[lo:hi, None] * _signs(src, yz[lo:hi, None])
-            np.add.reduce(values, axis=0, out=diagonal, initial=0.0)  # row by row, in order
+            if n_qubits:  # row by row, in input order
+                np.add.reduce(values, axis=0, out=diagonal, initial=0.0)
+            else:  # a reduce over a single column is pairwise; accumulate runs in order
+                diagonal += np.add.accumulate(values)[-1]
         live = diagonals.any(axis=1)
         return PauliOperator(n_qubits, float(offset), sources[live], diagonals[live])
 

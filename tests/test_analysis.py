@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from qitekit.analysis import (
     VQE_REFERENCE_COUNTS,
     CostQuery,
-    _entropy,
     _mutual_information_pairs,
     cut_values,
     exact_ground,
@@ -336,17 +335,36 @@ def test_mutual_information_known_states():
         mutual_information(bell, 1, 1)
 
 
-def test_mutual_information_pairs_match_per_pair_sum_bytes(rng):
-    state = StateVector(random_state(4, rng), 4)
-    pairs = [(0, 1), (2, 0), (1, 3), (2, 3), (0, 3)]
+def _per_pair_mutual_information(state, i, j):
+    """The loop the stacked kernel replaced: one reduced state and eigvalsh per support."""
 
     def entropy(qubits):
-        return _entropy(reduced_density_matrix(state, qubits).matrix)
+        evals = np.clip(np.linalg.eigvalsh(reduced_density_matrix(state, qubits).matrix), 0.0, 1.0)
+        nonzero = evals[evals > 1e-15]
+        return float(-(nonzero * np.log(nonzero)).sum())
 
-    want = [entropy((min(p),)) + entropy((max(p),)) - entropy(tuple(sorted(p))) for p in pairs]
-    assert _mutual_information_pairs(state, pairs) == want
-    with pytest.raises(DimensionError):
-        _mutual_information_pairs(state, [(0, 1), (2, 2)])
+    lo, hi = min(i, j), max(i, j)
+    return entropy((lo,)) + entropy((hi,)) - entropy((lo, hi))
+
+
+def test_mutual_information_pairs_match_per_pair_sum_bytes(rng):
+    cases = [
+        (2, [(0, 1), (1, 0)]),
+        (4, [(0, 1), (2, 0), (1, 3), (2, 3), (0, 3), (3, 1), (2, 0)]),
+        (6, [(0, 5), (5, 0), (2, 3), (4, 1), (2, 3), (3, 2), (1, 0)]),
+    ]  # reversed and repeated pairs included
+    for n, pairs in cases:
+        ghz = from_amplitudes(np.eye(2**n)[0] + np.eye(2**n)[-1])
+        states = [StateVector(random_state(n, rng), n), StateVector(random_real_state(n, rng), n),
+                  StateVector(random_state(n, rng), n), zero_state(n), plus_state(n), ghz]
+        want = [[_per_pair_mutual_information(s, i, j) for i, j in pairs] for s in states]
+        got = _mutual_information_pairs(states, pairs)
+        assert got.shape == (len(states), len(pairs))
+        assert got.tobytes() == np.array(want).tobytes()
+        with pytest.raises(DimensionError):
+            _mutual_information_pairs(states, [(0, 1), (1, 1)])
+        with pytest.raises(DimensionError):
+            _mutual_information_pairs(states, [(0, n)])
 
 
 def test_cut_values_and_success():

@@ -21,7 +21,7 @@ from qitekit.cli import (
     main,
     validate_config,
 )
-from qitekit.analysis import ground_space, spectral
+from qitekit.analysis import exact_ite, ground_space, mutual_information, spectral
 from qitekit.errors import ConfigError
 from qitekit.hamiltonians import heisenberg_1d
 
@@ -662,6 +662,26 @@ def test_mutualinfo_run(tmp_path):
     bad = {**cfg, "mutualinfo": {"betas": [1.0], "pairs": [[0, 7]]}}
     path = write_config(tmp_path, bad)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "bad")]) == EXIT_CONFIG
+
+
+def test_mutualinfo_rows_keep_the_given_pair_order(tmp_path):
+    model = {"name": "tfi_1d", "params": {"n_qubits": 4, "coupling": -1.0, "field": -1.25}}
+    betas = [0.0, 0.5, 2.0]
+    cfg = {"algorithm": "mutualinfo", "model": model, "initial_state": "neel",
+           "mutualinfo": {"betas": betas, "pairs": [[3, 1], [1, 3], [0, 2]]}}
+    execute_run(cfg, tmp_path / "out")
+    with open(tmp_path / "out" / "mutualinfo.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [(r["qubit_i"], r["qubit_j"]) for r in rows] == [("3", "1"), ("1", "3"), ("0", "2")] * 3
+    hamiltonian, state0 = build_model(model), build_initial_state(cfg, 4)
+    for k, beta in enumerate(betas):
+        block = rows[3 * k: 3 * k + 3]
+        assert all(float(r["beta"]) == beta for r in block)
+        assert block[0]["mutual_info"] == block[1]["mutual_info"]
+        state = exact_ite(state0, hamiltonian, beta)
+        for r in block:
+            want = mutual_information(state, int(r["qubit_i"]), int(r["qubit_j"]))
+            assert float(r["mutual_info"]) == want
 
 
 # ------------------------------------------------------------------ count

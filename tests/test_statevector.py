@@ -266,6 +266,17 @@ def test_dense_from_masks_matches_add_at_bytes(kind, k, rng):
     assert got.tobytes() == want.tobytes()
 
 
+def test_dense_identity_sum_on_empty_support_matches_add_at_bytes(rng):
+    # k = 0: the one x-group is a single column, which a reduce would sum pairwise
+    coeffs = rng.normal(size=40)
+    identity = PauliString.from_label("III")
+    want = np.zeros((1, 1), dtype=complex)
+    np.add.at(want, (np.zeros(40, int), np.zeros(40, int)), coeffs)
+    got = dense_on_support([(c, identity) for c in coeffs], ())
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def _weighted_strings(draw, qubits, n_qubits, min_size=0):
     """A list of (coefficient, string) with letters on ``qubits`` only."""
     letters = st.lists(st.sampled_from("IXYZ"), min_size=len(qubits), max_size=len(qubits))
