@@ -582,7 +582,7 @@ def cmd_compare(args) -> int:
                               f"from {args.run[0]}")
     algorithm = configs[0]["algorithm"]
     if algorithm not in ("qite", "qlanczos", "qmetts"):
-        raise ConfigError(f"compare is not defined for algorithm {algorithm!r}")
+        raise ConfigError(f"{args.run[0]}: compare is not defined for algorithm {algorithm!r}")
 
     hamiltonian, state0 = _model_and_state(configs[0])
     # qite rows read exact ITE and E0, qmetts rows Gibbs averages; qlanczos

@@ -173,9 +173,9 @@ class _TermPlan:
     h_eig: Tuple[np.ndarray, np.ndarray]  # eigh of the term on its own support
     h_support: Tuple[int, ...]
     # (x, yz, i^nY) per pool string over the support when the step forms S;
-    # None when it is solved in the eigenbasis or the range of rho
+    # None when it is solved in the eigenbasis of rho (_solve_in_rho)
     local_masks: Optional[Tuple[np.ndarray, ...]]
-    in_range: bool = False  # the step is solved in the range of rho
+    in_range: bool = False  # that eigenbasis is found on rho's range only
 
 
 def _term_plans(
@@ -186,7 +186,8 @@ def _term_plans(
     A noiseless step on a Pauli pool, or on a fermionic pool over a
     contiguous domain (the parity-even strings of the domain), is solved in
     the eigenbasis of rho on the domain and reads no pool; when rho's rank
-    is bounded well below 2^k (``_in_range``) it is solved in rho's range.
+    is bounded well below 2^k (``_in_range``) that basis is found on rho's
+    range only.
     Every other domain enumerates its pool and builds the pool's masks once;
     parity tails may widen its support.  A domain from choose_domain
     contains its term's support, so the support serves every term that
@@ -372,63 +373,32 @@ def solve_step(
 # stepping and sweeping
 
 
-def _solve_in_rho_basis(rho: np.ndarray, comm: np.ndarray, scale: float, config: QiteConfig):
-    """(generator, residual) of a noiseless step on a k-qubit support.
-
-    In the eigenbasis V of rho the full pool's S is 2^k (p_i + p_j) on each
-    pair (i, j) and B~ = i 2^k scale V^dagger comm V with comm = [G, rho], so
-    A = -V A~ V^dagger with A~ = B~ / (2^k (p_i + p_j) + delta) on the pairs
-    solve_step's cutoff keeps; the residual is |b| on dropped pairs.  The
-    odd-Y pool spans i times the real antisymmetric matrices: its pairs are
-    i != j in the real eigenbasis of Re rho, and B keeps i Re comm.  The
-    parity-even pool keeps the parity of the local index: its pairs lie in
-    the parity blocks, each block of rho gets its own eigh, and the
-    block-diagonal V rotates each diagonal block of comm by itself.
-    """
-    dim = rho.shape[0]
-    pairs = np.ones((dim, dim), dtype=bool)
-    if config.pool_kind == "pauli_odd_y":
-        rho, comm = rho.real, comm.real
-        pairs = ~np.eye(dim, dtype=bool)
-    if config.pool_kind == "fermionic_number_conserving":
-        parity = np.bitwise_count(np.arange(dim)) & 1
-        pairs = parity[:, None] == parity
-        p, basis = np.empty(dim), np.zeros_like(rho)
-        for block in (parity == 0, parity == 1):  # one eigh each: no mixing
-            cut = np.ix_(block, block)
-            p[block], basis[cut] = np.linalg.eigh(rho[cut])
-    else:
-        p, basis = np.linalg.eigh(rho)
-    rotated = basis.conj().T @ comm @ basis
-    s_eigs = dim * (p[:, None] + p)
-    s_max = float(s_eigs[pairs].max())
-    lam = s_eigs + config.delta
-    keep = pairs & (lam >= config.pinv_tol * (s_max + config.delta))
-    solved = np.where(keep, rotated, 0.0) / np.where(keep, lam, 1.0)
-    generator = (-1j * dim * scale) * (basis @ solved @ basis.conj().T)
-    residual = math.sqrt(dim) * abs(scale) * float(np.linalg.norm(rotated[pairs & ~keep]))
-    return generator, residual
-
-
-def _solve_in_rho_range(
-    factor: np.ndarray, g_factor: np.ndarray, scale: float, config: QiteConfig
+def _solve_in_rho(
+    factor: np.ndarray, g_factor: np.ndarray, scale: float, config: QiteConfig, in_range: bool
 ):
-    """(blocks, residual) of a noiseless step in the range of rho = L L^dagger.
+    """(blocks, residual) of a noiseless step on a k-qubit support.
 
-    The solve of _solve_in_rho_basis with its eigenbasis split as
-    V = [V_r, V_perp], rho V_perp = 0.  Pairs inside V_perp carry B~ = 0, so
-    A = -i 2^k scale (V_r A~_r V_r^dagger + X - X^dagger), where A~_r is the
-    r x r pair solve, X = V_r D O^dagger with O = (1 - V_r V_r^dagger) K the
-    pairs (r, perp), D = 1 / (2^k p + delta) where kept, and K = -G L Z^dagger
-    for Z = V_r^dagger L.  V_r and p = sigma^2 come from the thin SVD of the
-    factor; singular values above max(shape) eps sigma_max count as rho's
-    rank.  With O = W R (W from the thin SVD of O, under the same rank
-    rule, then projected against V_r once more), A = Q M Q^dagger for
-    Q = [V_r, W], returned per block as (rows, Q, M) on those rows of the
-    support.  The odd-Y pool reads the
+    In the eigenbasis V of rho = L L^dagger, eigenvalues p largest first, the
+    full pool's S is 2^k (p_i + p_j) on each pair (i, j) and
+    B~ = i 2^k scale V^dagger [G, rho] V = i 2^k scale (K^dagger V - V^dagger K)
+    for K = -G L L^dagger V, so A = -V A~ V^dagger with
+    A~ = B~ / (2^k (p_i + p_j) + delta) on the pairs solve_step's cutoff
+    keeps; the residual is |b| on dropped pairs.  ``in_range`` changes only
+    how V is found:
+
+    - the full basis: p, V = eigh(L L^dagger), and Q = V;
+    - the range: V_r and p = sigma^2 from the thin SVD of L, whose singular
+      values above max(shape) eps sigma_max count as rho's rank.  Pairs
+      inside V_perp carry B~ = 0; the pairs (r, perp) add X - X^dagger, with
+      X = V_r D O^dagger, O = (1 - V_r V_r^dagger) K and
+      D = 1 / (2^k p + delta) where kept.  O = W R, W from O's thin SVD under
+      the same rank rule and projected against V_r once more, and Q = [V_r, W].
+
+    Each block is (rows, Q, M), with A = Q M Q^dagger on those rows.  The
+    odd-Y pool spans i times the real antisymmetric matrices: it reads the
     real factor [Re L, Im L] of Re rho over the pairs i != j, so its Q and
-    M / i are real; the parity-even pool solves each parity block of the
-    local index with its own rows.
+    M / i are real.  The parity-even pool keeps the parity of the local
+    index: each parity block is solved on its own rows.
     """
     dim = factor.shape[0]
     odd_y = config.pool_kind == "pauli_odd_y"
@@ -441,6 +411,11 @@ def _solve_in_rho_range(
     parts = []
     for rows in rows_list:
         f = factor[rows]
+        if not in_range:
+            p, v = np.linalg.eigh(f @ f.conj().T)
+            v = v[:, ::-1].copy()  # largest first, in the layout BLAS reads fastest
+            parts.append((rows, v, p[::-1], -(g_factor[rows] @ (f.conj().T @ v))))
+            continue
         u, sigma, vh = np.linalg.svd(f, full_matrices=False)
         rank = np.count_nonzero(sigma > sigma[0] * max(f.shape) * _EPS)
         if rank:  # a parity block without amplitude has no pairs that carry b
@@ -455,30 +430,32 @@ def _solve_in_rho_range(
     for rows, v, p, k_mat in parts:
         vk = v.conj().T @ k_mat
         rotated = vk.conj().T - vk
-        outside = k_mat - v @ vk
         # the odd-Y pool has no pairs (i, i), but its rotated diagonal is 0
         lam = dim * (p[:, None] + p) + config.delta
         keep = lam >= cut
-        lam_out = dim * p + config.delta
-        d = np.where(lam_out >= cut, 1.0 / lam_out, 0.0)
         lost = np.where(keep, 0.0, rotated)
         dropped += np.vdot(lost, lost).real
-        if not d.all():  # pairs (r, perp) below the cut
-            lost = outside[:, d == 0.0]
-            dropped += 2.0 * np.vdot(lost, lost).real
-        w, so, woh = np.linalg.svd(outside, full_matrices=False)
-        live = np.count_nonzero(so > so[0] * max(outside.shape) * _EPS)
-        w, so, wo = w[:, :live], so[:live], woh[:live].conj().T
-        # O's roundoff along V_r reaches W divided by O's singular values:
-        # projected out, W stays orthogonal to V_r to roundoff on graded states
-        w -= v @ (v.conj().T @ w)
-        r = p.size
-        m = np.zeros((r + live,) * 2, dtype=rotated.dtype)
-        m[:r, :r] = np.where(keep, rotated / lam, 0.0)
-        m[:r, r:] = d[:, None] * (wo * so)
-        m[r:, :r] = -m[:r, r:].conj().T
-        q = np.concatenate((v, w), axis=1)
-        blocks.append((rows, q, (-1j * dim * scale) * m))
+        m = np.where(keep, rotated, 0.0) / np.where(keep, lam, 1.0)
+        if in_range:  # couple V_r to rho's kernel through W
+            outside = k_mat - v @ vk
+            lam_out = dim * p + config.delta
+            d = np.where(lam_out >= cut, 1.0 / lam_out, 0.0)
+            if not d.all():  # pairs (r, perp) below the cut
+                lost = outside[:, d == 0.0]
+                dropped += 2.0 * np.vdot(lost, lost).real
+            w, so, woh = np.linalg.svd(outside, full_matrices=False)
+            live = np.count_nonzero(so > so[0] * max(outside.shape) * _EPS)
+            w, so, wo = w[:, :live], so[:live], woh[:live].conj().T
+            # O's roundoff along V_r reaches W divided by O's singular values:
+            # projected out, W stays orthogonal to V_r to roundoff on graded states
+            w -= v @ (v.conj().T @ w)
+            r = p.size
+            coupled = np.zeros((r + live,) * 2, dtype=m.dtype)
+            coupled[:r, :r] = m
+            coupled[:r, r:] = d[:, None] * (wo * so)
+            coupled[r:, :r] = -coupled[:r, r:].conj().T
+            v, m = np.concatenate((v, w), axis=1), coupled
+        blocks.append((rows, v, (-1j * dim * scale) * m))
     return blocks, math.sqrt(dim) * abs(scale) * math.sqrt(dropped)
 
 
@@ -497,8 +474,8 @@ def _run_step(
     rng: Optional[np.random.Generator],
 ) -> Tuple[StateVector, StepRecord]:
     factor, g_factor, c, scale = _step_operators(plan, state, dtau, config, rng)
-    if plan.in_range:
-        blocks, residual = _solve_in_rho_range(factor, g_factor, scale, config)
+    if plan.local_masks is None:
+        blocks, residual = _solve_in_rho(factor, g_factor, scale, config, plan.in_range)
         odd_y = config.pool_kind == "pauli_odd_y"
         # update the factor in place, through its real columns where
         # A = i (real antisymmetric) makes the step a rotation
@@ -510,13 +487,10 @@ def _run_step(
             target[rows] += q @ (step @ (q.conj().T @ target[rows]))
     else:
         rho, comm = _rho_and_commutator(factor, g_factor)
-        if plan.local_masks is None:
-            generator, residual = _solve_in_rho_basis(rho, comm, scale, config)
-        else:
-            smat, bvec = _explicit_system(plan, rho, comm, scale, config, rng)
-            coefficients, residual = solve_step(smat, bvec, config.delta, config.pinv_tol)
-            k = len(plan.unitary_support)
-            generator = PauliOperator.from_masks(coefficients, plan.local_masks, k).dense()
+        smat, bvec = _explicit_system(plan, rho, comm, scale, config, rng)
+        coefficients, residual = solve_step(smat, bvec, config.delta, config.pinv_tol)
+        k = len(plan.unitary_support)
+        generator = PauliOperator.from_masks(coefficients, plan.local_masks, k).dense()
         _check_finite(plan, generator)
         factor = _unitary(generator, dtau) @ factor
     amps = _from_support_major(factor, plan.unitary_support, state.n_qubits)

@@ -24,7 +24,6 @@ from qitekit.analysis import (
     qite_measurement_count,
 )
 from qitekit.hamiltonians import (
-    energy,
     heisenberg_1d,
     maxcut_six_vertex_instance,
     one_qubit_field,

@@ -56,6 +56,12 @@ def test_spectral_and_exact_ground():
     e0, ground = exact_ground(h)
     assert abs(e0 + 1.0) < 1e-12
     assert abs(energy(ground, h) + 1.0) < 1e-12
+    # a diagonal H: the ground state is one of its ground basis states
+    h = maxcut_six_vertex_instance()
+    e0, ground = exact_ground(h)
+    assert e0 == -5.0
+    assert np.count_nonzero(ground.amplitudes) == 1
+    assert abs(energy(ground, h) - e0) < 1e-12
 
 
 def _complex_reference(h):
@@ -289,6 +295,17 @@ def test_lanczos_ground_matches_spectral_property(h, seed):
 def test_lanczos_ground_on_degenerate_ground_spaces(h, dim, rng):
     _assert_lanczos_matches_spectral(h, rng)
     assert spectral(h).ground(1e-9).dim == dim
+
+
+@pytest.mark.parametrize("max_basis", [6, 10])
+@pytest.mark.parametrize("h", [heisenberg_1d(6), tfi_1d(6, 1.0, 1.0)], ids=["heisenberg6", "tfi6"])
+def test_lanczos_ground_restarts_from_its_ritz_vector(monkeypatch, h, max_basis):
+    # a basis this short does not converge on 64 amplitudes, so each
+    # Lanczos run restarts from its Ritz vector until it does
+    import qitekit.analysis
+
+    monkeypatch.setattr(qitekit.analysis, "_LANCZOS_MAX_BASIS", max_basis)
+    assert abs(lanczos_ground(h.operator, 1e-9).e0 - spectral(h).evals[0]) < 1e-12
 
 
 def test_lanczos_ground_refuses_a_ground_space_it_cannot_store():

@@ -21,7 +21,13 @@ from qitekit.cli import (
     main,
     validate_config,
 )
-from qitekit.analysis import exact_ite, ground_space, mutual_information, spectral
+from qitekit.analysis import (
+    exact_ite,
+    gibbs_average,
+    ground_space,
+    mutual_information,
+    spectral,
+)
 from qitekit.errors import ConfigError
 from qitekit.hamiltonians import heisenberg_1d
 
@@ -838,6 +844,7 @@ COMPARE_RUN_CONFIGS = {
     "qite": one_qubit_run_config(n_steps=5),
     "qlanczos": section_config("qlanczos", qite={"n_steps": 3, "pool_kind": "pauli_odd_y"}),
     "qmetts": section_config("qmetts", **QMETTS_OK),
+    "mutualinfo": section_config("mutualinfo", betas=[0.0, 1.0]),
 }
 
 # (algorithm, damage done to the first run, config of a later run or None)
@@ -852,6 +859,10 @@ COMPARE_REFUSALS = {
     "later-run-has-a-sweep-the-first-lacks": (
         "qite", lambda run: None, one_qubit_run_config(n_steps=6)
     ),
+    "run-did-not-complete": (
+        "qite", lambda run: _edit_manifest(run, lambda m: m.update(status="started")), None
+    ),
+    "compare-not-defined-for-mutualinfo": ("mutualinfo", lambda run: None, None),
 }
 
 
@@ -868,6 +879,24 @@ def test_compare_refuses_unreadable_runs(tmp_path, capsys, name):
     # the refusal names the damaged run, or the later run and the first
     assert err.startswith(f"error: {runs[-1]}") and str(runs[0]) in err
     assert "Traceback" not in err
+
+
+def test_compare_qmetts_row_against_the_gibbs_average(tmp_path, capsys):
+    config = COMPARE_RUN_CONFIGS["qmetts"]
+    run = tmp_path / "run"
+    execute_run(config, run)
+    capsys.readouterr()
+    assert main(["compare", "--run", str(run)]) == EXIT_OK
+    header, line = capsys.readouterr().out.splitlines()
+    assert header == "run,beta,mean,stderr_block,gibbs_exact,delta,within_3_stderr"
+    row = dict(zip(header.split(","), line.split(",")))
+    summary = json.loads((run / "summary.json").read_text())
+    gibbs = gibbs_average(build_model(config["model"]), QMETTS_OK["beta"])
+    assert row["run"] == str(run) and float(row["beta"]) == QMETTS_OK["beta"]
+    assert abs(float(row["gibbs_exact"]) - gibbs) < 1e-12
+    assert abs(float(row["delta"]) - (summary["mean"] - gibbs)) < 1e-12
+    within = abs(summary["mean"] - gibbs) <= 3 * summary["stderr_block"]
+    assert row["within_3_stderr"] == str(int(within))
 
 
 def _edit_text(path, old, new):

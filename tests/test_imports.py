@@ -1,5 +1,6 @@
-"""Every name a qitekit module imports is used in that module, and every
-function the benchmark's trace wraps still exists under its name."""
+"""Every name a qitekit module or a test module imports is used in that
+module, and every function the benchmark's trace wraps still exists under its
+name."""
 
 import ast
 import importlib
@@ -10,6 +11,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qitekit"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _imported(tree):
@@ -39,7 +41,7 @@ def _used(tree):
                 yield from _used(ast.parse(node.value, mode="eval"))
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     tree = ast.parse(path.read_text(), str(path))
     unused = sorted(set(_imported(tree)) - set(_used(tree)))

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from qitekit.analysis import exact_ground, exact_ite
 from qitekit.errors import ConfigError, DimensionError, NumericalError, PoolError, ResourceError
 from qitekit.hamiltonians import (
-    Hamiltonian,
     LocalTerm,
     energy,
     heisenberg_1d,
@@ -22,10 +21,8 @@ from qitekit.qite import (
     QiteConfig,
     _build_plan,
     _in_range,
-    _rho_and_commutator,
     _run_step,
-    _solve_in_rho_basis,
-    _solve_in_rho_range,
+    _solve_in_rho,
     _step_operators,
     _term_plans,
     build_linear_system,
@@ -44,7 +41,6 @@ from qitekit.statevector import (
     expectation,
     fidelity,
     neel_state,
-    plus_state,
     product_state,
     zero_state,
 )
@@ -232,11 +228,21 @@ def _basis_plan(term, cfg, n):
 
 
 def _rho_basis_step(state, term, cfg, dtau):
-    """(plan, generator, residual) of a noiseless step solved in the eigenbasis of rho."""
+    """(plan, generator, residual) of a noiseless step solved in the full
+    eigenbasis of rho."""
     plan = _basis_plan(term, cfg, state.n_qubits)
     factor, g_factor, _, scale = _step_operators(plan, state, dtau, cfg, None)
-    rho, comm = _rho_and_commutator(factor, g_factor)
-    return (plan, *_solve_in_rho_basis(rho, comm, scale, cfg))
+    blocks, residual = _solve_in_rho(factor, g_factor, scale, cfg, False)
+    return plan, _generator(blocks, factor.shape[0]), residual
+
+
+def _generator(blocks, dim):
+    """A = Q M Q^dagger on each block's rows, from the blocks of one solve."""
+    generator = np.zeros((dim, dim), dtype=complex)
+    for rows, q, m in blocks:
+        local = np.arange(dim)[rows]
+        generator[np.ix_(local, local)] = q @ m @ q.conj().T
+    return generator
 
 
 def _pool_coefficients(generator, kind, domain, n):
@@ -384,8 +390,8 @@ def test_rho_basis_step_matches_explicit_solve(
     assert abs(c_step - c) < 1e-12
     if plan.local_masks is not None:
         return  # a fermionic pool with parity tails forms this S itself
-    rho, comm = _rho_and_commutator(factor, g_factor)
-    generator, residual = _solve_in_rho_basis(rho, comm, scale, cfg)
+    blocks, residual = _solve_in_rho(factor, g_factor, scale, cfg, False)
+    generator = _generator(blocks, factor.shape[0])
     expected, expected_res = solve_step(smat, bvec, delta, cfg.pinv_tol)
     coefficients = _pool_coefficients(generator, kind, plan.unitary_support, n)
     assert np.max(np.abs(coefficients - expected)) < 1e-10
@@ -502,29 +508,37 @@ def _graded_state(rng, support, n, grade, columns, real):
     return StateVector(amps / np.linalg.norm(amps), n)
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     kind=st.sampled_from(POOLS),
     b_mode=st.sampled_from(B_MODES),
     real=st.booleans(),
+    in_range=st.booleans(),
+    graded=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_range_step_columns_orthonormal_on_graded_states(kind, b_mode, real, seed):
+def test_range_step_columns_orthonormal_on_graded_states(
+    kind, b_mode, real, in_range, graded, seed
+):
     # e^{-i dtau A} = 1 + Q (e^{-i dtau M} - 1) Q^dagger is unitary as far as
-    # Q's columns are orthonormal; on Schmidt values 1, 1e-2, 1e-4, 1e-6 the
-    # columns of W must stay orthogonal to V_r to roundoff
+    # Q's columns are orthonormal and M is Hermitian, on both ways of finding
+    # V; on Schmidt values 1, 1e-2, 1e-4, 1e-6 the columns of W must stay
+    # orthogonal to V_r to roundoff
     rng = np.random.default_rng(seed)
     n, k = 6, 4
     term = _random_term(rng, n, [1, 2])
     cfg = QiteConfig(domain_size=k, pool_kind=kind, b_mode=b_mode)
-    basis = _basis_plan(term, cfg, n)
-    plan = _build_plan(basis.index, term, basis.domain, basis.unitary_support, None, True)
+    plan = _basis_plan(term, cfg, n)
     assert len(plan.unitary_support) == k
-    state = _graded_state(rng, plan.unitary_support, n, 2, 4, real)
+    if graded:
+        state = _graded_state(rng, plan.unitary_support, n, 2, 4, real)
+    else:
+        state = _random_amplitudes(rng, n, real, product=False)
     factor, g_factor, _, scale = _step_operators(plan, state, 0.05, cfg, None)
-    blocks, _ = _solve_in_rho_range(factor, g_factor, scale, cfg)
-    for _, q, _ in blocks:
+    blocks, _ = _solve_in_rho(factor, g_factor, scale, cfg, in_range)
+    for _, q, m in blocks:
         assert np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1]), 2) <= 1e-13
+        assert np.max(np.abs(m - m.conj().T)) <= 1e-14 * np.max(np.abs(m))
 
 
 def _assert_range_step_matches(state, term, basis, cfg):
@@ -532,12 +546,9 @@ def _assert_range_step_matches(state, term, basis, cfg):
     eigenbasis solve and step."""
     ranged = _build_plan(basis.index, term, basis.domain, basis.unitary_support, None, True)
     factor, g_factor, _, scale = _step_operators(basis, state, 0.05, cfg, None)
-    expected, _ = _solve_in_rho_basis(*_rho_and_commutator(factor, g_factor), scale, cfg)
-    blocks, _ = _solve_in_rho_range(factor, g_factor, scale, cfg)
-    generator = np.zeros_like(expected)
-    for rows, q, m in blocks:
-        local = np.arange(len(generator))[rows]
-        generator[np.ix_(local, local)] = q @ m @ q.conj().T
+    dim = factor.shape[0]
+    expected = _generator(_solve_in_rho(factor, g_factor, scale, cfg, False)[0], dim)
+    generator = _generator(_solve_in_rho(factor, g_factor, scale, cfg, True)[0], dim)
     assert np.max(np.abs(generator - expected)) < 1e-10
     new, record = _run_step(state, ranged, 0.05, cfg, None)
     want, want_record = _run_step(state, basis, 0.05, cfg, None)

@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qitekit.analysis import exact_ground, exact_ite, exact_ite_energy, exact_ite_squared_norm
+from qitekit.analysis import (
+    exact_ground,
+    exact_ite,
+    exact_ite_energy,
+    exact_ite_squared_norm,
+    spectral,
+)
 from qitekit.errors import DimensionError, NumericalError
-from qitekit.hamiltonians import energy, heisenberg_1d, tfi_1d
-from qitekit.qite import QiteConfig, qite_evolve
+from qitekit.hamiltonians import Hamiltonian, LocalTerm, energy, heisenberg_1d, tfi_1d
+from qitekit.pauli import PauliString
+from qitekit.qite import B_MODES, QiteConfig, qite_evolve
 from qitekit.qlanczos import (
     KrylovLedger,
     build_matrices,
@@ -15,7 +24,7 @@ from qitekit.qlanczos import (
     solve_gevp,
     stabilize,
 )
-from qitekit.statevector import inner_product, neel_state, plus_state
+from qitekit.statevector import inner_product, neel_state, plus_state, product_state
 
 
 def exact_ledger(state, h, dtau, n_sweeps):
@@ -188,6 +197,46 @@ def test_qlanczos_run_inexact_domain_stays_finite():
     assert res.e_qlanczos[0] == pytest.approx(res.e_qite[0])
     # the accelerated curve reaches at least as low as the raw one somewhere
     assert res.e_qlanczos.min() <= res.e_qite.min() + 1e-9
+
+
+@st.composite
+def _real_pauli_sums_and_product_states(draw):
+    """A real H (even-Y strings, one term each) on n <= 4 qubits and a
+    product-state label over 01+-."""
+    n = draw(st.integers(2, 4))
+    label = st.text(alphabet="IXYZ", min_size=n, max_size=n).filter(
+        lambda text: text.count("Y") % 2 == 0 and set(text) != {"I"}
+    )
+    entries = draw(st.lists(st.tuples(st.floats(-1.0, 1.0), label), min_size=1, max_size=6))
+    strings = [PauliString.from_label(text) for _, text in entries]
+    terms = tuple(
+        LocalTerm(tuple(s.support), ((coeff, s),)) for (coeff, _), s in zip(entries, strings)
+    )
+    return Hamiltonian(n, terms), draw(st.text(alphabet="01+-", min_size=n, max_size=n))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    case=_real_pauli_sums_and_product_states(),
+    kind=st.sampled_from(["pauli_full", "pauli_odd_y"]),
+    exact_domain=st.booleans(),
+    b_mode=st.sampled_from(B_MODES),
+)
+def test_variational_bound_and_qlanczos_below_qite_on_selected_sweeps(
+    case, kind, exact_domain, b_mode
+):
+    # every sweep's energy is variational; a sweep that stabilize selected is
+    # a vector of its own Krylov space (S_ll = 1, H_ll = E_l), so QLanczos
+    # cannot lie above it; a rejected sweep is not, and there it can
+    h, label = case
+    cfg = QiteConfig(
+        dtau=0.1, n_steps=8, domain_size=h.n_qubits if exact_domain else 2,
+        pool_kind=kind, b_mode=b_mode,
+    )
+    res = qlanczos_run(h, product_state(label), cfg)
+    assert np.all(res.trajectory.energies >= spectral(h).evals[0] - 1e-9)
+    selected = np.isin(np.arange(0, cfg.n_steps + 1, 2), res.selected)
+    assert np.all(res.e_qlanczos[selected] <= res.e_qite[selected] + 1e-9)
 
 
 def test_qlanczos_noise_handling(rng):
