@@ -22,10 +22,12 @@ from .statevector import MAX_DENSE_QUBITS, PauliOperator, StateVector, _support_
 
 # The ground oracle runs Lanczos on H's operator from 2^n = _LANCZOS_MIN_DIM
 # amplitudes on, and a dense eigh below: for the whole ground space (one BLAS
-# thread, medians of 15) the dense eigh took 1.9-2.4 against 5.9-7.6 ms at
-# n = 7, 8.2-10.7 against 7.5-10.5 ms at n = 8 and 48 against 15-16 ms at
-# n = 9 on Heisenberg chains, and 2.1-3.1 against 8.8-10.2 ms, 8.6-8.9
-# against 12.8-15.6 ms and 54-60 against 18-21 ms on TFI chains (h = J = 1)
+# thread, medians of 15, two sessions) the dense eigh took 1.4-2.3 against
+# 2.8-5.1 ms at n = 7, 7.9-10.0 against 3.5-4.5 ms at n = 8 and 51 against
+# 10-12 ms at n = 9 on Heisenberg chains, and 2.0-2.4 against 5.8-6.6 ms,
+# 9.0-9.3 against 8.6-8.7 ms and 56-58 against 12-13 ms on TFI chains
+# (h = J = 1).  Lanczos wins at n = 8 on Heisenberg but only ties on TFI,
+# so n = 9 is the first width it takes
 _LANCZOS_MIN_DIM = 512
 # a Lanczos basis holds at most this many vectors before it restarts from its
 # Ritz vector, and lanczos_ground at most this many ground vectors; every
@@ -223,14 +225,22 @@ def _project_out(vector: np.ndarray, rows: np.ndarray) -> np.ndarray:
     classical Gram-Schmidt pass, and a second where the first cancelled more
     than 1 - 1/sqrt(2) of its norm (Daniel, Gragg, Kaufman and Stewart,
     Math. Comp. 30 (1976) 772), so it stays orthogonal to them to roundoff."""
-    norm = np.linalg.norm(vector)
+    norm = _norm(vector)
     for _ in range(2):
         vector = vector - np.conj(rows @ np.conj(vector)) @ rows
-        projected = np.linalg.norm(vector)
+        projected = _norm(vector)
         if projected > norm / math.sqrt(2.0):
             break
         norm = projected
     return vector
+
+
+def _norm(vector: np.ndarray) -> float:
+    """The 2-norm of a 1-D array by the same dot products as np.linalg.norm,
+    so the same value, without its wrapper's overhead."""
+    if vector.dtype.kind == "c":
+        return math.sqrt(vector.real.dot(vector.real) + vector.imag.dot(vector.imag))
+    return math.sqrt(vector.dot(vector))
 
 
 def _lowest_ritz(apply, start: np.ndarray, locked: np.ndarray):
@@ -246,33 +256,34 @@ def _lowest_ritz(apply, start: np.ndarray, locked: np.ndarray):
     basis = np.empty((n_locked + size, dim), locked.dtype)
     basis[:n_locked] = locked  # rows every Lanczos vector is orthogonal to
     krylov = basis[n_locked:]
+    # alpha_j at (j, j) and beta_j at (j, j + 1) and (j + 1, j); the leading
+    # (j + 1) x (j + 1) block is the tridiagonal of the first j + 1 vectors
+    tri = np.zeros((size + 1, size + 1))
     matvecs = 0
     while True:
-        alphas, betas = np.zeros(size), np.zeros(size)
         vector = _project_out(start, locked)
-        vector = vector / np.linalg.norm(vector)
+        vector = vector / _norm(vector)
         for j in range(size):
             krylov[j] = vector
             w = apply(vector)
             matvecs += 1
             # |H v| bounds the largest Ritz magnitude from below, so a beta
             # below _LANCZOS_TOL times it (a closed Krylov space) has converged
-            small = _LANCZOS_TOL * np.linalg.norm(w)
-            alphas[j] = np.vdot(vector, w).real
-            w -= alphas[j] * vector
+            small = _LANCZOS_TOL * _norm(w)
+            alpha = tri[j, j] = np.vdot(vector, w).real
+            w -= alpha * vector
             if j:
-                w -= betas[j - 1] * krylov[j - 1]
+                w -= tri[j, j - 1] * krylov[j - 1]
             w = _project_out(w, basis[: n_locked + j + 1])
-            betas[j] = np.linalg.norm(w)
-            closed = j + 1 == dim - n_locked or betas[j] <= small
+            beta = tri[j, j + 1] = tri[j + 1, j] = _norm(w)
+            closed = j + 1 == dim - n_locked or beta <= small
             if closed or j + 1 == size or j % _LANCZOS_CHECK == _LANCZOS_CHECK - 1:
-                tri = np.diag(alphas[: j + 1]) + np.diag(betas[:j], 1) + np.diag(betas[:j], -1)
-                evals, evecs = np.linalg.eigh(tri)
+                evals, evecs = np.linalg.eigh(tri[: j + 1, : j + 1])
                 scale = max(abs(evals[0]), abs(evals[-1]))
-                if closed or betas[j] * abs(evecs[j, 0]) <= _LANCZOS_TOL * scale:
+                if closed or beta * abs(evecs[j, 0]) <= _LANCZOS_TOL * scale:
                     ritz = evecs[:, 0] @ krylov[: j + 1]
-                    return float(evals[0]), ritz / np.linalg.norm(ritz), matvecs
-            vector = w / betas[j]
+                    return float(evals[0]), ritz / _norm(ritz), matvecs
+            vector = w / beta
         start = evecs[:, 0] @ krylov
 
 

@@ -136,11 +136,14 @@ def block_error(values: np.ndarray, discard: int = 0) -> Tuple[float, float]:
     The series is halved repeatedly by averaging adjacent pairs; each level
     with at least 8 blocks contributes the naive standard error of its
     blocks, and the largest such estimate is returned.  A constant series
-    yields a zero error bar.
+    yields its value and a zero error bar exactly (np.mean of it can be off
+    by roundoff, and every level's error with it).
     """
     data = np.asarray(values, dtype=float)[discard:]
     if data.size < 8:
         raise DimensionError("blocking needs at least 8 retained samples")
+    if (data == data[0]).all():
+        return float(data[0]), 0.0
     mean = float(np.mean(data))
     estimate = 0.0
     while data.size >= 8:

@@ -157,7 +157,8 @@ class PauliOperator:
     (H psi)[j] = offset psi[j] + sum_x D_x[j] psi[j ^ x].  Row g of
     ``sources`` holds j ^ x of group g for every j, the groups in ascending
     x (the x = 0 group, when present, first), and row g of ``diagonals``
-    its D_x; groups whose D_x vanishes are dropped.
+    its D_x; groups whose D_x vanishes are dropped.  ``sources`` is the
+    (groups, 2^n) gather index that ``apply`` reads in one pass.
     """
 
     n_qubits: int
@@ -208,11 +209,9 @@ class PauliOperator:
         return self.offset + (rows[0] if len(rows) else np.zeros(2**self.n_qubits))
 
     def apply(self, vector: np.ndarray) -> np.ndarray:
-        """(H - offset) vector: one gather and multiply per x-mask."""
-        out = np.zeros(vector.shape, np.result_type(self.diagonals, vector))
-        for src, diag in zip(self.sources, self.diagonals):
-            out += diag * vector[src]
-        return out
+        """(H - offset) vector: one gather of ``sources``, one multiply and
+        one sum over the groups."""
+        return (self.diagonals * vector[self.sources]).sum(axis=0)
 
     def dense(self) -> np.ndarray:
         """The full 2^n x 2^n matrix, offset included: D_x[j] at (j, j ^ x)."""

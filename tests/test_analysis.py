@@ -308,6 +308,25 @@ def test_lanczos_ground_restarts_from_its_ritz_vector(monkeypatch, h, max_basis)
     assert abs(lanczos_ground(h.operator, 1e-9).e0 - spectral(h).evals[0]) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "h, matvecs, dim",
+    [
+        (heisenberg_1d(9), 125, 2),  # a doublet: three runs, the last rejected
+        (tfi_1d(8, -1.0, -1.25), 105, 1),
+        (heisenberg_1d(12), 110, 1),
+    ],
+    ids=["heisenberg9", "tfi8", "heisenberg12"],
+)
+def test_lanczos_ground_check_schedule(h, matvecs, dim):
+    # the products with H that each run makes before its converged check
+    # (every _LANCZOS_CHECK vectors, then a restart or deflation run);
+    # a change to the loop must not move them
+    ground = lanczos_ground(h.operator, 1e-10)
+    assert (ground.matvecs, ground.dim) == (matvecs, dim)
+    if h.n_qubits == 9:
+        assert abs(ground.e0 - spectral(h).evals[0]) <= 1e-12
+
+
 def test_lanczos_ground_refuses_a_ground_space_it_cannot_store():
     # H = X_0 on 9 qubits has a 256-fold ground space; Lanczos stores at most
     # 200 ground vectors (from 2^n = 512 on ground_space takes Lanczos)

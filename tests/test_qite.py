@@ -707,6 +707,43 @@ def test_pools_enumerated_once_per_domain(monkeypatch):
     assert sorted(calls) == [(0, 1, 2, 3), (1, 2, 3, 4)]
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    case=st.sampled_from(["noisy-full", "fermionic-tail"]),
+    b_mode=st.sampled_from(B_MODES),
+    real=st.booleans(),
+    dtau=st.floats(0.01, 0.1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_explicit_step_preserves_the_norm(case, b_mode, real, dtau, seed):
+    # the explicit route applies e^{-i dtau A} to L before the step
+    # renormalizes: a noisy step on the full pool, and a noiseless
+    # fermionic step whose pool has parity tails (domain (0, 1, 4, 5))
+    import qitekit.qite as qite_module
+
+    rng = np.random.default_rng(seed)
+    if case == "noisy-full":
+        n, support = 4, [1, 2]
+        cfg = QiteConfig(domain_size=4, b_mode=b_mode, noise_sigma=1e-3)
+    else:
+        n, support = 6, [0, 5]
+        cfg = QiteConfig(domain_size=4, pool_kind="fermionic_number_conserving", b_mode=b_mode)
+    term = _random_term(rng, n, support)
+    (plan,) = _term_plans([term], cfg, n)
+    assert plan.local_masks is not None  # the explicit route
+    state = _random_amplitudes(rng, n, real, product=False)
+    norms = []
+
+    def record(factor, support, n_qubits):
+        norms.append(np.linalg.norm(factor))
+        return _from_support_major(factor, support, n_qubits)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qite_module, "_from_support_major", record)
+        _run_step(state, plan, dtau, cfg, rng)
+    assert len(norms) == 1 and abs(norms[0] - 1.0) <= 1e-12
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         QiteConfig(dtau=0.0).validate()

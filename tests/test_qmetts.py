@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qitekit.analysis import gibbs_average
 from qitekit.errors import ConfigError, DimensionError
@@ -74,6 +76,19 @@ def test_block_error_constant_series():
     mean, err = block_error(np.full(32, 1.75))
     assert mean == 1.75
     assert err == 0.0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    value=st.floats(allow_nan=False, allow_infinity=False),
+    retained=st.integers(8, 300),
+    discard=st.integers(0, 300),
+)
+def test_block_error_constant_series_property(value, retained, discard):
+    # np.mean of a constant is off by roundoff for most values (0.1 x 10),
+    # and the level standard errors with it
+    mean, err = block_error(np.full(retained + discard, value), discard)
+    assert (mean, err) == (value, 0.0)
 
 
 def test_block_error_iid_gaussian():

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qitekit.errors import DimensionError, ResourceError
+from qitekit.hamiltonians import heisenberg_1d, tfi_1d
 from qitekit.pauli import OperatorPool, PauliString, enumerate_pool
 from qitekit.statevector import (
     _pauli_masks,
@@ -343,6 +346,62 @@ def test_apply_pauli_sum_refuses_wrong_width_property(data):
         apply_pauli_sum(state, pauli_sum)
     with pytest.raises(DimensionError, match="widths differ"):
         expectation_sum(state, pauli_sum)
+
+
+def _apply_by_group(op, vector):
+    """(H - offset) vector one x-group at a time: out += D_x * v[j ^ x]."""
+    out = np.zeros(vector.shape, np.result_type(op.diagonals, vector))
+    for src, diag in zip(op.sources, op.diagonals):
+        out += diag * vector[src]
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 8),
+    n_strings=st.integers(0, 80),
+    real_diagonals=st.booleans(),
+    real_vector=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_apply_matches_group_loop_and_dense_property(
+    n, n_strings, real_diagonals, real_vector, seed
+):
+    # the one stacked gather sums the groups in another order once there
+    # are many of them (about 50 and up), so agreement is to 1e-13 of the
+    # sum of the terms' magnitudes
+    rng = np.random.default_rng(seed)
+    xmask = rng.integers(0, 2**n, n_strings)
+    yzmask = rng.integers(0, 2**n, n_strings)
+    phase = 1j ** np.bitwise_count(xmask & yzmask)  # Y where both bits are set
+    op = PauliOperator.from_masks(rng.normal(size=n_strings), (xmask, yzmask, phase), n)
+    if real_diagonals:
+        op = dataclasses.replace(op, diagonals=op.diagonals.real.copy())
+    vector = rng.normal(size=2**n) + (0.0 if real_vector else 1j * rng.normal(size=2**n))
+    got = op.apply(vector)
+    want = _apply_by_group(op, vector)
+    assert got.dtype == want.dtype and got.shape == (2**n,)
+    scale = np.abs(op.diagonals).sum(axis=0).max(initial=0.0) * np.abs(vector).max()
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+    assert np.max(np.abs(got - op.dense() @ vector)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("real_vector", [True, False], ids=["real", "complex"])
+def test_apply_of_an_empty_operator_is_zero(real_vector):
+    op = PauliOperator.from_masks([], _pauli_masks((), (0, 1, 2)), 3)
+    assert op.sources.shape == op.diagonals.shape == (0, 8)
+    vector = np.arange(8.0) if real_vector else np.arange(8.0) * (1 - 2j)
+    got = op.apply(vector)
+    assert got.dtype == complex and got.shape == (8,) and not got.any()
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_apply_of_model_hamiltonians_matches_group_loop_bytes(n, rng):
+    # the shipped chains have at most n + 1 x-groups, which numpy sums
+    # row by row, in the loop's order
+    for op in (heisenberg_1d(n).operator, tfi_1d(n, -1.0, -1.25).operator):
+        for vector in (rng.normal(size=2**n), random_state(n, rng)):
+            assert op.apply(vector).tobytes() == _apply_by_group(op, vector).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["pauli_full", "pauli_odd_y", "fermionic_number_conserving"])
