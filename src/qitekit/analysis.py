@@ -18,16 +18,23 @@ import numpy as np
 from .errors import DimensionError, NumericalError, ResourceError
 from .hamiltonians import Hamiltonian, to_dense
 from .pauli import odd_y_count
-from .statevector import MAX_DENSE_QUBITS, PauliOperator, StateVector, _support_major
+from .statevector import (
+    MAX_DENSE_QUBITS,
+    PauliOperator,
+    StateVector,
+    _pauli_masks,
+    _signs,
+    _support_major,
+)
 
 # The ground oracle runs Lanczos on H's operator from 2^n = _LANCZOS_MIN_DIM
-# amplitudes on, and a dense eigh below: for the whole ground space (one BLAS
-# thread, medians of 15, two sessions) the dense eigh took 1.4-2.3 against
-# 2.8-5.1 ms at n = 7, 7.9-10.0 against 3.5-4.5 ms at n = 8 and 51 against
-# 10-12 ms at n = 9 on Heisenberg chains, and 2.0-2.4 against 5.8-6.6 ms,
-# 9.0-9.3 against 8.6-8.7 ms and 56-58 against 12-13 ms on TFI chains
-# (h = J = 1).  Lanczos wins at n = 8 on Heisenberg but only ties on TFI,
-# so n = 9 is the first width it takes
+# amplitudes on, and the blocked spectral below: for the whole ground space
+# (one BLAS thread, medians of 15, two sessions) spectral took 0.9-1.6
+# against 2.4-4.3 ms at n = 7, 5.7-6.4 against 3.0-4.3 ms at n = 8 and 16-23
+# against 5.6-9.7 ms at n = 9 on Heisenberg chains, and 1.0-1.4 against
+# 3.2-4.8 ms, 5.0-5.1 against 4.4-6.8 ms and 19-22 against 7.4-11.7 ms on
+# TFI chains (h = J = 1).  Lanczos wins at n = 8 on Heisenberg but only ties
+# on TFI, so n = 9 is the first width it takes
 _LANCZOS_MIN_DIM = 512
 # a Lanczos basis holds at most this many vectors before it restarts from its
 # Ritz vector, and lanczos_ground at most this many ground vectors; every
@@ -42,11 +49,13 @@ _DENSE_MATRICES = 5
 
 
 def _times(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    """matrix @ vector, without casting a real matrix to complex."""
+    """matrix @ vector for a vector or a matrix of columns, without casting a
+    real matrix to complex."""
     if np.iscomplexobj(matrix) or not np.iscomplexobj(vector):
         return matrix @ vector
-    pairs = np.ascontiguousarray(vector).view(np.float64).reshape(-1, 2)
-    return np.ascontiguousarray(matrix @ pairs).view(complex).reshape(-1)
+    pairs = np.ascontiguousarray(vector).view(np.float64).reshape(len(vector), -1)
+    product = np.ascontiguousarray(matrix @ pairs).view(complex)
+    return product.reshape(len(matrix), *vector.shape[1:])
 
 
 def _overlaps(columns: np.ndarray, state: StateVector) -> np.ndarray:
@@ -110,7 +119,7 @@ class SpectralDecomposition:
         weights = self._shifted(beta)
         if observable is None:
             return float((weights @ self.evals) / weights.sum())
-        diag = np.einsum("ik,ij,jk->k", self.evecs.conj(), observable, self.evecs).real
+        diag = np.einsum("ik,ik->k", self.evecs.conj(), _times(observable, self.evecs)).real
         return float((weights @ diag) / weights.sum())
 
 
@@ -130,11 +139,88 @@ def check_dense(hamiltonian: Hamiltonian) -> None:
         )
 
 
+def _x_symmetries(hamiltonian: Hamiltonian) -> Dict[int, int]:
+    """A basis {pivot bit: a} of the X-type strings X^a that commute with
+    every string of H.
+
+    X^a commutes with a string when popcount(a & z) is even, z the string's
+    mask of Y and Z letters, so the a form the GF(2) null space of those
+    masks.  The basis is in reduced echelon form: each a has its own pivot
+    bit set and every other pivot bit clear.
+    """
+    strings = tuple(s for term in hamiltonian.terms for _, s in term.pauli_sum)
+    masks = _pauli_masks(strings, tuple(range(hamiltonian.n_qubits)))[1]
+    rows: Dict[int, int] = {}  # the masks' row space, reduced: pivot bit -> row
+    for z in sorted(set(masks.tolist())):
+        for pivot, row in rows.items():
+            if z >> pivot & 1:
+                z ^= row
+        if z:
+            pivot = (z & -z).bit_length() - 1
+            for other in list(rows):
+                if rows[other] >> pivot & 1:
+                    rows[other] ^= z
+            rows[pivot] = z
+    return {
+        free: 1 << free | sum(1 << pivot for pivot, row in rows.items() if row >> free & 1)
+        for free in range(hamiltonian.n_qubits)
+        if free not in rows
+    }
+
+
 def spectral(hamiltonian: Hamiltonian) -> SpectralDecomposition:
-    """Full diagonalization of H, in float64 when its matrix has no imaginary part."""
+    """Full diagonalization of H, in float64 when its matrix has no imaginary
+    part, block by block over the X-type strings that H commutes with.
+
+    Those strings form a group {X^(a_c)} of 2^k elements (``_x_symmetries``;
+    a_c is the XOR of the basis vectors that c's bits pick).  Every basis
+    state j is r_j ^ a_(c_j), with r_j its orbit's representative (pivot bits
+    0), so the states 2^(-k/2) sum_c (-1)^popcount(s & c) |r ^ a_c> split H
+    into 2^k blocks B_s[r', r] = sum_d (-1)^popcount(s & d) <r' ^ a_d|H|r> of
+    2^(n-k) rows: one Walsh transform over the group and one stacked eigh,
+    N^3 / 4^k of the work of one.  This is the classical side of qubit
+    tapering (Bravyi, Gambetta, Mezzacapo and Temme, arXiv:1701.08213).
+    With k = 0 it is one eigh of the dense H, byte for byte.
+    """
     check_dense(hamiltonian)
-    evals, evecs = np.linalg.eigh(to_dense(hamiltonian))
-    return SpectralDecomposition(evals, evecs)
+    symmetries = _x_symmetries(hamiltonian)
+    k, index = len(symmetries), np.arange(2**hamiltonian.n_qubits)
+    cosets = np.zeros_like(index)  # c_j
+    group = np.zeros(2**k, np.int64)  # a_c
+    for bit, (pivot, mask) in enumerate(symmetries.items()):
+        cosets |= (index >> pivot & 1) << bit
+        group[2**bit : 2 ** (bit + 1)] = group[: 2**bit] ^ mask
+    reps = np.flatnonzero(cosets == 0)
+    slots = np.zeros_like(index)
+    slots[reps] = np.arange(reps.size)
+    rows = slots[index ^ group[cosets]]  # r_j's row in its block
+    evals, vectors = np.linalg.eigh(_blocks(hamiltonian.operator, reps, cosets, rows, k))
+    vectors *= 2.0 ** (-k / 2)
+    order = np.argsort(evals, axis=None, kind="stable")
+    sectors, columns = np.divmod(order, reps.size)
+    # column t: 2^(-k/2) (-1)^popcount(s_t & c_j) u[r_j] at j, u the eigenvector
+    evecs = np.ascontiguousarray(vectors.transpose(1, 0, 2)[:, sectors, columns])[rows]
+    evecs *= _signs(np.arange(2**k)[:, None], np.arange(2**k))[cosets[:, None], sectors]
+    return SpectralDecomposition(evals.reshape(-1)[order], evecs)
+
+
+def _blocks(operator: PauliOperator, reps, cosets, rows, k: int) -> np.ndarray:
+    """The (2^k, m, m) stack of blocks B_s, offset included.
+
+    H[j, j ^ x] = D_x[j], and D_x[j ^ a] = D_x[j] for every a of the group,
+    so M_d[r', r] = <r' ^ a_d|H|r> is D_x[r'] where r ^ a_d = r' ^ x: one
+    scatter fills every M_d, and k butterflies turn the M_d into the B_s.
+    """
+    size = reps.size
+    targets = operator.sources[:, reps]  # r' ^ x for every x-group and row r'
+    blocks = np.zeros((2**k, size, size), operator.diagonals.dtype)
+    blocks[cosets[targets], np.arange(size), rows[targets]] = operator.diagonals[:, reps]
+    for bit in range(k):
+        pairs = blocks.reshape(2 ** (k - 1 - bit), 2, -1)  # axis 1: this bit of d
+        pairs[:, 0], pairs[:, 1] = pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]
+    diagonal = np.arange(size)
+    blocks[:, diagonal, diagonal] += operator.offset
+    return blocks
 
 
 @dataclass

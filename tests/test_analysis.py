@@ -7,6 +7,7 @@ from qitekit.analysis import (
     VQE_REFERENCE_COUNTS,
     CostQuery,
     _mutual_information_pairs,
+    _x_symmetries,
     cut_values,
     exact_ground,
     exact_ite,
@@ -33,6 +34,7 @@ from qitekit.hamiltonians import (
     maxcut_six_vertex_instance,
     one_qubit_field,
     tfi_1d,
+    to_dense,
 )
 from qitekit.pauli import PauliString
 from qitekit.statevector import (
@@ -46,7 +48,13 @@ from qitekit.statevector import (
     zero_state,
 )
 
-from conftest import dense_expm_hermitian, dense_hamiltonian, random_real_state, random_state
+from conftest import (
+    dense_expm_hermitian,
+    dense_hamiltonian,
+    dense_pauli_string,
+    random_real_state,
+    random_state,
+)
 
 
 def test_spectral_and_exact_ground():
@@ -121,6 +129,92 @@ def test_odd_y_string_keeps_complex_path(rng):
     for beta in (0.3, 1.7):
         got = dec.ite(state, beta).amplitudes
         assert np.max(np.abs(got - _ite_reference(evals, evecs, state.amplitudes, beta))) < 1e-10
+
+
+def _assert_symmetries_commute(h, masks):
+    """X^a sigma X^a = sigma for every mask a and every string sigma of H,
+    on the kron-built matrices: the conjugation permutes rows and columns
+    by j -> j ^ a."""
+    index = np.arange(2**h.n_qubits)
+    for string in {s for term in h.terms for _, s in term.pauli_sum}:
+        mat = dense_pauli_string(string)
+        for a in masks:
+            assert np.array_equal(mat[np.ix_(index ^ a, index ^ a)], mat), (string, a)
+
+
+@pytest.mark.parametrize(
+    "h, k",
+    [
+        (tfi_1d(6, 1.0, 1.0), 1),  # the global flip
+        (heisenberg_1d(6), 1),
+        (one_qubit_field(0.6, 0.8), 0),
+        (_pauli_hamiltonian(5, [(0.3, "XIIII"), (-0.7, "IXXII"), (1.1, "IIIXX")]), 5),
+    ],
+    ids=["tfi6", "heisenberg6", "one_qubit_field", "x_only5"],
+)
+def test_x_symmetry_count(h, k):
+    symmetries = _x_symmetries(h)
+    assert len(symmetries) == k
+    _assert_symmetries_commute(h, symmetries.values())
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        heisenberg_1d(6, field=0.3),
+        one_qubit_field(0.6, 0.8),
+        _pauli_hamiltonian(3, [(0.7, "XYI"), (0.4, "ZZI"), (-0.3, "IXZ"), (0.2, "IIY")]),
+    ],
+    ids=["heisenberg6_field", "one_qubit_field", "complex3"],
+)
+def test_spectral_without_x_symmetry_is_one_eigh(h):
+    assert not _x_symmetries(h)
+    dec = spectral(h)
+    evals, evecs = np.linalg.eigh(to_dense(h))
+    assert dec.evals.dtype == evals.dtype and dec.evecs.dtype == evecs.dtype
+    assert dec.evals.tobytes() == evals.tobytes()
+    assert dec.evecs.tobytes() == evecs.tobytes()
+
+
+@st.composite
+def _blockable_pauli_sums(draw, max_qubits=8):
+    """Random Pauli sums, real or complex: any strings, X-only strings (every
+    X-type string is a symmetry), or any strings plus a Z field on every
+    qubit (none is)."""
+    n = draw(st.integers(1, max_qubits))
+    kind = draw(st.sampled_from(["any", "x_only", "z_field"]))
+    label = st.text(alphabet="IX" if kind == "x_only" else "IXYZ", min_size=n, max_size=n)
+    entries = draw(st.lists(st.tuples(st.floats(-1.0, 1.0), label), min_size=1, max_size=8))
+    if kind == "z_field":
+        field = st.floats(0.1, 1.0)
+        entries += [(draw(field), "I" * q + "Z" + "I" * (n - 1 - q)) for q in range(n)]
+    return _pauli_hamiltonian(n, entries)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(h=_blockable_pauli_sums(), seed=st.integers(0, 2**32 - 1))
+def test_blocked_spectral_matches_one_eigh_property(h, seed):
+    n, mat = h.n_qubits, to_dense(h)
+    symmetries = _x_symmetries(h)
+    _assert_symmetries_commute(h, symmetries.values())
+    masks = [sum(1 << q for q, c in s.items if c != "X") for t in h.terms for _, s in t.pauli_sum]
+    commuting = [a for a in range(2**n) if all(bin(a & z).count("1") % 2 == 0 for z in masks)]
+    assert len(commuting) == 2 ** len(symmetries)
+
+    dec, (evals, evecs) = spectral(h), np.linalg.eigh(mat)
+    assert dec.evecs.dtype == evecs.dtype
+    assert np.all(np.diff(dec.evals) >= 0)
+    assert np.max(np.abs(dec.evals - evals)) <= 1e-12
+    vectors = dec.evecs
+    assert np.linalg.norm(vectors.conj().T @ vectors - np.eye(2**n), 2) <= 1e-12
+    scale = max(np.linalg.norm(mat, 2), 1.0)
+    assert np.linalg.norm(mat @ vectors - vectors * dec.evals, 2) / scale <= 1e-12
+    assert np.max(np.abs(_ground_projector(dec.evals, vectors)
+                         - _ground_projector(evals, evecs))) <= 1e-10
+    state = StateVector(random_state(n, np.random.default_rng(seed)), n)
+    for beta in (0.3, 1.7):
+        want = _ite_reference(evals, evecs, state.amplitudes, beta)
+        assert np.max(np.abs(dec.ite(state, beta).amplitudes - want)) <= 1e-10
 
 
 @st.composite
@@ -220,6 +314,35 @@ def test_gibbs_average_monotone_and_observable():
         gibbs_average(h, 1.0, observable=heisenberg_1d(3))
     with pytest.raises(ValueError):
         gibbs_average(h, -1.0)
+
+
+@pytest.mark.parametrize(
+    "h, observables",
+    [
+        (
+            tfi_1d(4, 1.0, 0.7),
+            [heisenberg_1d(4), _pauli_hamiltonian(4, [(0.5, "YIII"), (0.3, "XYZI")])],
+        ),
+        (
+            _pauli_hamiltonian(3, [(0.7, "XYI"), (0.4, "ZZI"), (-0.3, "IXZ"), (0.2, "IIY")]),
+            [heisenberg_1d(3), _pauli_hamiltonian(3, [(0.5, "YII"), (0.3, "XYZ")])],
+        ),
+    ],
+    ids=["real", "complex"],
+)
+def test_gibbs_observable_against_plain_eigh(h, observables, rng):
+    # Tr(O e^{-beta H}) / Tr(e^{-beta H}) for real and complex O, and for a
+    # dense Hermitian O with no Pauli structure
+    mat, dim = dense_hamiltonian(h), 2**h.n_qubits
+    noise = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    dense, dec = noise + noise.conj().T, spectral(h)
+    for beta in (0.0, 0.6, 2.5):
+        rho = dense_expm_hermitian(mat, -beta)
+        for observable in observables:
+            want = np.trace(dense_hamiltonian(observable) @ rho).real / np.trace(rho).real
+            assert abs(gibbs_average(h, beta, observable) - want) < 1e-10
+        want = np.trace(dense @ rho).real / np.trace(rho).real
+        assert abs(dec.gibbs(beta, dense) - want) < 1e-10
 
 
 def test_gibbs_average_refuses_a_wide_h_before_densifying_the_observable(monkeypatch):

@@ -200,12 +200,12 @@ def test_qlanczos_run_inexact_domain_stays_finite():
 
 
 @st.composite
-def _real_pauli_sums_and_product_states(draw):
-    """A real H (even-Y strings, one term each) on n <= 4 qubits and a
-    product-state label over 01+-."""
+def _pauli_sums_and_product_states(draw, real):
+    """An H of random strings (one term each; even-Y strings only when
+    ``real``) on n <= 4 qubits and a product-state label over 01+-."""
     n = draw(st.integers(2, 4))
     label = st.text(alphabet="IXYZ", min_size=n, max_size=n).filter(
-        lambda text: text.count("Y") % 2 == 0 and set(text) != {"I"}
+        lambda text: (text.count("Y") % 2 == 0 or not real) and set(text) != {"I"}
     )
     entries = draw(st.lists(st.tuples(st.floats(-1.0, 1.0), label), min_size=1, max_size=6))
     strings = [PauliString.from_label(text) for _, text in entries]
@@ -217,7 +217,7 @@ def _real_pauli_sums_and_product_states(draw):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
-    case=_real_pauli_sums_and_product_states(),
+    case=_pauli_sums_and_product_states(real=True),
     kind=st.sampled_from(["pauli_full", "pauli_odd_y"]),
     exact_domain=st.booleans(),
     b_mode=st.sampled_from(B_MODES),
@@ -237,6 +237,32 @@ def test_variational_bound_and_qlanczos_below_qite_on_selected_sweeps(
     assert np.all(res.trajectory.energies >= spectral(h).evals[0] - 1e-9)
     selected = np.isin(np.arange(0, cfg.n_steps + 1, 2), res.selected)
     assert np.all(res.e_qlanczos[selected] <= res.e_qite[selected] + 1e-9)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    case=_pauli_sums_and_product_states(real=False),
+    dtau=st.sampled_from([0.05, 0.1, 0.3]),
+    kind=st.sampled_from(["pauli_full", "pauli_odd_y"]),
+    exact_domain=st.booleans(),
+)
+def test_ledger_norms_and_the_overlaps_stabilize_reads_stay_positive(
+    case, dtau, kind, exact_domain
+):
+    # |S_ll'| <= 1 is not asserted: the ledger's S comes from per-step norm
+    # factors, not from a Gram matrix, and it can exceed 1
+    h, label = case
+    cfg = QiteConfig(
+        dtau=dtau, n_steps=8, domain_size=h.n_qubits if exact_domain else 2, pool_kind=kind
+    )
+    trajectory = qite_evolve(product_state(label), h, cfg)
+    assert np.all(np.isfinite(trajectory.inv_sq_norms))
+    assert np.all(trajectory.inv_sq_norms > 0)
+    ledger = ledger_from_trajectory(trajectory)
+    accepted = stabilize(ledger, 0.95)
+    for l in range(2, ledger.n_sweeps + 1, 2):  # stabilize's read at sweep l
+        overlap = overlap_from_norms(ledger, max(a for a in accepted if a < l), l)
+        assert np.isfinite(overlap) and overlap > 0
 
 
 def test_qlanczos_noise_handling(rng):
