@@ -139,33 +139,40 @@ def check_dense(hamiltonian: Hamiltonian) -> None:
         )
 
 
-def _x_symmetries(hamiltonian: Hamiltonian) -> Dict[int, int]:
-    """A basis {pivot bit: a} of the X-type strings X^a that commute with
-    every string of H.
+def _symmetries(hamiltonian: Hamiltonian, letter: str) -> Dict[int, int]:
+    """A basis {pivot bit: a} of the strings P^a, P the Pauli ``letter`` X or
+    Z, that commute with every string of H.
 
     X^a commutes with a string when popcount(a & z) is even, z the string's
-    mask of Y and Z letters, so the a form the GF(2) null space of those
-    masks.  The basis is in reduced echelon form: each a has its own pivot
-    bit set and every other pivot bit clear.
+    mask of Y and Z letters; Z^a when popcount(a & x) is even, x its mask of
+    X and Y letters.  So the a form the GF(2) null space of those masks.
+    The basis is in reduced echelon form: each a has its own pivot bit set
+    and every other pivot bit clear.
     """
     strings = tuple(s for term in hamiltonian.terms for _, s in term.pauli_sum)
-    masks = _pauli_masks(strings, tuple(range(hamiltonian.n_qubits)))[1]
+    xmask, yzmask, _ = _pauli_masks(strings, tuple(range(hamiltonian.n_qubits)))
+    masks = yzmask if letter == "X" else xmask
     rows: Dict[int, int] = {}  # the masks' row space, reduced: pivot bit -> row
-    for z in sorted(set(masks.tolist())):
+    for mask in sorted(set(masks.tolist())):
         for pivot, row in rows.items():
-            if z >> pivot & 1:
-                z ^= row
-        if z:
-            pivot = (z & -z).bit_length() - 1
+            if mask >> pivot & 1:
+                mask ^= row
+        if mask:
+            pivot = (mask & -mask).bit_length() - 1
             for other in list(rows):
                 if rows[other] >> pivot & 1:
-                    rows[other] ^= z
-            rows[pivot] = z
+                    rows[other] ^= mask
+            rows[pivot] = mask
     return {
         free: 1 << free | sum(1 << pivot for pivot, row in rows.items() if row >> free & 1)
         for free in range(hamiltonian.n_qubits)
         if free not in rows
     }
+
+
+def _x_symmetries(hamiltonian: Hamiltonian) -> Dict[int, int]:
+    """The X-type symmetry basis that ``spectral`` blocks over."""
+    return _symmetries(hamiltonian, "X")
 
 
 def spectral(hamiltonian: Hamiltonian) -> SpectralDecomposition:

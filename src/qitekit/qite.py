@@ -247,30 +247,36 @@ def _build_plan(
 # linear system assembly and solves
 
 
+def _step_matrix(plan: _TermPlan, dtau: float, config: QiteConfig) -> np.ndarray:
+    """G on the term's own support, from its eigendecomposition: h
+    (measurable) or e^{-dtau h} (exact_delta0)."""
+    evals, evecs = plan.h_eig
+    exact = config.b_mode == "exact_delta0"
+    return (evecs * (np.exp(-dtau * evals) if exact else evals)) @ evecs.conj().T
+
+
 def _step_operators(
     plan: _TermPlan,
-    state: StateVector,
+    amps: np.ndarray,
+    g: np.ndarray,
     dtau: float,
     config: QiteConfig,
     rng: Optional[np.random.Generator],
 ):
-    """(L, G L, c, scale) of one step, the inputs of every route.
+    """(L, G L, c, scale) of one step of the amplitudes ``amps``, the inputs
+    of every route.
 
     L is the state's (2^k, 2^(n-k)) factor on the unitary support, a copy the
-    step may update in place, so rho = L L^dagger.  G acts through the term's
-    eigendecomposition on its own support: G = h (measurable, c = 1 - 2 dtau
-    <h>, whose noise is drawn here first) or e^{-dtau h} (exact_delta0,
-    c = |G psi|^2 = Tr(G rho G)).  S a holds the Pauli coefficients of
-    {A, rho} and b those of B = i 2^k scale [G, rho].
+    step may update in place, so rho = L L^dagger.  G is ``_step_matrix``:
+    h (measurable, c = 1 - 2 dtau <h>, whose noise is drawn here first) or
+    e^{-dtau h} (exact_delta0, c = |G psi|^2 = Tr(G rho G)).  S a holds the
+    Pauli coefficients of {A, rho} and b those of B = i 2^k scale [G, rho].
     """
     if config.noise_sigma > 0 and rng is None:
         raise ConfigError("noise_sigma > 0 requires a random generator")
-    evals, evecs = plan.h_eig
-    exact = config.b_mode == "exact_delta0"
-    g = (evecs * (np.exp(-dtau * evals) if exact else evals)) @ evecs.conj().T
-    amps, n = state.amplitudes, state.n_qubits
+    n = amps.size.bit_length() - 1  # amps holds 2^n amplitudes
     g_amps = _apply_matrix_on_support(amps, g, plan.h_support, n)
-    if exact:
+    if config.b_mode == "exact_delta0":
         c = float(np.vdot(g_amps, g_amps).real)
         scale = -1.0 / (dtau * math.sqrt(c))
     else:
@@ -345,7 +351,8 @@ def build_linear_system(
     support = _pool_support(0, tuple(pool.domain) + tuple(term.support), strings, config)
     masks = _pauli_masks(tuple(strings), support)
     plan = _build_plan(0, term, tuple(pool.domain), support, masks)
-    factor, g_factor, c, scale = _step_operators(plan, state, dtau, config, rng)
+    g = _step_matrix(plan, dtau, config)
+    factor, g_factor, c, scale = _step_operators(plan, state.amplitudes, g, dtau, config, rng)
     rho, comm = _rho_and_commutator(factor, g_factor)
     return (*_explicit_system(plan, rho, comm, scale, config, rng), c)
 
@@ -473,7 +480,22 @@ def _run_step(
     config: QiteConfig,
     rng: Optional[np.random.Generator],
 ) -> Tuple[StateVector, StepRecord]:
-    factor, g_factor, c, scale = _step_operators(plan, state, dtau, config, rng)
+    """One step of ``state``, with its own G."""
+    g = _step_matrix(plan, dtau, config)
+    amps, record = _advance(state.amplitudes, plan, g, dtau, config, rng)
+    return StateVector(amps, state.n_qubits), record
+
+
+def _advance(
+    amps: np.ndarray,
+    plan: _TermPlan,
+    g: np.ndarray,
+    dtau: float,
+    config: QiteConfig,
+    rng: Optional[np.random.Generator],
+) -> Tuple[np.ndarray, StepRecord]:
+    """The normalized amplitudes after one step of ``amps`` and its record."""
+    factor, g_factor, c, scale = _step_operators(plan, amps, g, dtau, config, rng)
     if plan.local_masks is None:
         blocks, residual = _solve_in_rho(factor, g_factor, scale, config, plan.in_range)
         odd_y = config.pool_kind == "pauli_odd_y"
@@ -493,10 +515,8 @@ def _run_step(
         generator = PauliOperator.from_masks(coefficients, plan.local_masks, k).dense()
         _check_finite(plan, generator)
         factor = _unitary(generator, dtau) @ factor
-    amps = _from_support_major(factor, plan.unitary_support, state.n_qubits)
-    amps = amps / np.linalg.norm(amps)
-    record = StepRecord(plan.index, dtau, c, residual, plan.domain)
-    return StateVector(amps, state.n_qubits), record
+    amps = _from_support_major(factor, plan.unitary_support, amps.size.bit_length() - 1)
+    return amps / np.linalg.norm(amps), StepRecord(plan.index, dtau, c, residual, plan.domain)
 
 
 def _check_finite(plan: _TermPlan, generator: np.ndarray) -> None:
@@ -573,14 +593,21 @@ def _propagate(state, plans, config, rng=None, record_sweep=None) -> StateVector
     """The state after ``config.n_steps`` sweeps on prebuilt plans.
 
     Repeated evolutions share the plans; ``record_sweep(state, records)``
-    sees each sweep's state and step records.
+    sees each sweep's state and step records.  Each (term, dtau) of the
+    schedule builds its G once, and the amplitudes become a StateVector once
+    per sweep.
     """
+    if config.n_steps == 0:  # a METTS chain at beta = 0 passes no plans
+        return state
     schedule = _sweep_schedule(len(plans), config)
+    matrices = {(m, dt): _step_matrix(plans[m], dt, config) for m, dt in set(schedule)}
+    amps = state.amplitudes
     for _ in range(config.n_steps):
         records = []
         for m, dt in schedule:
-            state, record = _run_step(state, plans[m], dt, config, rng)
+            amps, record = _advance(amps, plans[m], matrices[m, dt], dt, config, rng)
             records.append(record)
+        state = StateVector(amps, state.n_qubits)
         if record_sweep is not None:
             record_sweep(state, records)
     return state

@@ -5,21 +5,23 @@ temperature in imaginary time, records the observable on the normalized
 result, then collapses it in a single-qubit basis to seed the next step.
 Alternating the collapse basis between X and Z decorrelates successive
 samples; the remaining autocorrelation is absorbed into the error bar by
-pairwise blocking.
+pairwise blocking.  A Pauli symmetry of H maps one start label's typical
+state to another's, so the chain evolves one label per symmetry orbit.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from .analysis import _symmetries
 from .errors import ConfigError, DimensionError
 from .hamiltonians import Hamiltonian, energy
-from .qite import QiteConfig, _propagate, _term_plans
-from .statevector import measure_collapse, product_state
+from .qite import QiteConfig, _propagate, _TermPlan, _term_plans
+from .statevector import StateVector, _collapse_label, _signs, product_state
 
 BASIS_CYCLES = ("alternating", "z_only")
 
@@ -40,7 +42,7 @@ class MettsConfig:
 
     def validate(self) -> None:
         self.qite.validate()
-        if self.qite.noise_sigma != 0:  # each start label evolves once, with no generator
+        if self.qite.noise_sigma != 0:  # each start orbit evolves once, with no generator
             raise ConfigError("qite.noise_sigma must be 0 for a METTS chain")
         if self.beta < 0:
             raise ConfigError("beta must be non-negative")
@@ -90,6 +92,48 @@ def _collapse_bases(sample_index: int, n_qubits: int, cycle: str) -> str:
     return "X" * n_qubits
 
 
+def _typical_states(
+    hamiltonian: Hamiltonian, plans: List[_TermPlan], config: QiteConfig
+) -> Callable[[str], StateVector]:
+    """A map from a single-basis start label to its typical state, the
+    normalized e^{-beta H / 2}|label> through QITE on ``plans``, that
+    evolves one label per orbit of H's Pauli symmetries.
+
+    An X-type string X^a that commutes with every string of H maps the
+    Z-basis state of bits j to that of bits j ^ a, and such a Z-type string
+    Z^b the X-basis state of bits j ('-' read as 1) to that of j ^ b.  Every
+    QITE step is covariant under such a string: G commutes with it, and the
+    pools, rho's eigenbasis solve and the odd-Y pool's real columns all map
+    through the signed permutation it makes on the unitary support.  So the
+    typical state of a label is X^a or Z^b times that of its orbit's
+    representative, which clears the pivot bits of the symmetry basis
+    (``analysis._symmetries``, as ``spectral`` picks its block
+    representatives); only representatives are propagated.
+    """
+    n = hamiltonian.n_qubits
+    index = np.arange(2**n)
+    groups = {"01": _symmetries(hamiltonian, "X"), "+-": _symmetries(hamiltonian, "Z")}
+    evolved = {}  # representative label -> its typical state
+
+    def typical_state(label: str) -> StateVector:
+        letters = "+-" if label[0] in "+-" else "01"
+        bits = rep = sum(1 << q for q, ch in enumerate(label) if ch == letters[1])
+        for pivot, mask in groups[letters].items():
+            if rep >> pivot & 1:
+                rep ^= mask
+        key = "".join(letters[rep >> q & 1] for q in range(n))
+        if key not in evolved:
+            evolved[key] = _propagate(product_state(key), plans, config)
+        state, shift = evolved[key], bits ^ rep
+        if not shift:
+            return state
+        amps = state.amplitudes
+        mapped = amps * _signs(index, shift) if letters == "+-" else amps[index ^ shift]
+        return StateVector(mapped, n)
+
+    return typical_state
+
+
 def metts_chain(
     hamiltonian: Hamiltonian,
     config: MettsConfig,
@@ -98,9 +142,10 @@ def metts_chain(
 ) -> MettsResult:
     """Run the sampling chain and return blocked statistics for the observable.
 
-    The observable defaults to the Hamiltonian itself.  The first
-    ``config.n_warmup`` samples are discarded from the mean and error bar
-    but are kept in ``samples`` for inspection.
+    The observable defaults to the Hamiltonian itself; it is evaluated on
+    each label's own typical state, so it need not share H's symmetries.
+    The first ``config.n_warmup`` samples are discarded from the mean and
+    error bar but are kept in ``samples`` for inspection.
     """
     config.validate()
     n = hamiltonian.n_qubits
@@ -110,6 +155,7 @@ def metts_chain(
     steps = config.n_steps_per_sample()
     qite_config = dataclasses.replace(config.qite, n_steps=steps)
     plans = _term_plans(hamiltonian.terms, qite_config, n) if steps > 0 else []
+    typical_state = _typical_states(hamiltonian, plans, qite_config)
 
     bits = rng.integers(0, 2, size=n)
     label = "".join("1" if b else "0" for b in bits)
@@ -117,11 +163,11 @@ def metts_chain(
     typical = {}  # label -> (state, value); the evolution draws no random numbers
     for k in range(1, config.n_samples + 1):
         if label not in typical:
-            state = _propagate(product_state(label), plans, qite_config)
+            state = typical_state(label)
             typical[label] = (state, energy(state, obs))
         state, value = typical[label]
         bases = _collapse_bases(k, n, config.basis_cycle)
-        next_label, _ = measure_collapse(state, bases, rng)
+        next_label = _collapse_label(state.amplitudes, bases, rng)
         samples.append(MettsSample(k, label, value, next_label))
         label = next_label
 

@@ -21,8 +21,6 @@ from .pauli import PauliString
 MAX_DENSE_QUBITS = 13
 MAX_RDM_QUBITS = 8
 
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-
 _BASIS_VECTORS = {
     "0": np.array([1, 0], dtype=complex),
     "1": np.array([0, 1], dtype=complex),
@@ -372,18 +370,29 @@ def measure_collapse(state: StateVector, bases: Sequence[str], rng: np.random.Ge
     bases = list(bases)
     if len(bases) != state.n_qubits:
         raise DimensionError("need one measurement basis per qubit")
-    amps = state.amplitudes
+    label = _collapse_label(state.amplitudes, bases, rng)
+    return label, product_state(label)
+
+
+def _collapse_label(amps: np.ndarray, bases: Sequence[str], rng: np.random.Generator) -> str:
+    """The label of one projective measurement of the amplitudes ``amps``,
+    one basis 'Z' or 'X' per qubit, drawn with one ``rng.choice``.
+
+    Each X-basis qubit q takes sqrt(2) times a Hadamard: one butterfly on
+    the (high, bit q, low) view; normalizing the probabilities absorbs the
+    factor.
+    """
     for q, basis in enumerate(bases):
         if basis == "X":
-            amps = _apply_matrix_on_support(amps, _HADAMARD, (q,), state.n_qubits)
+            pairs = amps.reshape(-1, 2, 2**q)
+            amps = np.stack((pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]), axis=1)
         elif basis != "Z":
             raise ValueError(f"unsupported measurement basis {basis!r}")
-    probs = np.abs(amps) ** 2
+    probs = np.abs(amps.reshape(-1)) ** 2
     probs = probs / probs.sum()
     outcome = int(rng.choice(probs.size, p=probs))
     chars = []
     for q, basis in enumerate(bases):
         bit = (outcome >> q) & 1
         chars.append(("-" if bit else "+") if basis == "X" else ("1" if bit else "0"))
-    label = "".join(chars)
-    return label, product_state(label)
+    return "".join(chars)

@@ -23,6 +23,7 @@ from qitekit.qite import (
     _in_range,
     _run_step,
     _solve_in_rho,
+    _step_matrix,
     _step_operators,
     _term_plans,
     build_linear_system,
@@ -231,7 +232,9 @@ def _rho_basis_step(state, term, cfg, dtau):
     """(plan, generator, residual) of a noiseless step solved in the full
     eigenbasis of rho."""
     plan = _basis_plan(term, cfg, state.n_qubits)
-    factor, g_factor, _, scale = _step_operators(plan, state, dtau, cfg, None)
+    factor, g_factor, _, scale = _step_operators(
+        plan, state.amplitudes, _step_matrix(plan, dtau, cfg), dtau, cfg, None
+    )
     blocks, residual = _solve_in_rho(factor, g_factor, scale, cfg, False)
     return plan, _generator(blocks, factor.shape[0]), residual
 
@@ -383,7 +386,9 @@ def test_rho_basis_step_matches_explicit_solve(
         domain_size=k, pool_kind=kind, b_mode=b_mode, delta=delta, pinv_tol=pinv_tol
     )
     plan = _basis_plan(term, cfg, n)
-    factor, g_factor, c_step, scale = _step_operators(plan, state, 0.05, cfg, None)
+    factor, g_factor, c_step, scale = _step_operators(
+        plan, state.amplitudes, _step_matrix(plan, 0.05, cfg), 0.05, cfg, None
+    )
     smat, bvec, c = build_linear_system(
         state, term, OperatorPool(kind, plan.domain), 0.05, cfg
     )
@@ -534,7 +539,9 @@ def test_range_step_columns_orthonormal_on_graded_states(
         state = _graded_state(rng, plan.unitary_support, n, 2, 4, real)
     else:
         state = _random_amplitudes(rng, n, real, product=False)
-    factor, g_factor, _, scale = _step_operators(plan, state, 0.05, cfg, None)
+    factor, g_factor, _, scale = _step_operators(
+        plan, state.amplitudes, _step_matrix(plan, 0.05, cfg), 0.05, cfg, None
+    )
     blocks, _ = _solve_in_rho(factor, g_factor, scale, cfg, in_range)
     for _, q, m in blocks:
         assert np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1]), 2) <= 1e-13
@@ -545,7 +552,9 @@ def _assert_range_step_matches(state, term, basis, cfg):
     """The range solve and step on ``basis``'s support reproduce its
     eigenbasis solve and step."""
     ranged = _build_plan(basis.index, term, basis.domain, basis.unitary_support, None, True)
-    factor, g_factor, _, scale = _step_operators(basis, state, 0.05, cfg, None)
+    factor, g_factor, _, scale = _step_operators(
+        basis, state.amplitudes, _step_matrix(basis, 0.05, cfg), 0.05, cfg, None
+    )
     dim = factor.shape[0]
     expected = _generator(_solve_in_rho(factor, g_factor, scale, cfg, False)[0], dim)
     generator = _generator(_solve_in_rho(factor, g_factor, scale, cfg, True)[0], dim)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +7,20 @@ from hypothesis import strategies as st
 
 from qitekit.analysis import gibbs_average
 from qitekit.errors import ConfigError, DimensionError
-from qitekit.hamiltonians import heisenberg_1d, one_qubit_field
-from qitekit.qite import QiteConfig
-from qitekit.qmetts import MettsConfig, block_error, metts_chain
+from qitekit.hamiltonians import (
+    Hamiltonian,
+    LocalTerm,
+    heisenberg_1d,
+    heisenberg_long_range,
+    hubbard_1d_jw,
+    maxcut_six_vertex_instance,
+    one_qubit_field,
+    tfi_1d,
+)
+from qitekit.pauli import PauliString, commutes
+from qitekit.qite import QiteConfig, _propagate, _term_plans
+from qitekit.qmetts import MettsConfig, _typical_states, block_error, metts_chain
+from qitekit.statevector import product_state
 
 
 def test_config_validation():
@@ -49,6 +62,33 @@ def test_chain_enumerates_each_pool_once(monkeypatch):
     assert len(calls) == 1
 
 
+def _field_term(n, qubit, letter, coeff):
+    label = "".join(letter if q == qubit else "I" for q in range(n))
+    return LocalTerm((qubit,), ((coeff, PauliString.from_label(label)),))
+
+
+def _with_fields(h, fields):
+    """H plus a field ``coeff`` * letter on every qubit, per (letter, coeff)."""
+    n = h.n_qubits
+    extra = tuple(_field_term(n, q, letter, c) for letter, c in fields for q in range(n))
+    return Hamiltonian(n, h.terms + extra)
+
+
+def _orbit(label, h):
+    """Every label that an X-type (Z-basis label) or Z-type (X-basis label)
+    string commuting with each string of H maps ``label`` to, by brute force."""
+    n = h.n_qubits
+    letters, kind = ("+-", "Z") if label[0] in "+-" else ("01", "X")
+    strings = [s for term in h.terms for _, s in term.pauli_sum]
+    orbit = set()
+    for a in range(2**n):
+        symmetry = PauliString.from_label("".join(kind if a >> q & 1 else "I" for q in range(n)))
+        if all(commutes(symmetry, s) for s in strings):
+            orbit.add("".join(letters[letters.index(ch) ^ (a >> q & 1)]
+                              for q, ch in enumerate(label)))
+    return frozenset(orbit)
+
+
 def test_chain_evolves_each_start_label_once(monkeypatch):
     import qitekit.qmetts as qmetts_module
 
@@ -61,15 +101,104 @@ def test_chain_evolves_each_start_label_once(monkeypatch):
     )
     config = MettsConfig(beta=0.4, n_samples=24, n_warmup=4,
                          qite=QiteConfig(dtau=0.1, domain_size=2))
-    res = metts_chain(heisenberg_1d(3), config, np.random.default_rng(0))
-    labels = [s.start_label for s in res.samples]
-    # the chain revisits labels, and each one is evolved only the first time
-    assert len(set(labels)) < len(labels)
-    assert len(starts) == len(set(labels))
-    # a revisited label reports the value of its first visit
-    first = {}
-    for s in res.samples:
-        assert first.setdefault(s.start_label, s.value) == s.value
+    symmetric = heisenberg_1d(3)
+    # X and Z fields on every site: no X- or Z-type string commutes with H
+    asymmetric = _with_fields(symmetric, [("X", 0.3), ("Z", 0.5)])
+    for h in (symmetric, asymmetric):
+        starts.clear()
+        res = metts_chain(h, config, np.random.default_rng(0))
+        labels = [s.start_label for s in res.samples]
+        orbits = {_orbit(label, h) for label in labels}
+        # the chain revisits labels, and each symmetry orbit is evolved only once
+        assert len(set(labels)) < len(labels)
+        assert len(starts) == len(orbits)
+        if h is symmetric:
+            assert len(orbits) < len(set(labels))
+        else:  # every orbit is one label, evolved once
+            assert all(len(orbit) == 1 for orbit in orbits)
+            assert len(starts) == len(set(labels))
+        # a revisited label reports the value of its first visit
+        first = {}
+        for s in res.samples:
+            assert first.setdefault(s.start_label, s.value) == s.value
+
+
+_COVARIANCE_MODELS = [
+    (heisenberg_1d(4), ("pauli_full", "pauli_odd_y")),
+    (tfi_1d(4, 1.0, 0.7), ("pauli_full", "pauli_odd_y")),
+    (maxcut_six_vertex_instance(), ("pauli_full", "pauli_odd_y")),
+    (hubbard_1d_jw(2, 4.0), ("fermionic_number_conserving",)),
+    (heisenberg_long_range(4), ("pauli_full", "pauli_odd_y")),
+]
+_COVARIANCE_SETTINGS = [  # (b_mode, trotter_order, delta, tolerance)
+    ("exact_delta0", 1, 0.01, 1e-12),
+    ("measurable", 1, 0.05, 1e-12),
+    ("exact_delta0", 2, 0.05, 1e-12),
+    ("measurable", 2, 0.01, 1e-12),
+    # without regularization a step's solve on a near-product state is
+    # ill-conditioned: a 1e-16 relative perturbation of a maxcut start state
+    # moves its own odd-Y evolution by up to 8e-12, so two evolutions that
+    # differ by roundoff agree only to that
+    ("exact_delta0", 2, 0.0, 1e-10),
+    ("measurable", 1, 0.0, 1e-10),
+]
+
+
+@pytest.mark.parametrize(
+    "h, pools", _COVARIANCE_MODELS,
+    ids=["heisenberg4", "tfi4", "maxcut6", "hubbard2", "long_range4"],
+)
+def test_mapped_typical_state_matches_its_own_evolution(h, pools):
+    n = h.n_qubits
+    rng = np.random.default_rng(n)
+    labels = ["".join(rng.choice(list(letters), n)) for letters in ("01", "+-") for _ in range(3)]
+    mapped = 0
+    for pool, (b_mode, order, delta, tol) in itertools.product(pools, _COVARIANCE_SETTINGS):
+        cfg = QiteConfig(dtau=0.05, n_steps=3, domain_size=2, pool_kind=pool,
+                         b_mode=b_mode, trotter_order=order, delta=delta)
+        plans = _term_plans(h.terms, cfg, n)
+        typical_state = _typical_states(h, plans, cfg)
+        for label in labels:
+            got = typical_state(label).amplitudes
+            want = _propagate(product_state(label), plans, cfg).amplitudes
+            phase = np.vdot(got, want)
+            where = (pool, b_mode, order, delta, label)
+            assert abs(abs(phase) - 1.0) <= tol, where
+            assert np.max(np.abs(want - phase / abs(phase) * got)) <= tol, where
+            mapped += min(_orbit(label, h)) != label
+    assert mapped  # some labels are not their orbit's representative
+
+
+def test_chain_matches_the_chain_without_symmetries(monkeypatch):
+    import qitekit.qmetts as qmetts_module
+
+    h = heisenberg_1d(4)
+    # Z_0 flips sign under the global X flip and X_0 under the global Z flip
+    observable = Hamiltonian(4, (_field_term(4, 0, "Z", 0.7), _field_term(4, 0, "X", 0.4)))
+    config = MettsConfig(beta=2.0, n_samples=60, n_warmup=4,
+                         qite=QiteConfig(dtau=0.1, domain_size=4, pool_kind="pauli_odd_y"))
+    evolutions = []
+    original = qmetts_module._propagate
+    monkeypatch.setattr(
+        qmetts_module, "_propagate", lambda *a: evolutions.append(1) or original(*a)
+    )
+
+    def chains():
+        """(result, evolutions) per seed and observable."""
+        runs = []
+        for seed, obs in itertools.product((0, 1), (None, observable)):
+            evolutions.clear()
+            res = metts_chain(h, config, np.random.default_rng(seed), observable=obs)
+            runs.append((res, len(evolutions)))
+        return runs
+
+    with_symmetries = chains()
+    monkeypatch.setattr(qmetts_module, "_symmetries", lambda hamiltonian, letter: {})
+    for (got, got_evolved), (want, want_evolved) in zip(with_symmetries, chains()):
+        assert [s.start_label for s in got.samples] == [s.start_label for s in want.samples]
+        assert [s.next_label for s in got.samples] == [s.next_label for s in want.samples]
+        assert np.max(np.abs(got.values - want.values)) <= 1e-12
+        assert got_evolved < want_evolved
 
 
 def test_block_error_constant_series():

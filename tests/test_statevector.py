@@ -456,6 +456,13 @@ def test_measure_collapse_deterministic_on_product_states(rng):
     assert np.allclose(post.amplitudes, product_state("+-").amplitudes)
 
 
+def test_measure_collapse_mixed_bases_on_product_states(rng):
+    # each X-basis qubit is rotated on its own bit of the amplitude index
+    for label in ("+0-1", "0+1-", "-1+0", "+-01"):
+        bases = "".join("X" if ch in "+-" else "Z" for ch in label)
+        assert measure_collapse(product_state(label), bases, rng)[0] == label
+
+
 def test_measure_collapse_statistics():
     # qubit in |+>: Z outcomes should be a fair coin
     rng = np.random.default_rng(11)
