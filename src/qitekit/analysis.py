@@ -19,7 +19,6 @@ from .errors import DimensionError, NumericalError, ResourceError
 from .hamiltonians import Hamiltonian, to_dense
 from .pauli import odd_y_count
 from .statevector import (
-    MAX_DENSE_QUBITS,
     PauliOperator,
     StateVector,
     _pauli_masks,
@@ -44,6 +43,10 @@ _LANCZOS_MIN_DIM = 512
 _LANCZOS_MAX_BASIS = 200
 _LANCZOS_CHECK = 5
 _LANCZOS_TOL = 1e-12
+# widest H that a dense diagonalization may take: a real Heisenberg H on 13
+# qubits peaked at 2.6 GB (matrix, eigenvectors and eigh workspace), on 14 it
+# would need about 10.7 GB
+MAX_DENSE_QUBITS = 13
 # peak bytes of a dense diagonalization, in units of its matrix
 _DENSE_MATRICES = 5
 
@@ -170,16 +173,26 @@ def _symmetries(hamiltonian: Hamiltonian, letter: str) -> Dict[int, int]:
     }
 
 
-def _x_symmetries(hamiltonian: Hamiltonian) -> Dict[int, int]:
-    """The X-type symmetry basis that ``spectral`` blocks over."""
-    return _symmetries(hamiltonian, "X")
+def _orbits(hamiltonian: Hamiltonian, letter: str) -> Tuple[np.ndarray, np.ndarray]:
+    """(cosets, group) of the strings P^a, P the Pauli ``letter``, that H
+    commutes with: cosets[j] holds j's pivot bits of the ``_symmetries``
+    basis, one bit per vector, group[c] the XOR of the vectors that c's bits
+    pick, and j ^ group[cosets[j]] is the representative of j's orbit."""
+    symmetries = _symmetries(hamiltonian, letter)
+    index = np.arange(2**hamiltonian.n_qubits)
+    cosets = np.zeros_like(index)
+    group = np.zeros(2 ** len(symmetries), np.int64)
+    for bit, (pivot, mask) in enumerate(symmetries.items()):
+        cosets |= (index >> pivot & 1) << bit
+        group[2**bit : 2 ** (bit + 1)] = group[: 2**bit] ^ mask
+    return cosets, group
 
 
 def spectral(hamiltonian: Hamiltonian) -> SpectralDecomposition:
     """Full diagonalization of H, in float64 when its matrix has no imaginary
     part, block by block over the X-type strings that H commutes with.
 
-    Those strings form a group {X^(a_c)} of 2^k elements (``_x_symmetries``;
+    Those strings form a group {X^(a_c)} of 2^k elements (``_orbits``;
     a_c is the XOR of the basis vectors that c's bits pick).  Every basis
     state j is r_j ^ a_(c_j), with r_j its orbit's representative (pivot bits
     0), so the states 2^(-k/2) sum_c (-1)^popcount(s & c) |r ^ a_c> split H
@@ -190,13 +203,8 @@ def spectral(hamiltonian: Hamiltonian) -> SpectralDecomposition:
     With k = 0 it is one eigh of the dense H, byte for byte.
     """
     check_dense(hamiltonian)
-    symmetries = _x_symmetries(hamiltonian)
-    k, index = len(symmetries), np.arange(2**hamiltonian.n_qubits)
-    cosets = np.zeros_like(index)  # c_j
-    group = np.zeros(2**k, np.int64)  # a_c
-    for bit, (pivot, mask) in enumerate(symmetries.items()):
-        cosets |= (index >> pivot & 1) << bit
-        group[2**bit : 2 ** (bit + 1)] = group[: 2**bit] ^ mask
+    cosets, group = _orbits(hamiltonian, "X")
+    k, index = len(group).bit_length() - 1, np.arange(2**hamiltonian.n_qubits)
     reps = np.flatnonzero(cosets == 0)
     slots = np.zeros_like(index)
     slots[reps] = np.arange(reps.size)

@@ -69,9 +69,10 @@ EXIT_RESOURCE = 3
 EXIT_NUMERICAL = 4
 
 # (exception types, exit code), shared by main and the manifest of a failed run;
-# any other exception exits 1, as Python does
+# an OSError is an output path that cannot be created or written (inputs are
+# read through _read); any other exception exits 1, as Python does
 _EXIT_CODES = (
-    ((ConfigError, DataFormatError, PoolError, DimensionError), EXIT_CONFIG),
+    ((ConfigError, DataFormatError, PoolError, DimensionError, OSError), EXIT_CONFIG),
     ((ResourceError,), EXIT_RESOURCE),
     ((NumericalError, np.linalg.LinAlgError), EXIT_NUMERICAL),
 )
@@ -677,6 +678,13 @@ def cmd_count(args) -> int:
 # entry point
 
 
+def _seed(text: str) -> int:
+    """An integer >= 0, as a config's seed must be."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, not {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qitekit",
@@ -693,7 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="path to a JSON experiment config (repeatable)",
     )
     run.add_argument("--out", required=True, help="output directory")
-    run.add_argument("--seed-override", type=int, default=None)
+    run.add_argument("--seed-override", type=_seed, default=None)
     run.add_argument("--max-qubits", type=int, default=DEFAULT_MAX_QUBITS)
     run.set_defaults(func=cmd_run)
 
@@ -708,7 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
     count = sub.add_parser("count", help="evaluate a measurement-cost query")
     count.add_argument("--config", required=True)
     count.add_argument("--out", default=None, help="optional output directory")
-    count.add_argument("--seed-override", type=int, default=None)
+    count.add_argument("--seed-override", type=_seed, default=None)
     count.add_argument("--max-qubits", type=int, default=DEFAULT_MAX_QUBITS)
     count.set_defaults(func=cmd_count)
     return parser

@@ -293,28 +293,25 @@ def _step_operators(
     return factor, _support_major(g_amps, plan.unitary_support, n), c, scale
 
 
-def _rho_and_commutator(factor: np.ndarray, g_factor: np.ndarray):
-    """(rho, [G, rho]) = (L L^dagger, X - X^dagger) with X = (G L) L^dagger."""
-    x = g_factor @ factor.conj().T
-    return factor @ factor.conj().T, x - x.conj().T
-
-
 def _explicit_system(
     plan: _TermPlan,
-    rho: np.ndarray,
-    comm: np.ndarray,
+    factor: np.ndarray,
+    g_factor: np.ndarray,
     scale: float,
     config: QiteConfig,
     rng: Optional[np.random.Generator],
 ):
     """(Smat, bvec) from Pauli traces; the b noise is drawn before the S noise.
 
+    With rho = L L^dagger (L the ``factor``), G rho = (G L) L^dagger and
+    comm = [G, rho] = G rho - (G rho)^dagger,
     Smat_IJ = 2 Re Tr(sigma_I sigma_J rho) and
-    b_I = -2 scale Im Tr(sigma_I G rho) = -scale Im Tr(sigma_I comm), with
-    comm = [G, rho].
+    b_I = -2 scale Im Tr(sigma_I G rho) = -scale Im Tr(sigma_I comm).
     sigma_I sigma_J is i^(nY_I + nY_J) (-1)^popcount(yz_I & x_J) times the
     string with masks (x_I ^ x_J, yz_I ^ yz_J).
     """
+    g_rho = g_factor @ factor.conj().T
+    rho, comm = factor @ factor.conj().T, g_rho - g_rho.conj().T
     x, yz, phase = plan.local_masks
     signs = phase[:, None] * phase * _signs(yz[:, None], x)
     smat = 2.0 * _pauli_traces(rho, (x[:, None] ^ x, yz[:, None] ^ yz, signs)).real
@@ -353,8 +350,7 @@ def build_linear_system(
     plan = _build_plan(0, term, tuple(pool.domain), support, masks)
     g = _step_matrix(plan, dtau, config)
     factor, g_factor, c, scale = _step_operators(plan, state.amplitudes, g, dtau, config, rng)
-    rho, comm = _rho_and_commutator(factor, g_factor)
-    return (*_explicit_system(plan, rho, comm, scale, config, rng), c)
+    return (*_explicit_system(plan, factor, g_factor, scale, config, rng), c)
 
 
 def solve_step(
@@ -473,19 +469,6 @@ def _real_columns(factor: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(factor).view(float).reshape(factor.shape[0], -1)
 
 
-def _run_step(
-    state: StateVector,
-    plan: _TermPlan,
-    dtau: float,
-    config: QiteConfig,
-    rng: Optional[np.random.Generator],
-) -> Tuple[StateVector, StepRecord]:
-    """One step of ``state``, with its own G."""
-    g = _step_matrix(plan, dtau, config)
-    amps, record = _advance(state.amplitudes, plan, g, dtau, config, rng)
-    return StateVector(amps, state.n_qubits), record
-
-
 def _advance(
     amps: np.ndarray,
     plan: _TermPlan,
@@ -508,8 +491,7 @@ def _advance(
             step = step.real if odd_y else step
             target[rows] += q @ (step @ (q.conj().T @ target[rows]))
     else:
-        rho, comm = _rho_and_commutator(factor, g_factor)
-        smat, bvec = _explicit_system(plan, rho, comm, scale, config, rng)
+        smat, bvec = _explicit_system(plan, factor, g_factor, scale, config, rng)
         coefficients, residual = solve_step(smat, bvec, config.delta, config.pinv_tol)
         k = len(plan.unitary_support)
         generator = PauliOperator.from_masks(coefficients, plan.local_masks, k).dense()
@@ -541,11 +523,14 @@ def qite_step(
     """One reconstruction step for a single Hamiltonian term."""
     config.validate()
     (plan,) = _term_plans([term], config, state.n_qubits, term_index)
-    return _run_step(state, plan, config.dtau if dtau is None else dtau, config, rng)
+    dtau = config.dtau if dtau is None else dtau
+    g = _step_matrix(plan, dtau, config)
+    amps, record = _advance(state.amplitudes, plan, g, dtau, config, rng)
+    return StateVector(amps, state.n_qubits), record
 
 
 def _sweep_schedule(n_terms: int, config: QiteConfig) -> List[Tuple[int, float]]:
-    if config.trotter_order == 1 or n_terms == 1:
+    if config.trotter_order == 1 or n_terms <= 1:  # a METTS chain at beta = 0 passes no plans
         return [(m, config.dtau) for m in range(n_terms)]
     half = config.dtau / 2.0
     forward = [(m, half) for m in range(n_terms - 1)]
@@ -597,8 +582,6 @@ def _propagate(state, plans, config, rng=None, record_sweep=None) -> StateVector
     schedule builds its G once, and the amplitudes become a StateVector once
     per sweep.
     """
-    if config.n_steps == 0:  # a METTS chain at beta = 0 passes no plans
-        return state
     schedule = _sweep_schedule(len(plans), config)
     matrices = {(m, dt): _step_matrix(plans[m], dt, config) for m, dt in set(schedule)}
     amps = state.amplitudes

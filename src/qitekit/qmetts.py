@@ -17,7 +17,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .analysis import _symmetries
+from .analysis import _orbits
 from .errors import ConfigError, DimensionError
 from .hamiltonians import Hamiltonian, energy
 from .qite import QiteConfig, _propagate, _TermPlan, _term_plans
@@ -106,25 +106,24 @@ def _typical_states(
     pools, rho's eigenbasis solve and the odd-Y pool's real columns all map
     through the signed permutation it makes on the unitary support.  So the
     typical state of a label is X^a or Z^b times that of its orbit's
-    representative, which clears the pivot bits of the symmetry basis
-    (``analysis._symmetries``, as ``spectral`` picks its block
+    representative (``analysis._orbits``, as ``spectral`` picks its block
     representatives); only representatives are propagated.
     """
     n = hamiltonian.n_qubits
     index = np.arange(2**n)
-    groups = {"01": _symmetries(hamiltonian, "X"), "+-": _symmetries(hamiltonian, "Z")}
+    orbits = {"01": _orbits(hamiltonian, "X"), "+-": _orbits(hamiltonian, "Z")}
     evolved = {}  # representative label -> its typical state
 
     def typical_state(label: str) -> StateVector:
         letters = "+-" if label[0] in "+-" else "01"
-        bits = rep = sum(1 << q for q, ch in enumerate(label) if ch == letters[1])
-        for pivot, mask in groups[letters].items():
-            if rep >> pivot & 1:
-                rep ^= mask
+        bits = sum(1 << q for q, ch in enumerate(label) if ch == letters[1])
+        cosets, group = orbits[letters]
+        shift = int(group[cosets[bits]])
+        rep = bits ^ shift
         key = "".join(letters[rep >> q & 1] for q in range(n))
         if key not in evolved:
             evolved[key] = _propagate(product_state(key), plans, config)
-        state, shift = evolved[key], bits ^ rep
+        state = evolved[key]
         if not shift:
             return state
         amps = state.amplitudes

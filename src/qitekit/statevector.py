@@ -15,10 +15,6 @@ import numpy as np
 from .errors import DimensionError, ResourceError
 from .pauli import PauliString
 
-# widest H that a dense diagonalization may take: a real Heisenberg H on 13
-# qubits peaked at 2.6 GB (matrix, eigenvectors and eigh workspace), on 14 it
-# would need about 10.7 GB
-MAX_DENSE_QUBITS = 13
 MAX_RDM_QUBITS = 8
 
 _BASIS_VECTORS = {

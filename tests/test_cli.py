@@ -29,7 +29,8 @@ from qitekit.analysis import (
     spectral,
 )
 from qitekit.errors import ConfigError
-from qitekit.hamiltonians import heisenberg_1d
+from qitekit.hamiltonians import energy, heisenberg_1d
+from qitekit.statevector import product_state
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -385,6 +386,26 @@ def test_initial_state_resolution(tmp_path):
         build_initial_state({**cfg, "initial_state": "singlet_dimers"}, 3)
 
 
+def test_half_filled_default_initial_state(tmp_path, capsys):
+    cfg = {
+        "algorithm": "qite",
+        "model": {"name": "hubbard_1d_jw", "params": {"n_sites": 2, "interaction": 4.0}},
+        "qite": {"dtau": 0.05, "n_steps": 3, "domain_size": 4,
+                 "pool_kind": "fermionic_number_conserving"},
+    }
+    for n_sites, label in ((2, "1001"), (3, "100110")):
+        model = {**cfg["model"], "params": {**cfg["model"]["params"], "n_sites": n_sites}}
+        state = build_initial_state({**cfg, "model": model}, 2 * n_sites)
+        assert state.amplitudes.tobytes() == product_state(label).amplitudes.tobytes()
+    out, path = tmp_path / "out", write_config(tmp_path, cfg)
+    assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    table = csv.DictReader((out / "qite.csv").read_text().splitlines())
+    energies = [float(row["energy"]) for row in table]
+    h = build_model(cfg["model"])
+    assert energies[0] == pytest.approx(energy(product_state("1001"), h), abs=1e-12)
+    assert len(energies) == 4 and energies[-1] < energies[0]
+
+
 # ---------------------------------------------------------------- running
 
 
@@ -558,6 +579,23 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert "cutoff" in capsys.readouterr().err
 
 
+def test_unusable_output_path_exits_config(tmp_path, capsys):
+    path = write_config(tmp_path, one_qubit_run_config(n_steps=2))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["run", "--config", str(path), "--out", str(taken)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1 and str(taken) in err
+    run = tmp_path / "run"
+    assert main(["run", "--config", str(path), "--out", str(run)]) == EXIT_OK
+    capsys.readouterr()
+    target = tmp_path / "missing" / "x.csv"
+    assert main(["compare", "--run", str(run), "--out", str(target)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1 and str(target) in err
+    assert not target.parent.exists()
+
+
 def test_failed_run_manifest_records_error(tmp_path):
     cfg = {
         "algorithm": "qlanczos",
@@ -630,6 +668,21 @@ def test_seed_override_changes_sampling(tmp_path):
     assert s0 != s2
     man = json.loads((outs[2] / "manifest.json").read_text())
     assert man["seed_effective"] == 7
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [("run", "c03_heisenberg4_pool_full.json"), ("run", "c06_qmetts_heisenberg4_beta1.json"),
+     ("count", "c07_count_k4_t7.json")],
+)
+def test_negative_seed_override_is_refused(tmp_path, capsys, command, name):
+    out = tmp_path / "out"
+    args = [command, "--config", str(CONFIG_DIR / name), "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--seed-override", "-3"])
+    assert exc.value.code == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_qmetts_summary_fields(tmp_path):

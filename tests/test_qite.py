@@ -20,8 +20,8 @@ from qitekit.qite import (
     B_MODES,
     QiteConfig,
     _build_plan,
+    _advance,
     _in_range,
-    _run_step,
     _solve_in_rho,
     _step_matrix,
     _step_operators,
@@ -559,9 +559,10 @@ def _assert_range_step_matches(state, term, basis, cfg):
     expected = _generator(_solve_in_rho(factor, g_factor, scale, cfg, False)[0], dim)
     generator = _generator(_solve_in_rho(factor, g_factor, scale, cfg, True)[0], dim)
     assert np.max(np.abs(generator - expected)) < 1e-10
-    new, record = _run_step(state, ranged, 0.05, cfg, None)
-    want, want_record = _run_step(state, basis, 0.05, cfg, None)
-    assert np.max(np.abs(new.amplitudes - want.amplitudes)) < 1e-10
+    g = _step_matrix(basis, 0.05, cfg)
+    new, record = _advance(state.amplitudes, ranged, g, 0.05, cfg, None)
+    want, want_record = _advance(state.amplitudes, basis, g, 0.05, cfg, None)
+    assert np.max(np.abs(new - want)) < 1e-10
     assert abs(record.c - want_record.c) < 1e-12
     assert abs(record.residual - want_record.residual) < 1e-12
 
@@ -749,7 +750,7 @@ def test_explicit_step_preserves_the_norm(case, b_mode, real, dtau, seed):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qite_module, "_from_support_major", record)
-        _run_step(state, plan, dtau, cfg, rng)
+        _advance(state.amplitudes, plan, _step_matrix(plan, dtau, cfg), dtau, cfg, rng)
     assert len(norms) == 1 and abs(norms[0] - 1.0) <= 1e-12
 
 

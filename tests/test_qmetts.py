@@ -10,6 +10,7 @@ from qitekit.errors import ConfigError, DimensionError
 from qitekit.hamiltonians import (
     Hamiltonian,
     LocalTerm,
+    energy,
     heisenberg_1d,
     heisenberg_long_range,
     hubbard_1d_jw,
@@ -60,6 +61,17 @@ def test_chain_enumerates_each_pool_once(monkeypatch):
     metts_chain(heisenberg_1d(4), config, np.random.default_rng(0))
     # plans, and with them any pool, are built once per chain, not once per sample
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("trotter_order", [1, 2])
+def test_chain_at_beta_zero_evolves_nothing(trotter_order):
+    # no plans and no steps: each typical state is its start label's product state
+    h = heisenberg_1d(4)
+    config = MettsConfig(beta=0.0, n_samples=12, n_warmup=2,
+                         qite=QiteConfig(trotter_order=trotter_order, b_mode="exact_delta0"))
+    result = metts_chain(h, config, np.random.default_rng(0))
+    for sample in result.samples:
+        assert sample.value == energy(product_state(sample.start_label), h)
 
 
 def _field_term(n, qubit, letter, coeff):
@@ -193,7 +205,10 @@ def test_chain_matches_the_chain_without_symmetries(monkeypatch):
         return runs
 
     with_symmetries = chains()
-    monkeypatch.setattr(qmetts_module, "_symmetries", lambda hamiltonian, letter: {})
+    monkeypatch.setattr(
+        qmetts_module, "_orbits",
+        lambda hamiltonian, letter: (np.zeros(2**hamiltonian.n_qubits, int), np.zeros(1, int)),
+    )
     for (got, got_evolved), (want, want_evolved) in zip(with_symmetries, chains()):
         assert [s.start_label for s in got.samples] == [s.start_label for s in want.samples]
         assert [s.next_label for s in got.samples] == [s.next_label for s in want.samples]
