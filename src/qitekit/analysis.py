@@ -93,21 +93,26 @@ class SpectralDecomposition:
         n_ground = int(np.count_nonzero(self.evals <= self.evals[0] + degeneracy_tol))
         return GroundSpace(float(self.evals[0]), self.evecs[:, :n_ground], "dense")
 
-    def _shifted(self, beta: float) -> np.ndarray:
-        """e^{-beta (E_k - E0)}: shifted by E0 so large beta stays finite."""
-        return np.exp(-beta * (self.evals - self.evals[0]))
+    def _shifted(self, beta: float, coeffs: Optional[np.ndarray] = None) -> np.ndarray:
+        """e^{-beta (E_k - E_m)}, shifted so large beta stays finite: E_m is the
+        lowest level that ``coeffs`` populate (E0 without them), and the empty
+        levels below it get e^0, whose product with their 0 is not NaN."""
+        shift = self.evals[0 if coeffs is None else np.argmax(coeffs != 0)]
+        return np.exp(np.minimum(-beta * (self.evals - shift), 0.0))
 
     def ite(self, state0: StateVector, beta: float) -> StateVector:
         """Normalized e^{-beta H} |psi0>."""
         if beta < 0:
             raise ValueError("beta must be non-negative")
-        coeffs = self.coefficients(state0) * self._shifted(beta)
+        coeffs = self.coefficients(state0)
+        coeffs = coeffs * self._shifted(beta, coeffs)
         norm = _checked(np.linalg.norm(coeffs))
         return StateVector(_times(self.evecs, coeffs / norm), state0.n_qubits)
 
     def ite_energy(self, state0: StateVector, beta: float) -> float:
         """Energy of the normalized e^{-beta H} |psi0>."""
-        weights = np.abs(self.coefficients(state0)) ** 2 * self._shifted(2.0 * beta)
+        coeffs = self.coefficients(state0)
+        weights = np.abs(coeffs) ** 2 * self._shifted(2.0 * beta, coeffs)
         return float((weights @ self.evals) / _checked(weights.sum()))
 
     def ite_squared_norm(self, state0: StateVector, beta: float) -> float:

@@ -685,6 +685,13 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _max_qubits(text: str) -> int:
+    """An integer >= 1, the widest model a command accepts."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"max-qubits must be a positive integer, not {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qitekit",
@@ -702,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--seed-override", type=_seed, default=None)
-    run.add_argument("--max-qubits", type=int, default=DEFAULT_MAX_QUBITS)
+    run.add_argument("--max-qubits", type=_max_qubits, default=DEFAULT_MAX_QUBITS)
     run.set_defaults(func=cmd_run)
 
     compare = sub.add_parser(
@@ -710,14 +717,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compare.add_argument("--run", action="append", required=True, dest="run")
     compare.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    compare.add_argument("--max-qubits", type=int, default=DEFAULT_MAX_QUBITS)
+    compare.add_argument("--max-qubits", type=_max_qubits, default=DEFAULT_MAX_QUBITS)
     compare.set_defaults(func=cmd_compare)
 
     count = sub.add_parser("count", help="evaluate a measurement-cost query")
     count.add_argument("--config", required=True)
     count.add_argument("--out", default=None, help="optional output directory")
     count.add_argument("--seed-override", type=_seed, default=None)
-    count.add_argument("--max-qubits", type=int, default=DEFAULT_MAX_QUBITS)
+    count.add_argument("--max-qubits", type=_max_qubits, default=DEFAULT_MAX_QUBITS)
     count.set_defaults(func=cmd_count)
     return parser
 

@@ -175,7 +175,6 @@ class _TermPlan:
     # (x, yz, i^nY) per pool string over the support when the step forms S;
     # None when it is solved in the eigenbasis of rho (_solve_in_rho)
     local_masks: Optional[Tuple[np.ndarray, ...]]
-    in_range: bool = False  # that eigenbasis is found on rho's range only
 
 
 def _term_plans(
@@ -185,9 +184,7 @@ def _term_plans(
 
     A noiseless step on a Pauli pool, or on a fermionic pool over a
     contiguous domain (the parity-even strings of the domain), is solved in
-    the eigenbasis of rho on the domain and reads no pool; when rho's rank
-    is bounded well below 2^k (``_in_range``) that basis is found on rho's
-    range only.
+    the eigenbasis of rho on the domain and reads no pool.
     Every other domain enumerates its pool and builds the pool's masks once;
     parity tails may widen its support.  A domain from choose_domain
     contains its term's support, so the support serves every term that
@@ -200,25 +197,13 @@ def _term_plans(
         if domain not in pools:
             contiguous = domain[-1] - domain[0] == len(domain) - 1
             if config.noise_sigma == 0 and (config.pool_kind in _PAULI_POOLS or contiguous):
-                support = _pool_support(index, domain, (), config)
-                in_range = _in_range(n_qubits, len(support), config.pool_kind)
-                pools[domain] = (support, None, in_range)
+                pools[domain] = (_pool_support(index, domain, (), config), None)
             else:
                 strings = enumerate_pool(OperatorPool(config.pool_kind, domain), n_qubits)
                 support = _pool_support(index, domain, strings, config)
-                pools[domain] = (support, _pauli_masks(tuple(strings), support), False)
+                pools[domain] = (support, _pauli_masks(tuple(strings), support))
         plans.append(_build_plan(index, term, domain, *pools[domain]))
     return plans
-
-
-def _in_range(n_qubits: int, k: int, pool_kind: str) -> bool:
-    """Whether a noiseless step on a k-qubit support is solved in rho's range.
-
-    rho = L L^dagger has rank at most the column count of the factor the
-    pool reads: 2^(n-k) for L, twice that for the odd-Y pool's [Re L, Im L].
-    """
-    columns = 2 ** (n_qubits - k) * (2 if pool_kind == "pauli_odd_y" else 1)
-    return k >= _RANGE_MIN_QUBITS[pool_kind] and _RANGE_CROSSOVER * columns <= 2**k
 
 
 def _pool_support(
@@ -234,13 +219,10 @@ def _pool_support(
     return support
 
 
-def _build_plan(
-    index: int, term: LocalTerm, domain, support, masks, in_range: bool = False
-) -> _TermPlan:
-    """The plan of one term; ``in_range`` puts it on the range route."""
+def _build_plan(index: int, term: LocalTerm, domain, support, masks) -> _TermPlan:
     h_support = tuple(sorted(term.support))
     h_eig = np.linalg.eigh(dense_on_support(term.pauli_sum, h_support))
-    return _TermPlan(index, domain, support, h_eig, h_support, masks, in_range)
+    return _TermPlan(index, domain, support, h_eig, h_support, masks)
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +358,7 @@ def solve_step(
 # stepping and sweeping
 
 
-def _solve_in_rho(
-    factor: np.ndarray, g_factor: np.ndarray, scale: float, config: QiteConfig, in_range: bool
-):
+def _solve_in_rho(factor: np.ndarray, g_factor: np.ndarray, scale: float, config: QiteConfig):
     """(blocks, residual) of a noiseless step on a k-qubit support.
 
     In the eigenbasis V of rho = L L^dagger, eigenvalues p largest first, the
@@ -386,8 +366,10 @@ def _solve_in_rho(
     B~ = i 2^k scale V^dagger [G, rho] V = i 2^k scale (K^dagger V - V^dagger K)
     for K = -G L L^dagger V, so A = -V A~ V^dagger with
     A~ = B~ / (2^k (p_i + p_j) + delta) on the pairs solve_step's cutoff
-    keeps; the residual is |b| on dropped pairs.  ``in_range`` changes only
-    how V is found:
+    keeps; the residual is |b| on dropped pairs.  The route changes only how
+    V is found: on rho's range when the factor the pool reads (L, or [Re L,
+    Im L] on the odd-Y pool), whose column count bounds rho's rank, is narrow
+    enough (_RANGE_CROSSOVER, _RANGE_MIN_QUBITS); on the full basis otherwise:
 
     - the full basis: p, V = eigh(L L^dagger), and Q = V;
     - the range: V_r and p = sigma^2 from the thin SVD of L, whose singular
@@ -407,6 +389,8 @@ def _solve_in_rho(
     odd_y = config.pool_kind == "pauli_odd_y"
     if odd_y:
         factor, g_factor = _real_columns(factor), _real_columns(g_factor)
+    k_min, columns = _RANGE_MIN_QUBITS[config.pool_kind], factor.shape[1]
+    in_range = dim >= 2**k_min and _RANGE_CROSSOVER * columns <= dim
     rows_list = [slice(None)]
     if config.pool_kind == "fermionic_number_conserving":
         parity = np.bitwise_count(np.arange(dim)) & 1
@@ -480,7 +464,7 @@ def _advance(
     """The normalized amplitudes after one step of ``amps`` and its record."""
     factor, g_factor, c, scale = _step_operators(plan, amps, g, dtau, config, rng)
     if plan.local_masks is None:
-        blocks, residual = _solve_in_rho(factor, g_factor, scale, config, plan.in_range)
+        blocks, residual = _solve_in_rho(factor, g_factor, scale, config)
         odd_y = config.pool_kind == "pauli_odd_y"
         # update the factor in place, through its real columns where
         # A = i (real antisymmetric) makes the step a rotation

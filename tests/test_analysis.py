@@ -278,6 +278,27 @@ def test_exact_ite_limits():
         exact_ite(state, h, -0.1)
 
 
+@pytest.mark.parametrize(
+    "bits, h, want",
+    [
+        ("0000", tfi_1d(4, 1.0, 0.0), 3.0),  # an eigenstate above the ground level
+        ("0000", heisenberg_1d(4), 0.75),
+        ("0001", heisenberg_1d(4), -0.25 - np.sqrt(0.5)),  # the lowest Sz = 1 level
+    ],
+    ids=["tfi-0000", "heisenberg-0000", "heisenberg-0001"],
+)
+def test_exact_ite_without_ground_weight(bits, h, want):
+    # psi0 has no weight on the ground level, so e^{-beta H} psi0 settles on
+    # the lowest level psi0 populates, at any beta
+    state = product_state(bits)
+    for beta in (100.0, 1000.0):
+        assert exact_ite_energy(state, h, beta) == pytest.approx(want, abs=1e-12)
+        assert energy(exact_ite(state, h, beta), h) == pytest.approx(want, abs=1e-12)
+    want_state = dense_expm_hermitian(dense_hamiltonian(h), -2.0) @ state.amplitudes
+    got = exact_ite(state, h, 2.0).amplitudes
+    assert abs(abs(np.vdot(got, want_state)) / np.linalg.norm(want_state) - 1.0) < 1e-12
+
+
 def test_exact_ite_energy_consistent_with_state():
     h = heisenberg_1d(3)
     state = neel_state(3)

@@ -130,6 +130,10 @@ INVALID_BATCHES = {
     "batch-later-model-invalid": [
         one_qubit_run_config(n_steps=2), model_config("heisenberg_1d", n_qubits=1)
     ],
+    "long-range-one-site": [model_config("heisenberg_long_range", n_qubits=1)],
+    "tfi-one-site": [model_config("tfi_1d", n_qubits=1, coupling=1.0, field=1.0)],
+    "hubbard-no-sites": [model_config("hubbard_1d_jw", n_sites=0, interaction=1.0)],
+    "maxcut-one-vertex": [model_config("maxcut", n_vertices=1, edges=[[0, 1]])],
 }
 
 
@@ -685,6 +689,23 @@ def test_negative_seed_override_is_refused(tmp_path, capsys, command, name):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--config", str(CONFIG_DIR / "c03_heisenberg4_pool_full.json")],
+     ["count", "--config", str(CONFIG_DIR / "c07_count_k4_t7.json")],
+     ["compare", "--run", str(CONFIG_DIR)]],
+    ids=["run", "count", "compare"],
+)
+@pytest.mark.parametrize("limit", ["-1", "0", "2.5", "four"])
+def test_bad_max_qubits_is_refused(tmp_path, capsys, argv, limit):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out), "--max-qubits", limit])
+    assert exc.value.code == 2
+    assert "max-qubits must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_qmetts_summary_fields(tmp_path):
     cfg = {
         "algorithm": "qmetts",
@@ -721,6 +742,24 @@ def test_mutualinfo_run(tmp_path):
     bad = {**cfg, "mutualinfo": {"betas": [1.0], "pairs": [[0, 7]]}}
     path = write_config(tmp_path, bad)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "bad")]) == EXIT_CONFIG
+
+
+def test_mutualinfo_run_from_an_excited_eigenstate(tmp_path):
+    # |0000> is an eigenstate of the Heisenberg chain (E = 0.75) with no weight
+    # on its ground level: it stays a product state, whose mutual information
+    # is 0, at every beta
+    path = write_config(tmp_path, {
+        "algorithm": "mutualinfo",
+        "model": {"name": "heisenberg_1d", "params": {"n_qubits": 4}},
+        "initial_state": {"bits": "0000"},
+        "mutualinfo": {"betas": [0.0, 100.0, 400.0], "pairs": "all"},
+    })
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    with open(out / "mutualinfo.csv") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 3 * 6
+    assert all(abs(float(row["mutual_info"])) <= 1e-12 for row in rows)
 
 
 def test_mutualinfo_rows_keep_the_given_pair_order(tmp_path):

@@ -1,5 +1,8 @@
+import contextlib
 import dataclasses
 import itertools
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,9 +22,7 @@ from qitekit.pauli import OperatorPool, PauliString, enumerate_pool, multiply
 from qitekit.qite import (
     B_MODES,
     QiteConfig,
-    _build_plan,
     _advance,
-    _in_range,
     _solve_in_rho,
     _step_matrix,
     _step_operators,
@@ -220,22 +221,32 @@ def test_solve_step_rank_deficient():
     assert np.linalg.norm(damped) < np.linalg.norm(coeffs)
 
 
-def _basis_plan(term, cfg, n):
-    """The plan _term_plans builds for ``term``, moved off the range route."""
+@contextlib.contextmanager
+def _route(in_range):
+    """Every noiseless solve inside finds rho's eigenbasis on its range
+    (``in_range``) or on the full support, whatever the factor's shape."""
+    with mock.patch.multiple(
+        "qitekit.qite",
+        _RANGE_CROSSOVER=0 if in_range else math.inf,
+        _RANGE_MIN_QUBITS=dict.fromkeys(POOLS, 0),
+    ):
+        yield
+
+
+def _plan(term, cfg, n):
     (plan,) = _term_plans([term], cfg, n)
-    if not plan.in_range:
-        return plan
-    return _build_plan(plan.index, term, plan.domain, plan.unitary_support, None)
+    return plan
 
 
 def _rho_basis_step(state, term, cfg, dtau):
     """(plan, generator, residual) of a noiseless step solved in the full
     eigenbasis of rho."""
-    plan = _basis_plan(term, cfg, state.n_qubits)
+    plan = _plan(term, cfg, state.n_qubits)
     factor, g_factor, _, scale = _step_operators(
         plan, state.amplitudes, _step_matrix(plan, dtau, cfg), dtau, cfg, None
     )
-    blocks, residual = _solve_in_rho(factor, g_factor, scale, cfg, False)
+    with _route(False):
+        blocks, residual = _solve_in_rho(factor, g_factor, scale, cfg)
     return plan, _generator(blocks, factor.shape[0]), residual
 
 
@@ -385,7 +396,7 @@ def test_rho_basis_step_matches_explicit_solve(
     cfg = QiteConfig(
         domain_size=k, pool_kind=kind, b_mode=b_mode, delta=delta, pinv_tol=pinv_tol
     )
-    plan = _basis_plan(term, cfg, n)
+    plan = _plan(term, cfg, n)
     factor, g_factor, c_step, scale = _step_operators(
         plan, state.amplitudes, _step_matrix(plan, 0.05, cfg), 0.05, cfg, None
     )
@@ -395,7 +406,8 @@ def test_rho_basis_step_matches_explicit_solve(
     assert abs(c_step - c) < 1e-12
     if plan.local_masks is not None:
         return  # a fermionic pool with parity tails forms this S itself
-    blocks, residual = _solve_in_rho(factor, g_factor, scale, cfg, False)
+    with _route(False):
+        blocks, residual = _solve_in_rho(factor, g_factor, scale, cfg)
     generator = _generator(blocks, factor.shape[0])
     expected, expected_res = solve_step(smat, bvec, delta, cfg.pinv_tol)
     coefficients = _pool_coefficients(generator, kind, plan.unitary_support, n)
@@ -451,7 +463,7 @@ def test_range_step_matches_rho_basis_step(
     k, env, kind, b_mode, delta, pinv_tol, real, shape, seed
 ):
     # the solve in the range of rho must reproduce the eigenbasis solve on the
-    # same support, whether or not _in_range would pick it
+    # same support, whichever route the factor's shape would pick
     rng = np.random.default_rng(seed)
     n = k + env
     support = sorted(rng.choice(n, size=min(k, 2), replace=False).tolist())
@@ -465,10 +477,10 @@ def test_range_step_matches_rho_basis_step(
     cfg = QiteConfig(
         domain_size=k, pool_kind=kind, b_mode=b_mode, delta=delta, pinv_tol=pinv_tol
     )
-    basis = _basis_plan(term, cfg, n)
-    if basis.local_masks is not None:
+    plan = _plan(term, cfg, n)
+    if plan.local_masks is not None:
         return  # a fermionic pool with parity tails forms S
-    _assert_range_step_matches(state, term, basis, cfg)
+    _assert_range_step_matches(state, plan, cfg)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -493,10 +505,10 @@ def test_range_step_matches_rho_basis_step_on_graded_states(
     cfg = QiteConfig(
         domain_size=k, pool_kind=kind, b_mode=b_mode, delta=0.3, pinv_tol=pinv_tol
     )
-    basis = _basis_plan(term, cfg, n)
-    assert basis.local_masks is None and len(basis.unitary_support) == k
-    state = _graded_state(rng, basis.unitary_support, n, grade, columns, real)
-    _assert_range_step_matches(state, term, basis, cfg)
+    plan = _plan(term, cfg, n)
+    assert plan.local_masks is None and len(plan.unitary_support) == k
+    state = _graded_state(rng, plan.unitary_support, n, grade, columns, real)
+    _assert_range_step_matches(state, plan, cfg)
 
 
 def _graded_state(rng, support, n, grade, columns, real):
@@ -533,7 +545,7 @@ def test_range_step_columns_orthonormal_on_graded_states(
     n, k = 6, 4
     term = _random_term(rng, n, [1, 2])
     cfg = QiteConfig(domain_size=k, pool_kind=kind, b_mode=b_mode)
-    plan = _basis_plan(term, cfg, n)
+    plan = _plan(term, cfg, n)
     assert len(plan.unitary_support) == k
     if graded:
         state = _graded_state(rng, plan.unitary_support, n, 2, 4, real)
@@ -542,26 +554,26 @@ def test_range_step_columns_orthonormal_on_graded_states(
     factor, g_factor, _, scale = _step_operators(
         plan, state.amplitudes, _step_matrix(plan, 0.05, cfg), 0.05, cfg, None
     )
-    blocks, _ = _solve_in_rho(factor, g_factor, scale, cfg, in_range)
+    with _route(in_range):
+        blocks, _ = _solve_in_rho(factor, g_factor, scale, cfg)
     for _, q, m in blocks:
         assert np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1]), 2) <= 1e-13
         assert np.max(np.abs(m - m.conj().T)) <= 1e-14 * np.max(np.abs(m))
 
 
-def _assert_range_step_matches(state, term, basis, cfg):
-    """The range solve and step on ``basis``'s support reproduce its
+def _assert_range_step_matches(state, plan, cfg):
+    """The range solve and step on ``plan``'s support reproduce its
     eigenbasis solve and step."""
-    ranged = _build_plan(basis.index, term, basis.domain, basis.unitary_support, None, True)
-    factor, g_factor, _, scale = _step_operators(
-        basis, state.amplitudes, _step_matrix(basis, 0.05, cfg), 0.05, cfg, None
-    )
+    g = _step_matrix(plan, 0.05, cfg)
+    factor, g_factor, _, scale = _step_operators(plan, state.amplitudes, g, 0.05, cfg, None)
     dim = factor.shape[0]
-    expected = _generator(_solve_in_rho(factor, g_factor, scale, cfg, False)[0], dim)
-    generator = _generator(_solve_in_rho(factor, g_factor, scale, cfg, True)[0], dim)
+    with _route(False):
+        expected = _generator(_solve_in_rho(factor, g_factor, scale, cfg)[0], dim)
+        want, want_record = _advance(state.amplitudes, plan, g, 0.05, cfg, None)
+    with _route(True):
+        generator = _generator(_solve_in_rho(factor, g_factor, scale, cfg)[0], dim)
+        new, record = _advance(state.amplitudes, plan, g, 0.05, cfg, None)
     assert np.max(np.abs(generator - expected)) < 1e-10
-    g = _step_matrix(basis, 0.05, cfg)
-    new, record = _advance(state.amplitudes, ranged, g, 0.05, cfg, None)
-    want, want_record = _advance(state.amplitudes, basis, g, 0.05, cfg, None)
     assert np.max(np.abs(new - want)) < 1e-10
     assert abs(record.c - want_record.c) < 1e-12
     assert abs(record.residual - want_record.residual) < 1e-12
@@ -583,7 +595,19 @@ def _assert_range_step_matches(state, term, basis, cfg):
     ],
 )
 def test_range_route_by_rank_bound(n, k, kind, in_range):
-    assert _in_range(n, k, kind) is in_range
+    # the full basis has 2^k columns in Q; the range has at most twice rho's rank
+    columns = _solve_columns(n, k, kind)
+    assert columns == 2**k if not in_range else columns < 2**k
+
+
+def _solve_columns(n, k, kind):
+    """The Q columns of the noiseless solve on a random factor of a k-qubit
+    support in an n-qubit register, summed over its blocks."""
+    rng = np.random.default_rng(n * 10 + k)
+    shape = (2**k, 2 ** (n - k))
+    factor, g_factor = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in "LG")
+    blocks, _ = _solve_in_rho(factor, g_factor, 1.0, QiteConfig(pool_kind=kind))
+    return sum(q.shape[1] for _, q, _ in blocks)
 
 
 @pytest.mark.parametrize("kind", POOLS)
@@ -597,7 +621,9 @@ def test_range_plans_hold_no_support_sized_matrix(kind):
     ]
     for n, cfg, route in routes:
         for plan in _term_plans(heisenberg_1d(n).terms, cfg, n):
-            assert plan.in_range is (route == "range")
+            if route != "explicit":
+                k = len(plan.unitary_support)
+                assert (_solve_columns(n, k, kind) < 2**k) is (route == "range")
             assert (plan.local_masks is not None) is (route == "explicit")
             assert len(plan.unitary_support) >= 4
             assert max(a.size for a in plan.h_eig) <= 4**2
@@ -608,7 +634,8 @@ def test_odd_y_range_route_keeps_a_real_state_real():
     # rotation of the real columns of the factor
     h = heisenberg_1d(6)
     cfg = QiteConfig(dtau=0.1, n_steps=20, domain_size=6, pool_kind="pauli_odd_y")
-    assert all(plan.in_range for plan in _term_plans(h.terms, cfg, 6))
+    assert all(len(plan.unitary_support) == 6 for plan in _term_plans(h.terms, cfg, 6))
+    assert _solve_columns(6, 6, "pauli_odd_y") < 2**6
     final = qite_evolve(neel_state(6), h, cfg).final_state
     assert np.all(final.amplitudes.imag == 0)
 
