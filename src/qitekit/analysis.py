@@ -44,11 +44,12 @@ _LANCZOS_MAX_BASIS = 200
 _LANCZOS_CHECK = 5
 _LANCZOS_TOL = 1e-12
 # widest H that a dense diagonalization may take: a real Heisenberg H on 13
-# qubits peaked at 2.6 GB (matrix, eigenvectors and eigh workspace), on 14 it
-# would need about 10.7 GB
+# qubits peaked at 2.6 GB before spectral was blocked; on 14 it would need
+# about 6.7 GB (check_dense)
 MAX_DENSE_QUBITS = 13
-# peak bytes of a dense diagonalization, in units of its matrix
-_DENSE_MATRICES = 5
+# peak bytes of spectral's stacked eigh, in units of its stack of blocks: the
+# stack, its eigenvectors and eigh's per-block workspace
+_BLOCK_COPIES = 4
 
 
 def _times(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
@@ -137,12 +138,17 @@ def check_dense(hamiltonian: Hamiltonian) -> None:
     n = hamiltonian.n_qubits
     if n > MAX_DENSE_QUBITS:
         odd_y = any(s.y_count % 2 for t in hamiltonian.terms for _, s in t.pauli_sum)
-        # the matrix, eigh's copies of it (the eigenvectors among them) and its
-        # workspace: a real H peaked at 4.8 matrices on 12 and 13 qubits
-        need = _DENSE_MATRICES * 4**n * (16 if odd_y else 8)
+        itemsize, k = (16 if odd_y else 8), len(_symmetries(hamiltonian, "X"))
+        # spectral's 2^k blocks of 4^(n-k) entries, _BLOCK_COPIES times over,
+        # plus the N^2 eigenvector matrix it assembles and that matrix's int8
+        # signs.  Over a real H's spectral on 11 and 12 qubits, VmHWM grew by
+        # 83 and 260 MiB at k = 1 (this prices 100 and 400 MiB) and by 167
+        # and 651 MiB at k = 0 (164 and 656 MiB)
+        need = _BLOCK_COPIES * itemsize * 4**n // 2**k + (itemsize + 1) * 4**n
         raise ResourceError(
             f"a dense diagonalization of H on {n} qubits needs about {need / 1e9:.3g} GB "
-            f"(matrix, eigenvectors and eigh workspace); the dense ceiling is "
+            f"({2**k} block(s) of {2 ** (n - k)} rows, their eigenvectors and eigh "
+            f"workspace, and the eigenvector matrix); the dense ceiling is "
             f"{MAX_DENSE_QUBITS} qubits"
         )
 

@@ -390,7 +390,7 @@ def _run_qite(qite_cfg, hamiltonian, state0, rng, ground):
         "relative_error": abs(final - e0) / scale,
         "fidelity_opt_final": fidelities[-1],
     }
-    return rows, summary
+    return rows, summary, {}
 
 
 def _run_qlanczos(settings, hamiltonian, state0, rng, ground):
@@ -410,7 +410,7 @@ def _run_qlanczos(settings, hamiltonian, state0, rng, ground):
         "n_retained_final": int(result.n_retained[-1]),
         "selected_sweeps": list(result.selected),
     }
-    return rows, summary
+    return rows, summary, {}
 
 
 def _run_qmetts(metts_cfg, hamiltonian, state0, rng, dec):
@@ -428,7 +428,7 @@ def _run_qmetts(metts_cfg, hamiltonian, state0, rng, dec):
         "gibbs_exact": reference,
         "abs_error": abs(result.mean - reference),
     }
-    return rows, summary
+    return rows, summary, {"evolved_states": result.evolved_states}
 
 
 def _run_mutualinfo(settings, hamiltonian, state0, rng, dec):
@@ -443,7 +443,7 @@ def _run_mutualinfo(settings, hamiltonian, state0, rng, dec):
         "fidelity_ground_final": dec.ground(_BOUND_TOL).fidelity(states[-1]),
         "e0_exact": float(dec.evals[0]),
     }
-    return rows, summary
+    return rows, summary, {}
 
 
 def _run_count(query, hamiltonian, state0, rng, dec):
@@ -455,7 +455,7 @@ def _run_count(query, hamiltonian, state0, rng, dec):
         "odd_y_only": query.odd_y_only,
         "pool_size_per_term": _pool_size(query),
     }
-    return [], summary
+    return [], summary, {}
 
 
 def _draws(algorithm: str, settings) -> bool:
@@ -504,7 +504,8 @@ def execute_run(config: dict, out_dir: Path, seed_override: Optional[int] = None
     try:
         oracle = None if algorithm == "count" else _oracle(algorithm, hamiltonian)
         oracle_s = 0.0 if oracle is None else time.perf_counter() - start
-        rows, summary = _RUNNERS[algorithm](settings, hamiltonian, state0, rng, oracle)
+        # record: what the manifest adds about how the result was computed
+        rows, summary, record = _RUNNERS[algorithm](settings, hamiltonian, state0, rng, oracle)
     except Exception as exc:  # recorded, then raised on to main
         manifest["status"] = "failed"
         manifest["finished_utc"] = _utc_now()
@@ -532,6 +533,7 @@ def execute_run(config: dict, out_dir: Path, seed_override: Optional[int] = None
     manifest["finished_utc"] = _utc_now()
     manifest["timings_s"] = {"total": time.perf_counter() - start, "oracle": oracle_s}
     manifest["oracle"] = _oracle_record(oracle)
+    manifest.update(record)
     manifest["outputs"] = sorted(outputs)
     _write_json(out_dir / "manifest.json", manifest)
     return summary
@@ -669,7 +671,7 @@ def cmd_count(args) -> int:
     if args.out:
         summary = execute_run(config, Path(args.out), args.seed_override)
     else:
-        _, summary = _run_count(_settings(config, None), None, None, None, None)
+        _, summary, _ = _run_count(_settings(config, None), None, None, None, None)
     print(summary["p_total"])
     return EXIT_OK
 

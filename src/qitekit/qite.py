@@ -83,7 +83,8 @@ class QiteConfig:
 
 @dataclass
 class StepRecord:
-    """Diagnostics of one reconstruction step."""
+    """Diagnostics of one reconstruction step; on a stack of states, c and
+    residual hold one entry per state."""
 
     term_index: int
     dtau: float
@@ -253,24 +254,26 @@ def _step_operators(
     h (measurable, c = 1 - 2 dtau <h>, whose noise is drawn here first) or
     e^{-dtau h} (exact_delta0, c = |G psi|^2 = Tr(G rho G)).  S a holds the
     Pauli coefficients of {A, rho} and b those of B = i 2^k scale [G, rho].
+    A stack of states (s, 2^n) gives a stack of factors and one c and scale
+    per state.
     """
     if config.noise_sigma > 0 and rng is None:
         raise ConfigError("noise_sigma > 0 requires a random generator")
-    n = amps.size.bit_length() - 1  # amps holds 2^n amplitudes
+    n, stacked = amps.shape[-1].bit_length() - 1, amps.ndim > 1  # 2^n amplitudes per state
     g_amps = _apply_matrix_on_support(amps, g, plan.h_support, n)
     if config.b_mode == "exact_delta0":
-        c = float(np.vdot(g_amps, g_amps).real)
-        scale = -1.0 / (dtau * math.sqrt(c))
+        c = _real_dots(g_amps, g_amps, stacked)
+        scale = -1.0 / (dtau * np.sqrt(c))
     else:
-        h_exp = float(np.vdot(amps, g_amps).real)
-        if config.noise_sigma > 0:
+        h_exp = _real_dots(amps, g_amps, stacked)
+        if config.noise_sigma > 0:  # noisy plans step one state at a time
             h_exp += float(rng.normal(0.0, config.noise_sigma))
         c = 1.0 - 2.0 * dtau * h_exp
-        if c <= 0.0:
+        if (c.min() if stacked else c) <= 0.0:  # np.min costs microseconds on a float
             raise NumericalError(
-                f"first-order norm estimate c={c:g} is not positive; reduce dtau"
+                f"first-order norm estimate c={np.min(c):g} is not positive; reduce dtau"
             )
-        scale = 1.0 / math.sqrt(c) if config.b_norm_factor else 1.0
+        scale = 1.0 / np.sqrt(c) if config.b_norm_factor else np.ones_like(c)
     factor = _support_major(amps, plan.unitary_support, n).copy()
     return factor, _support_major(g_amps, plan.unitary_support, n), c, scale
 
@@ -358,7 +361,7 @@ def solve_step(
 # stepping and sweeping
 
 
-def _solve_in_rho(factor: np.ndarray, g_factor: np.ndarray, scale: float, config: QiteConfig):
+def _solve_in_rho(factor: np.ndarray, g_factor: np.ndarray, scale, config: QiteConfig):
     """(blocks, residual) of a noiseless step on a k-qubit support.
 
     In the eigenbasis V of rho = L L^dagger, eigenvalues p largest first, the
@@ -384,12 +387,18 @@ def _solve_in_rho(factor: np.ndarray, g_factor: np.ndarray, scale: float, config
     real factor [Re L, Im L] of Re rho over the pairs i != j, so its Q and
     M / i are real.  The parity-even pool keeps the parity of the local
     index: each parity block is solved on its own rows.
+
+    A stack of factors (s, 2^k, cols), with one scale per state, is solved
+    at once: Q and M gain the stack axis, and the residual has one entry per
+    state.  Where the states' ranks differ, the range route keeps the
+    stack's largest and zeroes each state's columns past its own, so those
+    columns carry no b and no M.
     """
-    dim = factor.shape[0]
+    dim, stacked = factor.shape[-2], factor.ndim > 2
     odd_y = config.pool_kind == "pauli_odd_y"
     if odd_y:
         factor, g_factor = _real_columns(factor), _real_columns(g_factor)
-    k_min, columns = _RANGE_MIN_QUBITS[config.pool_kind], factor.shape[1]
+    k_min, columns = _RANGE_MIN_QUBITS[config.pool_kind], factor.shape[-1]
     in_range = dim >= 2**k_min and _RANGE_CROSSOVER * columns <= dim
     rows_list = [slice(None)]
     if config.pool_kind == "fermionic_number_conserving":
@@ -397,60 +406,88 @@ def _solve_in_rho(factor: np.ndarray, g_factor: np.ndarray, scale: float, config
         rows_list = [parity == 0, parity == 1]
     parts = []
     for rows in rows_list:
-        f = factor[rows]
+        f = factor[..., rows, :]
         if not in_range:
-            p, v = np.linalg.eigh(f @ f.conj().T)
-            v = v[:, ::-1].copy()  # largest first, in the layout BLAS reads fastest
-            parts.append((rows, v, p[::-1], -(g_factor[rows] @ (f.conj().T @ v))))
+            p, v = np.linalg.eigh(f @ f.conj().mT)
+            v = v[..., ::-1].copy()  # largest first, in the layout BLAS reads fastest
+            parts.append((rows, v, p[..., ::-1], -(g_factor[..., rows, :] @ (f.conj().mT @ v))))
             continue
-        u, sigma, vh = np.linalg.svd(f, full_matrices=False)
-        rank = np.count_nonzero(sigma > sigma[0] * max(f.shape) * _EPS)
-        if rank:  # a parity block without amplitude has no pairs that carry b
-            sigma = sigma[:rank]
-            k_mat = (g_factor[rows] @ vh[:rank].conj().T) * -sigma
-            parts.append((rows, u[:, :rank], sigma**2, k_mat))
+        u, sigma, vh = _thin_svd(f)
+        if sigma.shape[-1]:  # a parity block without amplitude has no pairs that carry b
+            k_mat = (g_factor[..., rows, :] @ vh.conj().mT) * -sigma[..., None, :]
+            parts.append((rows, u, sigma**2, k_mat))
     # the largest S eigenvalue over the pool's pairs: (0, 1) on the odd-Y pool
-    tops = [p[:2] for _, _, p, _ in parts]
-    s_max = dim * (tops[0].sum() if odd_y else 2.0 * max(top[0] for top in tops))
-    cut = config.pinv_tol * (s_max + config.delta)
+    tops = [p[..., :2] for _, _, p, _ in parts]
+    if odd_y:
+        s_max = dim * tops[0].sum(-1)
+    else:  # over the one or two parity blocks
+        s_max = dim * (2.0 * np.maximum(tops[0][..., 0], tops[-1][..., 0]))
+    # one per state, against each state's p and M
+    cut = np.asarray(config.pinv_tol * (s_max + config.delta))[..., None]
+    coefficient = np.asarray(-1j * dim * scale)[..., None, None]
     blocks, dropped = [], 0.0
     for rows, v, p, k_mat in parts:
-        vk = v.conj().T @ k_mat
-        rotated = vk.conj().T - vk
+        vk = v.conj().mT @ k_mat
+        rotated = vk.conj().mT - vk
         # the odd-Y pool has no pairs (i, i), but its rotated diagonal is 0
-        lam = dim * (p[:, None] + p) + config.delta
-        keep = lam >= cut
+        lam = dim * (p[..., :, None] + p[..., None, :]) + config.delta
+        keep = lam >= cut[..., None]
         lost = np.where(keep, 0.0, rotated)
-        dropped += np.vdot(lost, lost).real
+        dropped += _real_dots(lost, lost, stacked)
         m = np.where(keep, rotated, 0.0) / np.where(keep, lam, 1.0)
         if in_range:  # couple V_r to rho's kernel through W
             outside = k_mat - v @ vk
             lam_out = dim * p + config.delta
-            d = np.where(lam_out >= cut, 1.0 / lam_out, 0.0)
-            if not d.all():  # pairs (r, perp) below the cut
-                lost = outside[:, d == 0.0]
-                dropped += 2.0 * np.vdot(lost, lost).real
-            w, so, woh = np.linalg.svd(outside, full_matrices=False)
-            live = np.count_nonzero(so > so[0] * max(outside.shape) * _EPS)
-            w, so, wo = w[:, :live], so[:live], woh[:live].conj().T
+            live = lam_out >= cut
+            d = live / np.where(live, lam_out, 1.0)
+            if not live.all():  # pairs (r, perp) below the cut
+                lost = np.where(live[:, None, :], 0.0, outside) if stacked else outside[:, ~live]
+                dropped += 2.0 * _real_dots(lost, lost, stacked)
+            w, so, woh = _thin_svd(outside)
+            wo = woh.conj().mT
             # O's roundoff along V_r reaches W divided by O's singular values:
             # projected out, W stays orthogonal to V_r to roundoff on graded states
-            w -= v @ (v.conj().T @ w)
-            r = p.size
-            coupled = np.zeros((r + live,) * 2, dtype=m.dtype)
-            coupled[:r, :r] = m
-            coupled[:r, r:] = d[:, None] * (wo * so)
-            coupled[r:, :r] = -coupled[:r, r:].conj().T
-            v, m = np.concatenate((v, w), axis=1), coupled
-        blocks.append((rows, v, (-1j * dim * scale) * m))
-    return blocks, math.sqrt(dim) * abs(scale) * math.sqrt(dropped)
+            w -= v @ (v.conj().mT @ w)
+            r, out = p.shape[-1], so.shape[-1]
+            coupled = np.zeros(factor.shape[:-2] + (r + out,) * 2, dtype=m.dtype)
+            coupled[..., :r, :r] = m
+            coupled[..., :r, r:] = d[..., :, None] * (wo * so[..., None, :])
+            coupled[..., r:, :r] = -coupled[..., :r, r:].conj().mT
+            v, m = np.concatenate((v, w), axis=-1), coupled
+        blocks.append((rows, v, coefficient * m))
+    return blocks, math.sqrt(dim) * abs(scale) * np.sqrt(dropped)
+
+
+def _thin_svd(matrix: np.ndarray):
+    """(U, sigma, V^dagger) of the thin SVD of a matrix cut to its rank: the
+    singular values above max(shape) eps sigma_max.  A stack keeps its
+    largest rank; a state's columns of U and sigma past its own are zeroed."""
+    u, sigma, vh = np.linalg.svd(matrix, full_matrices=False)
+    if sigma.ndim == 1:
+        rank = np.count_nonzero(sigma > sigma[0] * max(matrix.shape) * _EPS)
+        return u[:, :rank], sigma[:rank], vh[:rank]
+    above = sigma > sigma[:, :1] * max(matrix.shape[1:]) * _EPS
+    rank = np.count_nonzero(above.any(axis=0))
+    above, u, sigma, vh = above[:, :rank], u[..., :rank], sigma[:, :rank], vh[:, :rank]
+    if not above.all():  # a state of lower rank
+        u, sigma = u * above[:, None, :], sigma * above
+    return u, sigma, vh
 
 
 def _real_columns(factor: np.ndarray) -> np.ndarray:
     """A complex (rows, cols) factor viewed as real (rows, 2 cols): each
     column's real part, then its imaginary part; a view of a C-contiguous
-    factor."""
-    return np.ascontiguousarray(factor).view(float).reshape(factor.shape[0], -1)
+    factor, per matrix of a stack."""
+    return np.ascontiguousarray(factor).view(float).reshape(factor.shape[:-1] + (-1,))
+
+
+def _real_dots(a: np.ndarray, b: np.ndarray, stacked: bool):
+    """Re <a|b> over all of a and b, or over all but the leading axis of
+    ``stacked`` ones.  One state's takes np.vdot's reduction, as every
+    one-state step always has."""
+    if not stacked:
+        return float(np.vdot(a, b).real)
+    return np.vecdot(a.reshape(len(a), -1), b.reshape(len(b), -1)).real
 
 
 def _advance(
@@ -461,7 +498,14 @@ def _advance(
     config: QiteConfig,
     rng: Optional[np.random.Generator],
 ) -> Tuple[np.ndarray, StepRecord]:
-    """The normalized amplitudes after one step of ``amps`` and its record."""
+    """The normalized amplitudes after one step of ``amps``, a state or a
+    stack of states (s, 2^n), and its record.  A plan that forms S steps a
+    stack one state at a time, so its noise draws follow the states."""
+    if plan.local_masks is not None and amps.ndim > 1:
+        steps = [_advance(a, plan, g, dtau, config, rng) for a in amps]
+        c, residual = np.array([(r.c, r.residual) for _, r in steps]).T
+        record = StepRecord(plan.index, dtau, c, residual, plan.domain)
+        return np.stack([a for a, _ in steps]), record
     factor, g_factor, c, scale = _step_operators(plan, amps, g, dtau, config, rng)
     if plan.local_masks is None:
         blocks, residual = _solve_in_rho(factor, g_factor, scale, config)
@@ -473,7 +517,7 @@ def _advance(
             _check_finite(plan, m)
             step = _unitary(m, dtau, less=1.0)
             step = step.real if odd_y else step
-            target[rows] += q @ (step @ (q.conj().T @ target[rows]))
+            target[..., rows, :] += q @ (step @ (q.conj().mT @ target[..., rows, :]))
     else:
         smat, bvec = _explicit_system(plan, factor, g_factor, scale, config, rng)
         coefficients, residual = solve_step(smat, bvec, config.delta, config.pinv_tol)
@@ -481,8 +525,12 @@ def _advance(
         generator = PauliOperator.from_masks(coefficients, plan.local_masks, k).dense()
         _check_finite(plan, generator)
         factor = _unitary(generator, dtau) @ factor
-    amps = _from_support_major(factor, plan.unitary_support, amps.size.bit_length() - 1)
-    return amps / np.linalg.norm(amps), StepRecord(plan.index, dtau, c, residual, plan.domain)
+    amps = _from_support_major(factor, plan.unitary_support, amps.shape[-1].bit_length() - 1)
+    if amps.ndim == 1:
+        norm = np.linalg.norm(amps)
+    else:
+        norm = np.sqrt(_real_dots(amps, amps, True))[:, None]
+    return amps / norm, StepRecord(plan.index, dtau, c, residual, plan.domain)
 
 
 def _check_finite(plan: _TermPlan, generator: np.ndarray) -> None:
@@ -491,9 +539,10 @@ def _check_finite(plan: _TermPlan, generator: np.ndarray) -> None:
 
 
 def _unitary(generator: np.ndarray, dtau: float, less: float = 0.0) -> np.ndarray:
-    """e^{-i dtau A} - less, from the eigendecomposition of A."""
+    """e^{-i dtau A} - less, from the eigendecomposition of A (of each A of a
+    stack)."""
     evals, evecs = np.linalg.eigh(generator)
-    return (evecs * (np.exp(-1j * dtau * evals) - less)) @ evecs.conj().T
+    return (evecs * (np.exp(-1j * dtau * evals) - less)[..., None, :]) @ evecs.conj().mT
 
 
 def qite_step(
@@ -539,42 +588,43 @@ def qite_evolve(
     energies = [energy(state0, hamiltonian)]
     inv_sq_norms = [1.0]
     records: List[StepRecord] = []
+    state = state0
 
-    def record_sweep(state: StateVector, sweep_records: List[StepRecord]) -> None:
+    def record_sweep(amps: np.ndarray, sweep_records: List[StepRecord]) -> None:
+        nonlocal state
+        state = StateVector(amps, hamiltonian.n_qubits)
         records.extend(sweep_records)
         inv_sq_norms.append(inv_sq_norms[-1] * math.prod(r.c for r in sweep_records))
         energies.append(energy(state, hamiltonian))
         if on_sweep is not None:
             on_sweep(len(energies) - 1, state)
 
-    final_state = _propagate(state0, plans, config, rng, record_sweep)
+    _propagate(state0.amplitudes, plans, config, rng, record_sweep)
     return Trajectory(
         betas=config.dtau * np.arange(config.n_steps + 1),
         energies=np.array(energies),
         inv_sq_norms=np.array(inv_sq_norms),
         records=records,
         config=config,
-        final_state=final_state,
+        final_state=state,
     )
 
 
-def _propagate(state, plans, config, rng=None, record_sweep=None) -> StateVector:
-    """The state after ``config.n_steps`` sweeps on prebuilt plans.
+def _propagate(amps, plans, config, rng=None, record_sweep=None) -> np.ndarray:
+    """The amplitudes ``amps`` of a state, or of a stack of states (s, 2^n)
+    evolved together, after ``config.n_steps`` sweeps on prebuilt plans.
 
-    Repeated evolutions share the plans; ``record_sweep(state, records)``
-    sees each sweep's state and step records.  Each (term, dtau) of the
-    schedule builds its G once, and the amplitudes become a StateVector once
-    per sweep.
+    Repeated evolutions share the plans; ``record_sweep(amps, records)``
+    sees each sweep's amplitudes and step records.  Each (term, dtau) of the
+    schedule builds its G once.
     """
     schedule = _sweep_schedule(len(plans), config)
     matrices = {(m, dt): _step_matrix(plans[m], dt, config) for m, dt in set(schedule)}
-    amps = state.amplitudes
     for _ in range(config.n_steps):
         records = []
         for m, dt in schedule:
             amps, record = _advance(amps, plans[m], matrices[m, dt], dt, config, rng)
             records.append(record)
-        state = StateVector(amps, state.n_qubits)
         if record_sweep is not None:
-            record_sweep(state, records)
-    return state
+            record_sweep(amps, records)
+    return amps

@@ -6,14 +6,15 @@ result, then collapses it in a single-qubit basis to seed the next step.
 Alternating the collapse basis between X and Z decorrelates successive
 samples; the remaining autocorrelation is absorbed into the error bar by
 pairwise blocking.  A Pauli symmetry of H maps one start label's typical
-state to another's, so the chain evolves one label per symmetry orbit.
+state to another's, so the chain evolves one label per symmetry orbit, and
+every orbit it can reach in one stacked propagation when they are few.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -24,6 +25,16 @@ from .qite import QiteConfig, _propagate, _TermPlan, _term_plans
 from .statevector import StateVector, _collapse_label, _signs, product_state
 
 BASIS_CYCLES = ("alternating", "z_only")
+
+# A chain evolves its reachable orbit representatives as one stack only
+# while per-call numpy overhead dominates the stack's steps, so that the
+# stack costs a few single evolutions however few orbits the chain visits.
+# Heisenberg chains with d <= 5, one BLAS thread, against evolving each
+# visited orbit on its first visit: stacks of 16 and 32 states (n = 4, 5;
+# at most 1024 amplitudes) took 0.22-0.52x the time at beta 0.4-16; stacks
+# of 64 (n = 6) and 256 (n = 8) took 1.9-2.0x at beta 4-8, where the chain
+# visits few orbits, and 1024 (n = 10) 1.0x at beta = 0.4.
+_STACK_AMPLITUDES = 2**10
 
 
 @dataclass(frozen=True)
@@ -79,6 +90,7 @@ class MettsResult:
     mean: float
     stderr: float
     config: MettsConfig
+    evolved_states: int  # the typical states QITE propagated
 
     @property
     def values(self) -> np.ndarray:
@@ -93,11 +105,16 @@ def _collapse_bases(sample_index: int, n_qubits: int, cycle: str) -> str:
 
 
 def _typical_states(
-    hamiltonian: Hamiltonian, plans: List[_TermPlan], config: QiteConfig
-) -> Callable[[str], StateVector]:
+    hamiltonian: Hamiltonian,
+    plans: List[_TermPlan],
+    config: QiteConfig,
+    cycle: str,
+    n_samples: int,
+) -> Tuple[Callable[[str], StateVector], Dict[str, StateVector]]:
     """A map from a single-basis start label to its typical state, the
     normalized e^{-beta H / 2}|label> through QITE on ``plans``, that
-    evolves one label per orbit of H's Pauli symmetries.
+    evolves one label per orbit of H's Pauli symmetries; and the map from
+    each evolved representative's label to its typical state.
 
     An X-type string X^a that commutes with every string of H maps the
     Z-basis state of bits j to that of bits j ^ a, and such a Z-type string
@@ -108,21 +125,37 @@ def _typical_states(
     typical state of a label is X^a or Z^b times that of its orbit's
     representative (``analysis._orbits``, as ``spectral`` picks its block
     representatives); only representatives are propagated.
+
+    A chain of ``n_samples`` samples on the basis ``cycle`` starts in the Z
+    basis and reaches X-basis labels only on the alternating cycle.  When
+    the representatives it can reach number at most ``n_samples`` and hold
+    at most _STACK_AMPLITUDES amplitudes, they are evolved up front as one
+    stack.  Otherwise each representative is evolved on its first visit.
     """
     n = hamiltonian.n_qubits
     index = np.arange(2**n)
     orbits = {"01": _orbits(hamiltonian, "X"), "+-": _orbits(hamiltonian, "Z")}
     evolved = {}  # representative label -> its typical state
 
+    def label_of(bits: int, letters: str) -> str:
+        return "".join(letters[bits >> q & 1] for q in range(n))
+
+    bases = ("01", "+-") if cycle == "alternating" else ("01",)
+    reachable = [label_of(int(rep), letters)
+                 for letters in bases for rep in np.flatnonzero(orbits[letters][0] == 0)]
+    if len(reachable) <= n_samples and len(reachable) * 2**n <= _STACK_AMPLITUDES:
+        stack = _propagate(np.stack([product_state(key).amplitudes for key in reachable]),
+                           plans, config)
+        evolved.update((key, StateVector(amps, n)) for key, amps in zip(reachable, stack))
+
     def typical_state(label: str) -> StateVector:
         letters = "+-" if label[0] in "+-" else "01"
         bits = sum(1 << q for q, ch in enumerate(label) if ch == letters[1])
         cosets, group = orbits[letters]
         shift = int(group[cosets[bits]])
-        rep = bits ^ shift
-        key = "".join(letters[rep >> q & 1] for q in range(n))
+        key = label_of(bits ^ shift, letters)
         if key not in evolved:
-            evolved[key] = _propagate(product_state(key), plans, config)
+            evolved[key] = StateVector(_propagate(product_state(key).amplitudes, plans, config), n)
         state = evolved[key]
         if not shift:
             return state
@@ -130,7 +163,7 @@ def _typical_states(
         mapped = amps * _signs(index, shift) if letters == "+-" else amps[index ^ shift]
         return StateVector(mapped, n)
 
-    return typical_state
+    return typical_state, evolved
 
 
 def metts_chain(
@@ -154,7 +187,9 @@ def metts_chain(
     steps = config.n_steps_per_sample()
     qite_config = dataclasses.replace(config.qite, n_steps=steps)
     plans = _term_plans(hamiltonian.terms, qite_config, n) if steps > 0 else []
-    typical_state = _typical_states(hamiltonian, plans, qite_config)
+    typical_state, evolved = _typical_states(
+        hamiltonian, plans, qite_config, config.basis_cycle, config.n_samples
+    )
 
     bits = rng.integers(0, 2, size=n)
     label = "".join("1" if b else "0" for b in bits)
@@ -172,7 +207,7 @@ def metts_chain(
 
     values = np.array([s.value for s in samples])
     mean, stderr = block_error(values, discard=config.n_warmup)
-    return MettsResult(samples, mean, stderr, config)
+    return MettsResult(samples, mean, stderr, config, len(evolved))
 
 
 def block_error(values: np.ndarray, discard: int = 0) -> Tuple[float, float]:

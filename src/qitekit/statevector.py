@@ -274,32 +274,38 @@ def _pauli_traces(matrix: np.ndarray, masks) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _support_order(support: Tuple[int, ...], n_qubits: int):
-    """(order, inverse): the tensor axes with the support's first, most
+def _support_layout(support: Tuple[int, ...], n_qubits: int, lead: Tuple[int, ...]):
+    """(tensor shape, order, inverse, matrix shape, vector shape) of the
+    amplitudes on ``n_qubits`` qubits of each state of a stack of shape
+    ``lead``: the tensor axes ordered with the support's first, most
     significant local bit first (the axis of qubit q is n-1-q), then the
-    others in place; and the permutation that undoes it."""
+    others in place; the permutation that undoes it; and the support-major
+    matrix and amplitude vector shapes."""
     axes = [n_qubits - 1 - q for q in sorted(support, reverse=True)]
     order = axes + [a for a in range(n_qubits) if a not in axes]
-    return tuple(order), tuple(int(a) for a in np.argsort(order))
+    order = tuple(range(len(lead))) + tuple(len(lead) + a for a in order)
+    inverse = tuple(int(a) for a in np.argsort(order))
+    tensor, matrix = lead + (2,) * n_qubits, lead + (2 ** len(support), -1)
+    return tensor, order, inverse, matrix, lead + (2**n_qubits,)
 
 
 def _support_major(
     amps: np.ndarray, support: Sequence[int], n_qubits: int
 ) -> np.ndarray:
     """(2^k, 2^(n-k)) matrix of ``amps``: the row is the local index over
-    ``support`` (support[j] as bit j), the column indexes the other qubits."""
-    tensor = amps.reshape((2,) * n_qubits)
-    tensor = tensor.transpose(_support_order(tuple(support), n_qubits)[0])
-    return tensor.reshape(2 ** len(support), -1)
+    ``support`` (support[j] as bit j), the column indexes the other qubits.
+    A stack of states (s, 2^n) gives one such matrix per state."""
+    tensor, order, _, matrix, _ = _support_layout(tuple(support), n_qubits, amps.shape[:-1])
+    return amps.reshape(tensor).transpose(order).reshape(matrix)
 
 
 def _from_support_major(
     shaped: np.ndarray, support: Sequence[int], n_qubits: int
 ) -> np.ndarray:
-    """The amplitude vector of a (2^k, 2^(n-k)) support-major matrix."""
-    inverse = _support_order(tuple(support), n_qubits)[1]
-    tensor = shaped.reshape((2,) * n_qubits).transpose(inverse)
-    return tensor.reshape(-1)
+    """The amplitude vector of a (2^k, 2^(n-k)) support-major matrix, or the
+    stack of them of a stack of such matrices."""
+    tensor, _, inverse, _, vector = _support_layout(tuple(support), n_qubits, shaped.shape[:-2])
+    return shaped.reshape(tensor).transpose(inverse).reshape(vector)
 
 
 def _apply_matrix_on_support(

@@ -500,11 +500,19 @@ def test_ground_space_routes():
 
 
 def test_dense_oracle_refuses_above_its_ceiling():
-    # one ceiling, MAX_DENSE_QUBITS
-    with pytest.raises(ResourceError, match=r"about 10\.7 GB .* ceiling is 13 qubits"):
-        spectral(tfi_1d(14, 1.0, 1.0))
+    # one ceiling, MAX_DENSE_QUBITS; the message prices the blocked spectral:
+    # 4 copies of its 2^k blocks of 4^(n-k) float64 entries plus the N^2
+    # eigenvectors and their int8 signs, 25 * 4^14 bytes for a chain (k = 1)
+    message = r"about 6\.71 GB \(2 block\(s\) of 8192 rows, .* ceiling is 13 qubits"
+    for h in (heisenberg_1d(14), tfi_1d(14, 1.0, 1.0)):
+        with pytest.raises(ResourceError, match=message):
+            spectral(h)
+    # a field breaks the global flip (k = 0): 41 * 4^14 bytes
+    with pytest.raises(ResourceError, match=r"about 11 GB \(1 block\(s\) of 16384 rows"):
+        spectral(heisenberg_1d(14, 1.0, 0.3))
+    # complex entries, and X^a commutes with Y_0 for every a without bit 0
     complex_h = _pauli_hamiltonian(14, [(1.0, "Y" + "I" * 13)])
-    with pytest.raises(ResourceError, match=r"about 21\.5 GB"):
+    with pytest.raises(ResourceError, match=r"about 4\.57 GB \(8192 block\(s\) of 2 rows"):
         spectral(complex_h)
 
 

@@ -503,6 +503,18 @@ def test_manifest_records_oracle_route(tmp_path, algorithm, n_qubits, record):
     assert (oracle["matvecs"] > 0) == (oracle["route"] == "lanczos")
 
 
+def test_qmetts_manifest_records_evolved_states(tmp_path):
+    # c06 at beta = 2: Heisenberg n = 4 has 8 Z-basis and 8 X-basis orbit
+    # representatives, no more than the chain's 210 samples and 2^4, so the
+    # chain evolves all 16 as one stack; no other run records a count
+    path = CONFIG_DIR / "c06_qmetts_heisenberg4_beta2.json"
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text())["evolved_states"] == 16
+    path = CONFIG_DIR / "c10_tfi4_trotter2.json"
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "qite")]) == EXIT_OK
+    assert "evolved_states" not in json.loads((tmp_path / "qite" / "manifest.json").read_text())
+
+
 def test_fourteen_qubit_runs_and_dense_refusals(tmp_path, capsys, monkeypatch):
     # qite and qlanczos read their ground oracle from Lanczos at 14 qubits
     import qitekit.cli
@@ -538,7 +550,7 @@ def test_fourteen_qubit_runs_and_dense_refusals(tmp_path, capsys, monkeypatch):
         out = tmp_path / f"{algorithm}_out"
         assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_RESOURCE
         assert not out.exists()
-        assert "needs about 10.7 GB" in capsys.readouterr().err
+        assert "needs about 6.71 GB" in capsys.readouterr().err
     target = tmp_path / "compare.csv"
     assert main(["compare", "--run", str(tmp_path / "qite"), "--out", str(target)]) == EXIT_RESOURCE
     assert not target.exists()

@@ -76,3 +76,29 @@ def test_only_the_cli_takes_max_qubits():
         and "max_qubits" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
     ]
     assert not offenders, f"take a max_qubits parameter: {offenders}"
+
+
+def _called_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            yield func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_one_qite_step_kernel():
+    # a state and a stack of states step through the same kernel: no module
+    # but qite.py calls its parts, and a QMETTS chain builds its plans and
+    # evolves its states through _propagate alone
+    kernel = {"_advance", "_solve_in_rho", "_unitary", "_step_operators"}
+    offenders = [
+        f"{path.name}:{name}"
+        for path in MODULES
+        if path.name != "qite.py"
+        for name in _called_names(ast.parse(path.read_text(), str(path)))
+        if name in kernel
+    ]
+    assert not offenders, f"call the QITE step kernel outside qite.py: {offenders}"
+    qite = ast.parse((PACKAGE / "qite.py").read_text())
+    functions = {node.name for node in qite.body if isinstance(node, ast.FunctionDef)}
+    qmetts = set(_called_names(ast.parse((PACKAGE / "qmetts.py").read_text())))
+    assert qmetts & functions == {"_propagate", "_term_plans"}

@@ -23,6 +23,7 @@ from qitekit.qite import (
     B_MODES,
     QiteConfig,
     _advance,
+    _propagate,
     _solve_in_rho,
     _step_matrix,
     _step_operators,
@@ -779,6 +780,78 @@ def test_explicit_step_preserves_the_norm(case, b_mode, real, dtau, seed):
         patch.setattr(qite_module, "_from_support_major", record)
         _advance(state.amplitudes, plan, _step_matrix(plan, dtau, cfg), dtau, cfg, rng)
     assert len(norms) == 1 and abs(norms[0] - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "kind, n, supports",
+    [
+        ("pauli_full", 5, ((0, 1), (1, 2), (3, 4))),
+        ("pauli_odd_y", 5, ((0, 1), (1, 2), (3, 4))),
+        ("fermionic_number_conserving", 5, ((0, 1), (1, 2), (3, 4))),
+        # (0, 5) grows to the domain (0, 1, 5), whose pool forms S explicitly
+        ("fermionic_number_conserving", 6, ((0, 1), (0, 5))),
+    ],
+    ids=["full", "odd_y", "fermionic", "fermionic_tail"],
+)
+@pytest.mark.parametrize("in_range", [False, True])
+@pytest.mark.parametrize(
+    "b_mode, order, delta, pinv_tol, tol",
+    [
+        ("exact_delta0", 1, 0.3, 1e-8, 1e-12),
+        ("measurable", 2, 0.3, 1e-8, 1e-12),
+        # a cut of 0.3 s_max drops pairs that carry b, at each state's own cut
+        ("measurable", 1, 0.3, 0.3, 1e-12),
+        # unregularized steps on near-product states are ill-conditioned
+        ("exact_delta0", 2, 0.0, 1e-8, 1e-10),
+        ("measurable", 1, 0.0, 1e-8, 1e-10),
+    ],
+)
+def test_stack_propagates_as_its_states_one_at_a_time(
+    kind, n, supports, in_range, b_mode, order, delta, pinv_tol, tol
+):
+    # product states (rank-1 reduced states) stacked with entangled ones, so
+    # the range route cuts each state at its own rank inside the stack's
+    rng = np.random.default_rng(5)
+    terms = [_random_term(rng, n, support) for support in supports]
+    cfg = QiteConfig(dtau=0.05, n_steps=2, domain_size=3, pool_kind=kind, b_mode=b_mode,
+                     trotter_order=order, delta=delta, pinv_tol=pinv_tol)
+    states = [_random_amplitudes(rng, n, real, product).amplitudes
+              for real, product in itertools.product((True, False), repeat=2)]
+    records = []
+
+    def record_sweep(_amps, sweep_records):
+        records.append(np.array([(r.c, r.residual) for r in sweep_records]))
+
+    with _route(in_range):
+        plans = _term_plans(terms, cfg, n)
+        stack = _propagate(np.stack(states), plans, cfg, None, record_sweep)
+        stacked_records, records[:] = np.array(records), []
+        alone = np.stack([_propagate(amps, plans, cfg, None, record_sweep) for amps in states])
+    assert np.max(np.abs(stack - alone)) <= tol
+    # (sweep, step, c or residual, state) against (state, sweep, step, c or residual)
+    alone_records = np.array(records).reshape((len(states),) + stacked_records.shape[:3])
+    assert np.max(np.abs(stacked_records - alone_records.transpose(1, 2, 3, 0))) <= tol
+
+
+def test_stacked_range_solve_zeroes_columns_past_each_rank():
+    # in a stack with a rank-4 factor, a product state's rank-1 factor is
+    # padded: its extra columns of Q, and their rows and columns of M, are
+    # zero, and its generator is the one it has alone
+    rng = np.random.default_rng(2)
+    n, cfg = 5, QiteConfig(domain_size=3, b_mode="exact_delta0")
+    plan = _plan(_random_term(rng, n, (1, 2)), cfg, n)
+    states = np.stack([_random_amplitudes(rng, n, False, product).amplitudes
+                       for product in (True, False)])
+    g = _step_matrix(plan, 0.05, cfg)
+    with _route(True):
+        factor, g_factor, _, scale = _step_operators(plan, states, g, 0.05, cfg, None)
+        ((_, q, m),), _ = _solve_in_rho(factor, g_factor, scale, cfg)
+        alone = _solve_in_rho(factor[0], g_factor[0], scale[0], cfg)[0]
+    padded = ~q[0].any(axis=0)
+    assert padded.sum() >= 3 and q[1].any(axis=0).all()
+    assert not m[0][padded].any() and not m[0][:, padded].any()
+    want = _generator(alone, 8)
+    assert np.max(np.abs(q[0] @ m[0] @ q[0].conj().T - want)) <= 1e-12
 
 
 def test_config_validation():

@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -101,34 +102,56 @@ def _orbit(label, h):
     return frozenset(orbit)
 
 
-def test_chain_evolves_each_start_label_once(monkeypatch):
+def _record_evolutions(monkeypatch, stacks):
+    """Append to ``stacks`` the start amplitudes of every QITE propagation a
+    chain makes, as a (states, 2^n) stack; a lone state is a stack of one."""
     import qitekit.qmetts as qmetts_module
 
-    starts = []
     original = qmetts_module._propagate
-    monkeypatch.setattr(
-        qmetts_module,
-        "_propagate",
-        lambda state, *a: starts.append(state.amplitudes.copy()) or original(state, *a),
-    )
-    config = MettsConfig(beta=0.4, n_samples=24, n_warmup=4,
+
+    def propagate(amps, *args):
+        stacks.append(np.atleast_2d(amps).copy())
+        return original(amps, *args)
+
+    monkeypatch.setattr(qmetts_module, "_propagate", propagate)
+
+
+def _start_labels(stacks, n):
+    """The product-state label of every state the chain propagated."""
+    labels = {
+        product_state(label).amplitudes.tobytes(): label
+        for letters in ("01", "+-")
+        for label in map("".join, itertools.product(letters, repeat=n))
+    }
+    return [labels[row.tobytes()] for stack in stacks for row in stack]
+
+
+def test_chain_evolves_each_start_label_once(monkeypatch):
+    stacks = []
+    _record_evolutions(monkeypatch, stacks)
+    config = MettsConfig(beta=0.4, n_samples=15, n_warmup=4,
                          qite=QiteConfig(dtau=0.1, domain_size=2))
     symmetric = heisenberg_1d(3)
     # X and Z fields on every site: no X- or Z-type string commutes with H
     asymmetric = _with_fields(symmetric, [("X", 0.3), ("Z", 0.5)])
     for h in (symmetric, asymmetric):
-        starts.clear()
+        stacks.clear()
         res = metts_chain(h, config, np.random.default_rng(0))
         labels = [s.start_label for s in res.samples]
         orbits = {_orbit(label, h) for label in labels}
-        # the chain revisits labels, and each symmetry orbit is evolved only once
+        starts = _start_labels(stacks, h.n_qubits)
+        evolved = [_orbit(label, h) for label in starts]
+        # the chain revisits labels, and no symmetry orbit is evolved twice
         assert len(set(labels)) < len(labels)
-        assert len(starts) == len(orbits)
+        assert len(set(evolved)) == len(evolved) == res.evolved_states
+        assert orbits <= set(evolved)
         if h is symmetric:
+            # 4 + 4 orbits of 8 amplitudes, fewer than n_samples: one stack
             assert len(orbits) < len(set(labels))
-        else:  # every orbit is one label, evolved once
+            assert [len(stack) for stack in stacks] == [8]
+        else:  # 8 + 8 one-label orbits, more than n_samples: each on its first visit
             assert all(len(orbit) == 1 for orbit in orbits)
-            assert len(starts) == len(set(labels))
+            assert starts == list(dict.fromkeys(labels))
         # a revisited label reports the value of its first visit
         first = {}
         for s in res.samples:
@@ -169,10 +192,10 @@ def test_mapped_typical_state_matches_its_own_evolution(h, pools):
         cfg = QiteConfig(dtau=0.05, n_steps=3, domain_size=2, pool_kind=pool,
                          b_mode=b_mode, trotter_order=order, delta=delta)
         plans = _term_plans(h.terms, cfg, n)
-        typical_state = _typical_states(h, plans, cfg)
+        typical_state, _ = _typical_states(h, plans, cfg, "alternating", 2**n)
         for label in labels:
             got = typical_state(label).amplitudes
-            want = _propagate(product_state(label), plans, cfg).amplitudes
+            want = _propagate(product_state(label).amplitudes, plans, cfg)
             phase = np.vdot(got, want)
             where = (pool, b_mode, order, delta, label)
             assert abs(abs(phase) - 1.0) <= tol, where
@@ -189,19 +212,17 @@ def test_chain_matches_the_chain_without_symmetries(monkeypatch):
     observable = Hamiltonian(4, (_field_term(4, 0, "Z", 0.7), _field_term(4, 0, "X", 0.4)))
     config = MettsConfig(beta=2.0, n_samples=60, n_warmup=4,
                          qite=QiteConfig(dtau=0.1, domain_size=4, pool_kind="pauli_odd_y"))
-    evolutions = []
-    original = qmetts_module._propagate
-    monkeypatch.setattr(
-        qmetts_module, "_propagate", lambda *a: evolutions.append(1) or original(*a)
-    )
+    stacks = []
+    _record_evolutions(monkeypatch, stacks)
 
     def chains():
-        """(result, evolutions) per seed and observable."""
+        """(result, states evolved) per seed and observable."""
         runs = []
         for seed, obs in itertools.product((0, 1), (None, observable)):
-            evolutions.clear()
+            stacks.clear()
             res = metts_chain(h, config, np.random.default_rng(seed), observable=obs)
-            runs.append((res, len(evolutions)))
+            runs.append((res, sum(len(stack) for stack in stacks)))
+            assert runs[-1][1] == res.evolved_states
         return runs
 
     with_symmetries = chains()
@@ -214,6 +235,62 @@ def test_chain_matches_the_chain_without_symmetries(monkeypatch):
         assert [s.next_label for s in got.samples] == [s.next_label for s in want.samples]
         assert np.max(np.abs(got.values - want.values)) <= 1e-12
         assert got_evolved < want_evolved
+
+
+def test_stacked_chain_matches_the_chain_one_at_a_time(monkeypatch):
+    # Heisenberg n = 4 has 8 + 8 orbit representatives: a chain of 24 samples
+    # evolves them as one stack, a chain of 12 one at a time on first visits
+    h = heisenberg_1d(4)
+    qite = QiteConfig(dtau=0.1, domain_size=4, pool_kind="pauli_odd_y")
+    stacks = []
+    _record_evolutions(monkeypatch, stacks)
+    for seed in (0, 1):
+        stacks.clear()
+        stacked = metts_chain(h, MettsConfig(beta=2.0, n_samples=24, n_warmup=4, qite=qite),
+                              np.random.default_rng(seed))
+        assert [len(stack) for stack in stacks] == [16] and stacked.evolved_states == 16
+        stacks.clear()
+        single = metts_chain(h, MettsConfig(beta=2.0, n_samples=12, n_warmup=4, qite=qite),
+                             np.random.default_rng(seed))
+        assert {len(stack) for stack in stacks} == {1}
+        assert single.evolved_states == len(stacks) < 16
+        head = stacked.samples[:12]
+        assert [s.start_label for s in head] == [s.start_label for s in single.samples]
+        assert [s.next_label for s in head] == [s.next_label for s in single.samples]
+        assert np.max(np.abs(stacked.values[:12] - single.values)) <= 1e-12
+
+
+def test_z_only_chain_stacks_no_x_basis_state(monkeypatch):
+    stacks = []
+    _record_evolutions(monkeypatch, stacks)
+    config = MettsConfig(beta=1.0, n_samples=20, n_warmup=4, basis_cycle="z_only")
+    res = metts_chain(heisenberg_1d(4), config, np.random.default_rng(0))
+    # the global X flip pairs the 16 Z-basis labels into 8 orbits
+    starts = _start_labels(stacks, 4)
+    assert [len(stack) for stack in stacks] == [8] and res.evolved_states == 8
+    assert all(set(label) <= set("01") for label in starts)
+
+
+@pytest.mark.parametrize("n, stack", [(5, 32), (6, None), (13, None)])
+def test_chain_stacks_at_most_its_amplitude_bound(monkeypatch, n, stack):
+    # Heisenberg has 2^(n-1) Z-basis and 2^(n-1) X-basis orbit representatives,
+    # all reachable by a chain of 2^n samples: the 32 of n = 5 (1024 amplitudes)
+    # stack, the 64 of n = 6 and the 8192 of n = 13 wait for their first visits
+    import qitekit.qmetts as qmetts_module
+
+    def propagate(amps, *args):
+        raise AssertionError(f"stacked {len(amps)} states")
+
+    monkeypatch.setattr(qmetts_module, "_propagate", propagate)
+    # stand-in start states, so a wrong rule builds no 2^13-amplitude stack
+    monkeypatch.setattr(qmetts_module, "product_state",
+                        lambda label: SimpleNamespace(amplitudes=np.zeros(1)))
+    args = (heisenberg_1d(n), [], QiteConfig(), "alternating", 2**n)
+    if stack:
+        with pytest.raises(AssertionError, match=f"stacked {stack} states"):
+            _typical_states(*args)
+    else:
+        assert _typical_states(*args)[1] == {}
 
 
 def test_block_error_constant_series():
