@@ -21,6 +21,7 @@ from .pauli import odd_y_count
 from .statevector import (
     PauliOperator,
     StateVector,
+    _norm,
     _pauli_masks,
     _signs,
     _support_major,
@@ -345,14 +346,6 @@ def _project_out(vector: np.ndarray, rows: np.ndarray) -> np.ndarray:
             break
         norm = projected
     return vector
-
-
-def _norm(vector: np.ndarray) -> float:
-    """The 2-norm of a 1-D array by the same dot products as np.linalg.norm,
-    so the same value, without its wrapper's overhead."""
-    if vector.dtype.kind == "c":
-        return math.sqrt(vector.real.dot(vector.real) + vector.imag.dot(vector.imag))
-    return math.sqrt(vector.dot(vector))
 
 
 def _lowest_ritz(apply, start: np.ndarray, locked: np.ndarray):

@@ -22,6 +22,7 @@ from .statevector import (
     StateVector,
     _apply_matrix_on_support,
     _from_support_major,
+    _norm,
     _pauli_masks,
     _pauli_traces,
     _signs,
@@ -259,17 +260,17 @@ def _step_operators(
     """
     if config.noise_sigma > 0 and rng is None:
         raise ConfigError("noise_sigma > 0 requires a random generator")
-    n, stacked = amps.shape[-1].bit_length() - 1, amps.ndim > 1  # 2^n amplitudes per state
+    n = amps.shape[-1].bit_length() - 1  # 2^n amplitudes per state
     g_amps = _apply_matrix_on_support(amps, g, plan.h_support, n)
     if config.b_mode == "exact_delta0":
-        c = _real_dots(g_amps, g_amps, stacked)
+        c = np.vecdot(g_amps, g_amps).real
         scale = -1.0 / (dtau * np.sqrt(c))
     else:
-        h_exp = _real_dots(amps, g_amps, stacked)
+        h_exp = np.vecdot(amps, g_amps).real
         if config.noise_sigma > 0:  # noisy plans step one state at a time
             h_exp += float(rng.normal(0.0, config.noise_sigma))
         c = 1.0 - 2.0 * dtau * h_exp
-        if (c.min() if stacked else c) <= 0.0:  # np.min costs microseconds on a float
+        if min(c.flat) <= 0.0:  # np.min costs microseconds on one state's c
             raise NumericalError(
                 f"first-order norm estimate c={np.min(c):g} is not positive; reduce dtau"
             )
@@ -394,7 +395,7 @@ def _solve_in_rho(factor: np.ndarray, g_factor: np.ndarray, scale, config: QiteC
     stack's largest and zeroes each state's columns past its own, so those
     columns carry no b and no M.
     """
-    dim, stacked = factor.shape[-2], factor.ndim > 2
+    dim = factor.shape[-2]
     odd_y = config.pool_kind == "pauli_odd_y"
     if odd_y:
         factor, g_factor = _real_columns(factor), _real_columns(g_factor)
@@ -432,8 +433,8 @@ def _solve_in_rho(factor: np.ndarray, g_factor: np.ndarray, scale, config: QiteC
         # the odd-Y pool has no pairs (i, i), but its rotated diagonal is 0
         lam = dim * (p[..., :, None] + p[..., None, :]) + config.delta
         keep = lam >= cut[..., None]
-        lost = np.where(keep, 0.0, rotated)
-        dropped += _real_dots(lost, lost, stacked)
+        lost = np.where(keep, 0.0, rotated).reshape(rotated.shape[:-2] + (-1,))
+        dropped += np.vecdot(lost, lost).real
         m = np.where(keep, rotated, 0.0) / np.where(keep, lam, 1.0)
         if in_range:  # couple V_r to rho's kernel through W
             outside = k_mat - v @ vk
@@ -441,8 +442,9 @@ def _solve_in_rho(factor: np.ndarray, g_factor: np.ndarray, scale, config: QiteC
             live = lam_out >= cut
             d = live / np.where(live, lam_out, 1.0)
             if not live.all():  # pairs (r, perp) below the cut
-                lost = np.where(live[:, None, :], 0.0, outside) if stacked else outside[:, ~live]
-                dropped += 2.0 * _real_dots(lost, lost, stacked)
+                lost = np.where(live[..., None, :], 0.0, outside)
+                lost = lost.reshape(lost.shape[:-2] + (-1,))
+                dropped += 2.0 * np.vecdot(lost, lost).real
             w, so, woh = _thin_svd(outside)
             wo = woh.conj().mT
             # O's roundoff along V_r reaches W divided by O's singular values:
@@ -455,7 +457,7 @@ def _solve_in_rho(factor: np.ndarray, g_factor: np.ndarray, scale, config: QiteC
             coupled[..., r:, :r] = -coupled[..., :r, r:].conj().mT
             v, m = np.concatenate((v, w), axis=-1), coupled
         blocks.append((rows, v, coefficient * m))
-    return blocks, math.sqrt(dim) * abs(scale) * np.sqrt(dropped)
+    return blocks, math.sqrt(dim) * np.abs(scale) * np.sqrt(dropped)
 
 
 def _thin_svd(matrix: np.ndarray):
@@ -463,31 +465,24 @@ def _thin_svd(matrix: np.ndarray):
     singular values above max(shape) eps sigma_max.  A stack keeps its
     largest rank; a state's columns of U and sigma past its own are zeroed."""
     u, sigma, vh = np.linalg.svd(matrix, full_matrices=False)
-    if sigma.ndim == 1:
-        rank = np.count_nonzero(sigma > sigma[0] * max(matrix.shape) * _EPS)
-        return u[:, :rank], sigma[:rank], vh[:rank]
-    above = sigma > sigma[:, :1] * max(matrix.shape[1:]) * _EPS
-    rank = np.count_nonzero(above.any(axis=0))
-    above, u, sigma, vh = above[:, :rank], u[..., :rank], sigma[:, :rank], vh[:, :rank]
-    if not above.all():  # a state of lower rank
-        u, sigma = u * above[:, None, :], sigma * above
-    return u, sigma, vh
+    # through .T the singular values lead: sigma.T[0] holds each state's
+    # largest (a scalar for one state), and each state's rank is the run of
+    # True at the top of its column of ``above``
+    above = sigma.T > sigma.T[0] * (max(matrix.shape[-2:]) * _EPS)
+    count, columns = np.count_nonzero(above), len(above)
+    rank = count * columns // above.size  # the rank if the states share one
+    if np.count_nonzero(above[:rank]) < count:  # they do not: a state of lower rank
+        rank = np.count_nonzero(above.reshape(columns, -1).any(1))  # the largest
+        above = above[:rank].T
+        u, sigma = u[..., :rank] * above[..., None, :], sigma[..., :rank] * above
+    return u[..., :rank], sigma[..., :rank], vh[..., :rank, :]
 
 
 def _real_columns(factor: np.ndarray) -> np.ndarray:
     """A complex (rows, cols) factor viewed as real (rows, 2 cols): each
     column's real part, then its imaginary part; a view of a C-contiguous
     factor, per matrix of a stack."""
-    return np.ascontiguousarray(factor).view(float).reshape(factor.shape[:-1] + (-1,))
-
-
-def _real_dots(a: np.ndarray, b: np.ndarray, stacked: bool):
-    """Re <a|b> over all of a and b, or over all but the leading axis of
-    ``stacked`` ones.  One state's takes np.vdot's reduction, as every
-    one-state step always has."""
-    if not stacked:
-        return float(np.vdot(a, b).real)
-    return np.vecdot(a.reshape(len(a), -1), b.reshape(len(b), -1)).real
+    return np.ascontiguousarray(factor).view(float)
 
 
 def _advance(
@@ -526,11 +521,7 @@ def _advance(
         _check_finite(plan, generator)
         factor = _unitary(generator, dtau) @ factor
     amps = _from_support_major(factor, plan.unitary_support, amps.shape[-1].bit_length() - 1)
-    if amps.ndim == 1:
-        norm = np.linalg.norm(amps)
-    else:
-        norm = np.sqrt(_real_dots(amps, amps, True))[:, None]
-    return amps / norm, StepRecord(plan.index, dtau, c, residual, plan.domain)
+    return amps / _norm(amps)[..., None], StepRecord(plan.index, dtau, c, residual, plan.domain)
 
 
 def _check_finite(plan: _TermPlan, generator: np.ndarray) -> None:

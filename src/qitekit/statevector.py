@@ -105,13 +105,24 @@ def singlet_dimer_state(n_qubits: int) -> StateVector:
 
 def from_amplitudes(amplitudes: Sequence[complex]) -> StateVector:
     amps = np.asarray(amplitudes, dtype=complex)
-    n = int(round(np.log2(amps.size)))
+    if amps.ndim != 1 or amps.size == 0:
+        raise DimensionError(f"amplitudes of shape {amps.shape} are not a non-empty vector")
+    n = amps.size.bit_length() - 1
     if 2**n != amps.size:
         raise DimensionError(f"amplitude array length {amps.size} is not a power of 2")
     norm = np.linalg.norm(amps)
     if norm == 0:
         raise DimensionError("cannot normalize the zero vector")
     return StateVector(amps / norm, n)
+
+
+def _norm(vectors: np.ndarray):
+    """The 2-norm of a vector, or of each row of a stack of them, by the dot
+    products np.linalg.norm takes for one vector, so the same value."""
+    if vectors.dtype.kind != "c":
+        return np.sqrt(np.vecdot(vectors, vectors))
+    real, imag = vectors.real, vectors.imag
+    return np.sqrt(np.vecdot(real, real) + np.vecdot(imag, imag))
 
 
 # ---------------------------------------------------------------------------

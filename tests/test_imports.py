@@ -102,3 +102,29 @@ def test_one_qite_step_kernel():
     functions = {node.name for node in qite.body if isinstance(node, ast.FunctionDef)}
     qmetts = set(_called_names(ast.parse((PACKAGE / "qmetts.py").read_text())))
     assert qmetts & functions == {"_propagate", "_term_plans"}
+
+
+def test_qite_step_kernel_has_one_path():
+    # a state and a stack of states run the same expressions: only _advance,
+    # whose explicit route forms S one state at a time, reads ndim, and one
+    # norm helper, in statevector.py, serves QITE and the Lanczos oracle
+    qite = ast.parse((PACKAGE / "qite.py").read_text())
+    readers = sorted(
+        getattr(node, "name", type(node).__name__)
+        for node in qite.body
+        if getattr(node, "name", None) != "_advance"
+        and any(isinstance(sub, ast.Attribute) and sub.attr == "ndim" for sub in ast.walk(node))
+    )
+    assert not readers, f"read ndim outside _advance: {readers}"
+    names = {
+        getattr(node, field)
+        for node in ast.walk(qite)
+        for field in ("id", "arg", "name", "attr")
+        if isinstance(getattr(node, field, None), str)
+    }
+    assert not names & {"stacked", "_real_dots"}
+    analysis = ast.parse((PACKAGE / "analysis.py").read_text())
+    norms = [node.name for node in ast.walk(analysis)
+             if isinstance(node, ast.FunctionDef) and node.name.strip("_") == "norm"]
+    assert not norms, f"analysis.py defines its own norm: {norms}"
+    assert "_norm" in set(_imported(analysis)) & set(_imported(qite))

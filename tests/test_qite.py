@@ -188,6 +188,13 @@ def test_measurable_c_guard():
             10.0,
             QiteConfig(b_mode="measurable"),
         )
+    # a stack refuses a step where any state's estimate, not only the
+    # first's, is non-positive: the Neel state's c is 6, the aligned one's -4
+    cfg = QiteConfig(dtau=10.0, pool_kind="pauli_odd_y")
+    plan = _plan(h.terms[0], cfg, 2)
+    stack = np.stack([neel_state(2).amplitudes, product_state("00").amplitudes])
+    with pytest.raises(NumericalError, match="c=-4"):
+        _advance(stack, plan, _step_matrix(plan, 10.0, cfg), 10.0, cfg, None)
 
 
 def test_noise_requires_rng():
@@ -782,7 +789,7 @@ def test_explicit_step_preserves_the_norm(case, b_mode, real, dtau, seed):
     assert len(norms) == 1 and abs(norms[0] - 1.0) <= 1e-12
 
 
-@pytest.mark.parametrize(
+_STACK_POOLS = pytest.mark.parametrize(
     "kind, n, supports",
     [
         ("pauli_full", 5, ((0, 1), (1, 2), (3, 4))),
@@ -793,6 +800,17 @@ def test_explicit_step_preserves_the_norm(case, b_mode, real, dtau, seed):
     ],
     ids=["full", "odd_y", "fermionic", "fermionic_tail"],
 )
+
+
+def _sweep_recorder(records):
+    """A record_sweep that appends each sweep's (c, residual) per step."""
+    def record_sweep(_amps, sweep_records):
+        records.append(np.array([(r.c, r.residual) for r in sweep_records]))
+
+    return record_sweep
+
+
+@_STACK_POOLS
 @pytest.mark.parametrize("in_range", [False, True])
 @pytest.mark.parametrize(
     "b_mode, order, delta, pinv_tol, tol",
@@ -818,19 +836,46 @@ def test_stack_propagates_as_its_states_one_at_a_time(
     states = [_random_amplitudes(rng, n, real, product).amplitudes
               for real, product in itertools.product((True, False), repeat=2)]
     records = []
-
-    def record_sweep(_amps, sweep_records):
-        records.append(np.array([(r.c, r.residual) for r in sweep_records]))
-
     with _route(in_range):
         plans = _term_plans(terms, cfg, n)
-        stack = _propagate(np.stack(states), plans, cfg, None, record_sweep)
+        stack = _propagate(np.stack(states), plans, cfg, None, _sweep_recorder(records))
         stacked_records, records[:] = np.array(records), []
-        alone = np.stack([_propagate(amps, plans, cfg, None, record_sweep) for amps in states])
+        alone = np.stack([_propagate(amps, plans, cfg, None, _sweep_recorder(records))
+                          for amps in states])
     assert np.max(np.abs(stack - alone)) <= tol
     # (sweep, step, c or residual, state) against (state, sweep, step, c or residual)
     alone_records = np.array(records).reshape((len(states),) + stacked_records.shape[:3])
     assert np.max(np.abs(stacked_records - alone_records.transpose(1, 2, 3, 0))) <= tol
+
+
+@_STACK_POOLS
+@pytest.mark.parametrize("in_range", [False, True])
+@pytest.mark.parametrize("b_mode", B_MODES)
+@pytest.mark.parametrize("order", [1, 2])
+def test_stack_is_its_states_bit_for_bit(kind, n, supports, in_range, b_mode, order):
+    # states of one kind (all real, or all complex) and entangled share the
+    # rank of every range solve, so no state is padded: each state of the
+    # stack takes exactly its one-state arithmetic, and a stack of one is
+    # the one-state call
+    rng = np.random.default_rng(11)
+    terms = [_random_term(rng, n, support) for support in supports]
+    cfg = QiteConfig(dtau=0.05, n_steps=2, domain_size=3, pool_kind=kind, b_mode=b_mode,
+                     trotter_order=order)
+    records = []
+    with _route(in_range):
+        plans = _term_plans(terms, cfg, n)
+        for real in (True, False):
+            states = [_random_amplitudes(rng, n, real, product=False).amplitudes
+                      for _ in range(3)]
+            stack = _propagate(np.stack(states), plans, cfg, None, _sweep_recorder(records))
+            stacked_records, records[:] = np.array(records), []
+            alone = np.stack([_propagate(amps, plans, cfg, None, _sweep_recorder(records))
+                              for amps in states])
+            assert np.array_equal(stack, alone)
+            alone_records = np.array(records).reshape((3,) + stacked_records.shape[:3])
+            assert np.array_equal(stacked_records, alone_records.transpose(1, 2, 3, 0))
+            records[:] = []
+            assert np.array_equal(_propagate(np.stack(states[:1]), plans, cfg)[0], alone[0])
 
 
 def test_stacked_range_solve_zeroes_columns_past_each_rank():

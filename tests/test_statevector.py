@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from qitekit.errors import DimensionError, ResourceError
 from qitekit.hamiltonians import heisenberg_1d, tfi_1d
 from qitekit.pauli import OperatorPool, PauliString, enumerate_pool
 from qitekit.statevector import (
+    _norm,
     _pauli_masks,
     _pauli_traces,
     _signs,
@@ -120,6 +122,38 @@ def test_from_amplitudes_normalizes():
         from_amplitudes([1.0, 0, 0])
     with pytest.raises(DimensionError):
         from_amplitudes([0.0, 0, 0, 0])
+
+
+@pytest.mark.parametrize(
+    "amplitudes", [[], np.ones((2, 2)), np.ones((1, 4)), 1.0],
+    ids=["empty", "matrix", "row", "scalar"],
+)
+def test_from_amplitudes_refuses_empty_and_non_vector_input(amplitudes):
+    # refused before any arithmetic: no log2(0) warning, no OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionError):
+            from_amplitudes(amplitudes)
+
+
+@pytest.mark.parametrize("stack", [(), (3,), (2, 2)], ids=["vector", "stack", "stack2d"])
+@pytest.mark.parametrize("size", [1, 2, 7, 64, 777, 2**14])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_norm_and_vecdot_reduce_as_norm_and_vdot(kind, size, stack, rng):
+    # the QITE step kernel reduces a state and a stack of states by these
+    # expressions; a one-state output stays byte-identical to np.linalg.norm
+    # and np.vdot, and a stack's row to its state alone, only while they hold
+    def draw():
+        x = rng.normal(size=stack + (size,))
+        return x + 1j * rng.normal(size=x.shape) if kind == "complex" else x
+
+    for _ in range(5):
+        a, b = draw(), draw()
+        norms, dots = _norm(a), np.vecdot(a, b).real
+        assert norms.shape == dots.shape == stack
+        for row in np.ndindex(stack):
+            assert norms[row] == np.linalg.norm(a[row])
+            assert dots[row] == np.vdot(a[row], b[row]).real
 
 
 def test_statevector_validation():
