@@ -52,7 +52,7 @@ from .hamiltonians import (
     tfi_1d,
 )
 from .qite import QiteConfig, qite_evolve
-from .qlanczos import qlanczos_run
+from .qlanczos import check_options, qlanczos_run
 from .qmetts import MettsConfig, metts_chain
 from .statevector import (
     StateVector,
@@ -270,8 +270,8 @@ def _settings(config: dict, hamiltonian: Optional[Hamiltonian]):
     """The checked library objects of the config's algorithm section.
 
     The library keeps every default and rule; the CLI adds b_mode
-    exact_delta0 as a qmetts section's default, the bounds of qlanczos_run's
-    options and the mutual-information betas and pairs.
+    exact_delta0 as a qmetts section's default and the mutual-information
+    betas and pairs.
     """
     algorithm = config["algorithm"]
     block = config.get(algorithm, {})
@@ -284,11 +284,7 @@ def _settings(config: dict, hamiltonian: Optional[Hamiltonian]):
         qite = _qite_config(block.pop("qite", {}), "qlanczos.qite")
         inputs = ("hamiltonian", "state0", "qite_config", "rng")
         options = _kwargs(qlanczos_run, block, "qlanczos", skip=inputs)
-        get = options.get
-        if not (0 < get("overlap_threshold", 1) <= 1 and get("eig_cutoff", 1) > 0
-                and get("ledger_noise_sigma", 0) >= 0):
-            raise ConfigError("qlanczos: overlap_threshold must lie in (0, 1], "
-                              "eig_cutoff be > 0 and ledger_noise_sigma >= 0")
+        check_options(**options)
         return qite, options
     if algorithm in ("qmetts", "mutualinfo"):  # their oracles are dense
         check_dense(hamiltonian)

@@ -34,12 +34,12 @@ B_MODES = ("measurable", "exact_delta0")
 _PAULI_POOLS = ("pauli_full", "pauli_odd_y")
 # A noiseless step is solved in the range of rho_D when 2^k is at least
 # _RANGE_CROSSOVER times the factor's column count, the bound on rho_D's
-# rank, and k is at least the pool's _RANGE_MIN_QUBITS.  Below either the
-# range route measured slower per step on some shape: up to 1.3 times at
-# k <= 3, up to 1.5 at k <= 3 and 1.2 at k = 4 on the parity-even pool
-# (whose range solve runs per parity block), up to 2.6 at a ratio of 1
+# rank, and each block it solves has at least _RANGE_MIN_ROWS rows (k >= 4,
+# or 5 on the parity-even pool's half blocks).  Below either the range route
+# measured slower per step on some shape: up to 1.3 times at k <= 3, up to
+# 1.5 at k <= 3 and 1.2 at k = 4 on the parity-even pool, up to 2.6 at a ratio of 1
 _RANGE_CROSSOVER = 4
-_RANGE_MIN_QUBITS = {"pauli_full": 4, "pauli_odd_y": 4, "fermionic_number_conserving": 5}
+_RANGE_MIN_ROWS = 16
 _EPS = float(np.finfo(float).eps)
 
 
@@ -250,13 +250,13 @@ def _step_operators(
     """(L, G L, c, scale) of one step of the amplitudes ``amps``, the inputs
     of every route.
 
-    L is the state's (2^k, 2^(n-k)) factor on the unitary support, a copy the
-    step may update in place, so rho = L L^dagger.  G is ``_step_matrix``:
-    h (measurable, c = 1 - 2 dtau <h>, whose noise is drawn here first) or
-    e^{-dtau h} (exact_delta0, c = |G psi|^2 = Tr(G rho G)).  S a holds the
-    Pauli coefficients of {A, rho} and b those of B = i 2^k scale [G, rho].
-    A stack of states (s, 2^n) gives a stack of factors and one c and scale
-    per state.
+    L is the state's (2^k, 2^(n-k)) factor on the unitary support, copied
+    where it is a view of ``amps`` so the step may update it in place, and
+    rho = L L^dagger.  G is ``_step_matrix``: h (measurable, c = 1 - 2 dtau
+    <h>, whose noise is drawn here first) or e^{-dtau h} (exact_delta0,
+    c = |G psi|^2 = Tr(G rho G)).  S a holds the Pauli coefficients of
+    {A, rho} and b those of B = i 2^k scale [G, rho].  A stack of states
+    (s, 2^n) gives a stack of factors and one c and scale per state.
     """
     if config.noise_sigma > 0 and rng is None:
         raise ConfigError("noise_sigma > 0 requires a random generator")
@@ -275,7 +275,9 @@ def _step_operators(
                 f"first-order norm estimate c={np.min(c):g} is not positive; reduce dtau"
             )
         scale = 1.0 / np.sqrt(c) if config.b_norm_factor else np.ones_like(c)
-    factor = _support_major(amps, plan.unitary_support, n).copy()
+    factor = _support_major(amps, plan.unitary_support, n)
+    if np.may_share_memory(factor, amps):
+        factor = factor.copy()
     return factor, _support_major(g_amps, plan.unitary_support, n), c, scale
 
 
@@ -373,7 +375,7 @@ def _solve_in_rho(factor: np.ndarray, g_factor: np.ndarray, scale, config: QiteC
     keeps; the residual is |b| on dropped pairs.  The route changes only how
     V is found: on rho's range when the factor the pool reads (L, or [Re L,
     Im L] on the odd-Y pool), whose column count bounds rho's rank, is narrow
-    enough (_RANGE_CROSSOVER, _RANGE_MIN_QUBITS); on the full basis otherwise:
+    and each block tall enough (_RANGE_CROSSOVER, _RANGE_MIN_ROWS); else the full basis:
 
     - the full basis: p, V = eigh(L L^dagger), and Q = V;
     - the range: V_r and p = sigma^2 from the thin SVD of L, whose singular
@@ -399,12 +401,12 @@ def _solve_in_rho(factor: np.ndarray, g_factor: np.ndarray, scale, config: QiteC
     odd_y = config.pool_kind == "pauli_odd_y"
     if odd_y:
         factor, g_factor = _real_columns(factor), _real_columns(g_factor)
-    k_min, columns = _RANGE_MIN_QUBITS[config.pool_kind], factor.shape[-1]
-    in_range = dim >= 2**k_min and _RANGE_CROSSOVER * columns <= dim
     rows_list = [slice(None)]
     if config.pool_kind == "fermionic_number_conserving":
         parity = np.bitwise_count(np.arange(dim)) & 1
         rows_list = [parity == 0, parity == 1]
+    block_rows = dim // len(rows_list)
+    in_range = block_rows >= _RANGE_MIN_ROWS and _RANGE_CROSSOVER * factor.shape[-1] <= dim
     parts = []
     for rows in rows_list:
         f = factor[..., rows, :]

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError
+from .errors import ConfigError, DimensionError, NumericalError
 from .hamiltonians import Hamiltonian
 from .qite import QiteConfig, Trajectory, qite_evolve
 from .statevector import StateVector
@@ -131,6 +131,13 @@ def solve_gevp(
     return evals, ground
 
 
+def check_options(overlap_threshold=0.95, eig_cutoff=1e-14, ledger_noise_sigma=0.0) -> None:
+    """Refuse ``qlanczos_run``'s options out of bounds; the defaults are its own."""
+    if not (0 < overlap_threshold <= 1 and eig_cutoff > 0 and ledger_noise_sigma >= 0):
+        raise ConfigError("qlanczos: overlap_threshold must lie in (0, 1], "
+                          "eig_cutoff be > 0 and ledger_noise_sigma >= 0")
+
+
 @dataclass
 class QLanczosResult:
     """Accelerated energies per even sweep prefix, next to the raw sweep energies."""
@@ -159,6 +166,7 @@ def qlanczos_run(
     post-processing (additive on energies, relative log-normal on squared
     norms) to emulate noisy estimates.
     """
+    check_options(overlap_threshold, eig_cutoff, ledger_noise_sigma)
     trajectory = qite_evolve(state0, hamiltonian, qite_config, rng=rng)
     ledger = ledger_from_trajectory(trajectory)
     if ledger_noise_sigma > 0:

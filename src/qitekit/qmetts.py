@@ -31,9 +31,10 @@ BASIS_CYCLES = ("alternating", "z_only")
 # stack costs a few single evolutions however few orbits the chain visits.
 # Heisenberg chains with d <= 5, one BLAS thread, against evolving each
 # visited orbit on its first visit: stacks of 16 and 32 states (n = 4, 5;
-# at most 1024 amplitudes) took 0.22-0.52x the time at beta 0.4-16; stacks
-# of 64 (n = 6) and 256 (n = 8) took 1.9-2.0x at beta 4-8, where the chain
-# visits few orbits, and 1024 (n = 10) 1.0x at beta = 0.4.
+# at most 1024 amplitudes) took 0.22-0.78x the time at beta 0.4-16, on
+# chains of 10-31 samples too; stacks of 64 (n = 6) and 256 (n = 8) took
+# 1.9-2.0x at beta 4-8, where the chain visits few orbits, and 1024
+# (n = 10) 1.0x at beta = 0.4.
 _STACK_AMPLITUDES = 2**10
 
 
@@ -109,7 +110,6 @@ def _typical_states(
     plans: List[_TermPlan],
     config: QiteConfig,
     cycle: str,
-    n_samples: int,
 ) -> Tuple[Callable[[str], StateVector], Dict[str, StateVector]]:
     """A map from a single-basis start label to its typical state, the
     normalized e^{-beta H / 2}|label> through QITE on ``plans``, that
@@ -126,11 +126,11 @@ def _typical_states(
     representative (``analysis._orbits``, as ``spectral`` picks its block
     representatives); only representatives are propagated.
 
-    A chain of ``n_samples`` samples on the basis ``cycle`` starts in the Z
-    basis and reaches X-basis labels only on the alternating cycle.  When
-    the representatives it can reach number at most ``n_samples`` and hold
-    at most _STACK_AMPLITUDES amplitudes, they are evolved up front as one
-    stack.  Otherwise each representative is evolved on its first visit.
+    A chain on the basis ``cycle`` starts in the Z basis and reaches X-basis
+    labels only on the alternating cycle.  When the representatives it can
+    reach hold at most _STACK_AMPLITUDES amplitudes, they are evolved up
+    front as one stack, however few of them the chain visits.  Otherwise
+    each representative is evolved on its first visit.
     """
     n = hamiltonian.n_qubits
     index = np.arange(2**n)
@@ -143,7 +143,7 @@ def _typical_states(
     bases = ("01", "+-") if cycle == "alternating" else ("01",)
     reachable = [label_of(int(rep), letters)
                  for letters in bases for rep in np.flatnonzero(orbits[letters][0] == 0)]
-    if len(reachable) <= n_samples and len(reachable) * 2**n <= _STACK_AMPLITUDES:
+    if len(reachable) * 2**n <= _STACK_AMPLITUDES:
         stack = _propagate(np.stack([product_state(key).amplitudes for key in reachable]),
                            plans, config)
         evolved.update((key, StateVector(amps, n)) for key, amps in zip(reachable, stack))
@@ -187,9 +187,7 @@ def metts_chain(
     steps = config.n_steps_per_sample()
     qite_config = dataclasses.replace(config.qite, n_steps=steps)
     plans = _term_plans(hamiltonian.terms, qite_config, n) if steps > 0 else []
-    typical_state, evolved = _typical_states(
-        hamiltonian, plans, qite_config, config.basis_cycle, config.n_samples
-    )
+    typical_state, evolved = _typical_states(hamiltonian, plans, qite_config, config.basis_cycle)
 
     bits = rng.integers(0, 2, size=n)
     label = "".join("1" if b else "0" for b in bits)

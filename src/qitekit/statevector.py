@@ -34,6 +34,8 @@ class StateVector:
 
     def __post_init__(self) -> None:
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
+        if self.n_qubits < 1:
+            raise DimensionError("need at least one qubit")
         if self.amplitudes.shape != (2**self.n_qubits,):
             raise DimensionError(
                 f"amplitude array of shape {self.amplitudes.shape} does not match "
@@ -55,28 +57,25 @@ class DensityMatrix:
     qubits: Tuple[int, ...]
 
 
-def _check_register(n_qubits: int) -> None:
-    if n_qubits < 1:
-        raise DimensionError("need at least one qubit")
+def _product(factors) -> StateVector:
+    """The product state of the amplitude vectors ``factors``, most
+    significant first: per factor one outer product, as np.kron forms it."""
+    amps = np.ones(1)
+    for factor in factors:
+        amps = (amps[:, None] * factor).reshape(-1)
+    return StateVector(amps, amps.size.bit_length() - 1)
 
 
 def zero_state(n_qubits: int) -> StateVector:
-    _check_register(n_qubits)
-    amps = np.zeros(2**n_qubits, dtype=complex)
-    amps[0] = 1.0
-    return StateVector(amps, n_qubits)
+    return _product([_BASIS_VECTORS["0"]] * n_qubits)
 
 
 def product_state(label: str) -> StateVector:
     """Product state from a per-qubit label over {0, 1, +, -}, qubit 0 first."""
-    n = len(label)
-    _check_register(n)
-    amps = np.array([1.0 + 0j])
-    for ch in reversed(label):  # highest qubit becomes the outer kron factor
+    for ch in label:
         if ch not in _BASIS_VECTORS:
             raise ValueError(f"unknown basis label character {ch!r}")
-        amps = np.kron(amps, _BASIS_VECTORS[ch])
-    return StateVector(amps, n)
+    return _product([_BASIS_VECTORS[ch] for ch in reversed(label)])
 
 
 def neel_state(n_qubits: int) -> StateVector:
@@ -95,25 +94,18 @@ def singlet_dimer_state(n_qubits: int) -> StateVector:
     """
     if n_qubits % 2:
         raise ValueError("singlet dimer state needs an even qubit count")
-    _check_register(n_qubits)
     singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
-    amps = np.array([1.0])
-    for _ in range(n_qubits // 2):
-        amps = np.kron(singlet, amps)  # earlier pairs stay least significant
-    return StateVector(amps.astype(complex), n_qubits)
+    return _product([singlet] * (n_qubits // 2))
 
 
 def from_amplitudes(amplitudes: Sequence[complex]) -> StateVector:
     amps = np.asarray(amplitudes, dtype=complex)
     if amps.ndim != 1 or amps.size == 0:
         raise DimensionError(f"amplitudes of shape {amps.shape} are not a non-empty vector")
-    n = amps.size.bit_length() - 1
-    if 2**n != amps.size:
-        raise DimensionError(f"amplitude array length {amps.size} is not a power of 2")
     norm = np.linalg.norm(amps)
     if norm == 0:
         raise DimensionError("cannot normalize the zero vector")
-    return StateVector(amps / norm, n)
+    return StateVector(amps / norm, amps.size.bit_length() - 1)  # which checks the length
 
 
 def _norm(vectors: np.ndarray):

@@ -128,3 +128,33 @@ def test_qite_step_kernel_has_one_path():
              if isinstance(node, ast.FunctionDef) and node.name.strip("_") == "norm"]
     assert not norms, f"analysis.py defines its own norm: {norms}"
     assert "_norm" in set(_imported(analysis)) & set(_imported(qite))
+
+
+def test_one_start_state_kernel_and_register_rule():
+    # every product and basis state comes from one outer-product kernel, and
+    # StateVector alone refuses an empty register
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in MODULES}
+    krons = [name for name, tree in trees.items() if "kron" in set(_called_names(tree))]
+    assert not krons, f"call kron: {krons}"
+    raisers = [
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and any(isinstance(sub, ast.Constant) and sub.value == "need at least one qubit"
+                for sub in ast.walk(node))
+    ]
+    assert len(raisers) == 1, f"raise 'need at least one qubit' at {raisers}"
+
+
+def test_stacking_and_route_rules_read_no_chain_length_or_pool_table():
+    # a chain stacks its representatives by their amplitudes alone, and the
+    # range route's floor is one row count, not a table of qubit counts
+    qmetts = ast.parse((PACKAGE / "qmetts.py").read_text())
+    (typical,) = [node for node in ast.walk(qmetts)
+                  if isinstance(node, ast.FunctionDef) and node.name == "_typical_states"]
+    assert "n_samples" not in {a.arg for a in ast.walk(typical.args) if isinstance(a, ast.arg)}
+    qite = ast.parse((PACKAGE / "qite.py").read_text())
+    assigned = {target.id for node in ast.walk(qite) if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)}
+    assert "_RANGE_MIN_QUBITS" not in assigned

@@ -236,7 +236,7 @@ def _route(in_range):
     with mock.patch.multiple(
         "qitekit.qite",
         _RANGE_CROSSOVER=0 if in_range else math.inf,
-        _RANGE_MIN_QUBITS=dict.fromkeys(POOLS, 0),
+        _RANGE_MIN_ROWS=0,
     ):
         yield
 
@@ -616,6 +616,54 @@ def _solve_columns(n, k, kind):
     factor, g_factor = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in "LG")
     blocks, _ = _solve_in_rho(factor, g_factor, 1.0, QiteConfig(pool_kind=kind))
     return sum(q.shape[1] for _, q, _ in blocks)
+
+
+@pytest.mark.parametrize("kind", POOLS)
+def test_block_row_floor_picks_the_per_pool_qubit_floor_route(monkeypatch, kind):
+    # a floor of 16 rows on each solved block takes the range route exactly
+    # where a floor of k >= 4 (Pauli pools) or k >= 5 (the parity-even pool,
+    # solved on two half blocks) on the support did, at every column count
+    import qitekit.qite as qite_module
+
+    def stop(route):
+        def first_call(*args):
+            raise RuntimeError(route)
+        return first_call
+
+    # the range route first calls _thin_svd, the full basis np.linalg.eigh
+    monkeypatch.setattr(qite_module, "_thin_svd", stop("range"))
+    monkeypatch.setattr(np.linalg, "eigh", stop("full"))
+    k_min = 5 if kind == "fermionic_number_conserving" else 4
+    for k, columns in ((k, c) for k in range(1, 9) for c in range(1, 2**k + 1)):
+        factor = np.ones((2**k, columns), dtype=complex)
+        with pytest.raises(RuntimeError) as route:
+            _solve_in_rho(factor, factor, 1.0, QiteConfig(pool_kind=kind))
+        read = 2 * columns if kind == "pauli_odd_y" else columns  # [Re L, Im L]
+        in_range = k >= k_min and 4 * read <= 2**k
+        assert str(route.value) == ("range" if in_range else "full"), (k, columns)
+
+
+@pytest.mark.parametrize("kind", POOLS)
+@pytest.mark.parametrize(
+    "support, domain_size",
+    [((1, 2), 4), ((2, 3), 4), ((1, 2), 9)],
+    ids=["view-0123", "copy-1234", "identity"],
+)
+@pytest.mark.parametrize("stack", [False, True])
+def test_step_leaves_its_input_amplitudes_alone(kind, support, domain_size, stack):
+    # one state's factor, which a step updates in place, is a view of its
+    # amplitudes on the layouts of (0, 1, 2, 3) and of all nine qubits, and a
+    # fresh array on (1, 2, 3, 4); the input amplitudes stay as they were
+    rng = np.random.default_rng(4)
+    n = 9
+    cfg = QiteConfig(domain_size=domain_size, pool_kind=kind, b_mode="exact_delta0")
+    plan = _plan(_random_term(rng, n, support), cfg, n)
+    assert plan.local_masks is None and len(plan.unitary_support) == domain_size
+    states = [_random_amplitudes(rng, n, False, False).amplitudes for _ in range(3 if stack else 1)]
+    amps = np.stack(states) if stack else states[0]
+    before = amps.copy()
+    stepped, _ = _advance(amps, plan, _step_matrix(plan, 0.1, cfg), 0.1, cfg, None)
+    assert np.array_equal(amps, before) and not np.array_equal(stepped, before)
 
 
 @pytest.mark.parametrize("kind", POOLS)

@@ -10,7 +10,7 @@ from qitekit.analysis import (
     exact_ite_squared_norm,
     spectral,
 )
-from qitekit.errors import DimensionError, NumericalError
+from qitekit.errors import ConfigError, DimensionError, NumericalError
 from qitekit.hamiltonians import Hamiltonian, LocalTerm, energy, heisenberg_1d, tfi_1d
 from qitekit.pauli import PauliString
 from qitekit.qite import B_MODES, QiteConfig, qite_evolve
@@ -274,6 +274,27 @@ def test_qlanczos_noise_handling(rng):
         h, neel_state(2), cfg, eig_cutoff=1e-2, rng=rng, ledger_noise_sigma=1e-3
     )
     assert np.all(np.isfinite(res.e_qlanczos))
+
+
+@pytest.mark.parametrize(
+    "option",
+    [{"overlap_threshold": 0.0}, {"overlap_threshold": 1.5}, {"eig_cutoff": 0.0},
+     {"eig_cutoff": -1.0}, {"ledger_noise_sigma": -0.1}, {"eig_cutoff": float("nan")}],
+    ids=["threshold-zero", "threshold-above-one", "cutoff-zero", "cutoff-negative",
+         "noise-negative", "cutoff-nan"],
+)
+def test_qlanczos_run_refuses_options_out_of_bounds(monkeypatch, option):
+    # the bounds the CLI states, refused before any propagation
+    import qitekit.qlanczos as qlanczos_module
+
+    def evolve(*args, **kwargs):
+        raise AssertionError("propagated before checking its options")
+
+    monkeypatch.setattr(qlanczos_module, "qite_evolve", evolve)
+    cfg = QiteConfig(dtau=0.1, n_steps=2, domain_size=2)
+    with pytest.raises(ConfigError, match="qlanczos: overlap_threshold must lie in"):
+        qlanczos_run(heisenberg_1d(2), neel_state(2), cfg, rng=np.random.default_rng(0),
+                     **option)
 
 
 def test_perturb_ledger_properties(rng):

@@ -127,6 +127,8 @@ def _start_labels(stacks, n):
 
 
 def test_chain_evolves_each_start_label_once(monkeypatch):
+    import qitekit.qmetts as qmetts_module
+
     stacks = []
     _record_evolutions(monkeypatch, stacks)
     config = MettsConfig(beta=0.4, n_samples=15, n_warmup=4,
@@ -136,6 +138,8 @@ def test_chain_evolves_each_start_label_once(monkeypatch):
     asymmetric = _with_fields(symmetric, [("X", 0.3), ("Z", 0.5)])
     for h in (symmetric, asymmetric):
         stacks.clear()
+        if h is asymmetric:  # evolve each orbit on its first visit
+            monkeypatch.setattr(qmetts_module, "_STACK_AMPLITUDES", 0)
         res = metts_chain(h, config, np.random.default_rng(0))
         labels = [s.start_label for s in res.samples]
         orbits = {_orbit(label, h) for label in labels}
@@ -146,10 +150,10 @@ def test_chain_evolves_each_start_label_once(monkeypatch):
         assert len(set(evolved)) == len(evolved) == res.evolved_states
         assert orbits <= set(evolved)
         if h is symmetric:
-            # 4 + 4 orbits of 8 amplitudes, fewer than n_samples: one stack
+            # 4 + 4 orbits of 8 amplitudes: one stack
             assert len(orbits) < len(set(labels))
             assert [len(stack) for stack in stacks] == [8]
-        else:  # 8 + 8 one-label orbits, more than n_samples: each on its first visit
+        else:  # 8 + 8 one-label orbits
             assert all(len(orbit) == 1 for orbit in orbits)
             assert starts == list(dict.fromkeys(labels))
         # a revisited label reports the value of its first visit
@@ -192,7 +196,7 @@ def test_mapped_typical_state_matches_its_own_evolution(h, pools):
         cfg = QiteConfig(dtau=0.05, n_steps=3, domain_size=2, pool_kind=pool,
                          b_mode=b_mode, trotter_order=order, delta=delta)
         plans = _term_plans(h.terms, cfg, n)
-        typical_state, _ = _typical_states(h, plans, cfg, "alternating", 2**n)
+        typical_state, _ = _typical_states(h, plans, cfg, "alternating")
         for label in labels:
             got = typical_state(label).amplitudes
             want = _propagate(product_state(label).amplitudes, plans, cfg)
@@ -238,26 +242,39 @@ def test_chain_matches_the_chain_without_symmetries(monkeypatch):
 
 
 def test_stacked_chain_matches_the_chain_one_at_a_time(monkeypatch):
-    # Heisenberg n = 4 has 8 + 8 orbit representatives: a chain of 24 samples
-    # evolves them as one stack, a chain of 12 one at a time on first visits
+    # Heisenberg n = 4 has 8 + 8 orbit representatives: a chain evolves them
+    # as one stack, or, with no amplitudes to stack, one at a time on first visits
+    import qitekit.qmetts as qmetts_module
+
     h = heisenberg_1d(4)
-    qite = QiteConfig(dtau=0.1, domain_size=4, pool_kind="pauli_odd_y")
+    config = MettsConfig(beta=2.0, n_samples=12, n_warmup=4,
+                         qite=QiteConfig(dtau=0.1, domain_size=4, pool_kind="pauli_odd_y"))
     stacks = []
     _record_evolutions(monkeypatch, stacks)
     for seed in (0, 1):
         stacks.clear()
-        stacked = metts_chain(h, MettsConfig(beta=2.0, n_samples=24, n_warmup=4, qite=qite),
-                              np.random.default_rng(seed))
+        stacked = metts_chain(h, config, np.random.default_rng(seed))
         assert [len(stack) for stack in stacks] == [16] and stacked.evolved_states == 16
         stacks.clear()
-        single = metts_chain(h, MettsConfig(beta=2.0, n_samples=12, n_warmup=4, qite=qite),
-                             np.random.default_rng(seed))
+        with monkeypatch.context() as patch:
+            patch.setattr(qmetts_module, "_STACK_AMPLITUDES", 0)
+            single = metts_chain(h, config, np.random.default_rng(seed))
         assert {len(stack) for stack in stacks} == {1}
         assert single.evolved_states == len(stacks) < 16
-        head = stacked.samples[:12]
-        assert [s.start_label for s in head] == [s.start_label for s in single.samples]
-        assert [s.next_label for s in head] == [s.next_label for s in single.samples]
-        assert np.max(np.abs(stacked.values[:12] - single.values)) <= 1e-12
+        assert [s.start_label for s in stacked.samples] == [s.start_label for s in single.samples]
+        assert [s.next_label for s in stacked.samples] == [s.next_label for s in single.samples]
+        assert np.max(np.abs(stacked.values - single.values)) <= 1e-12
+
+
+def test_short_chain_stacks_every_reachable_representative(monkeypatch):
+    # 10 samples reach at most 10 of Heisenberg n = 4's 8 + 8 representatives;
+    # their 256 amplitudes fit _STACK_AMPLITUDES, so all 16 evolve as one stack
+    stacks = []
+    _record_evolutions(monkeypatch, stacks)
+    config = MettsConfig(beta=2.0, n_samples=10, n_warmup=2,
+                         qite=QiteConfig(dtau=0.1, domain_size=4, pool_kind="pauli_odd_y"))
+    res = metts_chain(heisenberg_1d(4), config, np.random.default_rng(0))
+    assert [len(stack) for stack in stacks] == [16] and res.evolved_states == 16
 
 
 def test_z_only_chain_stacks_no_x_basis_state(monkeypatch):
@@ -274,7 +291,7 @@ def test_z_only_chain_stacks_no_x_basis_state(monkeypatch):
 @pytest.mark.parametrize("n, stack", [(5, 32), (6, None), (13, None)])
 def test_chain_stacks_at_most_its_amplitude_bound(monkeypatch, n, stack):
     # Heisenberg has 2^(n-1) Z-basis and 2^(n-1) X-basis orbit representatives,
-    # all reachable by a chain of 2^n samples: the 32 of n = 5 (1024 amplitudes)
+    # all reachable on the alternating cycle: the 32 of n = 5 (1024 amplitudes)
     # stack, the 64 of n = 6 and the 8192 of n = 13 wait for their first visits
     import qitekit.qmetts as qmetts_module
 
@@ -285,7 +302,7 @@ def test_chain_stacks_at_most_its_amplitude_bound(monkeypatch, n, stack):
     # stand-in start states, so a wrong rule builds no 2^13-amplitude stack
     monkeypatch.setattr(qmetts_module, "product_state",
                         lambda label: SimpleNamespace(amplitudes=np.zeros(1)))
-    args = (heisenberg_1d(n), [], QiteConfig(), "alternating", 2**n)
+    args = (heisenberg_1d(n), [], QiteConfig(), "alternating")
     if stack:
         with pytest.raises(AssertionError, match=f"stacked {stack} states"):
             _typical_states(*args)

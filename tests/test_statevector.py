@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -115,6 +116,28 @@ def test_singlet_dimer_state():
         singlet_dimer_state(3)
 
 
+def test_start_states_equal_their_kron_chains_byte_for_byte():
+    # one outer product per factor, most significant first, as np.kron forms it
+    vectors = {"0": [1, 0], "1": [0, 1], "+": [1, 1], "-": [1, -1]}
+    vectors = {ch: np.array(v, dtype=complex) / np.linalg.norm(v) for ch, v in vectors.items()}
+    for n in range(1, 7):
+        for label in map("".join, itertools.product("01+-", repeat=n)):
+            want = np.array([1.0 + 0j])
+            for ch in reversed(label):
+                want = np.kron(want, vectors[ch])
+            assert product_state(label).amplitudes.tobytes() == want.tobytes(), label
+    singlet, zero = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0), np.ones(1, dtype=complex)
+    for n in range(1, 13):
+        zero = np.kron(zero, vectors["0"])
+        assert zero_state(n).amplitudes.tobytes() == zero.tobytes(), n
+        if n % 2 == 0:
+            want = np.ones(1)
+            for _ in range(n // 2):
+                want = np.kron(singlet, want)
+            got = singlet_dimer_state(n).amplitudes
+            assert got.tobytes() == want.astype(complex).tobytes(), n
+
+
 def test_from_amplitudes_normalizes():
     s = from_amplitudes([2.0, 0, 0, 0])
     assert s.amplitudes[0] == 1.0
@@ -165,8 +188,10 @@ def test_statevector_validation():
         StateVector(np.full(4, np.nan), 2)  # a NaN norm compares false with anything
     with pytest.raises(DimensionError):
         StateVector(np.array([np.inf, 0, 0, 0]), 2)
-    with pytest.raises(DimensionError):
-        zero_state(0)
+    for empty in (lambda: zero_state(0), lambda: from_amplitudes([1.0]),
+                  lambda: StateVector(np.ones(1), 0), lambda: product_state("")):
+        with pytest.raises(DimensionError, match="need at least one qubit"):
+            empty()
 
 
 # ------------------------------------------------- Pauli action and overlap
