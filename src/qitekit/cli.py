@@ -502,36 +502,34 @@ def execute_run(config: dict, out_dir: Path, seed_override: Optional[int] = None
         oracle_s = 0.0 if oracle is None else time.perf_counter() - start
         # record: what the manifest adds about how the result was computed
         rows, summary, record = _RUNNERS[algorithm](settings, hamiltonian, state0, rng, oracle)
+        outputs = ["summary.json"]
+        if algorithm in _TABLES:
+            name, header = _TABLES[algorithm]
+            _write_csv(out_dir / name, header, rows)
+            outputs.append(name)
+        summary = {
+            "algorithm": algorithm,
+            "model": config["model"],
+            "n_qubits": hamiltonian.n_qubits,
+            **summary,
+        }
+        _write_json(out_dir / "summary.json", summary)
+        manifest["status"] = "completed"
+        manifest["timings_s"] = {"total": time.perf_counter() - start, "oracle": oracle_s}
+        manifest["oracle"] = _oracle_record(oracle)
+        manifest.update(record)
+        manifest["outputs"] = sorted(outputs)
     except Exception as exc:  # recorded, then raised on to main
         manifest["status"] = "failed"
-        manifest["finished_utc"] = _utc_now()
         manifest["error"] = {
             "type": type(exc).__name__,
             "message": str(exc),
             "exit_code": _exit_code(exc),
         }
-        _write_json(out_dir / "manifest.json", manifest)
         raise
-    outputs = ["summary.json"]
-    if algorithm in _TABLES:
-        name, header = _TABLES[algorithm]
-        _write_csv(out_dir / name, header, rows)
-        outputs.append(name)
-    summary = {
-        "algorithm": algorithm,
-        "model": config["model"],
-        "n_qubits": hamiltonian.n_qubits,
-        **summary,
-    }
-    _write_json(out_dir / "summary.json", summary)
-
-    manifest["status"] = "completed"
-    manifest["finished_utc"] = _utc_now()
-    manifest["timings_s"] = {"total": time.perf_counter() - start, "oracle": oracle_s}
-    manifest["oracle"] = _oracle_record(oracle)
-    manifest.update(record)
-    manifest["outputs"] = sorted(outputs)
-    _write_json(out_dir / "manifest.json", manifest)
+    finally:
+        manifest["finished_utc"] = _utc_now()
+        _write_json(out_dir / "manifest.json", manifest)
     return summary
 
 
@@ -546,11 +544,13 @@ def cmd_run(args) -> int:
     if len(configs) == 1:
         targets = [out_root]
     else:
-        targets, seen = [], {}
-        for path, _ in configs:
+        targets, taken = [], set()
+        for path, _ in configs:  # the stem, or the stem and the first free _k
             stem = Path(path).stem
-            seen[stem] = seen.get(stem, 0) + 1
-            name = stem if seen[stem] == 1 else f"{stem}_{seen[stem]}"
+            name, k = stem, 2
+            while name in taken:
+                name, k = f"{stem}_{k}", k + 1
+            taken.add(name)
             targets.append(out_root / name)
 
     for (path, config), target in zip(configs, targets):
@@ -575,15 +575,17 @@ def _load_run_dir(run_dir: Path, max_qubits: int) -> dict:
 
 def cmd_compare(args) -> int:
     configs = [_load_run_dir(Path(d), args.max_qubits) for d in args.run]
-    for run_dir, config in zip(args.run[1:], configs[1:]):
-        if any(config.get(k) != configs[0].get(k) for k in ("algorithm", "model", "initial_state")):
+    # runs match by what their configs build, not by how the configs spell it
+    builds = [_model_and_state(config) for config in configs]
+    algorithm, (hamiltonian, state0) = configs[0]["algorithm"], builds[0]
+    for run_dir, config, (h, state) in zip(args.run[1:], configs[1:], builds[1:]):
+        if (config["algorithm"] != algorithm or h != hamiltonian
+                or not np.array_equal(state.amplitudes, state0.amplitudes)):
             raise ConfigError(f"{run_dir}: algorithm, model or initial state differs "
                               f"from {args.run[0]}")
-    algorithm = configs[0]["algorithm"]
     if algorithm not in ("qite", "qlanczos", "qmetts"):
         raise ConfigError(f"{args.run[0]}: compare is not defined for algorithm {algorithm!r}")
 
-    hamiltonian, state0 = _model_and_state(configs[0])
     # qite rows read exact ITE and E0, qmetts rows Gibbs averages; qlanczos
     # rows read no oracle
     dec = None if algorithm == "qlanczos" else spectral(hamiltonian)

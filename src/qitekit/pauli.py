@@ -8,6 +8,7 @@ everywhere in this package.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Tuple
 
@@ -43,6 +44,7 @@ class PauliString:
     def from_letters(letters: Mapping[int, str], n_qubits: int) -> "PauliString":
         cleaned = []
         for qubit, letter in sorted(letters.items()):
+            qubit = operator.index(qubit)  # an int or a numpy integer, not 1.0
             if letter not in LETTERS:
                 raise ValueError(f"unknown Pauli letter {letter!r}")
             if not 0 <= qubit < n_qubits:

@@ -91,7 +91,6 @@ class StepRecord:
     dtau: float
     c: float
     residual: float
-    domain: Tuple[int, ...]
 
 
 @dataclass
@@ -131,21 +130,18 @@ def choose_domain(
     target = min(n_qubits, max(domain_size, len(support)))
     domain = set(support)
     round_index = 0
+    # a block lacks a free neighbour only if it spans the register, so every
+    # round grows the domain
     while len(domain) < target:
-        added = False
-        blocks = _contiguous_blocks(sorted(domain))
         prefer_left = round_index % 2 == 0
-        for lo, hi in blocks:
+        for lo, hi in _contiguous_blocks(sorted(domain)):
             if len(domain) >= target:
                 break
             candidates = [lo - 1, hi + 1] if prefer_left else [hi + 1, lo - 1]
             for q in candidates:
                 if 0 <= q < n_qubits and q not in domain:
                     domain.add(q)
-                    added = True
                     break
-        if not added:
-            break
         round_index += 1
     return tuple(sorted(domain))
 
@@ -170,7 +166,6 @@ def _contiguous_blocks(qubits: List[int]) -> List[Tuple[int, int]]:
 @dataclass
 class _TermPlan:
     index: int
-    domain: Tuple[int, ...]
     unitary_support: Tuple[int, ...]
     h_eig: Tuple[np.ndarray, np.ndarray]  # eigh of the term on its own support
     h_support: Tuple[int, ...]
@@ -204,7 +199,7 @@ def _term_plans(
                 strings = enumerate_pool(OperatorPool(config.pool_kind, domain), n_qubits)
                 support = _pool_support(index, domain, strings, config)
                 pools[domain] = (support, _pauli_masks(tuple(strings), support))
-        plans.append(_build_plan(index, term, domain, *pools[domain]))
+        plans.append(_build_plan(index, term, *pools[domain]))
     return plans
 
 
@@ -221,10 +216,10 @@ def _pool_support(
     return support
 
 
-def _build_plan(index: int, term: LocalTerm, domain, support, masks) -> _TermPlan:
+def _build_plan(index: int, term: LocalTerm, support, masks) -> _TermPlan:
     h_support = tuple(sorted(term.support))
     h_eig = np.linalg.eigh(dense_on_support(term.pauli_sum, h_support))
-    return _TermPlan(index, domain, support, h_eig, h_support, masks)
+    return _TermPlan(index, support, h_eig, h_support, masks)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +330,7 @@ def build_linear_system(
     strings = enumerate_pool(pool, state.n_qubits)
     support = _pool_support(0, tuple(pool.domain) + tuple(term.support), strings, config)
     masks = _pauli_masks(tuple(strings), support)
-    plan = _build_plan(0, term, tuple(pool.domain), support, masks)
+    plan = _build_plan(0, term, support, masks)
     g = _step_matrix(plan, dtau, config)
     factor, g_factor, c, scale = _step_operators(plan, state.amplitudes, g, dtau, config, rng)
     return (*_explicit_system(plan, factor, g_factor, scale, config, rng), c)
@@ -501,7 +496,7 @@ def _advance(
     if plan.local_masks is not None and amps.ndim > 1:
         steps = [_advance(a, plan, g, dtau, config, rng) for a in amps]
         c, residual = np.array([(r.c, r.residual) for _, r in steps]).T
-        record = StepRecord(plan.index, dtau, c, residual, plan.domain)
+        record = StepRecord(plan.index, dtau, c, residual)
         return np.stack([a for a, _ in steps]), record
     factor, g_factor, c, scale = _step_operators(plan, amps, g, dtau, config, rng)
     if plan.local_masks is None:
@@ -523,7 +518,7 @@ def _advance(
         _check_finite(plan, generator)
         factor = _unitary(generator, dtau) @ factor
     amps = _from_support_major(factor, plan.unitary_support, amps.shape[-1].bit_length() - 1)
-    return amps / _norm(amps)[..., None], StepRecord(plan.index, dtau, c, residual, plan.domain)
+    return amps / _norm(amps)[..., None], StepRecord(plan.index, dtau, c, residual)
 
 
 def _check_finite(plan: _TermPlan, generator: np.ndarray) -> None:
@@ -581,10 +576,8 @@ def qite_evolve(
     energies = [energy(state0, hamiltonian)]
     inv_sq_norms = [1.0]
     records: List[StepRecord] = []
-    state = state0
 
     def record_sweep(amps: np.ndarray, sweep_records: List[StepRecord]) -> None:
-        nonlocal state
         state = StateVector(amps, hamiltonian.n_qubits)
         records.extend(sweep_records)
         inv_sq_norms.append(inv_sq_norms[-1] * math.prod(r.c for r in sweep_records))
@@ -592,14 +585,14 @@ def qite_evolve(
         if on_sweep is not None:
             on_sweep(len(energies) - 1, state)
 
-    _propagate(state0.amplitudes, plans, config, rng, record_sweep)
+    amps = _propagate(state0.amplitudes, plans, config, rng, record_sweep)
     return Trajectory(
         betas=config.dtau * np.arange(config.n_steps + 1),
         energies=np.array(energies),
         inv_sq_norms=np.array(inv_sq_norms),
         records=records,
         config=config,
-        final_state=state,
+        final_state=StateVector(amps, hamiltonian.n_qubits),
     )
 
 

@@ -90,8 +90,7 @@ def stabilize(
     with the last accepted one has magnitude below ``overlap_threshold``.
     Always returns at least [0].
     """
-    if not 0 < overlap_threshold <= 1:
-        raise DimensionError("overlap threshold must lie in (0, 1]")
+    check_options(overlap_threshold)
     last = ledger.n_sweeps if max_index is None else max_index
     accepted = [0]
     for l in range(2, last + 1, 2):
@@ -167,11 +166,11 @@ def qlanczos_run(
     norms) to emulate noisy estimates.
     """
     check_options(overlap_threshold, eig_cutoff, ledger_noise_sigma)
+    if ledger_noise_sigma > 0 and rng is None:
+        raise ConfigError("ledger_noise_sigma > 0 requires a random generator")
     trajectory = qite_evolve(state0, hamiltonian, qite_config, rng=rng)
     ledger = ledger_from_trajectory(trajectory)
     if ledger_noise_sigma > 0:
-        if rng is None:
-            raise NumericalError("ledger noise requires a random generator")
         ledger = perturb_ledger(ledger, ledger_noise_sigma, rng)
     accepted_all = stabilize(ledger, overlap_threshold)
     smat, hmat = build_matrices(ledger, accepted_all)  # each prefix is a leading block

@@ -277,6 +277,8 @@ INVALID_BATCHES.update({
     "mutualinfo-beta-infinity": [section_config("mutualinfo", betas=[float("inf")])],
     "qmetts-n-warmup-float": [section_config("qmetts", **{**QMETTS_OK, "n_warmup": 2.0})],
     "mutualinfo-pair-float": [section_config("mutualinfo", betas=[1.0], pairs=[[0, 1.0]])],
+    "maxcut-edge-vertex-float": [model_config("maxcut", n_vertices=2, edges=[[0, 1.0]])],
+    "maxcut-edge-vertex-fraction": [model_config("maxcut", n_vertices=2, edges=[[0, 1.5]])],
     "count-n-terms-float": [section_config("count", **{**COUNT_OK, "n_terms": 4.0})],
     "count-domain-size-float": [section_config("count", **{**COUNT_OK, "domain_size": 2.0})],
     **{f"{algorithm}-section-missing": [without(section_config(algorithm), algorithm)]
@@ -645,6 +647,20 @@ def test_failed_run_manifest_records_error(tmp_path):
     assert manifest["error"]["exit_code"] == EXIT_RESOURCE
 
 
+def test_failed_output_write_is_recorded(tmp_path, capsys):
+    # a table that cannot be written fails the run like any other error
+    path = write_config(tmp_path, one_qubit_run_config(n_steps=2))
+    out = tmp_path / "out"
+    (out / "qite.csv").mkdir(parents=True)
+    assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert "qite.csv" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed" and "finished_utc" in manifest
+    assert manifest["error"]["type"] == "IsADirectoryError"
+    assert manifest["error"]["exit_code"] == EXIT_CONFIG
+    assert not (out / "summary.json").exists()
+
+
 def test_unexpected_error_is_recorded_and_raised(tmp_path, monkeypatch):
     import qitekit.cli as cli_module
 
@@ -938,6 +954,26 @@ def test_compare_rejects_mismatched_runs(tmp_path, capsys):
     assert main(["compare", "--run", str(tmp_path / "missing")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "model, spelled",
+    [({"name": "maxcut_six"}, {"initial_state": "plus"}),
+     ({"name": "heisenberg_1d", "params": {"n_qubits": 2}},
+      {"model": {"name": "heisenberg_1d", "params": {"n_qubits": 2, "coupling": 1.0}}})],
+    ids=["default-initial-state", "default-coupling"],
+)
+def test_compare_matches_runs_by_what_they_build(tmp_path, capsys, model, spelled):
+    # a config that spells out a default builds the same model and start state
+    cfg = {"algorithm": "qite", "model": model, "qite": {"n_steps": 2}}
+    runs = []
+    for name, payload in (("plain", cfg), ("spelled", {**cfg, **spelled})):
+        runs.append(tmp_path / name)
+        path = write_config(tmp_path, payload, f"{name}.json")
+        assert main(["run", "--config", str(path), "--out", str(runs[-1])]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["compare", "--run", str(runs[0]), "--run", str(runs[1])]) == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 6 and all(float(row.split(",")[-1]) == 0.0 for row in rows)
+
 def _edit_manifest(run, edit):
     manifest = json.loads((run / "manifest.json").read_text())
     edit(manifest)
@@ -1091,6 +1127,23 @@ def test_batch_run_same_stem_collision(tmp_path):
     assert main(["run", "--config", str(p1), "--config", str(p2), "--out", str(out)]) == EXIT_OK
     assert (out / "same" / "summary.json").exists()
     assert (out / "same_2" / "summary.json").exists()
+
+
+def test_batch_run_gives_every_config_its_own_directory(tmp_path):
+    # a stem a later config already spells with a suffix takes the next free _k
+    (tmp_path / "x").mkdir(), (tmp_path / "y").mkdir()
+    paths = [write_config(tmp_path / "x", one_qubit_run_config(n_steps=1), "a.json"),
+             write_config(tmp_path / "y", one_qubit_run_config(n_steps=2), "a.json"),
+             write_config(tmp_path, one_qubit_run_config(n_steps=3), "a_2.json")]
+    out = tmp_path / "batch"
+    argv = ["run", "--out", str(out)]
+    for path in paths:
+        argv += ["--config", str(path)]
+    assert main(argv) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == ["a", "a_2", "a_2_2"]
+    for name, n_steps in (("a", 1), ("a_2", 2), ("a_2_2", 3)):
+        sweeps = (out / name / "qite.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in sweeps] == [str(l) for l in range(n_steps + 1)]
 
 
 # ------------------------------------------- runs that draw no random numbers

@@ -158,3 +158,64 @@ def test_stacking_and_route_rules_read_no_chain_length_or_pool_table():
     assigned = {target.id for node in ast.walk(qite) if isinstance(node, ast.Assign)
                 for target in node.targets if isinstance(target, ast.Name)}
     assert "_RANGE_MIN_QUBITS" not in assigned
+
+
+def _function(tree, name):
+    (node,) = [node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == name]
+    return node
+
+
+def test_execute_run_finishes_its_manifest_once():
+    # a run writes its manifest when it starts and, whatever happens, once
+    # when it finishes
+    cli = ast.parse((PACKAGE / "cli.py").read_text())
+    writes = [
+        node.lineno
+        for node in ast.walk(_function(cli, "execute_run"))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_write_json"
+        and any(isinstance(sub, ast.Constant) and sub.value == "manifest.json"
+                for sub in ast.walk(node))
+    ]
+    assert len(writes) == 2, f"execute_run writes manifest.json at lines {writes}"
+
+
+def test_only_check_options_bounds_the_overlap_threshold():
+    qlanczos = ast.parse((PACKAGE / "qlanczos.py").read_text())
+    bounders = sorted({
+        function.name
+        for function in qlanczos.body
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(sub, ast.Constant) for sub in [node.left, *node.comparators])
+        and any(getattr(sub, "id", None) == "overlap_threshold"
+                for sub in [node.left, *node.comparators])
+    })
+    assert bounders == ["check_options"], f"bound overlap_threshold: {bounders}"
+
+
+def test_qite_evolve_keeps_no_shadow_state():
+    # the final state is _propagate's return value, not a copy kept on the side
+    qite = ast.parse((PACKAGE / "qite.py").read_text())
+    assert not [node for node in ast.walk(_function(qite, "qite_evolve"))
+                if isinstance(node, ast.Nonlocal)]
+
+
+def test_every_term_plan_field_is_read():
+    # a field counts as read when it is read off a plan other than as an
+    # argument that a constructor stores
+    qite = ast.parse((PACKAGE / "qite.py").read_text())
+    (plan,) = [node for node in qite.body
+               if isinstance(node, ast.ClassDef) and node.name == "_TermPlan"]
+    fields = {node.target.id for node in plan.body if isinstance(node, ast.AnnAssign)}
+    trees = [ast.parse(path.read_text(), str(path)) for path in MODULES]
+    classes = {node.name for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    stored = {id(arg) for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and getattr(node.func, "id", None) in classes
+              for arg in node.args}
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and getattr(node.value, "id", None) == "plan" and id(node) not in stored}
+    assert fields and fields <= read, f"_TermPlan fields never read: {sorted(fields - read)}"

@@ -41,6 +41,12 @@ def test_from_letters_rejects_bad_input():
         PauliString.from_letters({0: "Q"}, 2)
     with pytest.raises(DimensionError):
         PauliString.from_letters({5: "X"}, 2)
+    for qubit in (1.5, 1.0):  # a qubit index is an integer
+        with pytest.raises(TypeError):
+            PauliString.from_letters({0: "Z", qubit: "Z"}, 2)
+    # a numpy integer is one, and the string stores it as an int
+    string = PauliString.from_letters({np.int64(1): "Z"}, 2)
+    assert string == PauliString.from_label("IZ") and type(string.items[0][0]) is int
 
 
 def test_multiply_matches_dense_all_pairs_two_qubits():

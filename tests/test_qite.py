@@ -82,6 +82,18 @@ def test_choose_domain_edge_cases():
         choose_domain((9,), 2, 4)
 
 
+def test_choose_domain_reaches_its_size_on_every_support():
+    # every growth round adds a qubit: each support and size up to n + 1 on
+    # registers of up to 8 qubits gives a sorted domain of the target size
+    for n in range(1, 9):
+        for bits in range(1, 2**n):
+            support = tuple(q for q in range(n) if bits >> q & 1)
+            for d in range(1, n + 2):
+                domain = choose_domain(support, d, n)
+                assert list(domain) == sorted(set(domain)) and set(support) <= set(domain)
+                assert len(domain) == min(n, max(d, len(support)))
+
+
 # ------------------------------------------------------- linear system
 
 
@@ -409,7 +421,7 @@ def test_rho_basis_step_matches_explicit_solve(
         plan, state.amplitudes, _step_matrix(plan, 0.05, cfg), 0.05, cfg, None
     )
     smat, bvec, c = build_linear_system(
-        state, term, OperatorPool(kind, plan.domain), 0.05, cfg
+        state, term, OperatorPool(kind, choose_domain(term.support, k, n)), 0.05, cfg
     )
     assert abs(c_step - c) < 1e-12
     if plan.local_masks is not None:
@@ -449,7 +461,8 @@ def test_odd_y_and_full_pools_take_the_same_step(n, k, b_mode, delta, product, s
         _, g_odd, _ = _rho_basis_step(state, term, odd_cfg, cfg.dtau)
         full_coeffs = _pool_coefficients(g_full, "pauli_full", plan.unitary_support, n)
         odd_coeffs = _pool_coefficients(g_odd, "pauli_odd_y", plan.unitary_support, n)
-        strings = enumerate_pool(OperatorPool("pauli_full", plan.domain), n)
+        domain = choose_domain(term.support, cfg.domain_size, n)
+        strings = enumerate_pool(OperatorPool("pauli_full", domain), n)
         odd_y = np.array([s.y_count % 2 == 1 for s in strings])
         assert np.max(np.abs(full_coeffs[odd_y] - odd_coeffs)) < 1e-12
         assert np.max(np.abs(full_coeffs[~odd_y])) < 1e-12
@@ -742,13 +755,14 @@ def test_step_route_by_pool_and_noise(monkeypatch, kind, noise, explicit, n, sup
         )
     term = _random_term(np.random.default_rng(1), n, support)
     cfg = QiteConfig(domain_size=4, pool_kind=kind, noise_sigma=noise)
-    _, record = qite_step(neel_state(n), term, cfg, rng=np.random.default_rng(0))
+    qite_step(neel_state(n), term, cfg, rng=np.random.default_rng(0))
     # plan: the pool and its masks; step: the traces of S and of [G, rho]
     explicit_calls = ["enumerate_pool", "_pauli_masks", "_pauli_traces", "_pauli_traces"]
     assert calls == (explicit_calls + ["solve_step"] if explicit else [])
     if n == 6:
         (plan,) = _term_plans([term], cfg, n)
-        assert record.domain == (0, 1, 4, 5) and plan.unitary_support == tuple(range(6))
+        assert choose_domain(term.support, 4, n) == (0, 1, 4, 5)
+        assert plan.unitary_support == tuple(range(6))
         assert len(plan.local_masks[0]) == 128
 
 

@@ -114,9 +114,9 @@ def test_stabilize_limits():
     assert stabilize(led, 0.999) == [0, 2, 4, 6, 8]
     assert stabilize(led, 0.7) == [0, 4, 8]
     assert stabilize(led, 0.7, max_index=4) == [0, 4]
-    with pytest.raises(DimensionError):
+    with pytest.raises(ConfigError):
         stabilize(led, 0.0)
-    with pytest.raises(DimensionError):
+    with pytest.raises(ConfigError):
         stabilize(led, 1.5)
 
 
@@ -268,7 +268,7 @@ def test_ledger_norms_and_the_overlaps_stabilize_reads_stay_positive(
 def test_qlanczos_noise_handling(rng):
     h = heisenberg_1d(2)
     cfg = QiteConfig(dtau=0.1, n_steps=10, domain_size=2, pool_kind="pauli_odd_y")
-    with pytest.raises(NumericalError):
+    with pytest.raises(ConfigError):
         qlanczos_run(h, neel_state(2), cfg, ledger_noise_sigma=1e-3)
     res = qlanczos_run(
         h, neel_state(2), cfg, eig_cutoff=1e-2, rng=rng, ledger_noise_sigma=1e-3
@@ -295,6 +295,19 @@ def test_qlanczos_run_refuses_options_out_of_bounds(monkeypatch, option):
     with pytest.raises(ConfigError, match="qlanczos: overlap_threshold must lie in"):
         qlanczos_run(heisenberg_1d(2), neel_state(2), cfg, rng=np.random.default_rng(0),
                      **option)
+
+
+def test_qlanczos_run_refuses_ledger_noise_without_a_generator(monkeypatch):
+    # the rule a QITE step states for its own noise, refused before propagating
+    import qitekit.qlanczos as qlanczos_module
+
+    def evolve(*args, **kwargs):
+        raise AssertionError("propagated before checking for a generator")
+
+    monkeypatch.setattr(qlanczos_module, "qite_evolve", evolve)
+    cfg = QiteConfig(dtau=0.1, n_steps=2, domain_size=2)
+    with pytest.raises(ConfigError, match="requires a random generator"):
+        qlanczos_run(heisenberg_1d(2), neel_state(2), cfg, ledger_noise_sigma=1e-3)
 
 
 def test_perturb_ledger_properties(rng):
