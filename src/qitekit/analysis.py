@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -27,15 +27,14 @@ from .statevector import (
     _support_major,
 )
 
-# The ground oracle runs Lanczos on H's operator from 2^n = _LANCZOS_MIN_DIM
-# amplitudes on, and the blocked spectral below: for the whole ground space
-# (one BLAS thread, medians of 15, two sessions) spectral took 0.9-1.6
-# against 2.4-4.3 ms at n = 7, 5.7-6.4 against 3.0-4.3 ms at n = 8 and 16-23
-# against 5.6-9.7 ms at n = 9 on Heisenberg chains, and 1.0-1.4 against
-# 3.2-4.8 ms, 5.0-5.1 against 4.4-6.8 ms and 19-22 against 7.4-11.7 ms on
-# TFI chains (h = J = 1).  Lanczos wins at n = 8 on Heisenberg but only ties
-# on TFI, so n = 9 is the first width it takes
-_LANCZOS_MIN_DIM = 512
+# The ground oracle diagonalizes H's blocks (spectral) while the widest has
+# at most _DENSE_MAX_ROWS rows, and runs Lanczos on H's operator beyond: for
+# the whole ground space (one BLAS thread, medians of 15) the blocks took 1.5
+# against 2.4 ms on a Heisenberg chain of 8 qubits (widest block 56 rows), 3.1
+# against 5.5 ms on 9 (126) and 3.5 against 4.6 ms on a TFI chain of 8 (128),
+# but 9.9 against 5.6 ms on the Heisenberg chain of 10 (210) and 13.2 against
+# 6.9 ms on the TFI chain of 9 (256)
+_DENSE_MAX_ROWS = 128
 # a Lanczos basis holds at most this many vectors before it restarts from its
 # Ritz vector, and lanczos_ground at most this many ground vectors; every
 # _LANCZOS_CHECK vectors a basis tests whether its lowest Ritz pair has
@@ -53,20 +52,20 @@ MAX_DENSE_QUBITS = 13
 _BLOCK_COPIES = 4
 
 
-def _times(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    """matrix @ vector for a vector or a matrix of columns, without casting a
-    real matrix to complex."""
-    if np.iscomplexobj(matrix) or not np.iscomplexobj(vector):
-        return matrix @ vector
-    pairs = np.ascontiguousarray(vector).view(np.float64).reshape(len(vector), -1)
-    product = np.ascontiguousarray(matrix @ pairs).view(complex)
-    return product.reshape(len(matrix), *vector.shape[1:])
+def _times(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """matrix @ vectors, for stacks of matrices and of column blocks, without
+    casting a real matrix to complex."""
+    if np.iscomplexobj(matrix) or not np.iscomplexobj(vectors):
+        return matrix @ vectors
+    pairs = np.ascontiguousarray(vectors).view(np.float64)
+    return (matrix @ pairs).view(complex)
 
 
-def _overlaps(columns: np.ndarray, state: StateVector) -> np.ndarray:
-    """<v_k|psi> for every column v_k of ``columns``."""
-    adjoint = columns.conj().T if np.iscomplexobj(columns) else columns.T
-    return _times(adjoint, state.amplitudes)
+def _overlaps(columns: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """<v_k|psi> for every column v_k of ``columns`` and its vector psi, over
+    stacks: (..., R, K) columns and (..., R) vectors give (..., K)."""
+    adjoint = columns.conj().mT if np.iscomplexobj(columns) else columns.mT
+    return _times(adjoint, vectors[..., None])[..., 0]
 
 
 def _checked(total: float) -> float:
@@ -77,30 +76,79 @@ def _checked(total: float) -> float:
 
 @dataclass
 class SpectralDecomposition:
-    """Eigenvalues (ascending, offset included) and eigenvector columns.
+    """H's eigenpairs (offset included), block by block.
 
-    ``evecs`` is float64 when the Hamiltonian's matrix is real (every string
-    has an even number of Y letters), complex otherwise.
+    Each block (rows, evals, evecs) holds Q sectors of R basis states each:
+    every sector's eigenvalues (Q, R), ascending, and its eigenvectors
+    (Q, R, R), as columns over the sector's states ``rows[0]``.  ``rows``
+    (T, Q, R) also lists the states of the T - 1 images of each sector
+    under H's X-type symmetries, which carry the same eigenpairs.  Every
+    per-eigenvector array runs over the blocks in that (image, sector,
+    column) order.  ``evals`` is every eigenvalue in ascending order and
+    ``evecs`` the matching dense eigenvector matrix, assembled on each read.
+
+    The eigenvectors are float64 when the Hamiltonian's matrix is real
+    (every string has an even number of Y letters), complex otherwise.
     """
 
-    evals: np.ndarray
-    evecs: np.ndarray
+    blocks: Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+    def __post_init__(self) -> None:
+        self._levels = np.concatenate(
+            [np.broadcast_to(evals, rows.shape).ravel() for rows, evals, _ in self.blocks]
+        )
+        self.evals = np.sort(self._levels, kind="stable")
+
+    @property
+    def evecs(self) -> np.ndarray:
+        """The eigenvectors as the columns of one 2^n x 2^n matrix, in
+        ``evals`` order."""
+        return self._columns(np.ones(self._levels.size, bool))
+
+    def _columns(self, picked: np.ndarray) -> np.ndarray:
+        """The eigenvectors that the mask ``picked`` selects, as dense columns
+        in ascending order of their eigenvalues (stable)."""
+        order = np.flatnonzero(picked)
+        order = order[np.argsort(self._levels[order], kind="stable")]
+        place = np.empty(picked.size, np.int64)
+        place[order] = np.arange(order.size)
+        out = np.zeros((picked.size, order.size), self.blocks[0][2].dtype)
+        start = 0
+        for rows, _, evecs in self.blocks:
+            flat = np.flatnonzero(picked[start : start + rows.size])
+            image, sector, column = np.unravel_index(flat, rows.shape)
+            out[rows[image, sector].T, place[start + flat]] = evecs[sector, :, column].T
+            start += rows.size
+        return out
 
     def coefficients(self, state: StateVector) -> np.ndarray:
         """<v_k|psi> for every eigenvector."""
-        return _overlaps(self.evecs, state)
+        amps = state.amplitudes
+        return np.concatenate(
+            [_overlaps(evecs, amps[rows]).ravel() for rows, _, evecs in self.blocks]
+        )
+
+    def _combination(self, coeffs: np.ndarray) -> np.ndarray:
+        """sum_k coeffs_k |v_k>, each block written onto its own rows."""
+        out = np.empty(coeffs.size, np.result_type(coeffs, self.blocks[0][2]))
+        start = 0
+        for rows, _, evecs in self.blocks:
+            part = coeffs[start : start + rows.size].reshape(rows.shape)
+            out[rows] = _times(evecs, part[..., None])[..., 0]
+            start += rows.size
+        return out
 
     def ground(self, degeneracy_tol: float) -> "GroundSpace":
         """E0 and the eigenvectors within ``degeneracy_tol`` of it."""
-        n_ground = int(np.count_nonzero(self.evals <= self.evals[0] + degeneracy_tol))
-        return GroundSpace(float(self.evals[0]), self.evecs[:, :n_ground], "dense")
+        e0 = self.evals[0]
+        return GroundSpace(float(e0), self._columns(self._levels <= e0 + degeneracy_tol), "dense")
 
     def _shifted(self, beta: float, coeffs: Optional[np.ndarray] = None) -> np.ndarray:
         """e^{-beta (E_k - E_m)}, shifted so large beta stays finite: E_m is the
         lowest level that ``coeffs`` populate (E0 without them), and the empty
         levels below it get e^0, whose product with their 0 is not NaN."""
-        shift = self.evals[0 if coeffs is None else np.argmax(coeffs != 0)]
-        return np.exp(np.minimum(-beta * (self.evals - shift), 0.0))
+        shift = self.evals[0] if coeffs is None else self._levels[coeffs != 0].min()
+        return np.exp(np.minimum(-beta * (self._levels - shift), 0.0))
 
     def ite(self, state0: StateVector, beta: float) -> StateVector:
         """Normalized e^{-beta H} |psi0>."""
@@ -109,28 +157,34 @@ class SpectralDecomposition:
         coeffs = self.coefficients(state0)
         coeffs = coeffs * self._shifted(beta, coeffs)
         norm = _checked(np.linalg.norm(coeffs))
-        return StateVector(_times(self.evecs, coeffs / norm), state0.n_qubits)
+        return StateVector(self._combination(coeffs / norm), state0.n_qubits)
 
     def ite_energy(self, state0: StateVector, beta: float) -> float:
         """Energy of the normalized e^{-beta H} |psi0>."""
         coeffs = self.coefficients(state0)
         weights = np.abs(coeffs) ** 2 * self._shifted(2.0 * beta, coeffs)
-        return float((weights @ self.evals) / _checked(weights.sum()))
+        return float((weights @ self._levels) / _checked(weights.sum()))
 
     def ite_squared_norm(self, state0: StateVector, beta: float) -> float:
         """|| e^{-beta H} |psi0> ||^2 without eigenvalue shifting (may be huge)."""
-        weights = np.exp(-2.0 * beta * self.evals)
+        weights = np.exp(-2.0 * beta * self._levels)
         return float(np.sum(np.abs(self.coefficients(state0)) ** 2 * weights))
 
     def gibbs(self, beta: float, observable: Optional[np.ndarray] = None) -> float:
         """Tr[O e^{-beta H}] / Tr[e^{-beta H}] for a dense O, defaulting to H itself."""
         if beta < 0:
             raise ValueError("beta must be non-negative")
-        weights = self._shifted(beta)
-        if observable is None:
-            return float((weights @ self.evals) / weights.sum())
-        diag = np.einsum("ik,ik->k", self.evecs.conj(), _times(observable, self.evecs)).real
-        return float((weights @ diag) / weights.sum())
+        weights, levels = self._shifted(beta), self._levels
+        if observable is not None:  # <v_k|O|v_k> from O on each eigenvector's rows
+            levels = np.concatenate([
+                np.einsum(
+                    "...ik,...ik->...k",
+                    evecs.conj(),
+                    _times(observable[rows[..., :, None], rows[..., None, :]], evecs),
+                ).real.ravel()
+                for rows, _, evecs in self.blocks
+            ])
+        return float((weights @ levels) / weights.sum())
 
 
 def check_dense(hamiltonian: Hamiltonian) -> None:
@@ -154,6 +208,24 @@ def check_dense(hamiltonian: Hamiltonian) -> None:
         )
 
 
+def _echelon(vectors) -> Dict[int, int]:
+    """The GF(2) span of the bit vectors ``vectors`` as a basis in reduced
+    echelon form, pivot bit -> vector: each vector has its own pivot bit set
+    and every other pivot bit clear."""
+    rows: Dict[int, int] = {}
+    for vector in sorted(set(vectors)):
+        for pivot, row in rows.items():
+            if vector >> pivot & 1:
+                vector ^= row
+        if vector:
+            pivot = (vector & -vector).bit_length() - 1
+            for other in list(rows):
+                if rows[other] >> pivot & 1:
+                    rows[other] ^= vector
+            rows[pivot] = vector
+    return rows
+
+
 def _symmetries(hamiltonian: Hamiltonian, letter: str) -> Dict[int, int]:
     """A basis {pivot bit: a} of the strings P^a, P the Pauli ``letter`` X or
     Z, that commute with every string of H.
@@ -166,18 +238,7 @@ def _symmetries(hamiltonian: Hamiltonian, letter: str) -> Dict[int, int]:
     """
     strings = tuple(s for term in hamiltonian.terms for _, s in term.pauli_sum)
     xmask, yzmask, _ = _pauli_masks(strings, tuple(range(hamiltonian.n_qubits)))
-    masks = yzmask if letter == "X" else xmask
-    rows: Dict[int, int] = {}  # the masks' row space, reduced: pivot bit -> row
-    for mask in sorted(set(masks.tolist())):
-        for pivot, row in rows.items():
-            if mask >> pivot & 1:
-                mask ^= row
-        if mask:
-            pivot = (mask & -mask).bit_length() - 1
-            for other in list(rows):
-                if rows[other] >> pivot & 1:
-                    rows[other] ^= mask
-            rows[pivot] = mask
+    rows = _echelon((yzmask if letter == "X" else xmask).tolist())  # the masks' row space
     return {
         free: 1 << free | sum(1 << pivot for pivot, row in rows.items() if row >> free & 1)
         for free in range(hamiltonian.n_qubits)
@@ -200,54 +261,170 @@ def _orbits(hamiltonian: Hamiltonian, letter: str) -> Tuple[np.ndarray, np.ndarr
     return cosets, group
 
 
+def _min_labels(labels: np.ndarray, neighbours: np.ndarray) -> np.ndarray:
+    """Each state's smallest state over the connected component that the
+    edges j ~ neighbours[e, j] join, from ``labels`` that already name a
+    state of that component no larger than each state (np.arange, or a
+    finer partition's labels): min-label propagation, each pass followed by
+    one shortcut of every label to its own label."""
+    while True:
+        lower = np.minimum(labels, labels[neighbours].min(axis=0, initial=labels.size))
+        lower = lower[lower]
+        if np.array_equal(lower, labels):
+            return labels
+        labels = lower
+
+
+class _Sectors(NamedTuple):
+    """Q sectors of R states with one stabilizer in the X-type symmetry
+    group: ``states`` (Q, R) ascending in each sector, ``walsh`` (Q, R) the
+    stabilizer element that carries each state's representative to it, in
+    the stabilizer's own ``bits`` coordinates (representatives have 0),
+    ``rows`` (Q, R) its representative's row in the sector's blocks, and
+    ``shifts`` (T,) the X masks that carry each sector onto its T images,
+    itself (0) first."""
+
+    states: np.ndarray
+    walsh: np.ndarray
+    rows: np.ndarray
+    bits: int
+    shifts: np.ndarray
+
+    @property
+    def width(self) -> int:
+        """Rows of each of the sector's 2^bits blocks."""
+        return self.states.shape[1] >> self.bits
+
+
+def _layout(hamiltonian: Hamiltonian):
+    """(position, groups): H's sectors, one of each orbit of the X-type
+    symmetry group, as ``_Sectors`` groups of one size and stabilizer, and
+    position[j], j's place in its sector's ascending states.
+
+    The sectors are the connected components of H's off-diagonal graph
+    (j ~ j ^ x wherever D_x[j] != 0), each labelled by its smallest state.
+    Each X^a of the group maps them onto each other, so each orbit is
+    diagonalized once, on its sector with the smallest state; the other
+    sectors of the orbit are its images.  The elements that map that sector
+    onto itself, its stabilizer S, split it further: for each S-orbit of its
+    states the representative clears the pivot bits of S's echelon basis.
+    """
+    operator = hamiltonian.operator
+    index = np.arange(2**hamiltonian.n_qubits)
+    hops = operator.sources[:, 0] != 0  # the x != 0 groups
+    labels = _min_labels(
+        index, np.where(operator.diagonals[hops] != 0, operator.sources[hops], index)
+    )
+    cosets, group = _orbits(hamiltonian, "X")
+    orbits = _min_labels(labels, index ^ group[2 ** np.arange(len(group).bit_length() - 1), None])
+    order = np.argsort(labels, kind="stable")  # the states, sector by sector
+    first = np.searchsorted(labels[order], labels)  # where each state's sector starts
+    position = np.empty_like(index)
+    position[order] = index - first[order]
+    kept = np.flatnonzero(orbits == index)  # each orbit's sector with its smallest state
+    sizes = np.bincount(labels)[kept].tolist()
+    stabilizers = labels[kept[:, None] ^ group] == kept[:, None]
+    keys: Dict[tuple, list] = {}
+    for member, key in enumerate(zip(sizes, map(bytes, stabilizers))):
+        keys.setdefault(key, []).append(member)
+    elements, groups = np.arange(len(group)), []
+    for members in keys.values():
+        size, stabilizer = sizes[members[0]], np.flatnonzero(stabilizers[members[0]])
+        basis = _echelon(stabilizer.tolist())
+        states = order[first[kept[members]][:, None] + np.arange(size)]
+        walsh = np.zeros_like(states)
+        picked = np.zeros(2 ** len(basis), np.int64)  # the element each coordinate picks
+        for bit, pivot in enumerate(sorted(basis)):
+            walsh |= (cosets[states] >> pivot & 1) << bit
+            picked[2**bit : 2 ** (bit + 1)] = picked[: 2**bit] ^ basis[pivot]
+        reps = position[states ^ group[picked[walsh]]]
+        ranks = np.cumsum(walsh == 0, axis=1) - 1  # each representative's row
+        shifts = group[(elements[:, None] ^ stabilizer).min(axis=1) == elements]
+        groups.append(
+            _Sectors(states, walsh, ranks[np.arange(len(members))[:, None], reps], len(basis), shifts)
+        )
+    return position, groups
+
+
 def spectral(hamiltonian: Hamiltonian) -> SpectralDecomposition:
     """Full diagonalization of H, in float64 when its matrix has no imaginary
-    part, block by block over the X-type strings that H commutes with.
+    part, block by block over its sectors and the X-type strings that H
+    commutes with.
 
-    Those strings form a group {X^(a_c)} of 2^k elements (``_orbits``;
-    a_c is the XOR of the basis vectors that c's bits pick).  Every basis
-    state j is r_j ^ a_(c_j), with r_j its orbit's representative (pivot bits
-    0), so the states 2^(-k/2) sum_c (-1)^popcount(s & c) |r ^ a_c> split H
-    into 2^k blocks B_s[r', r] = sum_d (-1)^popcount(s & d) <r' ^ a_d|H|r> of
-    2^(n-k) rows: one Walsh transform over the group and one stacked eigh,
-    N^3 / 4^k of the work of one.  This is the classical side of qubit
-    tapering (Bravyi, Gambetta, Mezzacapo and Temme, arXiv:1701.08213).
-    With k = 0 it is one eigh of the dense H, byte for byte.
+    The sectors are the connected components of H's off-diagonal graph
+    (``_layout``): for a Heisenberg chain, one per magnetization.  H maps
+    each into itself, so it is diagonalized sector by sector.  The X-type
+    strings form a group {X^(a_c)} of 2^k elements (``_orbits``; a_c is
+    the XOR of the basis vectors that c's bits pick) that maps sectors onto
+    sectors with the same matrix, so one sector of each orbit is
+    diagonalized, and its images take its eigenvalues and its eigenvectors
+    shifted by a_c.  The 2^s elements that map a sector onto itself split
+    it further: every state j of it is r_j ^ a_(d_j), r_j its
+    representative, so the states 2^(-s/2) sum_d (-1)^popcount(t & d)
+    |r ^ a_d> split it into 2^s blocks B_t[r', r] = sum_d (-1)^popcount(t &
+    d) <r' ^ a_d|H|r>: one Walsh transform over the stabilizer and one
+    stacked eigh per block size, 1 / 4^s of the work of one.  This is the
+    classical side of qubit tapering (Bravyi, Gambetta, Mezzacapo and
+    Temme, arXiv:1701.08213).  With one sector it is the whole group's 2^k
+    blocks, and with k = 0 as well one eigh of the dense H, byte for byte.
     """
     check_dense(hamiltonian)
-    cosets, group = _orbits(hamiltonian, "X")
-    k, index = len(group).bit_length() - 1, np.arange(2**hamiltonian.n_qubits)
-    reps = np.flatnonzero(cosets == 0)
-    slots = np.zeros_like(index)
-    slots[reps] = np.arange(reps.size)
-    rows = slots[index ^ group[cosets]]  # r_j's row in its block
-    evals, vectors = np.linalg.eigh(_blocks(hamiltonian.operator, reps, cosets, rows, k))
-    vectors *= 2.0 ** (-k / 2)
-    order = np.argsort(evals, axis=None, kind="stable")
-    sectors, columns = np.divmod(order, reps.size)
-    # column t: 2^(-k/2) (-1)^popcount(s_t & c_j) u[r_j] at j, u the eigenvector
-    evecs = np.ascontiguousarray(vectors.transpose(1, 0, 2)[:, sectors, columns])[rows]
-    evecs *= _signs(np.arange(2**k)[:, None], np.arange(2**k))[cosets[:, None], sectors]
-    return SpectralDecomposition(evals.reshape(-1)[order], evecs)
+    return _spectral(hamiltonian.operator, *_layout(hamiltonian))
 
 
-def _blocks(operator: PauliOperator, reps, cosets, rows, k: int) -> np.ndarray:
-    """The (2^k, m, m) stack of blocks B_s, offset included.
+def _spectral(operator: PauliOperator, position: np.ndarray, groups) -> SpectralDecomposition:
+    """``spectral`` over a ``_layout``: one stacked eigh per block width."""
+    stacks = [_blocks(operator, position, sectors) for sectors in groups]
+    solved = [None] * len(groups)
+    for width in {sectors.width for sectors in groups}:
+        members = [g for g, sectors in enumerate(groups) if sectors.width == width]
+        evals, vectors = np.linalg.eigh(np.concatenate([stacks[g] for g in members]))
+        start = 0
+        for g in members:
+            solved[g] = evals[start : start + len(stacks[g])], vectors[start : start + len(stacks[g])]
+            start += len(stacks[g])
+    blocks = []
+    for sectors, (evals, vectors) in zip(groups, solved):
+        (q, size), bits, width = sectors.states.shape, sectors.bits, sectors.width
+        vectors *= 2.0 ** (-bits / 2)
+        sector = np.arange(q)[:, None]
+        evals = evals.reshape(q, size)
+        order = np.argsort(evals, axis=1, kind="stable")
+        block, columns = np.divmod(order, width)
+        # column t of a sector: 2^(-s/2) (-1)^popcount(b_t & d_j) u[r_j] at its
+        # state j, u column c_t of its block b_t
+        evecs = vectors.reshape(q, 2**bits, width, width)[
+            sector[:, :, None], block[:, None], sectors.rows[:, :, None], columns[:, None]
+        ]
+        evecs *= _signs(sectors.walsh[:, :, None], block[:, None])
+        rows = sectors.states ^ sectors.shifts[:, None, None]
+        blocks.append((rows, evals[sector, order], evecs))
+    return SpectralDecomposition(tuple(blocks))
+
+
+def _blocks(operator: PauliOperator, position: np.ndarray, sectors: _Sectors) -> np.ndarray:
+    """The (Q 2^s, m, m) stack of every sector's blocks B_t, offset included.
 
     H[j, j ^ x] = D_x[j], and D_x[j ^ a] = D_x[j] for every a of the group,
     so M_d[r', r] = <r' ^ a_d|H|r> is D_x[r'] where r ^ a_d = r' ^ x: one
-    scatter fills every M_d, and k butterflies turn the M_d into the B_s.
+    scatter of the nonzero D_x fills every M_d, and s butterflies turn the
+    M_d into the B_t.
     """
-    size = reps.size
-    targets = operator.sources[:, reps]  # r' ^ x for every x-group and row r'
-    blocks = np.zeros((2**k, size, size), operator.diagonals.dtype)
-    blocks[cosets[targets], np.arange(size), rows[targets]] = operator.diagonals[:, reps]
-    for bit in range(k):
-        pairs = blocks.reshape(2 ** (k - 1 - bit), 2, -1)  # axis 1: this bit of d
-        pairs[:, 0], pairs[:, 1] = pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]
-    diagonal = np.arange(size)
-    blocks[:, diagonal, diagonal] += operator.offset
-    return blocks
+    (q, size), bits, width = sectors.states.shape, sectors.bits, sectors.width
+    reps = sectors.states[sectors.walsh == 0].reshape(q, width)
+    values = operator.diagonals[:, reps]
+    group, sector, row = np.nonzero(values)
+    targets = position[operator.sources[group, reps[sector, row]]]  # r' ^ x in the sector
+    blocks = np.zeros((q, 2**bits, width, width), operator.diagonals.dtype)
+    blocks[sector, sectors.walsh[sector, targets], row, sectors.rows[sector, targets]] = (
+        values[group, sector, row]
+    )
+    for bit in range(bits):
+        pairs = blocks.reshape(q, 2 ** (bits - 1 - bit), 2, -1)  # axis 2: this bit of d
+        pairs[:, :, 0], pairs[:, :, 1] = pairs[:, :, 0] + pairs[:, :, 1], pairs[:, :, 0] - pairs[:, :, 1]
+    diagonal = np.arange(width)
+    blocks[:, :, diagonal, diagonal] += operator.offset
+    return blocks.reshape(-1, width, width)
 
 
 @dataclass
@@ -273,22 +450,26 @@ class GroundSpace:
         """Mass of ``state`` in the ground space."""
         if self.basis.ndim == 1:
             return float(np.sum(np.abs(state.amplitudes[self.basis]) ** 2))
-        return float(np.sum(np.abs(_overlaps(self.basis, state)) ** 2))
+        return float(np.sum(np.abs(_overlaps(self.basis, state.amplitudes)) ** 2))
 
 
 def ground_space(hamiltonian: Hamiltonian, degeneracy_tol: float = 1e-10) -> GroundSpace:
     """E0 and the ground space of H, by its cheapest exact route.
 
-    A diagonal H reads both off its diagonal; below 2^n = _LANCZOS_MIN_DIM
-    they come from ``spectral``, from there on from ``lanczos_ground``.
+    A diagonal H reads both off its diagonal.  Otherwise they come from
+    the blocks of ``spectral`` while H fits MAX_DENSE_QUBITS and its widest
+    block has at most _DENSE_MAX_ROWS rows, and from ``lanczos_ground``
+    beyond.
     """
     operator = hamiltonian.operator
     if operator.is_diagonal:
         diagonal = operator.diagonal()
         e0 = float(diagonal.min())
         return GroundSpace(e0, np.flatnonzero(diagonal <= e0 + degeneracy_tol), "diagonal")
-    if 2**hamiltonian.n_qubits < _LANCZOS_MIN_DIM:
-        return spectral(hamiltonian).ground(degeneracy_tol)
+    if hamiltonian.n_qubits <= MAX_DENSE_QUBITS:
+        position, groups = _layout(hamiltonian)
+        if max(sectors.width for sectors in groups) <= _DENSE_MAX_ROWS:
+            return _spectral(operator, position, groups).ground(degeneracy_tol)
     return lanczos_ground(operator, degeneracy_tol)
 
 

@@ -324,6 +324,9 @@ def maxcut(n_vertices: int, edges: Sequence[Tuple[int, int]]) -> Hamiltonian:
         raise DimensionError("need at least 2 vertices")
     cleaned = []
     for i, j in edges:
+        for vertex in (i, j):  # bool is an int subclass, and 1.0 == 1
+            if isinstance(vertex, bool) or not isinstance(vertex, (int, np.integer)):
+                raise DimensionError(f"edge ({i!r}, {j!r}): vertex {vertex!r} is not an integer")
         if i == j or not (0 <= i < n_vertices and 0 <= j < n_vertices):
             raise DimensionError(f"bad edge ({i}, {j})")
         cleaned.append((min(i, j), max(i, j)))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from qitekit.analysis import (
     VQE_REFERENCE_COUNTS,
     CostQuery,
+    _layout,
     _mutual_information_pairs,
     _symmetries,
     cut_values,
@@ -161,15 +162,21 @@ def test_x_symmetry_count(h, k):
 @pytest.mark.parametrize(
     "h",
     [
-        heisenberg_1d(6, field=0.3),
+        # ZZ bonds with a transverse and a longitudinal field: the X field
+        # joins every basis state, and the Z field breaks the global flip
+        _pauli_hamiltonian(5, [(1.0, "ZZIII"), (0.8, "IZZII"), (1.1, "IIZZI"), (0.9, "IIIZZ")]
+                           + [(0.7, "I" * q + "X" + "I" * (4 - q)) for q in range(5)]
+                           + [(0.3, "I" * q + "Z" + "I" * (4 - q)) for q in range(5)]),
         one_qubit_field(0.6, 0.8),
         _pauli_hamiltonian(3, [(0.7, "XYI"), (0.4, "ZZI"), (-0.3, "IXZ"), (0.2, "IIY")]),
     ],
-    ids=["heisenberg6_field", "one_qubit_field", "complex3"],
+    ids=["ising5_fields", "one_qubit_field", "complex3"],
 )
 def test_spectral_without_x_symmetry_is_one_eigh(h):
     assert not _symmetries(h, "X")
     dec = spectral(h)
+    ((rows, _, _),) = dec.blocks  # one sector: every basis state
+    assert rows.shape == (1, 1, 2**h.n_qubits)
     evals, evecs = np.linalg.eigh(to_dense(h))
     assert dec.evals.dtype == evals.dtype and dec.evecs.dtype == evecs.dtype
     assert dec.evals.tobytes() == evals.tobytes()
@@ -221,6 +228,90 @@ def test_blocked_spectral_matches_one_eigh_property(h, seed):
     for beta in (0.3, 1.7):
         want = _ite_reference(evals, evecs, state.amplitudes, beta)
         assert np.max(np.abs(dec.ite(state, beta).amplitudes - want)) <= 1e-10
+
+
+@st.composite
+def _number_conserving_sums(draw, max_qubits=7):
+    """Random Pauli sums that conserve the number of 1 bits: XX + YY hops,
+    XY - YX hops (complex), ZZ couplings and, unless ``flip`` is drawn, Z
+    fields, which break the global flip X^n that every other term commutes
+    with."""
+    n = draw(st.integers(2, max_qubits))
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    weight = st.floats(-1.0, 1.0).filter(lambda w: abs(w) > 1e-3)
+
+    def label(letters):
+        chars = ["I"] * n
+        for q, letter in letters.items():
+            chars[q] = letter
+        return "".join(chars)
+
+    entries = []
+    for (i, j), t, kind in draw(st.lists(st.tuples(pair, weight, st.sampled_from(
+            ["real", "complex", "zz"])), min_size=1, max_size=8)):
+        if kind == "real":
+            entries += [(t, label({i: "X", j: "X"})), (t, label({i: "Y", j: "Y"}))]
+        elif kind == "complex":
+            entries += [(t, label({i: "X", j: "Y"})), (-t, label({i: "Y", j: "X"}))]
+        else:
+            entries.append((t, label({i: "Z", j: "Z"})))
+    if not draw(st.booleans()):  # no global flip
+        entries += [(draw(weight), label({q: "Z"})) for q in range(n)]
+    return _pauli_hamiltonian(n, entries)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(h=_number_conserving_sums(), seed=st.integers(0, 2**32 - 1))
+@example(h=heisenberg_1d(6, field=0.3), seed=0)
+@example(h=heisenberg_1d(7), seed=1)
+def test_sectored_spectral_matches_one_eigh_property(h, seed):
+    # every sector is a set of basis states with one count of 1 bits (a U(1)
+    # sector, or a finer one where the hops do not join it)
+    n, mat = h.n_qubits, to_dense(h)
+    dec, (evals, evecs) = spectral(h), np.linalg.eigh(mat)
+    assert sum(rows.shape[0] * rows.shape[1] for rows, _, _ in dec.blocks) > 1
+    for rows, _, _ in dec.blocks:
+        assert np.all(np.bitwise_count(rows) == np.bitwise_count(rows[..., :1]))
+    assert dec.evecs.dtype == evecs.dtype
+    assert np.all(np.diff(dec.evals) >= 0)
+    assert np.max(np.abs(dec.evals - evals)) <= 1e-12
+    vectors = dec.evecs
+    assert np.linalg.norm(vectors.conj().T @ vectors - np.eye(2**n), 2) <= 1e-12
+    scale = max(np.linalg.norm(mat, 2), 1.0)
+    assert np.linalg.norm(mat @ vectors - vectors * dec.evals, 2) / scale <= 1e-12
+    # Davis-Kahan: a ground projector is fixed only to (backward error) / gap
+    above = evals[evals > evals[0] + 1e-9]
+    gap = above[0] - evals[0] if above.size else np.inf
+    bound = 1e-10 + 1e-13 * np.linalg.norm(mat, 2) / gap
+    assert np.max(np.abs(_ground_projector(dec.evals, vectors)
+                         - _ground_projector(evals, evecs))) <= bound
+    ground = dec.ground(1e-9).basis
+    assert np.max(np.abs(ground @ ground.conj().T - _ground_projector(evals, evecs))) <= bound
+    rng = np.random.default_rng(seed)
+    state = StateVector(random_state(n, rng), n)
+    noise = rng.normal(size=mat.shape) + 1j * rng.normal(size=mat.shape)
+    observable = noise + noise.conj().T
+    for beta in (0.0, 0.3, 1.7):
+        want = _ite_reference(evals, evecs, state.amplitudes, beta)
+        assert np.max(np.abs(dec.ite(state, beta).amplitudes - want)) <= 1e-10
+        weights = np.exp(-beta * (evals - evals[0]))
+        want = (weights @ evals) / weights.sum()
+        assert abs(dec.gibbs(beta) - want) <= 1e-10 * scale
+        want = (weights @ np.einsum("ik,ij,jk->k", evecs.conj(), observable, evecs).real
+                ) / weights.sum()
+        assert abs(dec.gibbs(beta, observable) - want) <= 1e-10 * np.linalg.norm(observable, 2)
+
+
+def test_exact_ite_settles_on_the_lowest_level_of_its_sector():
+    # |000011> has two 1 bits, and a Heisenberg chain keeps it among the 15
+    # states with two: the lowest level there (Sz = 1) is -2.00200, above
+    # E0 = -2.49358 (Sz = 0)
+    h, state = heisenberg_1d(6), product_state("000011")
+    sector = np.flatnonzero(np.bitwise_count(np.arange(64)) == 2)
+    level = np.linalg.eigvalsh(to_dense(h)[np.ix_(sector, sector)])[0]
+    assert abs(level + 2.00200) < 1e-5 and abs(spectral(h).evals[0] + 2.49358) < 1e-5
+    for beta in (100.0, 1000.0):
+        assert abs(exact_ite_energy(state, h, beta) - level) < 1e-10
 
 
 @st.composite
@@ -479,10 +570,10 @@ def test_lanczos_ground_check_schedule(h, matvecs, dim):
 
 def test_lanczos_ground_refuses_a_ground_space_it_cannot_store():
     # H = X_0 on 9 qubits has a 256-fold ground space; Lanczos stores at most
-    # 200 ground vectors (from 2^n = 512 on ground_space takes Lanczos)
+    # 200 ground vectors (ground_space takes H's 1-row blocks instead)
     h = _pauli_hamiltonian(9, [(1.0, "X" + "I" * 8)])
     with pytest.raises(ResourceError, match="on 9 qubits has at least 200 dimensions"):
-        ground_space(h, 1e-9)
+        lanczos_ground(h.operator, 1e-9)
 
 
 def test_ground_space_routes():
@@ -490,13 +581,37 @@ def test_ground_space_routes():
     ground = ground_space(maxcut_six_vertex_instance(), 1e-9)
     assert ground.route == "diagonal" and ground.matvecs == 0
     assert list(cut_values(maxcut_six_vertex_instance())[ground.basis]) == [5] * 6
-    # below 2^n = 512 the dense eigh, from there on Lanczos
+    # H's blocks while the widest has at most _DENSE_MAX_ROWS = 128 rows (56
+    # on the Heisenberg chain of 8), Lanczos beyond (210 on the chain of 10)
     assert ground_space(heisenberg_1d(8), 1e-9).route == "dense"
     ground = ground_space(heisenberg_1d(10), 1e-9)
     assert ground.route == "lanczos" and ground.dim == 1
     e0, vector = exact_ground(heisenberg_1d(10))
     assert e0 == ground.e0
     assert abs(energy(vector, heisenberg_1d(10)) - e0) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "h, width, route, dim",
+    [
+        (heisenberg_1d(9), 126, "dense", 2),  # the Sz = +-1/2 pair, one block
+        (heisenberg_1d(10), 210, "lanczos", 1),  # the Sz = +-1 pair
+        (tfi_1d(8, 1.0, 1.0), 128, "dense", 1),  # no sector: the flip's two blocks
+        (tfi_1d(9, 1.0, 1.0), 256, "lanczos", 1),
+        (_pauli_hamiltonian(9, [(1.0, "X" + "I" * 8)]), 1, "dense", 256),
+    ],
+    ids=["heisenberg9", "heisenberg10", "tfi8", "tfi9", "x0_9"],
+)
+def test_ground_route_follows_the_widest_block(h, width, route, dim):
+    _, groups = _layout(h)
+    assert max(sectors.width for sectors in groups) == width
+    ground = ground_space(h, 1e-9)
+    assert (ground.route, ground.dim) == (route, dim)
+    assert abs(ground.e0 - lanczos_ground(h.operator, 1e-9).e0 if dim < 200
+               else ground.e0 + 1.0) < 1e-12
+    basis = ground.basis
+    assert np.linalg.norm(basis.conj().T @ basis - np.eye(dim), 2) < 1e-12
+    assert np.linalg.norm(to_dense(h) @ basis - ground.e0 * basis, 2) < 1e-10
 
 
 def test_dense_oracle_refuses_above_its_ceiling():

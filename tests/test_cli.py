@@ -26,7 +26,6 @@ from qitekit.analysis import (
     gibbs_average,
     ground_space,
     mutual_information,
-    spectral,
 )
 from qitekit.errors import ConfigError
 from qitekit.hamiltonians import energy, heisenberg_1d
@@ -279,6 +278,7 @@ INVALID_BATCHES.update({
     "mutualinfo-pair-float": [section_config("mutualinfo", betas=[1.0], pairs=[[0, 1.0]])],
     "maxcut-edge-vertex-float": [model_config("maxcut", n_vertices=2, edges=[[0, 1.0]])],
     "maxcut-edge-vertex-fraction": [model_config("maxcut", n_vertices=2, edges=[[0, 1.5]])],
+    "maxcut-edge-vertex-bool": [model_config("maxcut", n_vertices=2, edges=[[0, True]])],
     "count-n-terms-float": [section_config("count", **{**COUNT_OK, "n_terms": 4.0})],
     "count-domain-size-float": [section_config("count", **{**COUNT_OK, "domain_size": 2.0})],
     **{f"{algorithm}-section-missing": [without(section_config(algorithm), algorithm)]
@@ -298,6 +298,15 @@ def test_invalid_config_creates_no_output(tmp_path, capsys, name):
     assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("vertex, shown", [(True, "true"), (1.5, "1.5")])
+def test_maxcut_vertex_is_refused_by_edge_and_value(tmp_path, capsys, vertex, shown):
+    # JSON true reads as True, which Python would take as vertex 1
+    path = write_config(tmp_path, model_config("maxcut", n_vertices=2, edges=[[0, vertex]]))
+    assert shown in path.read_text()
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert f"edge (0, {vertex}): vertex {vertex} is not an integer" in capsys.readouterr().err
 
 
 def test_h2_table_path_copy_matches_packaged_table(tmp_path):
@@ -490,13 +499,15 @@ def heisenberg_config(algorithm, n_qubits, n_steps):
     "algorithm, n_qubits, record",
     [
         ("qite", 7, {"route": "dense", "matvecs": 0, "ground_dim": 2}),
-        ("qite", 9, {"route": "lanczos", "ground_dim": 2}),
+        ("qite", 9, {"route": "dense", "matvecs": 0, "ground_dim": 2}),
+        ("qite", 10, {"route": "lanczos", "ground_dim": 1}),
         ("qlanczos", 8, {"route": "dense", "matvecs": 0, "ground_dim": 1}),
-        ("qlanczos", 9, {"route": "lanczos", "ground_dim": 2}),
+        ("qlanczos", 10, {"route": "lanczos", "ground_dim": 1}),
     ],
 )
 def test_manifest_records_oracle_route(tmp_path, algorithm, n_qubits, record):
-    # 2^n = 512 amplitudes is the crossover from the dense eigh to Lanczos
+    # H's blocks while the widest has at most 128 rows (126 on the chain of
+    # 9), Lanczos beyond (210 on the chain of 10)
     path = write_config(tmp_path, heisenberg_config(algorithm, n_qubits, 1))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
     oracle = json.loads((tmp_path / "out" / "manifest.json").read_text())["oracle"]
@@ -873,18 +884,18 @@ def test_compare_self_is_zero_delta(tmp_path, capsys):
 
 
 def count_spectral_calls(monkeypatch):
-    """Count diagonalizations made through the CLI's name or the oracles' one."""
+    """Count diagonalizations: spectral and the ground oracle's dense route
+    both diagonalize through analysis._spectral."""
     import qitekit.analysis
-    import qitekit.cli
 
     calls = []
+    diagonalize = qitekit.analysis._spectral
 
-    def counting(hamiltonian):
-        calls.append(hamiltonian)
-        return spectral(hamiltonian)
+    def counting(operator, *layout):
+        calls.append(operator)
+        return diagonalize(operator, *layout)
 
-    for module in (qitekit.cli, qitekit.analysis):
-        monkeypatch.setattr(module, "spectral", counting)
+    monkeypatch.setattr(qitekit.analysis, "_spectral", counting)
     return calls
 
 
@@ -1153,10 +1164,10 @@ import json, sys
 from pathlib import Path
 import qitekit.cli as cli
 
-configs, qite9, out = Path(sys.argv[1]), sys.argv[2], Path(sys.argv[3])
+configs, qite10, out = Path(sys.argv[1]), sys.argv[2], Path(sys.argv[3])
 for path in sorted(configs.glob("*.json")):
     cli.load_config(path)
-runs = (qite9, configs / "c09_mutualinfo_tfi8.json", configs / "c07_count_k4_t7.json")
+runs = (qite10, configs / "c09_mutualinfo_tfi8.json", configs / "c07_count_k4_t7.json")
 codes = [cli.main(["run", "--config", str(path), "--out", str(out / str(k))])
          for k, path in enumerate(runs)]
 quiet = "numpy.random" not in sys.modules
@@ -1169,14 +1180,14 @@ print(json.dumps({"codes": codes, "quiet": quiet,
 
 def test_runs_that_draw_nothing_do_not_import_numpy_random(tmp_path):
     # numpy.random costs 16-19 ms to import: validating every shipped config,
-    # a noiseless 9-qubit qite run (Lanczos ground oracle), a mutualinfo and a
+    # a noiseless 10-qubit qite run (Lanczos ground oracle), a mutualinfo and a
     # count run leave it unimported; a qmetts run draws and imports it
-    qite9 = write_config(tmp_path, heisenberg_config("qite", 9, 1))
+    qite10 = write_config(tmp_path, heisenberg_config("qite", 10, 1))
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     probe = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, str(CONFIG_DIR), str(qite9), str(tmp_path / "out")],
+        [sys.executable, "-c", _IMPORT_PROBE, str(CONFIG_DIR), str(qite10), str(tmp_path / "out")],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert probe.returncode == 0, probe.stderr

@@ -245,6 +245,11 @@ def test_maxcut_diagonal_exhaustive():
         maxcut(3, [])
     with pytest.raises(DimensionError):
         maxcut(3, [(0, 5)])
+    # a vertex is an integer, not a bool or a float, whatever its value
+    for vertex in (True, False, 1.0, 1.5):
+        with pytest.raises(DimensionError, match=rf"edge \(2, {vertex}\): vertex {vertex} is not"):
+            maxcut(3, [(0, 1), (2, vertex)])
+    assert maxcut(3, [(np.int64(0), 2)]).metadata["edges"] == [(0, 2)]
 
 
 def test_maxcut_six_vertex_instance():

@@ -219,3 +219,21 @@ def test_every_term_plan_field_is_read():
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
             and getattr(node.value, "id", None) == "plan" and id(node) not in stored}
     assert fields and fields <= read, f"_TermPlan fields never read: {sorted(fields - read)}"
+
+
+def test_one_block_diagonalization():
+    # spectral and the ground oracle's dense route diagonalize every sector
+    # through one stacked eigh, and the Lanczos check is the only other eigh;
+    # one row count, not a register size, picks the ground route
+    analysis = ast.parse((PACKAGE / "analysis.py").read_text())
+    sites = sorted(
+        function.name
+        for function in analysis.body
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "eigh"
+    )
+    assert sites == ["_lowest_ritz", "_spectral"], f"eigh called in {sites}"
+    assigned = {target.id for node in ast.walk(analysis) if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)}
+    assert "_LANCZOS_MIN_DIM" not in assigned and "_DENSE_MAX_ROWS" in assigned
