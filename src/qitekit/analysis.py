@@ -11,21 +11,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .errors import DimensionError, NumericalError, ResourceError
-from .hamiltonians import Hamiltonian, to_dense
+from .hamiltonians import Hamiltonian, _Sectors, _symmetries, to_dense
 from .pauli import odd_y_count
-from .statevector import (
-    PauliOperator,
-    StateVector,
-    _norm,
-    _pauli_masks,
-    _signs,
-    _support_major,
-)
+from .statevector import PauliOperator, StateVector, _norm, _signs, _support_major
 
 # The ground oracle diagonalizes H's blocks (spectral) while the widest has
 # at most _DENSE_MAX_ROWS rows, and runs Lanczos on H's operator beyond: for
@@ -208,156 +201,18 @@ def check_dense(hamiltonian: Hamiltonian) -> None:
         )
 
 
-def _echelon(vectors) -> Dict[int, int]:
-    """The GF(2) span of the bit vectors ``vectors`` as a basis in reduced
-    echelon form, pivot bit -> vector: each vector has its own pivot bit set
-    and every other pivot bit clear."""
-    rows: Dict[int, int] = {}
-    for vector in sorted(set(vectors)):
-        for pivot, row in rows.items():
-            if vector >> pivot & 1:
-                vector ^= row
-        if vector:
-            pivot = (vector & -vector).bit_length() - 1
-            for other in list(rows):
-                if rows[other] >> pivot & 1:
-                    rows[other] ^= vector
-            rows[pivot] = vector
-    return rows
-
-
-def _symmetries(hamiltonian: Hamiltonian, letter: str) -> Dict[int, int]:
-    """A basis {pivot bit: a} of the strings P^a, P the Pauli ``letter`` X or
-    Z, that commute with every string of H.
-
-    X^a commutes with a string when popcount(a & z) is even, z the string's
-    mask of Y and Z letters; Z^a when popcount(a & x) is even, x its mask of
-    X and Y letters.  So the a form the GF(2) null space of those masks.
-    The basis is in reduced echelon form: each a has its own pivot bit set
-    and every other pivot bit clear.
-    """
-    strings = tuple(s for term in hamiltonian.terms for _, s in term.pauli_sum)
-    xmask, yzmask, _ = _pauli_masks(strings, tuple(range(hamiltonian.n_qubits)))
-    rows = _echelon((yzmask if letter == "X" else xmask).tolist())  # the masks' row space
-    return {
-        free: 1 << free | sum(1 << pivot for pivot, row in rows.items() if row >> free & 1)
-        for free in range(hamiltonian.n_qubits)
-        if free not in rows
-    }
-
-
-def _orbits(hamiltonian: Hamiltonian, letter: str) -> Tuple[np.ndarray, np.ndarray]:
-    """(cosets, group) of the strings P^a, P the Pauli ``letter``, that H
-    commutes with: cosets[j] holds j's pivot bits of the ``_symmetries``
-    basis, one bit per vector, group[c] the XOR of the vectors that c's bits
-    pick, and j ^ group[cosets[j]] is the representative of j's orbit."""
-    symmetries = _symmetries(hamiltonian, letter)
-    index = np.arange(2**hamiltonian.n_qubits)
-    cosets = np.zeros_like(index)
-    group = np.zeros(2 ** len(symmetries), np.int64)
-    for bit, (pivot, mask) in enumerate(symmetries.items()):
-        cosets |= (index >> pivot & 1) << bit
-        group[2**bit : 2 ** (bit + 1)] = group[: 2**bit] ^ mask
-    return cosets, group
-
-
-def _min_labels(labels: np.ndarray, neighbours: np.ndarray) -> np.ndarray:
-    """Each state's smallest state over the connected component that the
-    edges j ~ neighbours[e, j] join, from ``labels`` that already name a
-    state of that component no larger than each state (np.arange, or a
-    finer partition's labels): min-label propagation, each pass followed by
-    one shortcut of every label to its own label."""
-    while True:
-        lower = np.minimum(labels, labels[neighbours].min(axis=0, initial=labels.size))
-        lower = lower[lower]
-        if np.array_equal(lower, labels):
-            return labels
-        labels = lower
-
-
-class _Sectors(NamedTuple):
-    """Q sectors of R states with one stabilizer in the X-type symmetry
-    group: ``states`` (Q, R) ascending in each sector, ``walsh`` (Q, R) the
-    stabilizer element that carries each state's representative to it, in
-    the stabilizer's own ``bits`` coordinates (representatives have 0),
-    ``rows`` (Q, R) its representative's row in the sector's blocks, and
-    ``shifts`` (T,) the X masks that carry each sector onto its T images,
-    itself (0) first."""
-
-    states: np.ndarray
-    walsh: np.ndarray
-    rows: np.ndarray
-    bits: int
-    shifts: np.ndarray
-
-    @property
-    def width(self) -> int:
-        """Rows of each of the sector's 2^bits blocks."""
-        return self.states.shape[1] >> self.bits
-
-
-def _layout(hamiltonian: Hamiltonian):
-    """(position, groups): H's sectors, one of each orbit of the X-type
-    symmetry group, as ``_Sectors`` groups of one size and stabilizer, and
-    position[j], j's place in its sector's ascending states.
-
-    The sectors are the connected components of H's off-diagonal graph
-    (j ~ j ^ x wherever D_x[j] != 0), each labelled by its smallest state.
-    Each X^a of the group maps them onto each other, so each orbit is
-    diagonalized once, on its sector with the smallest state; the other
-    sectors of the orbit are its images.  The elements that map that sector
-    onto itself, its stabilizer S, split it further: for each S-orbit of its
-    states the representative clears the pivot bits of S's echelon basis.
-    """
-    operator = hamiltonian.operator
-    index = np.arange(2**hamiltonian.n_qubits)
-    hops = operator.sources[:, 0] != 0  # the x != 0 groups
-    labels = _min_labels(
-        index, np.where(operator.diagonals[hops] != 0, operator.sources[hops], index)
-    )
-    cosets, group = _orbits(hamiltonian, "X")
-    orbits = _min_labels(labels, index ^ group[2 ** np.arange(len(group).bit_length() - 1), None])
-    order = np.argsort(labels, kind="stable")  # the states, sector by sector
-    first = np.searchsorted(labels[order], labels)  # where each state's sector starts
-    position = np.empty_like(index)
-    position[order] = index - first[order]
-    kept = np.flatnonzero(orbits == index)  # each orbit's sector with its smallest state
-    sizes = np.bincount(labels)[kept].tolist()
-    stabilizers = labels[kept[:, None] ^ group] == kept[:, None]
-    keys: Dict[tuple, list] = {}
-    for member, key in enumerate(zip(sizes, map(bytes, stabilizers))):
-        keys.setdefault(key, []).append(member)
-    elements, groups = np.arange(len(group)), []
-    for members in keys.values():
-        size, stabilizer = sizes[members[0]], np.flatnonzero(stabilizers[members[0]])
-        basis = _echelon(stabilizer.tolist())
-        states = order[first[kept[members]][:, None] + np.arange(size)]
-        walsh = np.zeros_like(states)
-        picked = np.zeros(2 ** len(basis), np.int64)  # the element each coordinate picks
-        for bit, pivot in enumerate(sorted(basis)):
-            walsh |= (cosets[states] >> pivot & 1) << bit
-            picked[2**bit : 2 ** (bit + 1)] = picked[: 2**bit] ^ basis[pivot]
-        reps = position[states ^ group[picked[walsh]]]
-        ranks = np.cumsum(walsh == 0, axis=1) - 1  # each representative's row
-        shifts = group[(elements[:, None] ^ stabilizer).min(axis=1) == elements]
-        groups.append(
-            _Sectors(states, walsh, ranks[np.arange(len(members))[:, None], reps], len(basis), shifts)
-        )
-    return position, groups
-
-
 def spectral(hamiltonian: Hamiltonian) -> SpectralDecomposition:
     """Full diagonalization of H, in float64 when its matrix has no imaginary
     part, block by block over its sectors and the X-type strings that H
     commutes with.
 
     The sectors are the connected components of H's off-diagonal graph
-    (``_layout``): for a Heisenberg chain, one per magnetization.  H maps
-    each into itself, so it is diagonalized sector by sector.  The X-type
-    strings form a group {X^(a_c)} of 2^k elements (``_orbits``; a_c is
-    the XOR of the basis vectors that c's bits pick) that maps sectors onto
-    sectors with the same matrix, so one sector of each orbit is
-    diagonalized, and its images take its eigenvalues and its eigenvectors
+    (``Hamiltonian.layout``): for a Heisenberg chain, one per magnetization.
+    H maps each into itself, so it is diagonalized sector by sector.  The
+    X-type strings form a group {X^(a_c)} of 2^k elements (the layout's
+    ``x_orbits``; a_c XORs the basis vectors c's bits pick) that maps
+    sectors onto sectors with the same matrix, so one sector of each orbit
+    is diagonalized, and its images take its eigenvalues and eigenvectors
     shifted by a_c.  The 2^s elements that map a sector onto itself split
     it further: every state j of it is r_j ^ a_(d_j), r_j its
     representative, so the states 2^(-s/2) sum_d (-1)^popcount(t & d)
@@ -369,12 +224,8 @@ def spectral(hamiltonian: Hamiltonian) -> SpectralDecomposition:
     blocks, and with k = 0 as well one eigh of the dense H, byte for byte.
     """
     check_dense(hamiltonian)
-    return _spectral(hamiltonian.operator, *_layout(hamiltonian))
-
-
-def _spectral(operator: PauliOperator, position: np.ndarray, groups) -> SpectralDecomposition:
-    """``spectral`` over a ``_layout``: one stacked eigh per block width."""
-    stacks = [_blocks(operator, position, sectors) for sectors in groups]
+    groups = hamiltonian.layout.groups  # one stacked eigh per block width
+    stacks = [_blocks(hamiltonian.operator, hamiltonian.layout.position, s) for s in groups]
     solved = [None] * len(groups)
     for width in {sectors.width for sectors in groups}:
         members = [g for g, sectors in enumerate(groups) if sectors.width == width]
@@ -466,10 +317,9 @@ def ground_space(hamiltonian: Hamiltonian, degeneracy_tol: float = 1e-10) -> Gro
         diagonal = operator.diagonal()
         e0 = float(diagonal.min())
         return GroundSpace(e0, np.flatnonzero(diagonal <= e0 + degeneracy_tol), "diagonal")
-    if hamiltonian.n_qubits <= MAX_DENSE_QUBITS:
-        position, groups = _layout(hamiltonian)
-        if max(sectors.width for sectors in groups) <= _DENSE_MAX_ROWS:
-            return _spectral(operator, position, groups).ground(degeneracy_tol)
+    if (hamiltonian.n_qubits <= MAX_DENSE_QUBITS
+            and max(sectors.width for sectors in hamiltonian.layout.groups) <= _DENSE_MAX_ROWS):
+        return spectral(hamiltonian).ground(degeneracy_tol)
     return lanczos_ground(operator, degeneracy_tol)
 
 

@@ -12,13 +12,13 @@ import functools
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, DimensionError
 from .pauli import PauliString
-from .statevector import PauliOperator, StateVector
+from .statevector import PauliOperator, StateVector, _pauli_masks
 
 PauliSum = Tuple[Tuple[float, PauliString], ...]
 
@@ -63,6 +63,11 @@ class Hamiltonian:
             return operator
         return dataclasses.replace(operator, diagonals=operator.diagonals.real.copy())
 
+    @functools.cached_property
+    def layout(self) -> _Layout:
+        """H's Pauli symmetry orbits and sectors (``_layout``), built on first use."""
+        return _layout(self)
+
 
 def _term(n_qubits: int, support: Sequence[int], entries) -> LocalTerm:
     pauli_sum = tuple(
@@ -83,6 +88,152 @@ def energy(state: StateVector, hamiltonian: Hamiltonian) -> float:
 def to_dense(hamiltonian: Hamiltonian) -> np.ndarray:
     """Full 2^n x 2^n matrix, offset included; float64 when H is real."""
     return hamiltonian.operator.dense()
+
+
+# ---------------------------------------------------------------------------
+# Pauli symmetries and sectors
+
+
+def _echelon(vectors) -> Dict[int, int]:
+    """The GF(2) span of the bit vectors ``vectors`` as a basis in reduced
+    echelon form, pivot bit -> vector: each vector has its own pivot bit set
+    and every other pivot bit clear."""
+    rows: Dict[int, int] = {}
+    for vector in sorted(set(vectors)):
+        for pivot, row in rows.items():
+            if vector >> pivot & 1:
+                vector ^= row
+        if vector:
+            pivot = (vector & -vector).bit_length() - 1
+            for other in list(rows):
+                if rows[other] >> pivot & 1:
+                    rows[other] ^= vector
+            rows[pivot] = vector
+    return rows
+
+
+def _symmetries(hamiltonian: Hamiltonian, letter: str) -> Dict[int, int]:
+    """A basis {pivot bit: a} of the strings P^a, P the Pauli ``letter`` X or
+    Z, that commute with every string of H.
+
+    X^a commutes with a string when popcount(a & z) is even, z the string's
+    mask of Y and Z letters; Z^a when popcount(a & x) is even, x its mask of
+    X and Y letters.  So the a form the GF(2) null space of those masks; each
+    basis vector has its own pivot bit set and every other pivot bit clear.
+    """
+    strings = tuple(s for term in hamiltonian.terms for _, s in term.pauli_sum)
+    xmask, yzmask, _ = _pauli_masks(strings, tuple(range(hamiltonian.n_qubits)))
+    rows = _echelon((yzmask if letter == "X" else xmask).tolist())  # the masks' row space
+    return {
+        free: 1 << free | sum(1 << pivot for pivot, row in rows.items() if row >> free & 1)
+        for free in range(hamiltonian.n_qubits)
+        if free not in rows
+    }
+
+
+def _coordinates(values: np.ndarray, basis: Dict[int, int]) -> Tuple[np.ndarray, np.ndarray]:
+    """(coords, elements) over the echelon basis ``basis`` (pivot bit ->
+    vector): coords[j] holds values[j]'s pivot bits, one bit per vector in
+    pivot order, and elements[c] is the XOR of the vectors that c's bits
+    pick, so values[j] ^ elements[coords[j]] has every pivot bit clear."""
+    coords = np.zeros_like(values)
+    elements = np.zeros(2 ** len(basis), np.int64)
+    for bit, pivot in enumerate(sorted(basis)):
+        coords |= (values >> pivot & 1) << bit
+        elements[2**bit : 2 ** (bit + 1)] = elements[: 2**bit] ^ basis[pivot]
+    return coords, elements
+
+
+def _min_labels(labels: np.ndarray, neighbours: np.ndarray) -> np.ndarray:
+    """Each state's smallest state over the connected component that the
+    edges j ~ neighbours[e, j] join, from ``labels`` that already name a
+    state of that component no larger than each state (np.arange, or a
+    finer partition's labels): min-label propagation, each pass followed by
+    one shortcut of every label to its own label."""
+    while True:
+        lower = np.minimum(labels, labels[neighbours].min(axis=0, initial=labels.size))
+        lower = lower[lower]
+        if np.array_equal(lower, labels):
+            return labels
+        labels = lower
+
+
+class _Sectors(NamedTuple):
+    """Q sectors of R states with one stabilizer in the X-type symmetry
+    group: ``states`` (Q, R) ascending in each sector, ``walsh`` (Q, R) the
+    stabilizer element that carries each state's representative to it, in
+    the stabilizer's own ``bits`` coordinates (representatives have 0),
+    ``rows`` (Q, R) its representative's row in the sector's blocks, and
+    ``shifts`` (T,) the X masks that carry each sector onto its T images,
+    itself (0) first."""
+
+    states: np.ndarray
+    walsh: np.ndarray
+    rows: np.ndarray
+    bits: int
+    shifts: np.ndarray
+
+    @property
+    def width(self) -> int:
+        """Rows of each of the sector's 2^bits blocks."""
+        return self.states.shape[1] >> self.bits
+
+
+class _Layout(NamedTuple):
+    """``Hamiltonian.layout``: the (cosets, group) ``_coordinates`` of every
+    state over the ``_symmetries`` of each letter, so j ^ group[cosets[j]] is
+    the representative of j's orbit; H's sectors, one of each X orbit, as
+    ``_Sectors`` groups; and position[j], j's place in its sector's states."""
+
+    x_orbits: Tuple[np.ndarray, np.ndarray]
+    z_orbits: Tuple[np.ndarray, np.ndarray]
+    position: np.ndarray
+    groups: List[_Sectors]
+
+
+def _layout(hamiltonian: Hamiltonian) -> _Layout:
+    """H's symmetry orbits and sectors.
+
+    The sectors are the connected components of H's off-diagonal graph
+    (j ~ j ^ x wherever D_x[j] != 0), each labelled by its smallest state.
+    Each X^a of the group maps them onto each other, so each orbit is
+    diagonalized once, on its sector with the smallest state; the other
+    sectors of the orbit are its images.  The elements that map that sector
+    onto itself, its stabilizer S, split it further: for each S-orbit of its
+    states the representative clears the pivot bits of S's echelon basis.
+    """
+    operator = hamiltonian.operator
+    index = np.arange(2**hamiltonian.n_qubits)
+    hops = operator.sources[:, 0] != 0  # the x != 0 groups
+    labels = _min_labels(
+        index, np.where(operator.diagonals[hops] != 0, operator.sources[hops], index)
+    )
+    cosets, group = x_orbits = _coordinates(index, _symmetries(hamiltonian, "X"))
+    orbits = _min_labels(labels, index ^ group[2 ** np.arange(len(group).bit_length() - 1), None])
+    order = np.argsort(labels, kind="stable")  # the states, sector by sector
+    first = np.searchsorted(labels[order], labels)  # where each state's sector starts
+    position = np.empty_like(index)
+    position[order] = index - first[order]
+    kept = np.flatnonzero(orbits == index)  # each orbit's sector with its smallest state
+    sizes = np.bincount(labels)[kept].tolist()
+    stabilizers = labels[kept[:, None] ^ group] == kept[:, None]
+    keys: Dict[tuple, list] = {}
+    for member, key in enumerate(zip(sizes, map(bytes, stabilizers))):
+        keys.setdefault(key, []).append(member)
+    groups = []
+    for members in keys.values():
+        size, stabilizer = sizes[members[0]], np.flatnonzero(stabilizers[members[0]])
+        basis = _echelon(stabilizer.tolist())
+        states = order[first[kept[members]][:, None] + np.arange(size)]
+        walsh, picked = _coordinates(cosets[states], basis)  # w picks picked[w]
+        reps = position[states ^ group[picked[walsh]]]
+        ranks = np.cumsum(walsh == 0, axis=1) - 1  # each representative's row
+        # each image's smallest element: the first to map the sector onto it
+        shifts = group[np.sort(np.unique(labels[kept[members[0]] ^ group], return_index=True)[1])]
+        groups.append(
+            _Sectors(states, walsh, ranks[np.arange(len(members))[:, None], reps], len(basis), shifts)
+        )
+    return _Layout(x_orbits, _coordinates(index, _symmetries(hamiltonian, "Z")), position, groups)
 
 
 # ---------------------------------------------------------------------------

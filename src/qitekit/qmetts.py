@@ -18,7 +18,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .analysis import _orbits
 from .errors import ConfigError, DimensionError
 from .hamiltonians import Hamiltonian, energy
 from .qite import QiteConfig, _propagate, _TermPlan, _term_plans
@@ -123,8 +122,8 @@ def _typical_states(
     pools, rho's eigenbasis solve and the odd-Y pool's real columns all map
     through the signed permutation it makes on the unitary support.  So the
     typical state of a label is X^a or Z^b times that of its orbit's
-    representative (``analysis._orbits``, as ``spectral`` picks its block
-    representatives); only representatives are propagated.
+    representative (``Hamiltonian.layout``'s ``x_orbits`` and ``z_orbits``,
+    which ``spectral`` reads too); only representatives are propagated.
 
     A chain on the basis ``cycle`` starts in the Z basis and reaches X-basis
     labels only on the alternating cycle.  When the representatives it can
@@ -134,7 +133,7 @@ def _typical_states(
     """
     n = hamiltonian.n_qubits
     index = np.arange(2**n)
-    orbits = {"01": _orbits(hamiltonian, "X"), "+-": _orbits(hamiltonian, "Z")}
+    orbits = {"01": hamiltonian.layout.x_orbits, "+-": hamiltonian.layout.z_orbits}
     evolved = {}  # representative label -> its typical state
 
     def label_of(bits: int, letters: str) -> str:

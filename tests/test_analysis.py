@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 from qitekit.analysis import (
     VQE_REFERENCE_COUNTS,
     CostQuery,
-    _layout,
     _mutual_information_pairs,
-    _symmetries,
     cut_values,
     exact_ground,
     exact_ite,
@@ -27,6 +25,7 @@ from qitekit.errors import DimensionError, ResourceError
 from qitekit.hamiltonians import (
     Hamiltonian,
     LocalTerm,
+    _symmetries,
     energy,
     heisenberg_1d,
     heisenberg_long_range,
@@ -300,6 +299,52 @@ def test_sectored_spectral_matches_one_eigh_property(h, seed):
         want = (weights @ np.einsum("ik,ij,jk->k", evecs.conj(), observable, evecs).real
                 ) / weights.sum()
         assert abs(dec.gibbs(beta, observable) - want) <= 1e-10 * np.linalg.norm(observable, 2)
+
+
+def _component_labels(h):
+    """Each basis state's smallest state over its connected component of the
+    graph that H's nonzero off-diagonal matrix entries draw, by union-find."""
+    parent = list(range(2**h.n_qubits))
+
+    def root(j):
+        while parent[j] != j:
+            j = parent[j]
+        return j
+
+    for i, j in zip(*np.nonzero(to_dense(h))):
+        a, b = root(i), root(j)
+        parent[max(a, b)] = min(a, b)
+    return np.array([root(j) for j in range(len(parent))])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(h=st.one_of(_blockable_pauli_sums(), _number_conserving_sums()))
+@example(h=heisenberg_1d(6, field=0.3))
+@example(h=tfi_1d(5, 1.0, 1.0))
+def test_layout_contract_property(h):
+    n, layout, operator = h.n_qubits, h.layout, h.operator
+    index, components = np.arange(2**n), _component_labels(h)
+    sector = np.full(2**n, -1)  # each state's sector, named by its smallest state
+    for sectors in layout.groups:
+        size = sectors.states.shape[1]
+        assert np.all(np.diff(sectors.states, axis=1) > 0)
+        for image in (sectors.states ^ sectors.shifts[:, None, None]).reshape(-1, size):
+            assert np.all(sector[image] == -1), "a state lies in two sectors"
+            sector[image] = image.min()
+            assert np.array_equal(layout.position[np.sort(image)], np.arange(size))
+        # every sector of a group, and each of its images, has the group's size
+        assert np.all(np.bincount(components)[sectors.states[:, 0]] == size)
+    assert np.all(sector >= 0), "a state lies in no sector"
+    assert np.array_equal(sector, components)
+    joins = operator.diagonals != 0  # no nonzero D_x joins two sectors
+    assert np.array_equal(sector[operator.sources][joins], np.broadcast_to(sector, joins.shape)[joins])
+    strings = [s for term in h.terms for _, s in term.pauli_sum]
+    for letter, (cosets, group) in zip("XZ", (layout.x_orbits, layout.z_orbits)):
+        masks = [sum(1 << q for q, c in s.items if c not in (letter, "I")) for s in strings]
+        assert all(bin(a & m).count("1") % 2 == 0 for a in group.tolist() for m in masks)
+        reps = index ^ group[cosets]  # each orbit's representative is fixed by the map
+        assert np.array_equal(reps[reps], reps)
+        assert all(np.array_equal(reps[index ^ a], reps) for a in group)
 
 
 def test_exact_ite_settles_on_the_lowest_level_of_its_sector():
@@ -603,8 +648,7 @@ def test_ground_space_routes():
     ids=["heisenberg9", "heisenberg10", "tfi8", "tfi9", "x0_9"],
 )
 def test_ground_route_follows_the_widest_block(h, width, route, dim):
-    _, groups = _layout(h)
-    assert max(sectors.width for sectors in groups) == width
+    assert max(sectors.width for sectors in h.layout.groups) == width
     ground = ground_space(h, 1e-9)
     assert (ground.route, ground.dim) == (route, dim)
     assert abs(ground.e0 - lanczos_ground(h.operator, 1e-9).e0 if dim < 200

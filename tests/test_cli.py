@@ -884,18 +884,20 @@ def test_compare_self_is_zero_delta(tmp_path, capsys):
 
 
 def count_spectral_calls(monkeypatch):
-    """Count diagonalizations: spectral and the ground oracle's dense route
-    both diagonalize through analysis._spectral."""
+    """Count diagonalizations: the CLI calls spectral, and so does the ground
+    oracle's dense route, which looks it up in analysis."""
     import qitekit.analysis
+    import qitekit.cli
 
     calls = []
-    diagonalize = qitekit.analysis._spectral
+    diagonalize = qitekit.analysis.spectral
 
-    def counting(operator, *layout):
-        calls.append(operator)
-        return diagonalize(operator, *layout)
+    def counting(hamiltonian):
+        calls.append(hamiltonian)
+        return diagonalize(hamiltonian)
 
-    monkeypatch.setattr(qitekit.analysis, "_spectral", counting)
+    for module in (qitekit.analysis, qitekit.cli):
+        monkeypatch.setattr(module, "spectral", counting)
     return calls
 
 

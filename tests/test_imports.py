@@ -233,7 +233,32 @@ def test_one_block_diagonalization():
         for node in ast.walk(function)
         if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "eigh"
     )
-    assert sites == ["_lowest_ritz", "_spectral"], f"eigh called in {sites}"
+    assert sites == ["_lowest_ritz", "spectral"], f"eigh called in {sites}"
     assigned = {target.id for node in ast.walk(analysis) if isinstance(node, ast.Assign)
                 for target in node.targets if isinstance(target, ast.Name)}
     assert "_LANCZOS_MIN_DIM" not in assigned and "_DENSE_MAX_ROWS" in assigned
+
+
+def _callers(name):
+    """The package's functions (methods and nested functions too) that call
+    ``name``."""
+    return sorted({
+        node.name
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.FunctionDef) and name in set(_called_names(node))
+    })
+
+
+def test_one_symmetry_layout_per_hamiltonian():
+    # Hamiltonian.layout alone builds H's symmetry orbits and sectors;
+    # check_dense reads a symmetry basis of its own because it must refuse
+    # before any 2^n array exists
+    assert _callers("_layout") == ["layout"]
+    assert _callers("_coordinates") == _callers("_min_labels") == ["_layout"]
+    assert _callers("_symmetries") == ["_layout", "check_dense"]
+    qmetts = ast.parse((PACKAGE / "qmetts.py").read_text())
+    sources = [node.module for node in ast.walk(qmetts) if isinstance(node, ast.ImportFrom)]
+    sources += [alias.name for node in ast.walk(qmetts)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    assert not [source for source in sources if source and "analysis" in source.split(".")]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qitekit.analysis import gibbs_average
+from qitekit.analysis import gibbs_average, ground_space, spectral
 from qitekit.errors import ConfigError, DimensionError
 from qitekit.hamiltonians import (
     Hamiltonian,
@@ -209,9 +209,8 @@ def test_mapped_typical_state_matches_its_own_evolution(h, pools):
 
 
 def test_chain_matches_the_chain_without_symmetries(monkeypatch):
-    import qitekit.qmetts as qmetts_module
+    import qitekit.hamiltonians as hamiltonians_module
 
-    h = heisenberg_1d(4)
     # Z_0 flips sign under the global X flip and X_0 under the global Z flip
     observable = Hamiltonian(4, (_field_term(4, 0, "Z", 0.7), _field_term(4, 0, "X", 0.4)))
     config = MettsConfig(beta=2.0, n_samples=60, n_warmup=4,
@@ -220,8 +219,9 @@ def test_chain_matches_the_chain_without_symmetries(monkeypatch):
     _record_evolutions(monkeypatch, stacks)
 
     def chains():
-        """(result, states evolved) per seed and observable."""
-        runs = []
+        """(result, states evolved) per seed and observable, on a fresh H that
+        builds its own layout."""
+        runs, h = [], heisenberg_1d(4)
         for seed, obs in itertools.product((0, 1), (None, observable)):
             stacks.clear()
             res = metts_chain(h, config, np.random.default_rng(seed), observable=obs)
@@ -230,15 +230,32 @@ def test_chain_matches_the_chain_without_symmetries(monkeypatch):
         return runs
 
     with_symmetries = chains()
-    monkeypatch.setattr(
-        qmetts_module, "_orbits",
-        lambda hamiltonian, letter: (np.zeros(2**hamiltonian.n_qubits, int), np.zeros(1, int)),
-    )
+    monkeypatch.setattr(hamiltonians_module, "_symmetries", lambda hamiltonian, letter: {})
     for (got, got_evolved), (want, want_evolved) in zip(with_symmetries, chains()):
         assert [s.start_label for s in got.samples] == [s.start_label for s in want.samples]
         assert [s.next_label for s in got.samples] == [s.next_label for s in want.samples]
         assert np.max(np.abs(got.values - want.values)) <= 1e-12
         assert got_evolved < want_evolved
+
+
+def test_each_hamiltonian_builds_its_layout_once(monkeypatch):
+    # the exact oracles and a chain read H's symmetry orbits and sectors off
+    # Hamiltonian.layout, built once per H
+    import qitekit.hamiltonians as hamiltonians_module
+
+    built = []
+    layout = hamiltonians_module._layout
+    monkeypatch.setattr(hamiltonians_module, "_layout", lambda h: built.append(h) or layout(h))
+    config = MettsConfig(beta=1.0, n_samples=12, n_warmup=4,
+                         qite=QiteConfig(dtau=0.25, domain_size=2, b_mode="exact_delta0"))
+    h = heisenberg_1d(4)
+    assert ground_space(h, 1e-9).route == "dense"
+    spectral(h)
+    metts_chain(h, config, np.random.default_rng(0))
+    assert len(built) == 1 and built[0] is h
+    twin = heisenberg_1d(4)
+    spectral(twin)
+    assert len(built) == 2 and built[1] is twin
 
 
 def test_stacked_chain_matches_the_chain_one_at_a_time(monkeypatch):
