@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DimensionError, NumericalError, ResourceError
 from .hamiltonians import Hamiltonian, _Sectors, _symmetries, to_dense
 from .pauli import odd_y_count
-from .statevector import PauliOperator, StateVector, _norm, _signs, _support_major
+from .statevector import PauliOperator, StateVector, _butterfly, _norm, _support_major
 
 # The ground oracle diagonalizes H's blocks (spectral) while the widest has
 # at most _DENSE_MAX_ROWS rows, and runs Lanczos on H's operator beyond: for
@@ -71,14 +71,15 @@ def _checked(total: float) -> float:
 class SpectralDecomposition:
     """H's eigenpairs (offset included), block by block.
 
-    Each block (rows, evals, evecs) holds Q sectors of R basis states each:
-    every sector's eigenvalues (Q, R), ascending, and its eigenvectors
-    (Q, R, R), as columns over the sector's states ``rows[0]``.  ``rows``
-    (T, Q, R) also lists the states of the T - 1 images of each sector
-    under H's X-type symmetries, which carry the same eigenpairs.  Every
-    per-eigenvector array runs over the blocks in that (image, sector,
-    column) order.  ``evals`` is every eigenvalue in ascending order and
-    ``evecs`` the matching dense eigenvector matrix, assembled on each read.
+    Each group (grid, evals, evecs) holds Q sectors of 2^s blocks of W rows
+    as ``spectral``'s eigh returned them: eigenvalues (Q, 2^s, W) and
+    eigenvectors (Q, 2^s, W, W) as columns.  ``grid`` (T, Q, 2^s, W) holds
+    the state r ^ a_d of each sector and of its T - 1 images, which share
+    its eigenpairs, at (image, sector, d, r): a gather or scatter on it and
+    ``_walsh`` over d move a vector into the blocks and out.  Per-eigenvector
+    arrays run over the groups in (image, sector, block, column) order.
+    ``evals`` is every eigenvalue in ascending order and ``evecs`` the
+    matching dense eigenvector matrix, assembled on each read.
 
     The eigenvectors are float64 when the Hamiltonian's matrix is real
     (every string has an even number of Y letters), complex otherwise.
@@ -87,10 +88,18 @@ class SpectralDecomposition:
     blocks: Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
     def __post_init__(self) -> None:
-        self._levels = np.concatenate(
-            [np.broadcast_to(evals, rows.shape).ravel() for rows, evals, _ in self.blocks]
-        )
+        levels = [np.broadcast_to(evals, grid.shape).ravel() for grid, evals, _ in self.blocks]
+        self._levels = np.concatenate(levels)
+        self._starts = np.cumsum([0] + [grid.size for grid, _, _ in self.blocks]).tolist()
         self.evals = np.sort(self._levels, kind="stable")
+
+    @staticmethod
+    def _walsh(values: np.ndarray, size: int, low: int) -> np.ndarray:
+        """2^(-s/2) sum_d (-1)^popcount(t & d) values[d] at each t, over the
+        axis of ``size`` = 2^s elements of stride ``low``: its own inverse."""
+        for bit in range(size.bit_length() - 1):
+            values = _butterfly(values, low << bit)
+        return values * size**-0.5
 
     @property
     def evecs(self) -> np.ndarray:
@@ -101,34 +110,31 @@ class SpectralDecomposition:
     def _columns(self, picked: np.ndarray) -> np.ndarray:
         """The eigenvectors that the mask ``picked`` selects, as dense columns
         in ascending order of their eigenvalues (stable)."""
-        order = np.flatnonzero(picked)
-        order = order[np.argsort(self._levels[order], kind="stable")]
-        place = np.empty(picked.size, np.int64)
-        place[order] = np.arange(order.size)
-        out = np.zeros((picked.size, order.size), self.blocks[0][2].dtype)
-        start = 0
-        for rows, _, evecs in self.blocks:
-            flat = np.flatnonzero(picked[start : start + rows.size])
-            image, sector, column = np.unravel_index(flat, rows.shape)
-            out[rows[image, sector].T, place[start + flat]] = evecs[sector, :, column].T
-            start += rows.size
+        place = np.zeros(picked.size, np.int64)  # each picked eigenvector's column
+        place[picked] = np.argsort(np.argsort(self._levels[picked], kind="stable"))
+        out = np.zeros((picked.size, np.count_nonzero(picked)), self.blocks[0][2].dtype)
+        for (grid, _, evecs), start in zip(self.blocks, self._starts):
+            flat = np.flatnonzero(picked[start : start + grid.size])
+            image, sector, block, column = np.unravel_index(flat, grid.shape)
+            vectors = np.zeros((flat.size, *grid.shape[2:]), out.dtype)  # each in its block
+            vectors[np.arange(flat.size), block] = evecs[sector, block, :, column]
+            vectors = self._walsh(vectors, *grid.shape[2:])
+            out[grid[image, sector], place[start + flat, None, None]] = vectors
         return out
 
     def coefficients(self, state: StateVector) -> np.ndarray:
         """<v_k|psi> for every eigenvector."""
-        amps = state.amplitudes
-        return np.concatenate(
-            [_overlaps(evecs, amps[rows]).ravel() for rows, _, evecs in self.blocks]
-        )
+        return np.concatenate([
+            _overlaps(evecs, self._walsh(state.amplitudes[grid], *grid.shape[2:])).ravel()
+            for grid, _, evecs in self.blocks
+        ])
 
     def _combination(self, coeffs: np.ndarray) -> np.ndarray:
-        """sum_k coeffs_k |v_k>, each block written onto its own rows."""
+        """sum_k coeffs_k |v_k>, each block written onto its own states."""
         out = np.empty(coeffs.size, np.result_type(coeffs, self.blocks[0][2]))
-        start = 0
-        for rows, _, evecs in self.blocks:
-            part = coeffs[start : start + rows.size].reshape(rows.shape)
-            out[rows] = _times(evecs, part[..., None])[..., 0]
-            start += rows.size
+        for (grid, _, evecs), start in zip(self.blocks, self._starts):
+            part = coeffs[start : start + grid.size].reshape(grid.shape)
+            out[grid] = self._walsh(_times(evecs, part[..., None])[..., 0], *grid.shape[2:])
         return out
 
     def ground(self, degeneracy_tol: float) -> "GroundSpace":
@@ -137,16 +143,16 @@ class SpectralDecomposition:
         return GroundSpace(float(e0), self._columns(self._levels <= e0 + degeneracy_tol), "dense")
 
     def _shifted(self, beta: float, coeffs: Optional[np.ndarray] = None) -> np.ndarray:
-        """e^{-beta (E_k - E_m)}, shifted so large beta stays finite: E_m is the
-        lowest level that ``coeffs`` populate (E0 without them), and the empty
-        levels below it get e^0, whose product with their 0 is not NaN."""
+        """e^{-beta (E_k - E_m)}, beta >= 0, with E_m the lowest level that
+        ``coeffs`` populate (E0 without them) so large beta stays finite; the
+        empty levels below it get e^0, whose product with their 0 is not NaN."""
+        if beta < 0:
+            raise ValueError("beta must be non-negative")
         shift = self.evals[0] if coeffs is None else self._levels[coeffs != 0].min()
         return np.exp(np.minimum(-beta * (self._levels - shift), 0.0))
 
     def ite(self, state0: StateVector, beta: float) -> StateVector:
         """Normalized e^{-beta H} |psi0>."""
-        if beta < 0:
-            raise ValueError("beta must be non-negative")
         coeffs = self.coefficients(state0)
         coeffs = coeffs * self._shifted(beta, coeffs)
         norm = _checked(np.linalg.norm(coeffs))
@@ -159,24 +165,24 @@ class SpectralDecomposition:
         return float((weights @ self._levels) / _checked(weights.sum()))
 
     def ite_squared_norm(self, state0: StateVector, beta: float) -> float:
-        """|| e^{-beta H} |psi0> ||^2 without eigenvalue shifting (may be huge)."""
-        weights = np.exp(-2.0 * beta * self._levels)
-        return float(np.sum(np.abs(self.coefficients(state0)) ** 2 * weights))
+        """|| e^{-beta H} |psi0> ||^2, shifted and scaled back (may be huge)."""
+        coeffs = self.coefficients(state0)
+        weights = np.abs(coeffs) ** 2 * self._shifted(2.0 * beta, coeffs)
+        return float(weights.sum() * np.exp(-2.0 * beta * self._levels[coeffs != 0].min()))
 
     def gibbs(self, beta: float, observable: Optional[np.ndarray] = None) -> float:
         """Tr[O e^{-beta H}] / Tr[e^{-beta H}] for a dense O, defaulting to H itself."""
-        if beta < 0:
-            raise ValueError("beta must be non-negative")
         weights, levels = self._shifted(beta), self._levels
-        if observable is not None:  # <v_k|O|v_k> from O on each eigenvector's rows
-            levels = np.concatenate([
-                np.einsum(
-                    "...ik,...ik->...k",
-                    evecs.conj(),
-                    _times(observable[rows[..., :, None], rows[..., None, :]], evecs),
-                ).real.ravel()
-                for rows, _, evecs in self.blocks
-            ])
+        if observable is not None:  # <v_k|O|v_k> from O on each sector's states
+            levels = []
+            for grid, _, evecs in self.blocks:  # O into the blocks on both sides
+                size, width = grid.shape[2:]
+                rows = grid[..., None, None], grid[:, :, None, None]
+                part = self._walsh(observable[rows], size, width * size * width)  # O's rows
+                part = self._walsh(part, size, width)  # and its columns
+                part = _times(np.moveaxis(part.diagonal(axis1=2, axis2=4), -1, 2), evecs)
+                levels.append(np.einsum("...ik,...ik->...k", evecs.conj(), part).real.ravel())
+            levels = np.concatenate(levels)
         return float((weights @ levels) / weights.sum())
 
 
@@ -186,12 +192,11 @@ def check_dense(hamiltonian: Hamiltonian) -> None:
     n = hamiltonian.n_qubits
     if n > MAX_DENSE_QUBITS:
         odd_y = any(s.y_count % 2 for t in hamiltonian.terms for _, s in t.pauli_sum)
-        itemsize, k = (16 if odd_y else 8), len(_symmetries(hamiltonian, "X"))
+        itemsize, k = (16 if odd_y else 8), len(_symmetries(hamiltonian)[0])
         # spectral's 2^k blocks of 4^(n-k) entries, _BLOCK_COPIES times over,
-        # plus the N^2 eigenvector matrix it assembles and that matrix's int8
-        # signs.  Over a real H's spectral on 11 and 12 qubits, VmHWM grew by
-        # 83 and 260 MiB at k = 1 (this prices 100 and 400 MiB) and by 167
-        # and 651 MiB at k = 0 (164 and 656 MiB)
+        # plus an N^2 eigenvector matrix and its int8 signs that spectral no
+        # longer assembles, so this over-prices: TFI on 12 qubits (k = 1)
+        # peaks at 261-263 MiB VmHWM in all against 400 MiB priced
         need = _BLOCK_COPIES * itemsize * 4**n // 2**k + (itemsize + 1) * 4**n
         raise ResourceError(
             f"a dense diagonalization of H on {n} qubits needs about {need / 1e9:.3g} GB "
@@ -220,36 +225,29 @@ def spectral(hamiltonian: Hamiltonian) -> SpectralDecomposition:
     d) <r' ^ a_d|H|r>: one Walsh transform over the stabilizer and one
     stacked eigh per block size, 1 / 4^s of the work of one.  This is the
     classical side of qubit tapering (Bravyi, Gambetta, Mezzacapo and
-    Temme, arXiv:1701.08213).  With one sector it is the whole group's 2^k
-    blocks, and with k = 0 as well one eigh of the dense H, byte for byte.
+    Temme, arXiv:1701.08213).  The eigenpairs stay in their blocks.  With
+    one sector it is the whole group's 2^k blocks, and with k = 0 as well
+    one eigh of the dense H, byte for byte.
     """
     check_dense(hamiltonian)
-    groups = hamiltonian.layout.groups  # one stacked eigh per block width
-    stacks = [_blocks(hamiltonian.operator, hamiltonian.layout.position, s) for s in groups]
-    solved = [None] * len(groups)
-    for width in {sectors.width for sectors in groups}:
-        members = [g for g, sectors in enumerate(groups) if sectors.width == width]
-        evals, vectors = np.linalg.eigh(np.concatenate([stacks[g] for g in members]))
+    layout = hamiltonian.layout
+    blocks = [None] * len(layout.groups)
+    for width in {sectors.width for sectors in layout.groups}:  # one stacked eigh per width
+        members = [g for g, sectors in enumerate(layout.groups) if sectors.width == width]
+        evals, evecs = np.linalg.eigh(np.concatenate(
+            [_blocks(hamiltonian.operator, layout.position, layout.groups[g]) for g in members]
+        ))
         start = 0
         for g in members:
-            solved[g] = evals[start : start + len(stacks[g])], vectors[start : start + len(stacks[g])]
-            start += len(stacks[g])
-    blocks = []
-    for sectors, (evals, vectors) in zip(groups, solved):
-        (q, size), bits, width = sectors.states.shape, sectors.bits, sectors.width
-        vectors *= 2.0 ** (-bits / 2)
-        sector = np.arange(q)[:, None]
-        evals = evals.reshape(q, size)
-        order = np.argsort(evals, axis=1, kind="stable")
-        block, columns = np.divmod(order, width)
-        # column t of a sector: 2^(-s/2) (-1)^popcount(b_t & d_j) u[r_j] at its
-        # state j, u column c_t of its block b_t
-        evecs = vectors.reshape(q, 2**bits, width, width)[
-            sector[:, :, None], block[:, None], sectors.rows[:, :, None], columns[:, None]
-        ]
-        evecs *= _signs(sectors.walsh[:, :, None], block[:, None])
-        rows = sectors.states ^ sectors.shifts[:, None, None]
-        blocks.append((rows, evals[sector, order], evecs))
+            sectors = layout.groups[g]
+            shape = (len(sectors.states), 2**sectors.bits, width)  # (Q, 2^s, W)
+            grid = np.empty((len(sectors.shifts), *shape), np.int64)  # each state at (d, r)
+            grid[:, np.arange(shape[0])[:, None], sectors.walsh, sectors.rows] = (
+                sectors.states ^ sectors.shifts[:, None, None]
+            )
+            part = slice(start, start + shape[0] * shape[1])
+            blocks[g] = grid, evals[part].reshape(shape), evecs[part].reshape(*shape, width)
+            start = part.stop
     return SpectralDecomposition(tuple(blocks))
 
 
@@ -271,8 +269,7 @@ def _blocks(operator: PauliOperator, position: np.ndarray, sectors: _Sectors) ->
         values[group, sector, row]
     )
     for bit in range(bits):
-        pairs = blocks.reshape(q, 2 ** (bits - 1 - bit), 2, -1)  # axis 2: this bit of d
-        pairs[:, :, 0], pairs[:, :, 1] = pairs[:, :, 0] + pairs[:, :, 1], pairs[:, :, 0] - pairs[:, :, 1]
+        blocks = _butterfly(blocks, width * width << bit)  # over this bit of d
     diagonal = np.arange(width)
     blocks[:, :, diagonal, diagonal] += operator.offset
     return blocks.reshape(-1, width, width)

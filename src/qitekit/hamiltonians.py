@@ -112,9 +112,9 @@ def _echelon(vectors) -> Dict[int, int]:
     return rows
 
 
-def _symmetries(hamiltonian: Hamiltonian, letter: str) -> Dict[int, int]:
-    """A basis {pivot bit: a} of the strings P^a, P the Pauli ``letter`` X or
-    Z, that commute with every string of H.
+def _symmetries(hamiltonian: Hamiltonian) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """Bases {pivot bit: a} of the strings X^a and of the strings Z^a that
+    commute with every string of H, from one pass over its Pauli masks.
 
     X^a commutes with a string when popcount(a & z) is even, z the string's
     mask of Y and Z letters; Z^a when popcount(a & x) is even, x its mask of
@@ -123,12 +123,11 @@ def _symmetries(hamiltonian: Hamiltonian, letter: str) -> Dict[int, int]:
     """
     strings = tuple(s for term in hamiltonian.terms for _, s in term.pauli_sum)
     xmask, yzmask, _ = _pauli_masks(strings, tuple(range(hamiltonian.n_qubits)))
-    rows = _echelon((yzmask if letter == "X" else xmask).tolist())  # the masks' row space
-    return {
-        free: 1 << free | sum(1 << pivot for pivot, row in rows.items() if row >> free & 1)
-        for free in range(hamiltonian.n_qubits)
-        if free not in rows
-    }
+    return tuple(
+        {free: 1 << free | sum(1 << pivot for pivot, row in rows.items() if row >> free & 1)
+         for free in range(hamiltonian.n_qubits) if free not in rows}
+        for rows in (_echelon(yzmask.tolist()), _echelon(xmask.tolist()))  # the row spaces
+    )
 
 
 def _coordinates(values: np.ndarray, basis: Dict[int, int]) -> Tuple[np.ndarray, np.ndarray]:
@@ -208,7 +207,8 @@ def _layout(hamiltonian: Hamiltonian) -> _Layout:
     labels = _min_labels(
         index, np.where(operator.diagonals[hops] != 0, operator.sources[hops], index)
     )
-    cosets, group = x_orbits = _coordinates(index, _symmetries(hamiltonian, "X"))
+    x_basis, z_basis = _symmetries(hamiltonian)
+    cosets, group = x_orbits = _coordinates(index, x_basis)
     orbits = _min_labels(labels, index ^ group[2 ** np.arange(len(group).bit_length() - 1), None])
     order = np.argsort(labels, kind="stable")  # the states, sector by sector
     first = np.searchsorted(labels[order], labels)  # where each state's sector starts
@@ -233,7 +233,7 @@ def _layout(hamiltonian: Hamiltonian) -> _Layout:
         groups.append(
             _Sectors(states, walsh, ranks[np.arange(len(members))[:, None], reps], len(basis), shifts)
         )
-    return _Layout(x_orbits, _coordinates(index, _symmetries(hamiltonian, "Z")), position, groups)
+    return _Layout(x_orbits, _coordinates(index, z_basis), position, groups)
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,13 @@ def _signs(src: np.ndarray, yzmask: np.ndarray) -> np.ndarray:
     return 1 - 2 * (np.bitwise_count(src & yzmask) & 1).astype(np.int8)
 
 
+def _butterfly(values: np.ndarray, low: int) -> np.ndarray:
+    """``values`` viewed as (-1, 2, low) with each pair (a, b) on its middle
+    axis made (a + b, a - b): sqrt(2) times a Hadamard on the bit of stride low."""
+    a, b = values.reshape(-1, 2, low).transpose(1, 0, 2)
+    return np.concatenate((a + b, a - b), axis=1).reshape(values.shape)
+
+
 @dataclass(frozen=True, eq=False)
 class PauliOperator:
     """offset + sum_x D_x X^x: one diagonal D_x per distinct x-mask.
@@ -383,21 +390,16 @@ def _collapse_label(amps: np.ndarray, bases: Sequence[str], rng: np.random.Gener
     """The label of one projective measurement of the amplitudes ``amps``,
     one basis 'Z' or 'X' per qubit, drawn with one ``rng.choice``.
 
-    Each X-basis qubit q takes sqrt(2) times a Hadamard: one butterfly on
-    the (high, bit q, low) view; normalizing the probabilities absorbs the
-    factor.
+    Each X-basis qubit q takes sqrt(2) times a Hadamard, one ``_butterfly``
+    of stride 2^q; normalizing the probabilities absorbs the factor.
     """
     for q, basis in enumerate(bases):
         if basis == "X":
-            pairs = amps.reshape(-1, 2, 2**q)
-            amps = np.stack((pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]), axis=1)
+            amps = _butterfly(amps, 2**q)
         elif basis != "Z":
             raise ValueError(f"unsupported measurement basis {basis!r}")
-    probs = np.abs(amps.reshape(-1)) ** 2
+    probs = np.abs(amps) ** 2
     probs = probs / probs.sum()
     outcome = int(rng.choice(probs.size, p=probs))
-    chars = []
-    for q, basis in enumerate(bases):
-        bit = (outcome >> q) & 1
-        chars.append(("-" if bit else "+") if basis == "X" else ("1" if bit else "0"))
-    return "".join(chars)
+    return "".join(("+-" if basis == "X" else "01")[outcome >> q & 1]
+                   for q, basis in enumerate(bases))

@@ -153,7 +153,7 @@ def _assert_symmetries_commute(h, masks):
     ids=["tfi6", "heisenberg6", "one_qubit_field", "x_only5"],
 )
 def test_x_symmetry_count(h, k):
-    symmetries = _symmetries(h, "X")
+    symmetries = _symmetries(h)[0]
     assert len(symmetries) == k
     _assert_symmetries_commute(h, symmetries.values())
 
@@ -172,11 +172,12 @@ def test_x_symmetry_count(h, k):
     ids=["ising5_fields", "one_qubit_field", "complex3"],
 )
 def test_spectral_without_x_symmetry_is_one_eigh(h):
-    assert not _symmetries(h, "X")
+    assert not _symmetries(h)[0]
     dec = spectral(h)
-    ((rows, _, _),) = dec.blocks  # one sector: every basis state
-    assert rows.shape == (1, 1, 2**h.n_qubits)
+    ((grid, block_evals, block_evecs),) = dec.blocks  # one sector, one block
+    assert np.array_equal(grid, np.arange(2**h.n_qubits).reshape(1, 1, 1, -1))
     evals, evecs = np.linalg.eigh(to_dense(h))
+    assert block_evals.tobytes() == evals.tobytes() and block_evecs.tobytes() == evecs.tobytes()
     assert dec.evals.dtype == evals.dtype and dec.evecs.dtype == evecs.dtype
     assert dec.evals.tobytes() == evals.tobytes()
     assert dec.evecs.tobytes() == evecs.tobytes()
@@ -197,19 +198,18 @@ def _blockable_pauli_sums(draw, max_qubits=8):
     return _pauli_hamiltonian(n, entries)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(h=_blockable_pauli_sums(), seed=st.integers(0, 2**32 - 1))
-# a ground gap of 2.4e-7: the two ground projectors differ by 6.1e-10
-@example(h=_pauli_hamiltonian(7, [(1.0, "IIIIIYZ"), (1.192092896e-07, "IIIIIXX")]), seed=0)
-def test_blocked_spectral_matches_one_eigh_property(h, seed):
+def _assert_matches_one_eigh(h, seed):
+    """spectral(h) against one eigh of the dense H: the grids tile the
+    register; the eigenvalues, the residual and orthonormality of every
+    eigenvector, the ground projector, and ite, ite_energy and gibbs with
+    and without a random observable agree."""
     n, mat = h.n_qubits, to_dense(h)
-    symmetries = _symmetries(h, "X")
-    _assert_symmetries_commute(h, symmetries.values())
-    masks = [sum(1 << q for q, c in s.items if c != "X") for t in h.terms for _, s in t.pauli_sum]
-    commuting = [a for a in range(2**n) if all(bin(a & z).count("1") % 2 == 0 for z in masks)]
-    assert len(commuting) == 2 ** len(symmetries)
-
     dec, (evals, evecs) = spectral(h), np.linalg.eigh(mat)
+    states = np.concatenate([grid.ravel() for grid, _, _ in dec.blocks])
+    assert np.array_equal(np.sort(states), np.arange(2**n))
+    for grid, block_evals, block_evecs in dec.blocks:
+        assert block_evals.shape == grid.shape[1:]
+        assert block_evecs.shape == grid.shape[1:] + grid.shape[-1:]
     assert dec.evecs.dtype == evecs.dtype
     assert np.all(np.diff(dec.evals) >= 0)
     assert np.max(np.abs(dec.evals - evals)) <= 1e-12
@@ -223,10 +223,40 @@ def test_blocked_spectral_matches_one_eigh_property(h, seed):
     bound = 1e-10 + 1e-13 * np.linalg.norm(mat, 2) / gap
     assert np.max(np.abs(_ground_projector(dec.evals, vectors)
                          - _ground_projector(evals, evecs))) <= bound
-    state = StateVector(random_state(n, np.random.default_rng(seed)), n)
-    for beta in (0.3, 1.7):
+    ground = dec.ground(1e-9).basis
+    assert np.max(np.abs(ground @ ground.conj().T - _ground_projector(evals, evecs))) <= bound
+    rng = np.random.default_rng(seed)
+    state = StateVector(random_state(n, rng), n)
+    noise = rng.normal(size=mat.shape) + 1j * rng.normal(size=mat.shape)
+    observable = noise + noise.conj().T
+    populations = np.abs(evecs.conj().T @ state.amplitudes) ** 2
+    for beta in (0.0, 0.3, 1.7):
         want = _ite_reference(evals, evecs, state.amplitudes, beta)
         assert np.max(np.abs(dec.ite(state, beta).amplitudes - want)) <= 1e-10
+        weights = populations * np.exp(-2.0 * beta * (evals - evals[0]))
+        want = (weights @ evals) / weights.sum()
+        assert abs(dec.ite_energy(state, beta) - want) <= 1e-10 * scale
+        weights = np.exp(-beta * (evals - evals[0]))
+        want = (weights @ evals) / weights.sum()
+        assert abs(dec.gibbs(beta) - want) <= 1e-10 * scale
+        want = (weights @ np.einsum("ik,ij,jk->k", evecs.conj(), observable, evecs).real
+                ) / weights.sum()
+        assert abs(dec.gibbs(beta, observable) - want) <= 1e-10 * np.linalg.norm(observable, 2)
+    return dec
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(h=_blockable_pauli_sums(), seed=st.integers(0, 2**32 - 1))
+# a ground gap of 2.4e-7: the two ground projectors differ by 6.1e-10
+@example(h=_pauli_hamiltonian(7, [(1.0, "IIIIIYZ"), (1.192092896e-07, "IIIIIXX")]), seed=0)
+def test_blocked_spectral_matches_one_eigh_property(h, seed):
+    n = h.n_qubits
+    symmetries = _symmetries(h)[0]
+    _assert_symmetries_commute(h, symmetries.values())
+    masks = [sum(1 << q for q, c in s.items if c != "X") for t in h.terms for _, s in t.pauli_sum]
+    commuting = [a for a in range(2**n) if all(bin(a & z).count("1") % 2 == 0 for z in masks)]
+    assert len(commuting) == 2 ** len(symmetries)
+    _assert_matches_one_eigh(h, seed)
 
 
 @st.composite
@@ -266,39 +296,52 @@ def _number_conserving_sums(draw, max_qubits=7):
 def test_sectored_spectral_matches_one_eigh_property(h, seed):
     # every sector is a set of basis states with one count of 1 bits (a U(1)
     # sector, or a finer one where the hops do not join it)
-    n, mat = h.n_qubits, to_dense(h)
-    dec, (evals, evecs) = spectral(h), np.linalg.eigh(mat)
-    assert sum(rows.shape[0] * rows.shape[1] for rows, _, _ in dec.blocks) > 1
-    for rows, _, _ in dec.blocks:
-        assert np.all(np.bitwise_count(rows) == np.bitwise_count(rows[..., :1]))
-    assert dec.evecs.dtype == evecs.dtype
-    assert np.all(np.diff(dec.evals) >= 0)
-    assert np.max(np.abs(dec.evals - evals)) <= 1e-12
-    vectors = dec.evecs
-    assert np.linalg.norm(vectors.conj().T @ vectors - np.eye(2**n), 2) <= 1e-12
-    scale = max(np.linalg.norm(mat, 2), 1.0)
-    assert np.linalg.norm(mat @ vectors - vectors * dec.evals, 2) / scale <= 1e-12
-    # Davis-Kahan: a ground projector is fixed only to (backward error) / gap
-    above = evals[evals > evals[0] + 1e-9]
-    gap = above[0] - evals[0] if above.size else np.inf
-    bound = 1e-10 + 1e-13 * np.linalg.norm(mat, 2) / gap
-    assert np.max(np.abs(_ground_projector(dec.evals, vectors)
-                         - _ground_projector(evals, evecs))) <= bound
-    ground = dec.ground(1e-9).basis
-    assert np.max(np.abs(ground @ ground.conj().T - _ground_projector(evals, evecs))) <= bound
-    rng = np.random.default_rng(seed)
-    state = StateVector(random_state(n, rng), n)
-    noise = rng.normal(size=mat.shape) + 1j * rng.normal(size=mat.shape)
-    observable = noise + noise.conj().T
-    for beta in (0.0, 0.3, 1.7):
-        want = _ite_reference(evals, evecs, state.amplitudes, beta)
-        assert np.max(np.abs(dec.ite(state, beta).amplitudes - want)) <= 1e-10
-        weights = np.exp(-beta * (evals - evals[0]))
-        want = (weights @ evals) / weights.sum()
-        assert abs(dec.gibbs(beta) - want) <= 1e-10 * scale
-        want = (weights @ np.einsum("ik,ij,jk->k", evecs.conj(), observable, evecs).real
-                ) / weights.sum()
-        assert abs(dec.gibbs(beta, observable) - want) <= 1e-10 * np.linalg.norm(observable, 2)
+    dec = _assert_matches_one_eigh(h, seed)
+    assert sum(grid.shape[0] * grid.shape[1] for grid, _, _ in dec.blocks) > 1
+    for grid, _, _ in dec.blocks:
+        assert np.all(np.bitwise_count(grid) == np.bitwise_count(grid[..., :1, :1]))
+
+
+@st.composite
+def _paired_sums(draw, max_qubits=7):
+    """Random Pauli sums, real or complex, that commute with X X on each of
+    two or more disjoint qubit pairs: on a pair both letters lie in {I, X}
+    or both in {Y, Z}.  Each pair also holds an X X term of weight above 6,
+    which the at most six other strings of weight at most 1 cannot cancel,
+    so X X joins every state to its partner and every sector's stabilizer
+    holds the pairs' group: s >= 2."""
+    n = draw(st.integers(4, max_qubits))
+    qubits = draw(st.permutations(range(n)))
+    pairs = [qubits[2 * p : 2 * p + 2] for p in range(draw(st.integers(2, n // 2)))]
+    entries = []
+    for _ in range(draw(st.integers(1, 6))):
+        letters = draw(st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n))
+        for pair in pairs:
+            kinds = draw(st.sampled_from(["IX", "YZ"]))
+            for q in pair:
+                letters[q] = draw(st.sampled_from(kinds))
+        entries.append((draw(st.floats(-1.0, 1.0)), "".join(letters)))
+    for pair in pairs:
+        entries.append((draw(st.floats(6.5, 7.0)), "".join("X" if q in pair else "I" for q in range(n))))
+    return _pauli_hamiltonian(n, entries)
+
+
+# XX and ZZ on the pairs (0, 1) and (2, 3) joined by an XX, and ZZ on (4, 5):
+# the flip of (4, 5) carries each sector onto an image (T = 2, s = 2); a YZ
+# string makes it complex and joins qubits 0 to 3 into one sector per (4, 5)
+_PAIRED6 = [(7.0, "XXIIII"), (0.5, "ZZIIII"), (6.8, "IIXXII"), (-0.4, "IIZZII"),
+            (0.3, "IXXIII"), (0.9, "IIIIZZ")]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(h=_paired_sums(), seed=st.integers(0, 2**32 - 1))
+@example(h=_pauli_hamiltonian(6, _PAIRED6), seed=0)
+@example(h=_pauli_hamiltonian(6, _PAIRED6 + [(0.6, "YZIIII")]), seed=1)
+def test_multi_bit_stabilizer_spectral_matches_one_eigh_property(h, seed):
+    # the Walsh transform of two or more butterflies carries states into
+    # the blocks and out for ite, ite_energy and gibbs with an observable
+    dec = _assert_matches_one_eigh(h, seed)
+    assert min(grid.shape[2] for grid, _, _ in dec.blocks) >= 4
 
 
 def _component_labels(h):
@@ -457,6 +500,20 @@ def test_exact_ite_squared_norm():
     for beta in (0.0, 0.5, 1.25):
         got = exact_ite_squared_norm(product_state("+"), h, beta)
         assert abs(got - np.cosh(2 * beta)) < 1e-10
+
+
+def test_exact_ite_refuses_negative_beta():
+    # every exact-ITE path and gibbs pass one check: ite_energy used to read
+    # the beta = 0 energy at beta = -1 (-0.75 from |0101> on a chain of 4)
+    h, state = heisenberg_1d(4), product_state("0101")
+    dec = spectral(h)
+    assert dec.ite_energy(state, 0.0) == pytest.approx(-0.75, abs=1e-12)
+    for call in (lambda: dec.ite(state, -1.0), lambda: dec.ite_energy(state, -1.0),
+                 lambda: dec.ite_squared_norm(state, -1.0), lambda: dec.gibbs(-1.0),
+                 lambda: exact_ite_energy(state, h, -1.0),
+                 lambda: exact_ite_squared_norm(state, h, -1.0), lambda: gibbs_average(h, -1.0)):
+        with pytest.raises(ValueError, match="beta must be non-negative"):
+            call()
 
 
 def test_gibbs_average_one_qubit_closed_form():

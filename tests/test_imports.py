@@ -262,3 +262,33 @@ def test_one_symmetry_layout_per_hamiltonian():
     sources += [alias.name for node in ast.walk(qmetts)
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
     assert not [source for source in sources if source and "analysis" in source.split(".")]
+
+
+def _forms_butterfly_pair(node):
+    """A pair (x + y, x - y) of the same two operands."""
+    if not isinstance(node, (ast.Tuple, ast.List)) or len(node.elts) != 2:
+        return False
+    add, sub = node.elts
+    return (isinstance(add, ast.BinOp) and isinstance(add.op, ast.Add)
+            and isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Sub)
+            and ast.dump(add.left) == ast.dump(sub.left)
+            and ast.dump(add.right) == ast.dump(sub.right))
+
+
+def test_one_walsh_butterfly():
+    # one kernel forms the (a + b, a - b) pair: spectral's blocks, the moves
+    # of SpectralDecomposition into and out of them and the X-basis
+    # collapse call it, and spectral's eigenvectors carry no sign table
+    formers = sorted({
+        node.name
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.FunctionDef) and any(map(_forms_butterfly_pair, ast.walk(node)))
+    })
+    assert formers == ["_butterfly"], f"form the (a + b, a - b) pair: {formers}"
+    assert {"_blocks", "_collapse_label"} <= set(_callers("_butterfly"))
+    analysis = ast.parse((PACKAGE / "analysis.py").read_text())
+    (decomposition,) = [node for node in analysis.body
+                        if isinstance(node, ast.ClassDef) and node.name == "SpectralDecomposition"]
+    assert "_butterfly" in set(_called_names(decomposition))
+    assert "_signs" not in set(_imported(analysis))

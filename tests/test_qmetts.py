@@ -230,7 +230,7 @@ def test_chain_matches_the_chain_without_symmetries(monkeypatch):
         return runs
 
     with_symmetries = chains()
-    monkeypatch.setattr(hamiltonians_module, "_symmetries", lambda hamiltonian, letter: {})
+    monkeypatch.setattr(hamiltonians_module, "_symmetries", lambda hamiltonian: ({}, {}))
     for (got, got_evolved), (want, want_evolved) in zip(with_symmetries, chains()):
         assert [s.start_label for s in got.samples] == [s.start_label for s in want.samples]
         assert [s.next_label for s in got.samples] == [s.next_label for s in want.samples]

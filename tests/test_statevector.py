@@ -11,6 +11,7 @@ from qitekit.errors import DimensionError, ResourceError
 from qitekit.hamiltonians import heisenberg_1d, tfi_1d
 from qitekit.pauli import OperatorPool, PauliString, enumerate_pool
 from qitekit.statevector import (
+    _butterfly,
     _norm,
     _pauli_masks,
     _pauli_traces,
@@ -536,6 +537,17 @@ def test_measure_collapse_label_charset(rng):
     assert label[0] in "01" and label[1] in "+-" and label[2] in "01"
     # collapsed state is exactly the labeled product state
     assert np.allclose(post.amplitudes, product_state(label).amplitudes)
+
+
+def test_butterfly_is_sqrt2_times_a_hadamard_on_one_bit(rng):
+    values = rng.normal(size=16) + 1j * rng.normal(size=16)
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]])
+    for q in range(4):  # qubit q is bit q; the kron runs most significant first
+        matrix = np.ones((1, 1))
+        for k in reversed(range(4)):
+            matrix = np.kron(matrix, hadamard if k == q else np.eye(2))
+        got = _butterfly(values, 2**q)
+        assert got.shape == values.shape and np.allclose(got, matrix @ values, rtol=0, atol=1e-14)
 
 
 def test_measure_collapse_seed_determinism():
