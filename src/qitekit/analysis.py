@@ -16,7 +16,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .errors import DimensionError, NumericalError, ResourceError
-from .hamiltonians import Hamiltonian, _Sectors, _symmetries, to_dense
+from .hamiltonians import Hamiltonian, _symmetries, to_dense
 from .pauli import odd_y_count
 from .statevector import PauliOperator, StateVector, _butterfly, _norm, _support_major
 
@@ -73,13 +73,13 @@ class SpectralDecomposition:
 
     Each group (grid, evals, evecs) holds Q sectors of 2^s blocks of W rows
     as ``spectral``'s eigh returned them: eigenvalues (Q, 2^s, W) and
-    eigenvectors (Q, 2^s, W, W) as columns.  ``grid`` (T, Q, 2^s, W) holds
-    the state r ^ a_d of each sector and of its T - 1 images, which share
-    its eigenpairs, at (image, sector, d, r): a gather or scatter on it and
-    ``_walsh`` over d move a vector into the blocks and out.  Per-eigenvector
-    arrays run over the groups in (image, sector, block, column) order.
-    ``evals`` is every eigenvalue in ascending order and ``evecs`` the
-    matching dense eigenvector matrix, assembled on each read.
+    eigenvectors (Q, 2^s, W, W) as columns.  ``grid`` is the layout's
+    (T, Q, 2^s, W) grid of the state r ^ a_d of each sector and of its
+    T - 1 images, which share its eigenpairs, at (image, sector, d, r): a
+    gather on it and ``_walsh`` over d move a vector into the blocks, and
+    ``_combination`` moves vectors out.  Per-eigenvector arrays run over the
+    groups in (image, sector, block, column) order.  ``evals`` is every
+    eigenvalue in ascending order.
 
     The eigenvectors are float64 when the Hamiltonian's matrix is real
     (every string has an even number of Y letters), complex otherwise.
@@ -101,46 +101,37 @@ class SpectralDecomposition:
             values = _butterfly(values, low << bit)
         return values * size**-0.5
 
-    @property
-    def evecs(self) -> np.ndarray:
-        """The eigenvectors as the columns of one 2^n x 2^n matrix, in
-        ``evals`` order."""
-        return self._columns(np.ones(self._levels.size, bool))
-
-    def _columns(self, picked: np.ndarray) -> np.ndarray:
-        """The eigenvectors that the mask ``picked`` selects, as dense columns
-        in ascending order of their eigenvalues (stable)."""
-        place = np.zeros(picked.size, np.int64)  # each picked eigenvector's column
-        place[picked] = np.argsort(np.argsort(self._levels[picked], kind="stable"))
-        out = np.zeros((picked.size, np.count_nonzero(picked)), self.blocks[0][2].dtype)
-        for (grid, _, evecs), start in zip(self.blocks, self._starts):
-            flat = np.flatnonzero(picked[start : start + grid.size])
-            image, sector, block, column = np.unravel_index(flat, grid.shape)
-            vectors = np.zeros((flat.size, *grid.shape[2:]), out.dtype)  # each in its block
-            vectors[np.arange(flat.size), block] = evecs[sector, block, :, column]
-            vectors = self._walsh(vectors, *grid.shape[2:])
-            out[grid[image, sector], place[start + flat, None, None]] = vectors
-        return out
-
     def coefficients(self, state: StateVector) -> np.ndarray:
         """<v_k|psi> for every eigenvector."""
+        if state.amplitudes.size != self._levels.size:
+            raise DimensionError("state and Hamiltonian widths differ")
         return np.concatenate([
             _overlaps(evecs, self._walsh(state.amplitudes[grid], *grid.shape[2:])).ravel()
             for grid, _, evecs in self.blocks
         ])
 
     def _combination(self, coeffs: np.ndarray) -> np.ndarray:
-        """sum_k coeffs_k |v_k>, each block written onto its own states."""
-        out = np.empty(coeffs.size, np.result_type(coeffs, self.blocks[0][2]))
+        """sum_k coeffs_k |v_k> for one coefficient vector, or for each column
+        of a (levels, K) matrix: each group with a nonzero coefficient
+        written onto its own states, every other state 0."""
+        columns = coeffs.reshape(coeffs.shape[0], -1)
+        out = np.zeros(columns.shape, np.result_type(coeffs, self.blocks[0][2]))
         for (grid, _, evecs), start in zip(self.blocks, self._starts):
-            part = coeffs[start : start + grid.size].reshape(grid.shape)
-            out[grid] = self._walsh(_times(evecs, part[..., None])[..., 0], *grid.shape[2:])
-        return out
+            part = columns[start : start + grid.size]
+            if part.any():
+                vectors = _times(evecs, part.reshape(*grid.shape, -1))
+                out[grid] = self._walsh(vectors, grid.shape[2], grid.shape[3] * part.shape[1])
+        return out.reshape(coeffs.shape)
 
     def ground(self, degeneracy_tol: float) -> "GroundSpace":
-        """E0 and the eigenvectors within ``degeneracy_tol`` of it."""
+        """E0 and the eigenvectors within ``degeneracy_tol`` of it, as
+        columns in ascending order of their eigenvalues (stable)."""
         e0 = self.evals[0]
-        return GroundSpace(float(e0), self._columns(self._levels <= e0 + degeneracy_tol), "dense")
+        picked = np.flatnonzero(self._levels <= e0 + degeneracy_tol)
+        picked = picked[np.argsort(self._levels[picked], kind="stable")]
+        units = np.zeros((self._levels.size, picked.size))
+        units[picked, np.arange(picked.size)] = 1.0
+        return GroundSpace(float(e0), self._combination(units), "dense")
 
     def _shifted(self, beta: float, coeffs: Optional[np.ndarray] = None) -> np.ndarray:
         """e^{-beta (E_k - E_m)}, beta >= 0, with E_m the lowest level that
@@ -231,44 +222,39 @@ def spectral(hamiltonian: Hamiltonian) -> SpectralDecomposition:
     """
     check_dense(hamiltonian)
     layout = hamiltonian.layout
-    blocks = [None] * len(layout.groups)
-    for width in {sectors.width for sectors in layout.groups}:  # one stacked eigh per width
-        members = [g for g, sectors in enumerate(layout.groups) if sectors.width == width]
+    blocks = [None] * len(layout.grids)
+    for width in {grid.shape[-1] for grid in layout.grids}:  # one stacked eigh per width
+        members = [g for g, grid in enumerate(layout.grids) if grid.shape[-1] == width]
         evals, evecs = np.linalg.eigh(np.concatenate(
-            [_blocks(hamiltonian.operator, layout.position, layout.groups[g]) for g in members]
+            [_blocks(hamiltonian.operator, layout.place, layout.grids[g]) for g in members]
         ))
         start = 0
         for g in members:
-            sectors = layout.groups[g]
-            shape = (len(sectors.states), 2**sectors.bits, width)  # (Q, 2^s, W)
-            grid = np.empty((len(sectors.shifts), *shape), np.int64)  # each state at (d, r)
-            grid[:, np.arange(shape[0])[:, None], sectors.walsh, sectors.rows] = (
-                sectors.states ^ sectors.shifts[:, None, None]
-            )
+            shape = layout.grids[g].shape[1:]  # (Q, 2^s, W)
             part = slice(start, start + shape[0] * shape[1])
-            blocks[g] = grid, evals[part].reshape(shape), evecs[part].reshape(*shape, width)
+            blocks[g] = (layout.grids[g], evals[part].reshape(shape),
+                         evecs[part].reshape(*shape, width))
             start = part.stop
     return SpectralDecomposition(tuple(blocks))
 
 
-def _blocks(operator: PauliOperator, position: np.ndarray, sectors: _Sectors) -> np.ndarray:
-    """The (Q 2^s, m, m) stack of every sector's blocks B_t, offset included.
+def _blocks(operator: PauliOperator, place: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """The (Q 2^s, W, W) stack of the blocks B_t of the sectors of a layout
+    grid, offset included.
 
     H[j, j ^ x] = D_x[j], and D_x[j ^ a] = D_x[j] for every a of the group,
     so M_d[r', r] = <r' ^ a_d|H|r> is D_x[r'] where r ^ a_d = r' ^ x: one
     scatter of the nonzero D_x fills every M_d, and s butterflies turn the
     M_d into the B_t.
     """
-    (q, size), bits, width = sectors.states.shape, sectors.bits, sectors.width
-    reps = sectors.states[sectors.walsh == 0].reshape(q, width)
+    _, q, size, width = grid.shape
+    reps = grid[0, :, 0]
     values = operator.diagonals[:, reps]
     group, sector, row = np.nonzero(values)
-    targets = position[operator.sources[group, reps[sector, row]]]  # r' ^ x in the sector
-    blocks = np.zeros((q, 2**bits, width, width), operator.diagonals.dtype)
-    blocks[sector, sectors.walsh[sector, targets], row, sectors.rows[sector, targets]] = (
-        values[group, sector, row]
-    )
-    for bit in range(bits):
+    block, column = divmod(place[operator.sources[group, reps[sector, row]]], width)
+    blocks = np.zeros((q, size, width, width), operator.diagonals.dtype)
+    blocks[sector, block, row, column] = values[group, sector, row]
+    for bit in range(size.bit_length() - 1):
         blocks = _butterfly(blocks, width * width << bit)  # over this bit of d
     diagonal = np.arange(width)
     blocks[:, :, diagonal, diagonal] += operator.offset
@@ -298,6 +284,8 @@ class GroundSpace:
         """Mass of ``state`` in the ground space."""
         if self.basis.ndim == 1:
             return float(np.sum(np.abs(state.amplitudes[self.basis]) ** 2))
+        if state.amplitudes.size != self.basis.shape[0]:
+            raise DimensionError("state and Hamiltonian widths differ")
         return float(np.sum(np.abs(_overlaps(self.basis, state.amplitudes)) ** 2))
 
 
@@ -315,7 +303,7 @@ def ground_space(hamiltonian: Hamiltonian, degeneracy_tol: float = 1e-10) -> Gro
         e0 = float(diagonal.min())
         return GroundSpace(e0, np.flatnonzero(diagonal <= e0 + degeneracy_tol), "diagonal")
     if (hamiltonian.n_qubits <= MAX_DENSE_QUBITS
-            and max(sectors.width for sectors in hamiltonian.layout.groups) <= _DENSE_MAX_ROWS):
+            and max(grid.shape[-1] for grid in hamiltonian.layout.grids) <= _DENSE_MAX_ROWS):
         return spectral(hamiltonian).ground(degeneracy_tol)
     return lanczos_ground(operator, degeneracy_tol)
 
@@ -435,6 +423,8 @@ def ground_space_fidelity(
     state: StateVector, hamiltonian: Hamiltonian, degeneracy_tol: float = 1e-10
 ) -> float:
     """Probability mass of ``state`` inside the (possibly degenerate) ground space."""
+    if state.n_qubits != hamiltonian.n_qubits:
+        raise DimensionError("state and Hamiltonian widths differ")
     return ground_space(hamiltonian, degeneracy_tol).fidelity(state)
 
 

@@ -157,37 +157,22 @@ def _min_labels(labels: np.ndarray, neighbours: np.ndarray) -> np.ndarray:
         labels = lower
 
 
-class _Sectors(NamedTuple):
-    """Q sectors of R states with one stabilizer in the X-type symmetry
-    group: ``states`` (Q, R) ascending in each sector, ``walsh`` (Q, R) the
-    stabilizer element that carries each state's representative to it, in
-    the stabilizer's own ``bits`` coordinates (representatives have 0),
-    ``rows`` (Q, R) its representative's row in the sector's blocks, and
-    ``shifts`` (T,) the X masks that carry each sector onto its T images,
-    itself (0) first."""
-
-    states: np.ndarray
-    walsh: np.ndarray
-    rows: np.ndarray
-    bits: int
-    shifts: np.ndarray
-
-    @property
-    def width(self) -> int:
-        """Rows of each of the sector's 2^bits blocks."""
-        return self.states.shape[1] >> self.bits
-
-
 class _Layout(NamedTuple):
     """``Hamiltonian.layout``: the (cosets, group) ``_coordinates`` of every
     state over the ``_symmetries`` of each letter, so j ^ group[cosets[j]] is
     the representative of j's orbit; H's sectors, one of each X orbit, as
-    ``_Sectors`` groups; and position[j], j's place in its sector's states."""
+    ``grids``; and place[j] = d W + r, j's address in its grid.
+
+    A grid (T, Q, 2^s, W) holds Q sectors of one size whose stabilizers in
+    the group are the same 2^s elements a_d (a_0 = 0), and the T - 1 images
+    of each: at (0, q, d, r) the state r ^ a_d of sector q, r its W
+    representatives in ascending order, and at (t, q, d, r) that state
+    shifted by the X mask that carries the sector onto its image t."""
 
     x_orbits: Tuple[np.ndarray, np.ndarray]
     z_orbits: Tuple[np.ndarray, np.ndarray]
-    position: np.ndarray
-    groups: List[_Sectors]
+    place: np.ndarray
+    grids: List[np.ndarray]
 
 
 def _layout(hamiltonian: Hamiltonian) -> _Layout:
@@ -211,29 +196,25 @@ def _layout(hamiltonian: Hamiltonian) -> _Layout:
     cosets, group = x_orbits = _coordinates(index, x_basis)
     orbits = _min_labels(labels, index ^ group[2 ** np.arange(len(group).bit_length() - 1), None])
     order = np.argsort(labels, kind="stable")  # the states, sector by sector
-    first = np.searchsorted(labels[order], labels)  # where each state's sector starts
-    position = np.empty_like(index)
-    position[order] = index - first[order]
     kept = np.flatnonzero(orbits == index)  # each orbit's sector with its smallest state
+    first = np.searchsorted(labels[order], kept)  # where each kept sector starts
     sizes = np.bincount(labels)[kept].tolist()
     stabilizers = labels[kept[:, None] ^ group] == kept[:, None]
     keys: Dict[tuple, list] = {}
     for member, key in enumerate(zip(sizes, map(bytes, stabilizers))):
         keys.setdefault(key, []).append(member)
-    groups = []
+    place, grids = np.empty_like(index), []
     for members in keys.values():
         size, stabilizer = sizes[members[0]], np.flatnonzero(stabilizers[members[0]])
-        basis = _echelon(stabilizer.tolist())
-        states = order[first[kept[members]][:, None] + np.arange(size)]
-        walsh, picked = _coordinates(cosets[states], basis)  # w picks picked[w]
-        reps = position[states ^ group[picked[walsh]]]
-        ranks = np.cumsum(walsh == 0, axis=1) - 1  # each representative's row
+        states = order[first[members][:, None] + np.arange(size)]
+        walsh, picked = _coordinates(cosets[states], _echelon(stabilizer.tolist()))
+        reps = states[walsh == 0].reshape(len(members), 1, -1)
         # each image's smallest element: the first to map the sector onto it
         shifts = group[np.sort(np.unique(labels[kept[members[0]] ^ group], return_index=True)[1])]
-        groups.append(
-            _Sectors(states, walsh, ranks[np.arange(len(members))[:, None], reps], len(basis), shifts)
-        )
-    return _Layout(x_orbits, _coordinates(index, z_basis), position, groups)
+        grid = reps ^ group[picked, None] ^ shifts[:, None, None, None]
+        place[grid] = np.arange(size).reshape(grid.shape[2:])
+        grids.append(grid)
+    return _Layout(x_orbits, _coordinates(index, z_basis), place, grids)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from qitekit.errors import DimensionError, ResourceError
 from qitekit.hamiltonians import (
     Hamiltonian,
     LocalTerm,
+    _echelon,
     _symmetries,
     energy,
     heisenberg_1d,
@@ -106,10 +107,11 @@ def _pauli_hamiltonian(n, entries):
 )
 def test_real_path_matches_complex_eigh(h, rng):
     dec = spectral(h)
-    assert dec.evals.dtype == np.float64 and dec.evecs.dtype == np.float64
+    vectors = dec.ground(np.inf).basis
+    assert dec.evals.dtype == np.float64 and vectors.dtype == np.float64
     evals, evecs = _complex_reference(h)
     assert np.max(np.abs(dec.evals - evals)) < 1e-12
-    assert np.max(np.abs(_ground_projector(dec.evals, dec.evecs)
+    assert np.max(np.abs(_ground_projector(dec.evals, vectors)
                          - _ground_projector(evals, evecs))) < 1e-10
     state = StateVector(random_state(h.n_qubits, rng), h.n_qubits)
     want = _ground_projector(evals, evecs) @ state.amplitudes
@@ -122,7 +124,7 @@ def test_real_path_matches_complex_eigh(h, rng):
 def test_odd_y_string_keeps_complex_path(rng):
     h = _pauli_hamiltonian(3, [(0.7, "XYI"), (0.4, "ZZI"), (-0.3, "IXZ"), (0.2, "IIY")])
     dec = spectral(h)
-    assert dec.evecs.dtype == complex
+    assert dec.ground(np.inf).basis.dtype == complex
     evals, evecs = _complex_reference(h)
     assert np.max(np.abs(dec.evals - evals)) < 1e-12
     state = StateVector(random_state(3, rng), 3)
@@ -178,9 +180,11 @@ def test_spectral_without_x_symmetry_is_one_eigh(h):
     assert np.array_equal(grid, np.arange(2**h.n_qubits).reshape(1, 1, 1, -1))
     evals, evecs = np.linalg.eigh(to_dense(h))
     assert block_evals.tobytes() == evals.tobytes() and block_evecs.tobytes() == evecs.tobytes()
-    assert dec.evals.dtype == evals.dtype and dec.evecs.dtype == evecs.dtype
+    vectors = dec.ground(np.inf).basis
+    assert dec.evals.dtype == evals.dtype and vectors.dtype == evecs.dtype
     assert dec.evals.tobytes() == evals.tobytes()
-    assert dec.evecs.tobytes() == evecs.tobytes()
+    # the unit-coefficient product gives a -0.0 imaginary part as +0.0
+    assert np.array_equal(vectors, evecs)
 
 
 @st.composite
@@ -210,10 +214,10 @@ def _assert_matches_one_eigh(h, seed):
     for grid, block_evals, block_evecs in dec.blocks:
         assert block_evals.shape == grid.shape[1:]
         assert block_evecs.shape == grid.shape[1:] + grid.shape[-1:]
-    assert dec.evecs.dtype == evecs.dtype
+    vectors = dec.ground(np.inf).basis
+    assert vectors.dtype == evecs.dtype
     assert np.all(np.diff(dec.evals) >= 0)
     assert np.max(np.abs(dec.evals - evals)) <= 1e-12
-    vectors = dec.evecs
     assert np.linalg.norm(vectors.conj().T @ vectors - np.eye(2**n), 2) <= 1e-12
     scale = max(np.linalg.norm(mat, 2), 1.0)
     assert np.linalg.norm(mat @ vectors - vectors * dec.evals, 2) / scale <= 1e-12
@@ -367,18 +371,34 @@ def _component_labels(h):
 def test_layout_contract_property(h):
     n, layout, operator = h.n_qubits, h.layout, h.operator
     index, components = np.arange(2**n), _component_labels(h)
-    sector = np.full(2**n, -1)  # each state's sector, named by its smallest state
-    for sectors in layout.groups:
-        size = sectors.states.shape[1]
-        assert np.all(np.diff(sectors.states, axis=1) > 0)
-        for image in (sectors.states ^ sectors.shifts[:, None, None]).reshape(-1, size):
-            assert np.all(sector[image] == -1), "a state lies in two sectors"
-            sector[image] = image.min()
-            assert np.array_equal(layout.position[np.sort(image)], np.arange(size))
-        # every sector of a group, and each of its images, has the group's size
-        assert np.all(np.bincount(components)[sectors.states[:, 0]] == size)
-    assert np.all(sector >= 0), "a state lies in no sector"
-    assert np.array_equal(sector, components)
+    cosets, group = layout.x_orbits
+    states = np.concatenate([grid.ravel() for grid in layout.grids])
+    assert np.array_equal(np.sort(states), index), "the grids tile the register"
+    sector = np.empty_like(index)  # each state's sector, named by its smallest state
+    for grid in layout.grids:
+        images, _, size, width = grid.shape
+        slices = grid.reshape(-1, size * width)  # one row per (image, sector)
+        sector[slices] = slices.min(axis=1, keepdims=True)
+        assert np.array_equal(layout.place[grid], np.broadcast_to(
+            np.arange(size * width).reshape(size, width), grid.shape))
+        for image in grid:  # each image is grid[0] ^ a for one element a
+            shift = image[0, 0, 0] ^ grid[0, 0, 0, 0]
+            assert shift in group and np.array_equal(image, grid[0] ^ shift)
+        # d carries every representative r, ascending, to r ^ a_d: the 2^s
+        # elements of the group that map the sector onto itself, its T images
+        # the other cosets
+        reps = grid[0, :, 0]
+        assert np.all(np.diff(reps, axis=-1) > 0)
+        elements = grid[0] ^ reps[:, None]
+        assert np.all(elements == elements[:1, :, :1]) and np.all(np.isin(elements, group))
+        stabilizer = elements[0, :, 0]
+        assert np.array_equal(np.sort(stabilizer), np.sort(group[
+            components[reps[0, 0] ^ group] == components[reps[0, 0]]]))
+        assert images * size == len(group)
+        # the d = 0 states clear the pivot bits of the stabilizer's echelon basis
+        pivots = sum(1 << pivot for pivot in _echelon(cosets[stabilizer].tolist()))
+        assert not np.any(cosets[reps] & pivots)
+    assert np.array_equal(sector, components)  # so each slice is one component
     joins = operator.diagonals != 0  # no nonzero D_x joins two sectors
     assert np.array_equal(sector[operator.sources][joins], np.broadcast_to(sector, joins.shape)[joins])
     strings = [s for term in h.terms for _, s in term.pauli_sum]
@@ -388,6 +408,35 @@ def test_layout_contract_property(h):
         reps = index ^ group[cosets]  # each orbit's representative is fixed by the map
         assert np.array_equal(reps[reps], reps)
         assert all(np.array_equal(reps[index ^ a], reps) for a in group)
+
+
+@pytest.mark.parametrize(
+    "h", [heisenberg_1d(6), tfi_1d(5, 1.0, 1.0), hubbard_1d_jw(2, 4.0), one_qubit_field(0.6, 0.8)],
+    ids=["heisenberg6", "tfi5", "hubbard2", "one_qubit_field"],
+)
+def test_spectral_keeps_the_layout_grids(h):
+    dec = spectral(h)
+    assert len(dec.blocks) == len(h.layout.grids)
+    assert all(block[0] is grid for block, grid in zip(dec.blocks, h.layout.grids))
+
+
+def test_ground_moves_out_only_the_group_of_the_ground_level(monkeypatch):
+    # heisenberg_1d(6) has 4 sector groups: Sz = +-3, +-2, +-1 (each with its
+    # image) and Sz = 0 (two flip blocks of 10 rows), which holds the ground
+    # level alone; ground multiplies eigenvectors in that group only
+    import qitekit.analysis
+
+    h = heisenberg_1d(6)
+    dec = spectral(h)
+    assert len(h.layout.grids) == 4
+    calls, times = [], qitekit.analysis._times
+    monkeypatch.setattr(qitekit.analysis, "_times",
+                        lambda matrix, vectors: calls.append(matrix.shape)
+                        or times(matrix, vectors))
+    ground = dec.ground(1e-9)
+    assert calls == [(1, 2, 10, 10)]
+    assert ground.dim == 1 and abs(ground.e0 + 2.49358) < 1e-5
+    assert np.linalg.norm(to_dense(h) @ ground.basis - ground.e0 * ground.basis) < 1e-12
 
 
 def test_exact_ite_settles_on_the_lowest_level_of_its_sector():
@@ -400,6 +449,31 @@ def test_exact_ite_settles_on_the_lowest_level_of_its_sector():
     assert abs(level + 2.00200) < 1e-5 and abs(spectral(h).evals[0] + 2.49358) < 1e-5
     for beta in (100.0, 1000.0):
         assert abs(exact_ite_energy(state, h, beta) - level) < 1e-10
+
+
+@pytest.mark.parametrize("label", ["101", "1"], ids=["wider", "narrower"])
+def test_exact_oracles_refuse_a_state_of_another_width(label):
+    # each read of a state's amplitudes against a two-qubit H: the moves into
+    # the blocks, a ground basis of columns, and ground_space_fidelity on
+    # every route before it builds one
+    state, h, diagonal = product_state(label), heisenberg_1d(2), maxcut(2, [(0, 1)])
+    dec = spectral(h)
+    calls = [
+        lambda: exact_ite(state, h, 0.5),
+        lambda: exact_ite_energy(state, h, 0.5),
+        lambda: exact_ite_squared_norm(state, h, 0.5),
+        lambda: dec.coefficients(state),
+        lambda: dec.ite(state, 0.5),
+        lambda: dec.ite_energy(state, 0.5),
+        lambda: dec.ite_squared_norm(state, 0.5),
+        lambda: dec.ground(1e-9).fidelity(state),
+        lambda: lanczos_ground(h.operator, 1e-9).fidelity(state),
+        lambda: ground_space_fidelity(state, h),
+        lambda: ground_space_fidelity(state, diagonal),
+    ]
+    for call in calls:
+        with pytest.raises(DimensionError, match="widths differ"):
+            call()
 
 
 @st.composite
@@ -417,7 +491,7 @@ def _even_y_hamiltonians(draw):
 def test_real_path_ite_energy_property(h, seed, beta):
     state = StateVector(random_state(h.n_qubits, np.random.default_rng(seed)), h.n_qubits)
     dec = spectral(h)
-    assert dec.evecs.dtype == np.float64
+    assert dec.ground(np.inf).basis.dtype == np.float64
     evals, evecs = _complex_reference(h)
     weights = np.abs(evecs.conj().T @ state.amplitudes) ** 2 * np.exp(
         -2.0 * beta * (evals - evals[0])
@@ -705,7 +779,7 @@ def test_ground_space_routes():
     ids=["heisenberg9", "heisenberg10", "tfi8", "tfi9", "x0_9"],
 )
 def test_ground_route_follows_the_widest_block(h, width, route, dim):
-    assert max(sectors.width for sectors in h.layout.groups) == width
+    assert max(grid.shape[-1] for grid in h.layout.grids) == width
     ground = ground_space(h, 1e-9)
     assert (ground.route, ground.dim) == (route, dim)
     assert abs(ground.e0 - lanczos_ground(h.operator, 1e-9).e0 if dim < 200

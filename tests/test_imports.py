@@ -292,3 +292,40 @@ def test_one_walsh_butterfly():
                         if isinstance(node, ast.ClassDef) and node.name == "SpectralDecomposition"]
     assert "_butterfly" in set(_called_names(decomposition))
     assert "_signs" not in set(_imported(analysis))
+
+
+def _is_grid(node):
+    """A name ``grid`` or ``grids``, or an attribute ``.grids``."""
+    return (isinstance(node, ast.Name) and node.id in ("grid", "grids")
+            or isinstance(node, ast.Attribute) and node.attr == "grids")
+
+
+def _assignment_targets(function):
+    for node in ast.walk(function):
+        if isinstance(node, ast.Assign):
+            yield from node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.NamedExpr)):
+            yield node.target
+
+
+def test_one_block_address_per_basis_state():
+    # hamiltonians._layout alone builds the grids that address each basis
+    # state in the blocks (and ``place``, the inverse address, by a scatter on
+    # them); everyone else reads them. Within analysis, only
+    # SpectralDecomposition._combination writes through a grid, so vectors
+    # leave the blocks one way
+    functions = [node for path in MODULES
+                 for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                 if isinstance(node, ast.FunctionDef)]
+    builders = sorted({
+        function.name for function in functions for target in _assignment_targets(function)
+        for node in ast.walk(target) if _is_grid(node) and isinstance(node.ctx, ast.Store)
+    })
+    assert builders == ["_layout"], f"bind a grid: {builders}"
+    writers = sorted({
+        function.name for function in functions for target in _assignment_targets(function)
+        for node in ast.walk(target)
+        if isinstance(node, ast.Subscript) and any(map(_is_grid, ast.walk(node.slice)))
+    })
+    assert writers == ["_combination", "_layout"], f"write through a grid: {writers}"
+    assert _callers("_combination") == ["ground", "ite"]
