@@ -16,7 +16,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .errors import DimensionError, NumericalError, ResourceError
-from .hamiltonians import Hamiltonian, _symmetries, to_dense
+from .hamiltonians import Hamiltonian, to_dense
 from .pauli import odd_y_count
 from .statevector import PauliOperator, StateVector, _butterfly, _norm, _support_major
 
@@ -36,13 +36,10 @@ _DENSE_MAX_ROWS = 128
 _LANCZOS_MAX_BASIS = 200
 _LANCZOS_CHECK = 5
 _LANCZOS_TOL = 1e-12
-# widest H that a dense diagonalization may take: a real Heisenberg H on 13
-# qubits peaked at 2.6 GB before spectral was blocked; on 14 it would need
-# about 6.7 GB (check_dense)
+# widest H that a dense diagonalization may take, read off n alone so that
+# the refusal comes before any 2^n array exists: an H with no symmetry has one
+# block of 2^n rows, 2 GiB of float64 at n = 14 before its eigenvectors
 MAX_DENSE_QUBITS = 13
-# peak bytes of spectral's stacked eigh, in units of its stack of blocks: the
-# stack, its eigenvectors and eigh's per-block workspace
-_BLOCK_COPIES = 4
 
 
 def _times(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -179,20 +176,11 @@ class SpectralDecomposition:
 
 def check_dense(hamiltonian: Hamiltonian) -> None:
     """Refuse, before allocating anything, a dense diagonalization wider than
-    MAX_DENSE_QUBITS, stating the bytes it would need."""
+    MAX_DENSE_QUBITS."""
     n = hamiltonian.n_qubits
     if n > MAX_DENSE_QUBITS:
-        odd_y = any(s.y_count % 2 for t in hamiltonian.terms for _, s in t.pauli_sum)
-        itemsize, k = (16 if odd_y else 8), len(_symmetries(hamiltonian)[0])
-        # spectral's 2^k blocks of 4^(n-k) entries, _BLOCK_COPIES times over,
-        # plus an N^2 eigenvector matrix and its int8 signs that spectral no
-        # longer assembles, so this over-prices: TFI on 12 qubits (k = 1)
-        # peaks at 261-263 MiB VmHWM in all against 400 MiB priced
-        need = _BLOCK_COPIES * itemsize * 4**n // 2**k + (itemsize + 1) * 4**n
         raise ResourceError(
-            f"a dense diagonalization of H on {n} qubits needs about {need / 1e9:.3g} GB "
-            f"({2**k} block(s) of {2 ** (n - k)} rows, their eigenvectors and eigh "
-            f"workspace, and the eigenvector matrix); the dense ceiling is "
+            f"a dense diagonalization of H on {n} qubits: the dense ceiling is "
             f"{MAX_DENSE_QUBITS} qubits"
         )
 
@@ -214,27 +202,18 @@ def spectral(hamiltonian: Hamiltonian) -> SpectralDecomposition:
     representative, so the states 2^(-s/2) sum_d (-1)^popcount(t & d)
     |r ^ a_d> split it into 2^s blocks B_t[r', r] = sum_d (-1)^popcount(t &
     d) <r' ^ a_d|H|r>: one Walsh transform over the stabilizer and one
-    stacked eigh per block size, 1 / 4^s of the work of one.  This is the
+    stacked eigh per layout group, 1 / 4^s of the work of one.  This is the
     classical side of qubit tapering (Bravyi, Gambetta, Mezzacapo and
     Temme, arXiv:1701.08213).  The eigenpairs stay in their blocks.  With
     one sector it is the whole group's 2^k blocks, and with k = 0 as well
     one eigh of the dense H, byte for byte.
     """
     check_dense(hamiltonian)
-    layout = hamiltonian.layout
-    blocks = [None] * len(layout.grids)
-    for width in {grid.shape[-1] for grid in layout.grids}:  # one stacked eigh per width
-        members = [g for g, grid in enumerate(layout.grids) if grid.shape[-1] == width]
-        evals, evecs = np.linalg.eigh(np.concatenate(
-            [_blocks(hamiltonian.operator, layout.place, layout.grids[g]) for g in members]
-        ))
-        start = 0
-        for g in members:
-            shape = layout.grids[g].shape[1:]  # (Q, 2^s, W)
-            part = slice(start, start + shape[0] * shape[1])
-            blocks[g] = (layout.grids[g], evals[part].reshape(shape),
-                         evecs[part].reshape(*shape, width))
-            start = part.stop
+    layout, blocks = hamiltonian.layout, []
+    for grid in layout.grids:  # one stacked eigh per group
+        evals, evecs = np.linalg.eigh(_blocks(hamiltonian.operator, layout.place, grid))
+        shape = grid.shape[1:]  # (Q, 2^s, W)
+        blocks.append((grid, evals.reshape(shape), evecs.reshape(*shape, shape[-1])))
     return SpectralDecomposition(tuple(blocks))
 
 
@@ -266,9 +245,10 @@ class GroundSpace:
     """E0 (offset included) and an orthonormal basis of the eigenvectors of H
     within the degeneracy tolerance of it.
 
-    ``basis`` holds the vectors as columns, or a diagonal H's ground
-    basis-state indices.  ``route`` is "dense", "lanczos" or "diagonal",
-    and ``matvecs`` counts the products with H that Lanczos made.
+    ``basis`` has one row per basis state: the vectors as columns, or a
+    diagonal H's mask of its ground basis states.  ``route`` is "dense",
+    "lanczos" or "diagonal", and ``matvecs`` counts the products with H
+    that Lanczos made.
     """
 
     e0: float
@@ -278,14 +258,14 @@ class GroundSpace:
 
     @property
     def dim(self) -> int:
-        return self.basis.size if self.basis.ndim == 1 else self.basis.shape[1]
+        return int(self.basis.sum()) if self.basis.ndim == 1 else self.basis.shape[1]
 
     def fidelity(self, state: StateVector) -> float:
         """Mass of ``state`` in the ground space."""
-        if self.basis.ndim == 1:
-            return float(np.sum(np.abs(state.amplitudes[self.basis]) ** 2))
         if state.amplitudes.size != self.basis.shape[0]:
             raise DimensionError("state and Hamiltonian widths differ")
+        if self.basis.ndim == 1:
+            return float(np.sum(np.abs(state.amplitudes[self.basis]) ** 2))
         return float(np.sum(np.abs(_overlaps(self.basis, state.amplitudes)) ** 2))
 
 
@@ -301,7 +281,7 @@ def ground_space(hamiltonian: Hamiltonian, degeneracy_tol: float = 1e-10) -> Gro
     if operator.is_diagonal:
         diagonal = operator.diagonal()
         e0 = float(diagonal.min())
-        return GroundSpace(e0, np.flatnonzero(diagonal <= e0 + degeneracy_tol), "diagonal")
+        return GroundSpace(e0, diagonal <= e0 + degeneracy_tol, "diagonal")
     if (hamiltonian.n_qubits <= MAX_DENSE_QUBITS
             and max(grid.shape[-1] for grid in hamiltonian.layout.grids) <= _DENSE_MAX_ROWS):
         return spectral(hamiltonian).ground(degeneracy_tol)
@@ -413,7 +393,7 @@ def exact_ground(hamiltonian: Hamiltonian) -> Tuple[float, StateVector]:
     ground = ground_space(hamiltonian)
     if ground.basis.ndim == 1:  # a diagonal H: the first ground basis state
         vec = np.zeros(2**hamiltonian.n_qubits)
-        vec[ground.basis[0]] = 1.0
+        vec[np.argmax(ground.basis)] = 1.0
     else:
         vec = ground.basis[:, 0]
     return ground.e0, StateVector(vec / np.linalg.norm(vec), hamiltonian.n_qubits)

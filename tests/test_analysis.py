@@ -253,6 +253,8 @@ def _assert_matches_one_eigh(h, seed):
 @given(h=_blockable_pauli_sums(), seed=st.integers(0, 2**32 - 1))
 # a ground gap of 2.4e-7: the two ground projectors differ by 6.1e-10
 @example(h=_pauli_hamiltonian(7, [(1.0, "IIIIIYZ"), (1.192092896e-07, "IIIIIXX")]), seed=0)
+# two layout groups of one width
+@example(h=_pauli_hamiltonian(3, [(0.5, "IXZ"), (0.5, "ZXI"), (1.0, "IIZ")]), seed=0)
 def test_blocked_spectral_matches_one_eigh_property(h, seed):
     n = h.n_qubits
     symmetries = _symmetries(h)[0]
@@ -420,6 +422,27 @@ def test_spectral_keeps_the_layout_grids(h):
     assert all(block[0] is grid for block, grid in zip(dec.blocks, h.layout.grids))
 
 
+def test_spectral_runs_one_eigh_per_layout_group(monkeypatch):
+    # two groups of one width, 1 row each: one eigh apiece, each returning
+    # what an eigh of that group's blocks returns, byte for byte
+    import qitekit.analysis
+
+    h = _pauli_hamiltonian(3, [(0.5, "IXZ"), (0.5, "ZXI"), (1.0, "IIZ")])
+    grids = h.layout.grids
+    assert [grid.shape for grid in grids] == [(1, 2, 2, 1), (2, 2, 1, 1)]
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    dec = spectral(h)
+    assert len(calls) == len(grids) == 2
+    monkeypatch.undo()
+    for grid, evals, evecs in dec.blocks:
+        want_evals, want_evecs = np.linalg.eigh(
+            qitekit.analysis._blocks(h.operator, h.layout.place, grid))
+        shape = grid.shape[1:]
+        assert evals.tobytes() == want_evals.reshape(shape).tobytes()
+        assert evecs.tobytes() == want_evecs.reshape(*shape, shape[-1]).tobytes()
+
+
 def test_ground_moves_out_only_the_group_of_the_ground_level(monkeypatch):
     # heisenberg_1d(6) has 4 sector groups: Sz = +-3, +-2, +-1 (each with its
     # image) and Sz = 0 (two flip blocks of 10 rows), which holds the ground
@@ -454,8 +477,8 @@ def test_exact_ite_settles_on_the_lowest_level_of_its_sector():
 @pytest.mark.parametrize("label", ["101", "1"], ids=["wider", "narrower"])
 def test_exact_oracles_refuse_a_state_of_another_width(label):
     # each read of a state's amplitudes against a two-qubit H: the moves into
-    # the blocks, a ground basis of columns, and ground_space_fidelity on
-    # every route before it builds one
+    # the blocks, a ground basis of columns or of a diagonal H's mask, and
+    # ground_space_fidelity on every route before it builds one
     state, h, diagonal = product_state(label), heisenberg_1d(2), maxcut(2, [(0, 1)])
     dec = spectral(h)
     calls = [
@@ -468,6 +491,7 @@ def test_exact_oracles_refuse_a_state_of_another_width(label):
         lambda: dec.ite_squared_norm(state, 0.5),
         lambda: dec.ground(1e-9).fidelity(state),
         lambda: lanczos_ground(h.operator, 1e-9).fidelity(state),
+        lambda: ground_space(diagonal, 1e-9).fidelity(state),
         lambda: ground_space_fidelity(state, h),
         lambda: ground_space_fidelity(state, diagonal),
     ]
@@ -757,6 +781,7 @@ def test_ground_space_routes():
     ground = ground_space(maxcut_six_vertex_instance(), 1e-9)
     assert ground.route == "diagonal" and ground.matvecs == 0
     assert list(cut_values(maxcut_six_vertex_instance())[ground.basis]) == [5] * 6
+    assert ground.dim == 6 and isinstance(ground.dim, int)  # the manifest serializes it
     # H's blocks while the widest has at most _DENSE_MAX_ROWS = 128 rows (56
     # on the Heisenberg chain of 8), Lanczos beyond (210 on the chain of 10)
     assert ground_space(heisenberg_1d(8), 1e-9).route == "dense"
@@ -790,20 +815,13 @@ def test_ground_route_follows_the_widest_block(h, width, route, dim):
 
 
 def test_dense_oracle_refuses_above_its_ceiling():
-    # one ceiling, MAX_DENSE_QUBITS; the message prices the blocked spectral:
-    # 4 copies of its 2^k blocks of 4^(n-k) float64 entries plus the N^2
-    # eigenvectors and their int8 signs, 25 * 4^14 bytes for a chain (k = 1)
-    message = r"about 6\.71 GB \(2 block\(s\) of 8192 rows, .* ceiling is 13 qubits"
-    for h in (heisenberg_1d(14), tfi_1d(14, 1.0, 1.0)):
+    # one ceiling, MAX_DENSE_QUBITS, read off n alone: chains with and
+    # without the global flip, with a field, and a complex H
+    message = r"on 14 qubits: the dense ceiling is 13 qubits"
+    for h in (heisenberg_1d(14), tfi_1d(14, 1.0, 1.0), heisenberg_1d(14, 1.0, 0.3),
+              _pauli_hamiltonian(14, [(1.0, "Y" + "I" * 13)])):
         with pytest.raises(ResourceError, match=message):
             spectral(h)
-    # a field breaks the global flip (k = 0): 41 * 4^14 bytes
-    with pytest.raises(ResourceError, match=r"about 11 GB \(1 block\(s\) of 16384 rows"):
-        spectral(heisenberg_1d(14, 1.0, 0.3))
-    # complex entries, and X^a commutes with Y_0 for every a without bit 0
-    complex_h = _pauli_hamiltonian(14, [(1.0, "Y" + "I" * 13)])
-    with pytest.raises(ResourceError, match=r"about 4\.57 GB \(8192 block\(s\) of 2 rows"):
-        spectral(complex_h)
 
 
 def test_mutual_information_known_states():

@@ -563,7 +563,7 @@ def test_fourteen_qubit_runs_and_dense_refusals(tmp_path, capsys, monkeypatch):
         out = tmp_path / f"{algorithm}_out"
         assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_RESOURCE
         assert not out.exists()
-        assert "needs about 6.71 GB" in capsys.readouterr().err
+        assert "on 14 qubits" in capsys.readouterr().err
     target = tmp_path / "compare.csv"
     assert main(["compare", "--run", str(tmp_path / "qite"), "--out", str(target)]) == EXIT_RESOURCE
     assert not target.exists()
@@ -588,7 +588,7 @@ def test_wide_dense_only_config_refused_without_allocating(tmp_path, capsys, alg
     assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_RESOURCE
     assert time.perf_counter() - start < 2.0
     assert not out.exists()
-    assert "on 40 qubits needs about" in capsys.readouterr().err
+    assert "on 40 qubits: the dense ceiling is 13 qubits" in capsys.readouterr().err
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):

@@ -251,12 +251,10 @@ def _callers(name):
 
 
 def test_one_symmetry_layout_per_hamiltonian():
-    # Hamiltonian.layout alone builds H's symmetry orbits and sectors;
-    # check_dense reads a symmetry basis of its own because it must refuse
-    # before any 2^n array exists
+    # Hamiltonian.layout alone builds H's symmetry orbits and sectors
     assert _callers("_layout") == ["layout"]
     assert _callers("_coordinates") == _callers("_min_labels") == ["_layout"]
-    assert _callers("_symmetries") == ["_layout", "check_dense"]
+    assert _callers("_symmetries") == ["_layout"]
     qmetts = ast.parse((PACKAGE / "qmetts.py").read_text())
     sources = [node.module for node in ast.walk(qmetts) if isinstance(node, ast.ImportFrom)]
     sources += [alias.name for node in ast.walk(qmetts)
