@@ -56,6 +56,7 @@ from .qlanczos import check_options, qlanczos_run
 from .qmetts import MettsConfig, metts_chain
 from .statevector import (
     StateVector,
+    _Pcg64,
     neel_state,
     plus_state,
     product_state,
@@ -454,15 +455,23 @@ def _run_count(query, hamiltonian, state0, rng, dec):
     return [], summary, {}
 
 
-def _draws(algorithm: str, settings) -> bool:
-    """Whether a run draws random numbers: a QMETTS chain's collapse
-    measurements, or the noise emulation of QITE or of the QLanczos ledger."""
-    if algorithm == "qite":
-        return settings.noise_sigma > 0
-    if algorithm == "qlanczos":
-        qite_cfg, options = settings
-        return qite_cfg.noise_sigma > 0 or options.get("ledger_noise_sigma", 0) > 0
-    return algorithm == "qmetts"
+def _draws(algorithm: str, settings, seed: int):
+    """The generator a run draws from, or None for a run that draws nothing.
+
+    A QMETTS chain's start bits and collapse measurements draw from
+    ``_Pcg64(seed)``, the stream of ``np.random.default_rng(seed)`` bit for
+    bit, so they import no ``numpy.random``.  Only the Gaussian noise of QITE
+    or of the QLanczos ledger builds numpy's own generator, whose ziggurat
+    draws the stream does not reproduce.
+    """
+    if algorithm == "qmetts":
+        return _Pcg64(seed)
+    if algorithm not in ("qite", "qlanczos"):
+        return None
+    qite_cfg, options = settings if algorithm == "qlanczos" else (settings, {})
+    if qite_cfg.noise_sigma > 0 or options.get("ledger_noise_sigma", 0) > 0:
+        return np.random.default_rng(seed)
+    return None
 
 
 _RUNNERS = {
@@ -480,9 +489,11 @@ def execute_run(config: dict, out_dir: Path, seed_override: Optional[int] = None
     seed = seed_override if seed_override is not None else config.get("seed", 0)
     hamiltonian, state0 = _model_and_state(config)
     settings = _settings(config, hamiltonian)
-    # only a run that draws builds a generator (and imports numpy.random);
-    # the library refuses a draw without one
-    rng = np.random.default_rng(seed) if _draws(algorithm, settings) else None
+    # a qmetts run draws from the stream of default_rng(seed), a noisy qite or
+    # qlanczos run from default_rng(seed) itself (the only runs that import
+    # numpy.random), any other run from nothing: the library refuses a draw
+    # without a generator
+    rng = _draws(algorithm, settings, seed)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

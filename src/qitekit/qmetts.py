@@ -168,7 +168,7 @@ def _typical_states(
 def metts_chain(
     hamiltonian: Hamiltonian,
     config: MettsConfig,
-    rng: np.random.Generator,
+    rng,
     observable: Optional[Hamiltonian] = None,
 ) -> MettsResult:
     """Run the sampling chain and return blocked statistics for the observable.
@@ -176,7 +176,9 @@ def metts_chain(
     The observable defaults to the Hamiltonian itself; it is evaluated on
     each label's own typical state, so it need not share H's symmetries.
     The first ``config.n_warmup`` samples are discarded from the mean and
-    error bar but are kept in ``samples`` for inspection.
+    error bar but are kept in ``samples`` for inspection.  ``rng`` is a numpy
+    ``Generator`` or a ``statevector._Pcg64``; the chain asks it for
+    ``integers(0, 2, size=n)`` once and one ``random()`` per sample.
     """
     config.validate()
     n = hamiltonian.n_qubits

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -372,12 +372,13 @@ def reduced_density_matrix(state: StateVector, qubits: Sequence[int]) -> Density
     return DensityMatrix(rho, qubits)
 
 
-def measure_collapse(state: StateVector, bases: Sequence[str], rng: np.random.Generator):
+def measure_collapse(state: StateVector, bases: Sequence[str], rng):
     """Projectively measure every qubit, each in basis 'Z' or 'X'.
 
     Returns (label, collapsed_state).  Label characters are 0/1 for Z-basis
     qubits and +/- for X-basis qubits, qubit 0 first; the collapsed state is
-    exactly the corresponding product state.
+    exactly the corresponding product state.  ``rng`` is a numpy
+    ``Generator`` or a ``_Pcg64``; it is asked for one ``random()``.
     """
     bases = list(bases)
     if len(bases) != state.n_qubits:
@@ -386,12 +387,14 @@ def measure_collapse(state: StateVector, bases: Sequence[str], rng: np.random.Ge
     return label, product_state(label)
 
 
-def _collapse_label(amps: np.ndarray, bases: Sequence[str], rng: np.random.Generator) -> str:
+def _collapse_label(amps: np.ndarray, bases: Sequence[str], rng) -> str:
     """The label of one projective measurement of the amplitudes ``amps``,
-    one basis 'Z' or 'X' per qubit, drawn with one ``rng.choice``.
+    one basis 'Z' or 'X' per qubit, drawn with one ``rng.random()``.
 
     Each X-basis qubit q takes sqrt(2) times a Hadamard, one ``_butterfly``
-    of stride 2^q; normalizing the probabilities absorbs the factor.
+    of stride 2^q; normalizing the probabilities absorbs the factor.  The
+    draw inverts the cumulative distribution as ``Generator.choice(k, p=probs)``
+    does, so a numpy generator gives the label its ``choice`` gave.
     """
     for q, basis in enumerate(bases):
         if basis == "X":
@@ -400,6 +403,90 @@ def _collapse_label(amps: np.ndarray, bases: Sequence[str], rng: np.random.Gener
             raise ValueError(f"unsupported measurement basis {basis!r}")
     probs = np.abs(amps) ** 2
     probs = probs / probs.sum()
-    outcome = int(rng.choice(probs.size, p=probs))
+    if not np.isfinite(probs).all():
+        raise ValueError("measurement probabilities are not finite")
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    outcome = int(cdf.searchsorted(rng.random(), side="right"))
     return "".join(("+-" if basis == "X" else "01")[outcome >> q & 1]
                    for q, basis in enumerate(bases))
+
+
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+class _Pcg64:
+    """The stream of ``np.random.default_rng(seed)``, bit for bit, for the two
+    draws a QMETTS chain makes, without importing ``numpy.random``.
+
+    Seeding is numpy's ``SeedSequence(seed).generate_state(4, uint64)`` (a
+    pool of four 32-bit words) feeding PCG64, an XSL-RR 128/64 generator.
+    ``integers(0, 2, size)`` follows numpy's 32-bit Lemire path: each bit is
+    the top bit of a 32-bit half, the low half first, and the spare half waits
+    in ``uinteger`` while ``has_uint32`` is set.  ``random()`` spends a fresh
+    64-bit output, as numpy's does.
+    """
+
+    _MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+    def __init__(self, seed: int):
+        if seed < 0:
+            raise ValueError("seed must be non-negative")
+        words = [seed >> 32 * k & _M32 for k in range(max(1, (seed.bit_length() + 31) // 32))]
+        const = 0x43B0D7E5
+
+        def hashmix(value):  # each call steps the hash constant
+            nonlocal const
+            value ^= const
+            const = const * 0x931E8875 & _M32
+            value = value * const & _M32
+            return value ^ value >> 16
+
+        def mix(x, y):
+            r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+            return r ^ r >> 16
+
+        # SeedSequence.mix_entropy: hash the first four words (zero-padded)
+        # into the pool, mix every pool word into the others, then each
+        # further word into all four
+        pool = [hashmix(w) for w in (words + [0, 0, 0])[:4]]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in words[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        # generate_state: eight 32-bit words read as four little-endian uint64
+        const, out = 0x8B51F9DD, 0
+        for k in range(8):
+            value = pool[k % 4] ^ const
+            const = const * 0x58F38DED & _M32
+            value = value * const & _M32
+            out |= (value ^ value >> 16) << 32 * k
+        u64 = [out >> 64 * k & _M64 for k in range(4)]
+        # pcg64_set_seed: state (u0, u1) and stream (u2, u3), high word first
+        self.inc = (u64[2] << 65 | u64[3] << 1 | 1) & _M128
+        self.state = ((self.inc + (u64[0] << 64 | u64[1])) * self._MULTIPLIER + self.inc) & _M128
+        self.has_uint32, self.uinteger = 0, 0
+
+    def _next64(self) -> int:
+        self.state = (self.state * self._MULTIPLIER + self.inc) & _M128
+        value, rot = (self.state >> 64 ^ self.state) & _M64, self.state >> 122
+        return (value >> rot | value << (64 - rot)) & _M64
+
+    def _next32(self) -> int:
+        if self.has_uint32:
+            self.has_uint32 = 0
+            return self.uinteger
+        value = self._next64()
+        self.has_uint32, self.uinteger = 1, value >> 32
+        return value & _M32
+
+    def integers(self, low: int, high: int, size: int) -> List[int]:
+        if (low, high) != (0, 2):
+            raise ValueError("the stream draws only integers(0, 2, size)")
+        return [self._next32() >> 31 for _ in range(size)]
+
+    def random(self) -> float:
+        return (self._next64() >> 11) * 2.0**-53

@@ -327,3 +327,41 @@ def test_one_block_address_per_basis_state():
     })
     assert writers == ["_combination", "_layout"], f"write through a grid: {writers}"
     assert _callers("_combination") == ["ground", "ite"]
+
+
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def test_one_random_stream_and_numpy_draws_only_noise():
+    # a QMETTS chain draws from statevector._Pcg64, the one holder of PCG64's
+    # multiplier; numpy's generator is built once, in cli._draws, and only
+    # under a test of the noise sigmas; no module draws through
+    # Generator.choice, whose algorithm numpy does not promise to keep
+    builders, choosers, strays, held = [], [], [], 0
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), str(path))
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        choosers += [f"{path.name}:{node.lineno}" for node in calls
+                     if getattr(node.func, "attr", None) == "choice"]
+        rng_calls = [node for node in calls
+                     if "default_rng" in (getattr(node.func, "attr", None),
+                                          getattr(node.func, "id", None))]
+        assert len(rng_calls) == (path.name == "cli.py"), f"{path.name} calls default_rng"
+        builders += [
+            (path.name, function.name, ast.unparse(node.test))
+            for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function)
+            if isinstance(node, ast.If) and any(call in rng_calls for call in ast.walk(node))
+        ]
+        stream = {id(sub) for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) and node.name == "_Pcg64"
+                  for sub in ast.walk(node)}
+        literals = [node for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant) and node.value == _PCG64_MULTIPLIER]
+        held += sum(id(node) in stream for node in literals)
+        strays += [f"{path.name}:{node.lineno}" for node in literals if id(node) not in stream]
+    ((module, function, test),) = builders
+    assert (module, function) == ("cli.py", "_draws")
+    assert "noise_sigma" in test and "ledger_noise_sigma" in test
+    assert not choosers, f"call .choice: {choosers}"
+    assert held == 1 and not strays, f"hold the PCG64 multiplier outside _Pcg64: {strays}"

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qitekit.errors import DimensionError, ResourceError
@@ -12,6 +12,8 @@ from qitekit.hamiltonians import heisenberg_1d, tfi_1d
 from qitekit.pauli import OperatorPool, PauliString, enumerate_pool
 from qitekit.statevector import (
     _butterfly,
+    _collapse_label,
+    _Pcg64,
     _norm,
     _pauli_masks,
     _pauli_traces,
@@ -561,3 +563,75 @@ def test_measure_collapse_guards(rng):
         measure_collapse(zero_state(2), "Z", rng)
     with pytest.raises(ValueError):
         measure_collapse(zero_state(1), "Q", rng)
+
+
+def _bit_state(rng):
+    """The bit generator state of a numpy generator or a stream, as numpy's
+    ``(state, inc, has_uint32, uinteger)``."""
+    if isinstance(rng, _Pcg64):
+        return rng.state, rng.inc, rng.has_uint32, rng.uinteger
+    state = rng.bit_generator.state
+    return state["state"]["state"], state["state"]["inc"], state["has_uint32"], state["uinteger"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**200), n=st.integers(1, 14))
+@example(seed=0, n=1)
+@example(seed=2**32 - 1, n=4)
+@example(seed=2**32, n=4)
+@example(seed=2**64, n=7)
+@example(seed=2**128, n=14)
+def test_stream_is_default_rng_bit_for_bit_property(seed, n):
+    stream, numpy_rng = _Pcg64(seed), np.random.default_rng(seed)
+    assert stream.integers(0, 2, size=n) == numpy_rng.integers(0, 2, size=n).tolist()
+    for _ in range(64):
+        assert stream.random() == numpy_rng.random()
+    assert _bit_state(stream) == _bit_state(numpy_rng)
+
+
+def test_stream_refuses_what_it_does_not_reproduce():
+    with pytest.raises(ValueError):
+        _Pcg64(-1)
+    with pytest.raises(ValueError):
+        _Pcg64(0).integers(0, 3, size=2)
+
+
+@pytest.mark.parametrize(
+    "amps",
+    [[0.5, 0.5, np.nan, 0.5], [0.5, 0.5, np.inf, 0.5], [0.0, 0.0, 0.0, 0.0]],
+    ids=["nan", "inf", "zero"],
+)
+@pytest.mark.parametrize("kind", ["numpy", "stream"])
+def test_collapse_refuses_non_finite_probabilities_before_drawing(amps, kind):
+    # what Generator.choice refused (a NaN or inf amplitude, or no weight at
+    # all) is refused before anything is drawn, whichever generator is passed
+    rng = np.random.default_rng(3) if kind == "numpy" else _Pcg64(3)
+    before = _bit_state(rng)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite"):
+        _collapse_label(np.asarray(amps, complex), "ZX", rng)
+    assert _bit_state(rng) == before
+
+
+def _choice_label(amps, bases, rng):
+    """The collapse label as ``Generator.choice`` drew it."""
+    for q, basis in enumerate(bases):
+        if basis == "X":
+            amps = _butterfly(amps, 2**q)
+    probs = np.abs(amps) ** 2
+    probs = probs / probs.sum()
+    outcome = int(rng.choice(probs.size, p=probs))
+    return "".join(("+-" if basis == "X" else "01")[outcome >> q & 1]
+                   for q, basis in enumerate(bases))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_collapse_label_is_the_label_choice_drew_property(data):
+    n = data.draw(st.integers(1, 6))
+    bases = data.draw(st.text(alphabet="ZX", min_size=n, max_size=n))
+    amps = random_state(n, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    seed = data.draw(st.integers(0, 2**64))
+    mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(4):
+        assert _collapse_label(amps, bases, mine) == _choice_label(amps, bases, theirs)
+    assert _bit_state(mine) == _bit_state(theirs)
